@@ -5,6 +5,7 @@ iteration budget before reaching its stopping threshold, 1 on any error.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -23,26 +24,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BUDGET = 2
 
-_CONFIG_KEYS = (
-    "seed",
-    "dim",
-    "particles",
-    "sigma2",
-    "eps",
-    "k_max",
-    "delta_cap",
-    "features",
-    "feature_scale",
-    "shift",
-    "baseline_step",
-    "sinkhorn_tol",
-    "snap_every",
-    "out",
-    "baseline_out",
-    "snapshot_prefix",
-)
-
-
 def _require_file(path):
     if not os.path.exists(path):
         raise OSError(f"no such file: {path}")
@@ -57,10 +38,10 @@ def _experiment_config(args, experiment):
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
         mapping.update(loaded)
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
+    for f in dataclasses.fields(ExperimentConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            mapping[key] = value
+            mapping[f.name] = value
     mapping["experiment"] = experiment
     return ExperimentConfig.from_mapping(mapping)
 
@@ -106,9 +87,9 @@ def _objective_flags(p):
 
 def cmd_deconv(args):
     cfg = _experiment_config(args, "deconv")
-    mu, trace, _ = run_deconv(cfg)
+    mu, trace, J = run_deconv(cfg)
     print(f"deconv: {len(trace)} iterations, status {trace.status}")
-    print(f"final objective {trace.objective[-1]:.17g}")
+    print(f"final objective {J.value(mu):.17g}")
     print(f"trace written to {cfg.out}")
     return EXIT_OK
 
@@ -131,9 +112,7 @@ def cmd_fw(args):
         _require_file(args.init)
         mu0 = load_csv(args.init)
     else:
-        mu0 = ParticleCloud(
-            rng.uniform(-1.0, 1.0, size=(args.particles, args.dim)), seed_tag=args.seed
-        )
+        mu0 = ParticleCloud(rng.uniform(-1.0, 1.0, size=(args.particles, args.dim)))
     J = PotentialInteraction(
         make_objective(args.objective), make_pair(args.pair) if args.pair else None
     )
@@ -155,7 +134,7 @@ def cmd_fw(args):
     if args.final_out is not None:
         save_csv(mu, args.final_out)
     print(f"fw: {len(trace)} iterations, status {trace.status}")
-    print(f"final objective {trace.objective[-1]:.17g}, s {trace.s[-1]:.17g}")
+    print(f"final objective {J.value(mu):.17g}, s {trace.s[-1]:.17g}")
     print(f"trace written to {args.out}")
     return EXIT_OK if trace.status == "converged" else EXIT_BUDGET
 

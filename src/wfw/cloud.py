@@ -6,7 +6,7 @@ ever touches measures through this representation.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
@@ -28,12 +28,9 @@ class ParticleCloud:
 
     Args:
         points: array-like of shape (n, d); copied to float64 and frozen.
-        seed_tag: optional provenance label for the RNG that produced the
-            points (carried through serialization, never interpreted).
     """
 
     points: np.ndarray
-    seed_tag: str | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -58,9 +55,6 @@ class ParticleCloud:
     def second_moment(self):
         """(1/n) sum ||x_i||^2 — finite by construction, kept for assertions."""
         return float(np.mean(np.sum(self.points**2, axis=1)))
-
-    def with_points(self, points):
-        return ParticleCloud(points, seed_tag=self.seed_tag)
 
 
 @dataclass(frozen=True)
@@ -90,11 +84,11 @@ class TransportPlan:
 
     def cost(self):
         """Sum_ij w_ij ||x_i - y_j||^2 (squared-displacement transport cost)."""
-        d2 = _sqdist_matrix(self.source.points, self.target.points)
+        d2 = sqdist_matrix(self.source.points, self.target.points)
         return float(np.sum(self.weights * d2))
 
 
-def _sqdist_matrix(x, y):
+def sqdist_matrix(x, y):
     """Pairwise squared Euclidean distances, clipped to be exactly nonnegative."""
     d2 = (
         np.sum(x**2, axis=1)[:, None]
@@ -129,7 +123,7 @@ def wasserstein2_exact(a, b, cap=EXACT_OT_CAP):
         raise SizeCapExceeded(
             f"exact OT needs {n * m} entries (cap {cap})", required=n * m, cap=cap
         )
-    d2 = _sqdist_matrix(a.points, b.points)
+    d2 = sqdist_matrix(a.points, b.points)
     if n == m:
         rows, cols = linear_sum_assignment(d2)
         w = np.zeros((n, m))
@@ -145,12 +139,8 @@ def _lp_transport(d2, n, m):
     # Equality-constrained LP over vec(w); marginal constraints are
     # rank-deficient by one, so drop the last column constraint.
     c = d2.ravel()
-    a_rows = np.zeros((n, n * m))
-    for i in range(n):
-        a_rows[i, i * m : (i + 1) * m] = 1.0
-    a_cols = np.zeros((m - 1, n * m))
-    for j in range(m - 1):
-        a_cols[j, j::m] = 1.0
+    a_rows = np.repeat(np.eye(n), m, axis=1)
+    a_cols = np.tile(np.eye(m - 1, m), (1, n))
     a_eq = np.vstack([a_rows, a_cols])
     b_eq = np.concatenate([np.full(n, 1.0 / n), np.full(m - 1, 1.0 / m)])
     res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
@@ -188,14 +178,12 @@ def geodesic_point(plan, t, cap=GEODESIC_OUTPUT_CAP):
     if np.max(np.abs(counts - plan.weights[rows, cols] * lcm)) > 1e-6:
         raise ValueError("plan weights are not multiples of 1/lcm(n, m)")
     pts = (1.0 - t) * plan.source.points[rows] + t * plan.target.points[cols]
-    out = np.repeat(pts, counts, axis=0)
-    tag = plan.source.seed_tag or plan.target.seed_tag
-    return ParticleCloud(out, seed_tag=tag)
+    return ParticleCloud(np.repeat(pts, counts, axis=0))
 
 
 def mean_squared_gradient_norm(cloud, g):
     """L2(mu) norm of a gradient field: sqrt((1/n) sum ||grad(x_i)||^2)."""
-    grads = np.stack([np.asarray(g.grad(x), dtype=np.float64) for x in cloud.points])
+    grads = g.grad_many(cloud.points)
     return float(np.sqrt(np.mean(np.sum(grads**2, axis=1))))
 
 

@@ -13,7 +13,7 @@ Frank-Wolfe loop.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -24,12 +24,11 @@ from .errors import (
     IntervalEmpty,
     LambdaTooSmall,
     RegularizationTooWeak,
+    WeakDualityViolated,
 )
 from .moreau import (
     agd_prox_batch,
-    eval_rows,
     g_value_and_grad_fullbatch,
-    grad_rows,
     hp_sample_count,
     supergradient_hp,
 )
@@ -117,7 +116,15 @@ class PowerPenalty:
 
 @dataclass(frozen=True)
 class DualSolveReport:
-    """Outcome of one dual solve; primal fields are None for dual-only solvers."""
+    """Outcome of one dual solve; primal fields are None for dual-only solvers.
+
+    `images` and `cost` are the prox images of the atoms at `lambda_star`
+    and their mean half squared displacement, from the prox pass that
+    certified the primal value (None when no such pass ran).
+
+    Raises:
+        WeakDualityViolated: the gap is below -1e-6.
+    """
 
     lambda_star: float
     dual_value: float
@@ -126,41 +133,40 @@ class DualSolveReport:
     oracle_calls: int
     samples_drawn: int
     interval: tuple
+    images: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    cost: Optional[float] = None
 
     def __post_init__(self):
         if self.gap is not None and not (self.gap >= -1e-6):
-            raise ValueError(f"weak duality violated: gap = {self.gap}")
+            raise WeakDualityViolated(
+                f"weak duality violated: gap = {self.gap} "
+                f"(primal {self.primal_value}, dual {self.dual_value})",
+                gap=self.gap,
+                primal=self.primal_value,
+                dual=self.dual_value,
+            )
 
 
 @dataclass(frozen=True)
 class PushforwardSampler:
     """Coupling (x, m(x)) of a cloud with its prox images at a fixed lam.
 
-    `images[i]` is the prox of atom i at weight `lam`, so `target_cloud`
-    materializes the second marginal of the coupling.
+    `images[i]` is the prox of atom i of `source` at weight `lam`, so
+    `target_cloud` materializes the second marginal of the coupling.
     """
 
     lam: float
-    f: object
     source: object
-    eps_inner: float
     images: np.ndarray
-
-    def pairs(self):
-        return self.source.points, self.images
-
-    def sample(self, rng, size):
-        idx = rng.integers(0, self.source.n, size=size)
-        return self.source.points[idx], self.images[idx]
 
     def target_cloud(self):
         from .cloud import ParticleCloud
 
-        return ParticleCloud(self.images, seed_tag=self.source.seed_tag)
+        return ParticleCloud(self.images)
 
 
 def _mean_sq_grad(f, mu):
-    g = grad_rows(f, mu.points)
+    g = f.grad_many(mu.points)
     return float(np.mean(np.sum(g**2, axis=1)))
 
 
@@ -255,7 +261,7 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
             l = lam
 
     lam_star = u
-    dual, primal, gap, _, _ = _report_values(f, mu, penalty, lam_star, eps_prox)
+    dual, primal, gap, y, cbar = _report_values(f, mu, penalty, lam_star, eps_prox)
     samples += mu.n
     return DualSolveReport(
         lambda_star=lam_star,
@@ -265,6 +271,8 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
         oracle_calls=oracle_calls,
         samples_drawn=samples,
         interval=(l0, u0),
+        images=y,
+        cost=cbar,
     )
 
 
@@ -272,7 +280,7 @@ def _report_values(f, mu, penalty, lam, eps_prox):
     """Primal and dual values sharing one prox pass (Fenchel-Young gap >= 0)."""
     y, theta, _, _ = agd_prox_batch(f, mu.points, lam, eps_prox)
     cbar = float(np.mean(theta))
-    fbar = float(np.mean(eval_rows(f, y)))
+    fbar = float(np.mean(f.eval_many(y)))
     dual = fbar + lam * cbar - penalty.psi_star(lam)
     primal = fbar + penalty.psi(cbar)
     return dual, primal, primal - dual, y, cbar
@@ -399,7 +407,7 @@ def mirror_ascent(
     if k < 1:
         raise ValueError("k must be >= 1")
     if c2 is None:
-        g = grad_rows(f, mu.points)
+        g = f.grad_many(mu.points)
         m4 = float(np.mean(np.sum(g**2, axis=1) ** 2))
         c2 = 256.0 * m4 / (l - f.semiconvexity) ** 4
     d_bound = penalty.psi_star_deriv(u)
@@ -427,9 +435,9 @@ def trust_region_step(f, mu, delta, eps, gamma, rng, stochastic=False):
     """Approximately minimize E_nu[f] over clouds within transport distance delta of mu.
 
     Solves the indicator-penalized dual by bisection, then certifies primal
-    feasibility by recomputing the transported cost at the returned lam
-    (nudging lam up a few times if prox error leaves the cost a hair above
-    delta^2/2).
+    feasibility from the transported cost of the bisection's certifying
+    prox pass (nudging lam up a few times, one prox pass each, if prox error
+    leaves the cost a hair above delta^2/2).
 
     Returns:
         (sampler, report): the sampler couples each atom to its prox image;
@@ -459,28 +467,27 @@ def trust_region_step(f, mu, delta, eps, gamma, rng, stochastic=False):
     eps_prox = (eps / (4.0 + l0)) / (2.0 * max(u0 - l0, 1.0))
     lam = rep.lambda_star
     cost_cap = 0.5 * delta**2 * (1.0 + 1e-6)
-    y = cbar = None
-    for _ in range(6):
-        y, theta, _, _ = agd_prox_batch(f, mu.points, lam, eps_prox)
-        cbar = float(np.mean(theta))
-        if cbar <= cost_cap:
+    for _ in range(5):
+        if rep.cost <= cost_cap:
             break
         lam *= 1.05
-    else:
-        raise InfeasiblePrimal(
-            f"transported cost {cbar} above bound {0.5 * delta**2} after nudging",
-            cost=cbar,
-            bound=0.5 * delta**2,
-        )
-    if lam != rep.lambda_star:
         dual, primal, gap, y, cbar = _report_values(f, mu, penalty, lam, eps_prox)
         rep = replace(
-            rep, lambda_star=lam, dual_value=dual, primal_value=primal, gap=gap
+            rep,
+            lambda_star=lam,
+            dual_value=dual,
+            primal_value=primal,
+            gap=gap,
+            images=y,
+            cost=cbar,
         )
-    sampler = PushforwardSampler(
-        lam=lam, f=f, source=mu, eps_inner=eps_prox, images=y
-    )
-    return sampler, rep
+    if rep.cost > cost_cap:
+        raise InfeasiblePrimal(
+            f"transported cost {rep.cost} above bound {0.5 * delta**2} after nudging",
+            cost=rep.cost,
+            bound=0.5 * delta**2,
+        )
+    return PushforwardSampler(lam=lam, source=mu, images=rep.images), rep
 
 
 def primal_dual_gap(f, mu, penalty, lam, eps_inner):

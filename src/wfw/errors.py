@@ -90,9 +90,19 @@ class InfeasiblePrimal(WfwError):
         self.bound = bound
 
 
+class WeakDualityViolated(WfwError):
+    """A solve reported a dual value above its primal value beyond tolerance.
+
+    Carries the gap (primal - dual) and both values, whose magnitudes set the
+    scale against which the absolute tolerance was applied.
+    """
+
+    def __init__(self, message, gap=None, primal=None, dual=None):
+        super().__init__(message)
+        self.gap = gap
+        self.primal = primal
+        self.dual = dual
+
+
 class MissingColumn(WfwError):
     """A trace CSV lacks a column the plot spec references."""
-
-
-class BudgetExhausted(WfwError):
-    """Iteration/wall budget ran out before the stopping rule fired."""

@@ -17,11 +17,10 @@ from .cloud import ParticleCloud, save_csv
 from .errors import MissingColumn
 from .frank_wolfe import FWConfig, run_frank_wolfe
 from .functionals import EntropicDeconv, MMDSquared
-from .moreau import grad_rows
 from .registry import make_kernel
 from .svg import line_chart
 
-_EXPERIMENTS = ("deconv", "mmd-flow", "fw", "trust-region")
+_EXPERIMENTS = ("deconv", "mmd-flow")
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ def run_deconv(cfg):
     """
     rng = np.random.default_rng(cfg.seed)
     obs, _ = make_mixture_observations(cfg.particles, cfg.sigma2, rng, dim=cfg.dim)
-    data = ParticleCloud(obs, seed_tag=cfg.seed)
+    data = ParticleCloud(obs)
     J = EntropicDeconv(cfg.sigma2, data, tol=cfg.sinkhorn_tol)
     smoothness = J.derivative_oracle(data, 1.0).smoothness
     fw_cfg = FWConfig.from_schedule(
@@ -138,9 +137,9 @@ def mmd_gradient_flow(J, mu0, step, grad_budget, val_fn=None):
     grad_evals = 0
     while grad_evals < grad_budget:
         model = J.derivative_oracle(mu, 1e-9)
-        g = grad_rows(model, mu.points)
+        g = model.grad_many(mu.points)
         grad_evals += mu.n
-        mu = ParticleCloud(mu.points - step * g, seed_tag=mu.seed_tag)
+        mu = ParticleCloud(mu.points - step * g)
         val = val_fn(mu) if val_fn is not None else math.nan
         rows.append((grad_evals, J.value(mu), val))
     return mu, rows
@@ -163,11 +162,9 @@ def run_mmd_flow(cfg):
         table=cfg.feature_scale * rng.standard_normal((cfg.features, d)),
     )
 
-    teacher = ParticleCloud(rng.standard_normal((n, d)), seed_tag=cfg.seed)
-    held_out = ParticleCloud(rng.standard_normal((n, d)), seed_tag=cfg.seed)
-    student0 = ParticleCloud(
-        rng.standard_normal((n, d)) + cfg.shift / math.sqrt(d), seed_tag=cfg.seed
-    )
+    teacher = ParticleCloud(rng.standard_normal((n, d)))
+    held_out = ParticleCloud(rng.standard_normal((n, d)))
+    student0 = ParticleCloud(rng.standard_normal((n, d)) + cfg.shift / math.sqrt(d))
     # The uniform offset puts the student a W2 distance of about cfg.shift
     # from the teacher, which the outer loop then has to transport back.
 

@@ -12,14 +12,13 @@ from the target accuracy via `FWConfig.from_schedule`.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cloud import ParticleCloud, mean_squared_gradient_norm
 from .dual_solvers import trust_region_step
 from .errors import DeltaTooLarge
-from .moreau import SmoothObjective, grad_rows
 
 
 @dataclass(frozen=True)
@@ -139,27 +138,11 @@ class FWTrace:
 def counted_model(model, counter):
     """Wrap a witness model so gradient-row evaluations accumulate in counter["rows"]."""
 
-    def grad(x):
-        counter["rows"] += 1
-        return model.grad(x)
+    def grad_many(x):
+        counter["rows"] += x.shape[0]
+        return model.grad_many(x)
 
-    grad_many = None
-    if model.grad_many is not None:
-
-        def grad_many(x):
-            counter["rows"] += np.atleast_2d(np.asarray(x)).shape[0]
-            return model.grad_many(x)
-
-    return SmoothObjective(
-        eval=model.eval,
-        grad=grad,
-        smoothness=model.smoothness,
-        semiconvexity=model.semiconvexity,
-        eval_many=model.eval_many,
-        grad_many=grad_many,
-        holder_alpha=model.holder_alpha,
-        holder_T=model.holder_T,
-    )
+    return replace(model, grad_many=grad_many)
 
 
 def estimate_gradient_norm(phi, mu, eps_bar, rng, full_batch_max=4096, z_score=2.33):
@@ -183,7 +166,7 @@ def estimate_gradient_norm(phi, mu, eps_bar, rng, full_batch_max=4096, z_score=2
     total_sq = 0.0
     while True:
         idx = rng.integers(0, n, size=batch)
-        g = grad_rows(phi, mu.points[idx])
+        g = phi.grad_many(mu.points[idx])
         sq = np.sum(g**2, axis=1)
         count += batch
         total += float(np.sum(sq))
@@ -258,7 +241,7 @@ def run_frank_wolfe(
 
         if chained:
             idx = rng.integers(0, sampler.images.shape[0], size=mu0.n)
-            mu = ParticleCloud(sampler.images[idx], seed_tag=mu0.seed_tag)
+            mu = ParticleCloud(sampler.images[idx])
         else:
             mu = sampler.target_cloud()
 
@@ -293,14 +276,14 @@ def smoothness_probe(J, mu, trials, rng):
         raise ValueError("need at least 10 trials for a stable fit")
     base = J.value(mu)
     model = J.derivative_oracle(mu, 1e-9)
-    grads = grad_rows(model, mu.points)
+    grads = model.grad_many(mu.points)
 
     ws, rems = [], []
     for _ in range(trials):
         direction = rng.standard_normal(mu.points.shape)
         direction /= math.sqrt(float(np.mean(np.sum(direction**2, axis=1))))
         scale = 10.0 ** rng.uniform(-2.5, -0.5)
-        nu = ParticleCloud(mu.points + scale * direction, seed_tag=mu.seed_tag)
+        nu = ParticleCloud(mu.points + scale * direction)
         linear = float(np.mean(np.sum(grads * (scale * direction), axis=1)))
         rem = abs(J.value(nu) - base - linear)
         ws.append(scale)

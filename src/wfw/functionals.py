@@ -11,6 +11,7 @@ import math
 import numpy as np
 from scipy.special import logsumexp
 
+from .cloud import sqdist_matrix
 from .errors import NonFiniteDual, SinkhornNotConverged
 from .moreau import SmoothObjective
 
@@ -20,15 +21,6 @@ GradientModel = SmoothObjective
 
 # Peak of |tanh''|, slightly rounded up: 4 / (3 * sqrt(3)).
 _TANH_CURV = 0.7699
-
-
-def _sqdist(x, y):
-    d2 = (
-        np.sum(x**2, axis=1)[:, None]
-        + np.sum(y**2, axis=1)[None, :]
-        - 2.0 * (x @ y.T)
-    )
-    return np.maximum(d2, 0.0)
 
 
 class GaussianKernel:
@@ -42,16 +34,8 @@ class GaussianKernel:
         self.sigma = float(sigma)
         self.grad_lipschitz = 1.0 / self.sigma**2
 
-    def eval(self, x, y):
-        return float(self.gram(np.atleast_2d(x), np.atleast_2d(y))[0, 0])
-
-    def grad_x(self, x, y):
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        return -(x - y) / self.sigma**2 * self.eval(x, y)
-
     def gram(self, a, b):
-        return np.exp(-_sqdist(a, b) / (2.0 * self.sigma**2))
+        return np.exp(-sqdist_matrix(a, b) / (2.0 * self.sigma**2))
 
     def mean_grad(self, a, z):
         """Rows: (1/|a|) sum_i grad_z k(a_i, z_row)."""
@@ -71,20 +55,11 @@ class InverseMultiquadricKernel:
         self.beta = float(beta)
         self.grad_lipschitz = 6.0 * self.beta / self.c ** (2.0 * self.beta + 2.0)
 
-    def eval(self, x, y):
-        return float(self.gram(np.atleast_2d(x), np.atleast_2d(y))[0, 0])
-
-    def grad_x(self, x, y):
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        r2 = float(np.sum((x - y) ** 2))
-        return -2.0 * self.beta * (x - y) * (self.c**2 + r2) ** (-self.beta - 1.0)
-
     def gram(self, a, b):
-        return (self.c**2 + _sqdist(a, b)) ** (-self.beta)
+        return (self.c**2 + sqdist_matrix(a, b)) ** (-self.beta)
 
     def mean_grad(self, a, z):
-        g1 = (self.c**2 + _sqdist(z, a)) ** (-self.beta - 1.0)
+        g1 = (self.c**2 + sqdist_matrix(z, a)) ** (-self.beta - 1.0)
         return -2.0 * self.beta * (
             z * g1.mean(axis=1, keepdims=True) - (g1 @ a) / a.shape[0]
         )
@@ -111,16 +86,6 @@ class RandomFeatureKernel:
 
     def features(self, x):
         return np.tanh(x @ self.table.T)
-
-    def eval(self, x, y):
-        return float(self.gram(np.atleast_2d(x), np.atleast_2d(y))[0, 0])
-
-    def grad_x(self, x, y):
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        tx = np.tanh(self.table @ x)
-        ty = np.tanh(self.table @ y)
-        return self.table.T @ ((1.0 - tx**2) * ty) / self.table.shape[0]
 
     def gram(self, a, b):
         return self.features(a) @ self.features(b).T / self.table.shape[0]
@@ -170,23 +135,19 @@ class MMDSquared(Functional):
         y = self.target.points
 
         def eval_many(z):
-            z = np.atleast_2d(np.asarray(z, dtype=np.float64))
             return 2.0 * (
                 kernel.gram(z, x).mean(axis=1) - kernel.gram(z, y).mean(axis=1)
             )
 
         def grad_many(z):
-            z = np.atleast_2d(np.asarray(z, dtype=np.float64))
             return 2.0 * (kernel.mean_grad(x, z) - kernel.mean_grad(y, z))
 
         lips = 4.0 * kernel.grad_lipschitz
         return GradientModel(
-            eval=lambda p: float(eval_many(p)[0]),
-            grad=lambda p: grad_many(p)[0],
-            smoothness=lips,
-            semiconvexity=lips,
             eval_many=eval_many,
             grad_many=grad_many,
+            smoothness=lips,
+            semiconvexity=lips,
         )
 
 
@@ -197,7 +158,7 @@ def _sinkhorn_potentials(x, y, sigma2, tol, max_iter):
     potentials gauged to mean(u) == mean(v).
     """
     n, m = x.shape[0], y.shape[0]
-    cost = 0.5 * _sqdist(x, y)
+    cost = 0.5 * sqdist_matrix(x, y)
     u = np.zeros(n)
     v = np.zeros(m)
     err = math.inf
@@ -262,7 +223,7 @@ class EntropicDeconv(Functional):
         # Softmax weights always sit on the data atoms, so the weighted
         # covariance never exceeds (diam/2)^2 in any direction: a global
         # semiconvexity bound for the witness.
-        d2 = _sqdist(data.points, data.points)
+        d2 = sqdist_matrix(data.points, data.points)
         diam2 = float(np.max(d2))
         self._rho = max(0.0, diam2 / (4.0 * self.sigma2) - 1.0)
 
@@ -283,31 +244,31 @@ class EntropicDeconv(Functional):
         sigma2 = self.sigma2
 
         def _logits(z):
-            return (v[None, :] - 0.5 * _sqdist(z, y)) / sigma2
+            return (v[None, :] - 0.5 * sqdist_matrix(z, y)) / sigma2
 
         def eval_many(z):
-            z = np.atleast_2d(np.asarray(z, dtype=np.float64))
             return -sigma2 * (logsumexp(_logits(z), axis=1) - math.log(m))
 
         def grad_many(z):
-            z = np.atleast_2d(np.asarray(z, dtype=np.float64))
             lg = _logits(z)
             w = np.exp(lg - logsumexp(lg, axis=1, keepdims=True))
             return z - w @ y
 
         rho = self._rho
         return GradientModel(
-            eval=lambda p: float(eval_many(p)[0]),
-            grad=lambda p: grad_many(p)[0],
-            smoothness=max(1.0, rho),
-            semiconvexity=rho,
             eval_many=eval_many,
             grad_many=grad_many,
+            smoothness=max(1.0, rho),
+            semiconvexity=rho,
         )
 
 
 class PairPotential:
-    """Symmetric interaction term w(x, y) with its gradient in the first slot."""
+    """Symmetric interaction term w(x, y) with its gradient in the first slot.
+
+    `eval(x, y)` and `grad_x(x, y)` broadcast over leading axes: on inputs of
+    shape (..., d) they return shapes (...) and (..., d).
+    """
 
     def __init__(self, eval, grad_x, smoothness, semiconvexity, name=""):
         self.eval = eval
@@ -322,7 +283,8 @@ class PotentialInteraction(Functional):
 
     value(mu) = (1/n) sum_i v(x_i) + (1/n^2) sum_ij w(x_i, x_j); the witness
     phi(z) = v(z) + (2/n) sum_j w(z, x_j) is exact (eps is ignored and
-    repeated oracle calls are identical).
+    repeated oracle calls are identical).  Pair terms are evaluated on
+    (rows, atoms, d) broadcasts of the two point sets.
     """
 
     def __init__(self, v, w=None):
@@ -331,52 +293,28 @@ class PotentialInteraction(Functional):
 
     def value(self, mu):
         x = mu.points
-        if self.v.eval_many is not None:
-            total = float(np.mean(self.v.eval_many(x)))
-        else:
-            total = float(np.mean([self.v.eval(p) for p in x]))
+        total = float(np.mean(self.v.eval_many(x)))
         if self.w is not None:
-            pair = np.array(
-                [[self.w.eval(a, b) for b in x] for a in x], dtype=np.float64
-            )
-            total += float(np.mean(pair))
+            total += float(np.mean(self.w.eval(x[:, None, :], x[None, :, :])))
         return total
 
     def derivative_oracle(self, mu, eps):
         v, w = self.v, self.w
-        atoms = mu.points
-
         if w is None:
-            return GradientModel(
-                eval=v.eval,
-                grad=v.grad,
-                smoothness=v.smoothness,
-                semiconvexity=v.semiconvexity,
-                eval_many=v.eval_many,
-                grad_many=v.grad_many,
-            )
-
-        def eval_one(z):
-            inter = np.mean([w.eval(z, a) for a in atoms])
-            return float(v.eval(z) + 2.0 * inter)
-
-        def grad_one(z):
-            inter = np.mean([w.grad_x(z, a) for a in atoms], axis=0)
-            return np.asarray(v.grad(z), dtype=np.float64) + 2.0 * inter
+            return v
+        atoms = mu.points[None, :, :]
 
         def eval_many(z):
-            z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-            return np.array([eval_one(row) for row in z])
+            inter = np.mean(w.eval(z[:, None, :], atoms), axis=1)
+            return v.eval_many(z) + 2.0 * inter
 
         def grad_many(z):
-            z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-            return np.stack([grad_one(row) for row in z])
+            inter = np.mean(w.grad_x(z[:, None, :], atoms), axis=1)
+            return v.grad_many(z) + 2.0 * inter
 
         return GradientModel(
-            eval=eval_one,
-            grad=grad_one,
-            smoothness=v.smoothness + 2.0 * w.smoothness,
-            semiconvexity=v.semiconvexity + 2.0 * w.semiconvexity,
             eval_many=eval_many,
             grad_many=grad_many,
+            smoothness=v.smoothness + 2.0 * w.smoothness,
+            semiconvexity=v.semiconvexity + 2.0 * w.semiconvexity,
         )

@@ -29,34 +29,41 @@ K_CAP = 10**6
 
 @dataclass(frozen=True)
 class SmoothObjective:
-    """A pointwise objective with declared smoothness metadata.
+    """A pointwise objective given by its batch forms, with smoothness metadata.
 
     Args:
-        eval: x -> float.
-        grad: x -> ndarray of shape (d,); must be `smoothness`-Lipschitz.
+        eval_many: (n, d) array -> (n,) array of values.
+        grad_many: (n, d) array -> (n, d) array of gradients; must be
+            `smoothness`-Lipschitz.
         smoothness: gradient Lipschitz bound L.
         semiconvexity: minimal rho >= 0 such that f + (rho/2)||. - x0||^2
             is convex for every center x0.
-        eval_many, grad_many: optional vectorized forms taking an (n, d)
-            array; used by batch code paths when present.
-        holder_alpha, holder_T: optional curvature metadata consumed by the
-            outer-loop schedule; never read by the prox solver itself.
+        eval, grad: per-point forms x -> float and x -> (d,) array, filled
+            in from the batch forms when omitted.  The library only ever
+            calls the batch forms; these serve callers that probe one point.
     """
 
-    eval: Callable
-    grad: Callable
+    eval_many: Callable
+    grad_many: Callable
     smoothness: float
     semiconvexity: float
-    eval_many: Optional[Callable] = None
-    grad_many: Optional[Callable] = None
-    holder_alpha: float = 1.0
-    holder_T: Optional[float] = None
+    eval: Optional[Callable] = None
+    grad: Optional[Callable] = None
 
     def __post_init__(self):
         if self.semiconvexity < 0:
             raise ValueError("semiconvexity must be >= 0")
         if self.smoothness < self.semiconvexity:
             raise ValueError("smoothness bound below semiconvexity")
+        eval_many, grad_many = self.eval_many, self.grad_many
+        if self.eval is None:
+            object.__setattr__(self, "eval", lambda x: float(eval_many(_as_row(x))[0]))
+        if self.grad is None:
+            object.__setattr__(self, "grad", lambda x: grad_many(_as_row(x))[0])
+
+
+def _as_row(x):
+    return np.asarray(x, dtype=np.float64)[None, :]
 
 
 @dataclass(frozen=True)
@@ -67,20 +74,6 @@ class ProxResult:
     theta: float
     iters: int
     grad_evals: int = 0
-
-
-def grad_rows(f, x):
-    """Gradient of f at every row of x, shape (n, d)."""
-    if f.grad_many is not None:
-        return np.asarray(f.grad_many(x), dtype=np.float64)
-    return np.stack([np.asarray(f.grad(row), dtype=np.float64) for row in x])
-
-
-def eval_rows(f, x):
-    """f at every row of x, shape (n,)."""
-    if f.eval_many is not None:
-        return np.asarray(f.eval_many(x), dtype=np.float64)
-    return np.array([float(f.eval(row)) for row in x], dtype=np.float64)
 
 
 def agd_prox(f, x, lam, eps):
@@ -133,7 +126,7 @@ def agd_prox_batch(f, x, lam, eps):
     step = 1.0 / l_smooth
     momentum = (kappa - 1.0) / (kappa + 1.0)
 
-    g0 = grad_rows(f, x)
+    g0 = f.grad_many(x)
     gnorm0 = np.sqrt(np.sum(g0**2, axis=1))
     grad_evals = np.ones(n, dtype=np.int64)
 
@@ -151,14 +144,14 @@ def agd_prox_batch(f, x, lam, eps):
 
     while np.any(active):
         idx = np.nonzero(active)[0]
-        gy = grad_rows(f, y[idx])
+        gy = f.grad_many(y[idx])
         z_new = y[idx] - step * (gy + lam * (y[idx] - x[idx]))
         if not np.all(np.isfinite(z_new)):
             raise NonFiniteIterate("prox iterate left the finite range")
         iters[idx] += 1
         # Certificate: the prox objective a(.) = f + (lam/2)||.-x||^2 is
         # mu_sc-strongly convex, so ||z - prox(x)|| <= ||grad a(z)||/mu_sc.
-        gz = grad_rows(f, z_new)
+        gz = f.grad_many(z_new)
         grad_evals[idx] += 2
         resid = gz + lam * (z_new - x[idx])
         d = np.sqrt(np.sum(resid**2, axis=1)) / mu_sc
@@ -181,7 +174,7 @@ def hp_sample_count(f, mu, lam, eps, delta):
     atoms and a Chebyshev bound at confidence delta, accuracy eps.
     """
     gap = lam - f.semiconvexity
-    g = grad_rows(f, mu.points)
+    g = f.grad_many(mu.points)
     m4 = float(np.mean(np.sum(g**2, axis=1) ** 2))
     if m4 == 0.0:
         return 1
@@ -230,5 +223,5 @@ def g_value_and_grad_fullbatch(f, mu, lam, eps):
     (mean f(y) + lam*theta, mean theta).
     """
     y, theta, _, _ = agd_prox_batch(f, mu.points, lam, eps)
-    fvals = eval_rows(f, y)
+    fvals = f.eval_many(y)
     return float(np.mean(fvals + lam * theta)), float(np.mean(theta))

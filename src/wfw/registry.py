@@ -18,45 +18,30 @@ from .moreau import SmoothObjective
 def quadratic():
     """v(x) = (1/2)||x||^2 — convex, gradient Lipschitz constant 1."""
     return SmoothObjective(
-        eval=lambda x: 0.5 * float(np.dot(x, x)),
-        grad=lambda x: np.asarray(x, dtype=np.float64),
+        eval_many=lambda x: 0.5 * np.sum(x**2, axis=1),
+        grad_many=lambda x: x,
         smoothness=1.0,
         semiconvexity=0.0,
-        eval_many=lambda x: 0.5 * np.sum(np.asarray(x, dtype=np.float64) ** 2, axis=1),
-        grad_many=lambda x: np.asarray(x, dtype=np.float64),
     )
 
 
 def double_well():
     """v(x) = (1/4)(||x||^2 - 1)^2 — semiconvexity 1; smoothness bound on ||x|| <= 2."""
-
-    def _eval_many(x):
-        x = np.asarray(x, dtype=np.float64)
-        return 0.25 * (np.sum(x**2, axis=1) - 1.0) ** 2
-
-    def _grad_many(x):
-        x = np.asarray(x, dtype=np.float64)
-        return (np.sum(x**2, axis=1) - 1.0)[:, None] * x
-
     return SmoothObjective(
-        eval=lambda x: 0.25 * (float(np.dot(x, x)) - 1.0) ** 2,
-        grad=lambda x: (float(np.dot(x, x)) - 1.0) * np.asarray(x, dtype=np.float64),
+        eval_many=lambda x: 0.25 * (np.sum(x**2, axis=1) - 1.0) ** 2,
+        grad_many=lambda x: (np.sum(x**2, axis=1) - 1.0)[:, None] * x,
         smoothness=11.0,
         semiconvexity=1.0,
-        eval_many=_eval_many,
-        grad_many=_grad_many,
     )
 
 
 def zero():
     """v identically 0."""
     return SmoothObjective(
-        eval=lambda x: 0.0,
-        grad=lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)),
+        eval_many=lambda x: np.zeros(x.shape[0]),
+        grad_many=np.zeros_like,
         smoothness=0.0,
         semiconvexity=0.0,
-        eval_many=lambda x: np.zeros(np.asarray(x).shape[0]),
-        grad_many=lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)),
     )
 
 
@@ -64,21 +49,18 @@ def linear(a):
     """v(x) = a . x — the workhorse of the closed-form solver tests."""
     a = np.asarray(a, dtype=np.float64)
     return SmoothObjective(
-        eval=lambda x: float(np.dot(a, x)),
-        grad=lambda x: a,
+        eval_many=lambda x: x @ a,
+        grad_many=lambda x: np.broadcast_to(a, x.shape).copy(),
         smoothness=0.0,
         semiconvexity=0.0,
-        eval_many=lambda x: np.asarray(x, dtype=np.float64) @ a,
-        grad_many=lambda x: np.broadcast_to(a, np.asarray(x).shape).copy(),
     )
 
 
 def pair_quadratic():
     """w(x, y) = (1/2)||x - y||^2."""
     return PairPotential(
-        eval=lambda x, y: 0.5 * float(np.sum((np.asarray(x) - np.asarray(y)) ** 2)),
-        grad_x=lambda x, y: np.asarray(x, dtype=np.float64)
-        - np.asarray(y, dtype=np.float64),
+        eval=lambda x, y: 0.5 * np.sum((x - y) ** 2, axis=-1),
+        grad_x=lambda x, y: x - y,
         smoothness=1.0,
         semiconvexity=0.0,
         name="quadratic",
@@ -89,12 +71,11 @@ def pair_double_well():
     """w(x, y) = (1/4)(||x - y||^2 - 1)^2; smoothness bound on ||x - y|| <= 2."""
 
     def _eval(x, y):
-        r2 = float(np.sum((np.asarray(x) - np.asarray(y)) ** 2))
-        return 0.25 * (r2 - 1.0) ** 2
+        return 0.25 * (np.sum((x - y) ** 2, axis=-1) - 1.0) ** 2
 
     def _grad_x(x, y):
-        d = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
-        return (float(np.dot(d, d)) - 1.0) * d
+        d = x - y
+        return (np.sum(d**2, axis=-1) - 1.0)[..., None] * d
 
     return PairPotential(
         eval=_eval,
@@ -108,8 +89,8 @@ def pair_double_well():
 def pair_zero():
     """w identically 0."""
     return PairPotential(
-        eval=lambda x, y: 0.0,
-        grad_x=lambda x, y: np.zeros_like(np.asarray(x, dtype=np.float64)),
+        eval=lambda x, y: np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1]),
+        grad_x=lambda x, y: np.zeros(np.broadcast_shapes(x.shape, y.shape)),
         smoothness=0.0,
         semiconvexity=0.0,
         name="zero",

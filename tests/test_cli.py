@@ -8,12 +8,14 @@ import pytest
 from wfw.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_OK, main
 from wfw.cloud import ParticleCloud, load_csv, save_csv
 from wfw.errors import MissingColumn
+from wfw.functionals import PotentialInteraction
 from wfw.experiments import (
     ExperimentConfig,
     make_mixture_observations,
     read_trace,
     run_deconv,
 )
+from wfw.registry import quadratic
 from wfw.svg import line_chart
 
 
@@ -173,6 +175,34 @@ class TestFwCommand:
         assert main(argv + ["--out", str(out1)]) == EXIT_BUDGET
         assert main(argv + ["--out", str(out2)]) == EXIT_BUDGET
         assert _strip_wall(out1.read_text()) == _strip_wall(out2.read_text())
+
+
+class TestFinalObjective:
+    """The printed final objective is J of the returned cloud, not of the last iterate
+    the trace recorded before its step."""
+
+    @staticmethod
+    def _printed(out):
+        line = next(l for l in out.splitlines() if l.startswith("final objective"))
+        return float(line.split()[2].rstrip(","))
+
+    def test_fw_prints_objective_of_final_cloud(self, tmp_path, capsys):
+        final = tmp_path / "final.csv"
+        argv = ["fw", "--seed", "9", "--eps", "1e-6", "--k-max", "3", "--particles", "12"]
+        argv += ["--out", str(tmp_path / "t.csv"), "--final-out", str(final)]
+        assert main(argv) == EXIT_BUDGET
+        printed = self._printed(capsys.readouterr().out)
+        assert printed == PotentialInteraction(quadratic()).value(load_csv(final))
+
+    def test_deconv_prints_objective_of_final_cloud(self, tmp_path, capsys):
+        argv = ["deconv", "--seed", "0", "--particles", "12", "--k-max", "3"]
+        assert main(argv + ["--out", str(tmp_path / "a.csv")]) == EXIT_OK
+        printed = self._printed(capsys.readouterr().out)
+        cfg = ExperimentConfig(
+            experiment="deconv", seed=0, particles=12, k_max=3, out=str(tmp_path / "b.csv")
+        )
+        mu, _, J = run_deconv(cfg)
+        assert printed == J.value(mu)
 
 
 class TestTrustRegionCommand:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wfw import dual_solvers
 from wfw.cloud import ParticleCloud, wasserstein2_exact
 from wfw.dual_solvers import (
     DualSolveReport,
@@ -20,7 +21,14 @@ from wfw.dual_solvers import (
     stochastic_bisection,
     trust_region_step,
 )
-from wfw.errors import DeltaTooLarge, LambdaTooSmall, RegularizationTooWeak
+from wfw.errors import (
+    DeltaTooLarge,
+    LambdaTooSmall,
+    RegularizationTooWeak,
+    WeakDualityViolated,
+    WfwError,
+)
+from wfw.frank_wolfe import counted_model
 from wfw.moreau import SmoothObjective
 from wfw.registry import double_well, linear, quadratic, zero
 
@@ -80,8 +88,8 @@ class TestDualInterval:
         assert dual_interval(f1, mu, pen) == pytest.approx((1.0, 5.0))
 
         f2 = SmoothObjective(
-            eval=lambda y: float(y @ y),
-            grad=lambda y: 2.0 * np.asarray(y, dtype=float),
+            eval_many=lambda y: np.sum(y**2, axis=1),
+            grad_many=lambda y: 2.0 * y,
             smoothness=2.0,
             semiconvexity=2.0,
         )
@@ -120,7 +128,7 @@ class TestBisection:
             assert rep.interval[0] <= rep.lambda_star <= rep.interval[1]
 
     def test_report_rejects_negative_gap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(WeakDualityViolated) as exc:
             DualSolveReport(
                 lambda_star=1.0,
                 dual_value=1.0,
@@ -130,6 +138,10 @@ class TestBisection:
                 samples_drawn=0,
                 interval=(1.0, 2.0),
             )
+        assert isinstance(exc.value, WfwError)
+        assert exc.value.gap == -1.0
+        assert exc.value.primal == 0.0
+        assert exc.value.dual == 1.0
 
     def test_oracle_accounting(self):
         rng = np.random.default_rng(1)
@@ -297,18 +309,34 @@ class TestTrustRegion:
             trust_region_step(zero(), mu, 0.1, 1e-3, 0.1, np.random.default_rng(0))
         assert exc.value.admissible == 0.0
 
-    def test_sampler_draws_are_reproducible_pairs(self):
+    def test_sampler_images_match_source(self):
         rng = np.random.default_rng(13)
         mu = ParticleCloud(rng.normal(size=(9, 2)))
         sampler, _ = trust_region_step(
             linear(np.array([1.0, 0.0])), mu, 0.15, 1e-3, 0.1, np.random.default_rng(1)
         )
-        x, y = sampler.pairs()
-        np.testing.assert_allclose(x, mu.points)
-        assert y.shape == x.shape
-        d1 = sampler.sample(np.random.default_rng(5), 4)
-        d2 = sampler.sample(np.random.default_rng(5), 4)
-        np.testing.assert_allclose(d1, d2)
+        assert sampler.images.shape == mu.points.shape
+        np.testing.assert_array_equal(sampler.target_cloud().points, sampler.images)
+
+    def test_step_reuses_the_certifying_prox_pass(self, monkeypatch):
+        """Beyond its radius check (one row per atom), a step without nudges
+        evaluates exactly the gradient rows of its own bisection."""
+        counter = {"rows": 0}
+        f = counted_model(double_well(), counter)
+        mu = ParticleCloud(np.random.default_rng(15).normal(size=(12, 2)))
+        bisection_rows = []
+
+        def spy(*args, **kwargs):
+            before = counter["rows"]
+            rep = primal_dual_bisection(*args, **kwargs)
+            bisection_rows.append((counter["rows"] - before, rep.lambda_star))
+            return rep
+
+        monkeypatch.setattr(dual_solvers, "primal_dual_bisection", spy)
+        _, rep = trust_region_step(f, mu, 0.1, 1e-3, 0.1, np.random.default_rng(0))
+        [(rows, lam)] = bisection_rows
+        assert rep.lambda_star == lam  # no nudge
+        assert counter["rows"] == mu.n + rows
 
 
 class TestPrimalDualGap:

@@ -112,7 +112,7 @@ class TestCountedModel:
     def test_row_accounting(self):
         counter = {"rows": 0}
         phi = counted_model(quadratic(), counter)
-        phi.grad(np.array([1.0, 2.0]))
+        phi.grad_many(np.array([[1.0, 2.0]]))
         phi.grad_many(np.zeros((7, 2)))
         assert counter["rows"] == 8
 

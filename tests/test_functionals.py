@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfw.cloud import ParticleCloud
 from wfw.functionals import (
@@ -15,8 +17,8 @@ from wfw.functionals import (
     RandomFeatureKernel,
     sinkhorn_dual,
 )
-from wfw.moreau import eval_rows, grad_rows
 from wfw.registry import (
+    PAIRS,
     make_kernel,
     make_objective,
     make_pair,
@@ -34,13 +36,23 @@ def _kernels():
     ]
 
 
+def _k(kernel, x, y):
+    """k(x, y) for two points, through the batch Gram matrix."""
+    return float(kernel.gram(x[None, :], y[None, :])[0, 0])
+
+
+def _grad_k(kernel, x, y):
+    """grad_x k(x, y) for two points, through the batch mean gradient."""
+    return kernel.mean_grad(y[None, :], x[None, :])[0]
+
+
 class TestKernels:
     @pytest.mark.parametrize("kernel", _kernels(), ids=lambda k: k.name)
     def test_symmetry(self, kernel):
         rng = np.random.default_rng(1)
         for _ in range(10):
             x, y = rng.normal(size=(2, 2))
-            assert kernel.eval(x, y) == pytest.approx(kernel.eval(y, x), rel=1e-12)
+            assert _k(kernel, x, y) == pytest.approx(_k(kernel, y, x), rel=1e-12)
 
     @pytest.mark.parametrize("kernel", _kernels(), ids=lambda k: k.name)
     def test_gram_psd(self, kernel):
@@ -55,12 +67,12 @@ class TestKernels:
     def test_grad_matches_finite_differences(self, kernel):
         rng = np.random.default_rng(3)
         x, y = rng.normal(size=(2, 2))
-        g = kernel.grad_x(x, y)
+        g = _grad_k(kernel, x, y)
         h = 1e-6
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
-            fd = (kernel.eval(x + e, y) - kernel.eval(x - e, y)) / (2 * h)
+            fd = (_k(kernel, x + e, y) - _k(kernel, x - e, y)) / (2 * h)
             assert g[i] == pytest.approx(fd, abs=1e-5)
 
     @pytest.mark.parametrize("kernel", _kernels(), ids=lambda k: k.name)
@@ -71,13 +83,13 @@ class TestKernels:
             y = rng.normal(size=2)
             x1 = rng.normal(size=2)
             x2 = x1 + 0.05 * rng.normal(size=2)
-            lhs = np.linalg.norm(kernel.grad_x(x1, y) - kernel.grad_x(x2, y))
+            lhs = np.linalg.norm(_grad_k(kernel, x1, y) - _grad_k(kernel, x2, y))
             assert lhs <= kernel.grad_lipschitz * np.linalg.norm(x1 - x2) * (1 + 1e-6)
 
     def test_gaussian_peak_and_scale(self):
         k = GaussianKernel(2.0)
         x = np.array([1.0, 1.0])
-        assert k.eval(x, x) == pytest.approx(1.0)
+        assert _k(k, x, x) == pytest.approx(1.0)
         assert k.grad_lipschitz == pytest.approx(1.0 / 4.0)
 
     def test_random_feature_matches_feature_dot(self):
@@ -85,7 +97,7 @@ class TestKernels:
         k = RandomFeatureKernel(table)
         x, y = np.random.default_rng(6).normal(size=(2, 3))
         expected = float(np.mean(np.tanh(table @ x) * np.tanh(table @ y)))
-        assert k.eval(x, y) == pytest.approx(expected, rel=1e-12)
+        assert _k(k, x, y) == pytest.approx(expected, rel=1e-12)
 
 
 class TestMMDSquared:
@@ -117,7 +129,7 @@ class TestMMDSquared:
         model = J.derivative_oracle(X, 1e-9)
         V = rng.normal(size=X.points.shape)
         base = J.value(X)
-        lin = float(np.mean(np.sum(grad_rows(model, X.points) * V, axis=1)))
+        lin = float(np.mean(np.sum(model.grad_many(X.points) * V, axis=1)))
         rems = []
         for t in (1e-3, 5e-4, 2.5e-4):
             rem = abs(J.value(ParticleCloud(X.points + t * V)) - base - t * lin)
@@ -179,7 +191,7 @@ class TestEntropicDeconv:
         J = EntropicDeconv(0.3, data)
         val = J.value(mu)
         model = J.derivative_oracle(mu, 1e-9)
-        u_mean = float(np.mean(eval_rows(model, mu.points)))
+        u_mean = float(np.mean(model.eval_many(mu.points)))
         mass_term = val - 2.0 * u_mean  # -sigma^2 (mass - 1), small at tol
         assert abs(mass_term) < 1e-6
 
@@ -191,7 +203,7 @@ class TestEntropicDeconv:
         model = J.derivative_oracle(mu, 1e-9)
         V = rng.normal(size=mu.points.shape)
         base = J.value(mu)
-        lin = float(np.mean(np.sum(grad_rows(model, mu.points) * V, axis=1)))
+        lin = float(np.mean(np.sum(model.grad_many(mu.points) * V, axis=1)))
         r1 = abs(J.value(ParticleCloud(mu.points + 1e-3 * V)) - base - 1e-3 * lin) / 1e-3
         r2 = abs(J.value(ParticleCloud(mu.points + 2.5e-4 * V)) - base - 2.5e-4 * lin) / 2.5e-4
         assert r2 < r1 / 2.0
@@ -219,7 +231,7 @@ class TestEntropicDeconv:
         mu = ParticleCloud(rng.normal(size=(8, 2)))
         J = EntropicDeconv(1e4, data)
         model = J.derivative_oracle(mu, 1e-9)
-        g = grad_rows(model, mu.points)
+        g = model.grad_many(mu.points)
         # softmax weights flatten to uniform: gradient ~ z - mean(data)
         expected = mu.points - data.points.mean(axis=0)
         np.testing.assert_allclose(g, expected, atol=1e-3)
@@ -248,7 +260,7 @@ class TestPotentialInteraction:
         model = J.derivative_oracle(mu, 1e-9)
         V = rng.normal(size=pts.shape)
         base = J.value(mu)
-        lin = float(np.mean(np.sum(grad_rows(model, pts) * V, axis=1)))
+        lin = float(np.mean(np.sum(model.grad_many(pts) * V, axis=1)))
         t = 1e-6
         fd = (J.value(ParticleCloud(pts + t * V)) - base) / t
         assert lin == pytest.approx(fd, abs=1e-4)
@@ -266,6 +278,64 @@ class TestPotentialInteraction:
         assert model.smoothness == pytest.approx(
             quadratic().smoothness + 2 * pair_quadratic().smoothness
         )
+
+
+def _witness(kind, rng):
+    """A witness model of the named kind at a random small cloud."""
+    mu = ParticleCloud(rng.normal(size=(int(rng.integers(1, 7)), 2)))
+    target = ParticleCloud(rng.normal(size=(5, 2)) + 0.3)
+    if kind.startswith("mmd-"):
+        kernel = {k.name: k for k in _kernels()}[kind[4:]]
+        return MMDSquared(kernel, target).derivative_oracle(mu, 1e-9)
+    if kind == "deconv":
+        return EntropicDeconv(0.3, target).derivative_oracle(mu, 1e-9)
+    pair = make_pair(kind[5:])
+    return PotentialInteraction(make_objective("double-well"), pair).derivative_oracle(
+        mu, 1e-9
+    )
+
+
+_WITNESS_KINDS = [f"mmd-{k.name}" for k in _kernels()] + ["deconv"] + [
+    f"pair-{name}" for name in sorted(PAIRS)
+]
+
+
+class TestBatchContract:
+    @pytest.mark.parametrize("kind", _WITNESS_KINDS)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 8))
+    def test_batch_rows_equal_per_point_forms(self, kind, seed, rows):
+        rng = np.random.default_rng(seed)
+        model = _witness(kind, rng)
+        Z = 1.5 * rng.normal(size=(rows, 2))
+        values, grads = model.eval_many(Z), model.grad_many(Z)
+        assert values.shape == (rows,) and grads.shape == (rows, 2)
+        for i in range(rows):
+            assert values[i] == pytest.approx(model.eval(Z[i]), rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(grads[i], model.grad(Z[i]), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6))
+    def test_pair_witness_and_value_match_per_pair_loop(self, name, seed, rows):
+        rng = np.random.default_rng(seed)
+        v, w = make_objective("double-well"), make_pair(name)
+        x = rng.normal(size=(int(rng.integers(1, 7)), 2))
+        mu = ParticleCloud(x)
+        J = PotentialInteraction(v, w)
+        model = J.derivative_oracle(mu, 1e-9)
+        Z = 1.5 * rng.normal(size=(rows, 2))
+        values, grads = model.eval_many(Z), model.grad_many(Z)
+        n = x.shape[0]
+        for i, z in enumerate(Z):
+            ref_val = v.eval(z) + 2.0 * sum(float(w.eval(z, a)) for a in x) / n
+            ref_grad = v.grad(z) + 2.0 * sum(w.grad_x(z, a) for a in x) / n
+            assert values[i] == pytest.approx(ref_val, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(grads[i], ref_grad, rtol=1e-12, atol=1e-12)
+        ref_value = float(np.mean(v.eval_many(x))) + sum(
+            float(w.eval(a, b)) for a in x for b in x
+        ) / n**2
+        assert J.value(mu) == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
 
 
 class TestRegistry:

@@ -207,8 +207,8 @@ class TestSmoothObjective:
     def test_validates_constants(self):
         with pytest.raises(ValueError):
             SmoothObjective(
-                eval=lambda y: 0.0,
-                grad=lambda y: np.zeros(1),
+                eval_many=lambda y: np.zeros(y.shape[0]),
+                grad_many=np.zeros_like,
                 smoothness=0.5,
                 semiconvexity=1.0,
             )
