@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .cloud import ParticleCloud, load_csv, save_csv
+from .cloud import ParticleCloud, load_csv, mean_squared_gradient_norm, save_csv
 from .dual_solvers import trust_region_step
 from .errors import WfwError
 from .experiments import ExperimentConfig, emit_plot, run_deconv, run_mmd_flow
@@ -134,7 +134,8 @@ def cmd_fw(args):
     if args.final_out is not None:
         save_csv(mu, args.final_out)
     print(f"fw: {len(trace)} iterations, status {trace.status}")
-    print(f"final objective {J.value(mu):.17g}, s {trace.s[-1]:.17g}")
+    s = mean_squared_gradient_norm(mu, J.derivative_oracle(mu, cfg.eps_hat))
+    print(f"final objective {J.value(mu):.17g}, s {s:.17g}")
     print(f"trace written to {args.out}")
     return EXIT_OK if trace.status == "converged" else EXIT_BUDGET
 

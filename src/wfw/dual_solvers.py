@@ -183,7 +183,11 @@ def dual_interval(f, mu, penalty, c=None):
             indicator the message reports the maximal admissible delta).
         IntervalEmpty: u <= l.
     """
-    m2 = _mean_sq_grad(f, mu)
+    return _dual_interval(f, _mean_sq_grad(f, mu), penalty, c)
+
+
+def _dual_interval(f, m2, penalty, c=None):
+    """`dual_interval` given m2 = E_mu[||grad f||^2]."""
     l = f.semiconvexity + 1.0
     reg = penalty.regularization_at(l)
     lsm = f.smoothness
@@ -210,13 +214,14 @@ def dual_interval(f, mu, penalty, c=None):
     return l, u
 
 
-def _penalty_matched_c(f, mu, penalty):
-    m2 = _mean_sq_grad(f, mu)
+def _penalty_matched_c(f, m2, penalty):
     reg = penalty.regularization_at(f.semiconvexity + 1.0)
     return m2 / reg if reg > 0 else None
 
 
-def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False):
+def primal_dual_bisection(
+    f, mu, penalty, eps, delta_prob, rng, stochastic=False, *, _m2=None
+):
     """Bisection on the dual with a primal certificate at the returned point.
 
     Halves the interval on the sign of eta = g'(lam) - psi*'(lam), with the
@@ -230,11 +235,12 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
             stochastic oracle calls; unused on the deterministic path).
         stochastic: use the sampled supergradient oracle instead of the
             full-batch one.
+        _m2: E_mu[||grad f||^2] when the caller has already computed it.
     """
-    c_pen = _penalty_matched_c(f, mu, penalty)
-    l, u = dual_interval(f, mu, penalty, c=c_pen)
+    m2 = _mean_sq_grad(f, mu) if _m2 is None else _m2
+    c_pen = _penalty_matched_c(f, m2, penalty)
+    l, u = _dual_interval(f, m2, penalty, c=c_pen)
     l0, u0, b = l, u, l
-    m2 = _mean_sq_grad(f, mu)
     eps_alg = eps / (4.0 + l)
     eps_prox = eps_alg / (2.0 * max(u - l, 1.0))
 
@@ -308,15 +314,16 @@ def stochastic_bisection(
     `interval`, `oracle` and `b_bound` exist for plumbing tests with
     synthetic oracles; by default everything is derived from (f, mu).
     """
+    m2 = _mean_sq_grad(f, mu) if interval is None or b_bound is None else None
     if interval is None:
-        l, u = dual_interval(f, mu, penalty, c=_penalty_matched_c(f, mu, penalty))
+        l, u = _dual_interval(f, m2, penalty, c=_penalty_matched_c(f, m2, penalty))
     else:
         l, u = interval
         if u <= l:
             raise IntervalEmpty(f"interval ({l}, {u}) is empty")
     l0, u0, b = l, u, l
     if b_bound is None:
-        big_b = 2.0 * _mean_sq_grad(f, mu) + penalty.psi_star_deriv(u)
+        big_b = 2.0 * m2 + penalty.psi_star_deriv(u)
     else:
         big_b = b_bound
     big_b = max(big_b, 1e-12)
@@ -448,7 +455,8 @@ def trust_region_step(f, mu, delta, eps, gamma, rng, stochastic=False):
             ||grad f||_{L2(mu)} / (2 L), or a zero gradient field.
         InfeasiblePrimal: feasibility could not be certified after nudging.
     """
-    msgn = math.sqrt(_mean_sq_grad(f, mu))
+    m2 = _mean_sq_grad(f, mu)
+    msgn = math.sqrt(m2)
     if msgn == 0.0:
         raise DeltaTooLarge(
             "gradient field vanishes on the cloud; no descent direction",
@@ -461,7 +469,9 @@ def trust_region_step(f, mu, delta, eps, gamma, rng, stochastic=False):
                 f"delta = {delta} exceeds admissible bound {bound}", admissible=bound
             )
     penalty = TrustRegionIndicator(delta, feas_slack=1e-6)
-    rep = primal_dual_bisection(f, mu, penalty, eps, gamma, rng, stochastic=stochastic)
+    rep = primal_dual_bisection(
+        f, mu, penalty, eps, gamma, rng, stochastic=stochastic, _m2=m2
+    )
 
     l0, u0 = rep.interval
     eps_prox = (eps / (4.0 + l0)) / (2.0 * max(u0 - l0, 1.0))

@@ -9,7 +9,6 @@ particles; the outer loop only ever consumes (value, witness).
 import math
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .cloud import sqdist_matrix
 from .errors import NonFiniteDual, SinkhornNotConverged
@@ -21,6 +20,31 @@ GradientModel = SmoothObjective
 
 # Peak of |tanh''|, slightly rounded up: 4 / (3 * sqrt(3)).
 _TANH_CURV = 0.7699
+
+
+def _logsumexp(a, axis=None, keepdims=False):
+    """log(sum(exp(a))) along `axis`, bit for bit what scipy.special.logsumexp returns.
+
+    Same arithmetic as scipy's real-input path: the maxima are counted (m
+    ties), left out of the shifted sum, and added back as log1p(s / m) +
+    log(m) + max.  (scipy falls back to log(sum(exp(a))) where that is not
+    finite, which happens only at an infinite or NaN maximum, and there
+    both forms agree.)  It skips scipy's array-API dispatch, which costs
+    ~3x the arithmetic on 50 x 50 inputs.
+    """
+    if axis is None:
+        axis = tuple(range(a.ndim))
+    a_max = a.max(axis=axis, keepdims=True)
+    mask = a == a_max
+    m = mask.sum(axis=axis, keepdims=True, dtype=a.dtype)
+    e = a - a_max
+    np.exp(e, out=e)
+    np.putmask(e, mask, 0.0)
+    s = e.sum(axis=axis, keepdims=True)
+    out = np.log1p(s / m) + np.log(m) + a_max
+    if not keepdims:
+        out = out.squeeze(axis=axis)
+    return out[()] if out.ndim == 0 else out
 
 
 class GaussianKernel:
@@ -156,25 +180,30 @@ def _sinkhorn_potentials(x, y, sigma2, tol, max_iter):
 
     Returns (u, v, marginal_error, iterations, coupling_mass) with the
     potentials gauged to mean(u) == mean(v).
+
+    Each sweep costs two reductions.  After the u-update the row marginals
+    are exact, so only the column marginal is tested, and its column
+    log-sums are the ones the next v-update consumes.  The coupling itself
+    is built once, at exit, for its mass.
     """
     n, m = x.shape[0], y.shape[0]
     cost = 0.5 * sqdist_matrix(x, y)
     u = np.zeros(n)
-    v = np.zeros(m)
     err = math.inf
+    col_lse = _logsumexp((u[:, None] - cost) / sigma2, axis=0)
     for it in range(1, max_iter + 1):
-        v = -sigma2 * (logsumexp((u[:, None] - cost) / sigma2, axis=0) - math.log(n))
-        u = -sigma2 * (logsumexp((v[None, :] - cost) / sigma2, axis=1) - math.log(m))
+        v = -sigma2 * (col_lse - math.log(n))
+        u = -sigma2 * (_logsumexp((v[None, :] - cost) / sigma2, axis=1) - math.log(m))
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
             raise NonFiniteDual("dual potentials left the finite range")
-        log_pi = (u[:, None] + v[None, :] - cost) / sigma2 - math.log(n) - math.log(m)
-        row = np.exp(logsumexp(log_pi, axis=1))
-        col = np.exp(logsumexp(log_pi, axis=0))
-        err = max(
-            float(np.sum(np.abs(row - 1.0 / n))), float(np.sum(np.abs(col - 1.0 / m)))
-        )
+        col_lse = _logsumexp((u[:, None] - cost) / sigma2, axis=0)
+        col = np.exp(v / sigma2 + col_lse - math.log(n) - math.log(m))
+        err = float(np.sum(np.abs(col - 1.0 / m)))
         if err <= tol:
-            mass = float(np.exp(logsumexp(log_pi)))
+            log_pi = (
+                (u[:, None] + v[None, :] - cost) / sigma2 - math.log(n) - math.log(m)
+            )
+            mass = float(np.exp(_logsumexp(log_pi)))
             shift = 0.5 * (float(np.mean(v)) - float(np.mean(u)))
             return u + shift, v - shift, err, it, mass
     raise SinkhornNotConverged(
@@ -208,8 +237,14 @@ class EntropicDeconv(Functional):
 
         phi(z) = -sigma2 * log( (1/m) sum_j exp((v_j - ||z - y_j||^2 / 2) / sigma2) ),
 
-    whose gradient is z minus the softmax-weighted data mean.  Every solve
-    appends its final marginal error to `marginal_error_log` for auditing.
+    whose gradient is z minus the softmax-weighted data mean.
+
+    One Sinkhorn solve serves each cloud: `value` and `derivative_oracle`
+    on the same read-only points array (as every `ParticleCloud` holds)
+    share it through a one-entry memo.  Any other array may change between
+    calls, so it is solved afresh every time.
+    Every actual solve appends its final marginal error to
+    `marginal_error_log` for auditing, so the log holds one entry per solve.
     """
 
     def __init__(self, sigma2, data, tol=1e-9, max_iter=20000):
@@ -220,6 +255,7 @@ class EntropicDeconv(Functional):
         self.tol = float(tol)
         self.max_iter = int(max_iter)
         self.marginal_error_log = []
+        self._memo = (None, None)
         # Softmax weights always sit on the data atoms, so the weighted
         # covariance never exceeds (diam/2)^2 in any direction: a global
         # semiconvexity bound for the witness.
@@ -227,18 +263,28 @@ class EntropicDeconv(Functional):
         diam2 = float(np.max(d2))
         self._rho = max(0.0, diam2 / (4.0 * self.sigma2) - 1.0)
 
-    def value(self, mu):
+    def _solve(self, points):
+        """(u, v, mass) for the cloud at `points`; reuses the last solve when it can."""
+        key, result = self._memo
+        if key is points:
+            return result
         u, v, err, _, mass = _sinkhorn_potentials(
-            mu.points, self.data.points, self.sigma2, self.tol, self.max_iter
+            points, self.data.points, self.sigma2, self.tol, self.max_iter
         )
         self.marginal_error_log.append(err)
+        result = (u, v, mass)
+        # A read-only array that owns its data cannot change under us, and
+        # holding it keeps its identity from passing to another array.
+        frozen = not points.flags.writeable and points.flags.owndata
+        self._memo = (points if frozen else None, result)
+        return result
+
+    def value(self, mu):
+        u, v, mass = self._solve(mu.points)
         return float(np.mean(u) + np.mean(v) - self.sigma2 * (mass - 1.0))
 
     def derivative_oracle(self, mu, eps):
-        _, v, err, _, _ = _sinkhorn_potentials(
-            mu.points, self.data.points, self.sigma2, self.tol, self.max_iter
-        )
-        self.marginal_error_log.append(err)
+        _, v, _ = self._solve(mu.points)
         y = self.data.points
         m = y.shape[0]
         sigma2 = self.sigma2
@@ -247,11 +293,11 @@ class EntropicDeconv(Functional):
             return (v[None, :] - 0.5 * sqdist_matrix(z, y)) / sigma2
 
         def eval_many(z):
-            return -sigma2 * (logsumexp(_logits(z), axis=1) - math.log(m))
+            return -sigma2 * (_logsumexp(_logits(z), axis=1) - math.log(m))
 
         def grad_many(z):
             lg = _logits(z)
-            w = np.exp(lg - logsumexp(lg, axis=1, keepdims=True))
+            w = np.exp(lg - _logsumexp(lg, axis=1, keepdims=True))
             return z - w @ y
 
         rho = self._rho

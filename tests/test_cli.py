@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wfw.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_OK, main
-from wfw.cloud import ParticleCloud, load_csv, save_csv
+from wfw.cloud import ParticleCloud, load_csv, mean_squared_gradient_norm, save_csv
 from wfw.errors import MissingColumn
 from wfw.functionals import PotentialInteraction
 from wfw.experiments import (
@@ -193,6 +193,22 @@ class TestFinalObjective:
         assert main(argv) == EXIT_BUDGET
         printed = self._printed(capsys.readouterr().out)
         assert printed == PotentialInteraction(quadratic()).value(load_csv(final))
+
+    def test_fw_prints_gradient_norm_of_final_cloud(self, tmp_path, capsys):
+        """The printed s is the witness-gradient norm of the returned cloud, not
+        the trace's last s, which was measured before the last step."""
+        final = tmp_path / "final.csv"
+        argv = ["fw", "--seed", "9", "--eps", "1e-6", "--k-max", "3", "--particles", "12"]
+        argv += ["--out", str(tmp_path / "t.csv"), "--final-out", str(final)]
+        assert main(argv) == EXIT_BUDGET
+        out = capsys.readouterr().out.splitlines()
+        line = next(l for l in out if l.startswith("final objective"))
+        s = float(line.rsplit(" s ", 1)[1])
+        J = PotentialInteraction(quadratic())
+        mu = load_csv(final)
+        assert s == mean_squared_gradient_norm(mu, J.derivative_oracle(mu, 1.0))
+        assert s == 0.39702942265685703
+        assert s != read_trace(tmp_path / "t.csv")["s"][-1]
 
     def test_deconv_prints_objective_of_final_cloud(self, tmp_path, capsys):
         argv = ["deconv", "--seed", "0", "--particles", "12", "--k-max", "3"]

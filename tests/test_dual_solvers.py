@@ -338,6 +338,23 @@ class TestTrustRegion:
         assert rep.lambda_star == lam  # no nudge
         assert counter["rows"] == mu.n + rows
 
+    def test_step_computes_the_gradient_norm_once(self, monkeypatch):
+        """The radius check, the dual interval, its penalty-matched width and
+        the bisection's bound all share one pass over the atoms."""
+        calls = []
+        mean_sq_grad = dual_solvers._mean_sq_grad
+
+        def spy(f, mu):
+            calls.append(mu.n)
+            return mean_sq_grad(f, mu)
+
+        monkeypatch.setattr(dual_solvers, "_mean_sq_grad", spy)
+        counter = {"rows": 0}
+        f = counted_model(double_well(), counter)
+        mu = ParticleCloud(np.random.default_rng(15).normal(size=(12, 2)))
+        trust_region_step(f, mu, 0.1, 1e-3, 0.1, np.random.default_rng(0))
+        assert calls == [12]
+
 
 class TestPrimalDualGap:
     def test_nonnegative_on_grid(self):

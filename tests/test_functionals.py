@@ -1,13 +1,17 @@
 """Kernel, MMD, entropic-smoothing, and potential-energy tests."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.special import logsumexp
 
-from wfw.cloud import ParticleCloud
+from wfw.cloud import ParticleCloud, sqdist_matrix
+from wfw.errors import NonFiniteDual, SinkhornNotConverged
 from wfw.functionals import (
     EntropicDeconv,
     GaussianKernel,
@@ -15,6 +19,8 @@ from wfw.functionals import (
     MMDSquared,
     PotentialInteraction,
     RandomFeatureKernel,
+    _logsumexp,
+    _sinkhorn_potentials,
     sinkhorn_dual,
 )
 from wfw.registry import (
@@ -173,7 +179,135 @@ class TestSinkhorn:
         assert v.shape == (9,)
 
 
+class TestLogSumExp:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=arrays(
+            np.float64,
+            array_shapes(min_dims=1, max_dims=3, max_side=7),
+            elements=st.floats(-1e3, 1e3)
+            | st.sampled_from([-2.5, 0.0, 1.0, 7.0, -np.inf, np.inf, np.nan]),
+        ),
+        axis=st.integers(-3, 2) | st.none(),
+        keepdims=st.booleans(),
+        transpose=st.booleans(),
+    )
+    def test_matches_scipy_bit_for_bit(self, a, axis, keepdims, transpose):
+        """Same bits as scipy's logsumexp, ties and non-finite entries included."""
+        if transpose:
+            a = a.T
+        if axis is not None and not -a.ndim <= axis < a.ndim:
+            axis = None
+        expected = logsumexp(a, axis=axis, keepdims=keepdims)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = _logsumexp(a, axis=axis, keepdims=keepdims)
+        assert type(got) is type(expected)
+        assert np.shape(got) == np.shape(expected)
+        np.testing.assert_array_equal(got, expected)
+
+
+def _four_reduction_sinkhorn(x, y, sigma2, tol, max_iter):
+    """The earlier Sinkhorn loop, kept as the reference: it builds the coupling
+    every sweep and tests both marginals with two extra full reductions."""
+    n, m = x.shape[0], y.shape[0]
+    cost = 0.5 * sqdist_matrix(x, y)
+    u = np.zeros(n)
+    v = np.zeros(m)
+    for it in range(1, max_iter + 1):
+        v = -sigma2 * (logsumexp((u[:, None] - cost) / sigma2, axis=0) - math.log(n))
+        u = -sigma2 * (logsumexp((v[None, :] - cost) / sigma2, axis=1) - math.log(m))
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+            raise NonFiniteDual("dual potentials left the finite range")
+        log_pi = (u[:, None] + v[None, :] - cost) / sigma2 - math.log(n) - math.log(m)
+        row = np.exp(logsumexp(log_pi, axis=1))
+        col = np.exp(logsumexp(log_pi, axis=0))
+        err = max(
+            float(np.sum(np.abs(row - 1.0 / n))), float(np.sum(np.abs(col - 1.0 / m)))
+        )
+        if err <= tol:
+            mass = float(np.exp(logsumexp(log_pi)))
+            shift = 0.5 * (float(np.mean(v)) - float(np.mean(u)))
+            return u + shift, v - shift, err, it, mass
+    raise SinkhornNotConverged("reference", marginal_error=err, iterations=max_iter)
+
+
+def _solve_or_iterations(solve, *args):
+    """The solver's result, or the iteration count it gave up after."""
+    try:
+        return solve(*args)
+    except SinkhornNotConverged as exc:
+        return exc.iterations
+
+
+class TestSinkhornSweep:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        m=st.integers(1, 12),
+        dim=st.integers(1, 3),
+        sigma2=st.sampled_from([0.1, 0.25, 0.5, 2.0]),
+        tol=st.sampled_from([1e-6, 1e-9]),
+    )
+    def test_two_reduction_sweep_matches_four_reduction_reference(
+        self, seed, n, m, dim, sigma2, tol
+    ):
+        """Testing only the column marginal after the u-update stops at the
+        same sweep with the same bits as testing both marginals on the coupling,
+        and gives up on the same instances (small sigma2 converges slowly)."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, dim))
+        y = rng.normal(size=(m, dim)) + 0.5
+        args = (x, y, sigma2, tol, 300)
+        got = _solve_or_iterations(_sinkhorn_potentials, *args)
+        ref = _solve_or_iterations(_four_reduction_sinkhorn, *args)
+        if isinstance(ref, int):
+            assert got == ref
+            return
+        u, v, err, it, mass = got
+        ru, rv, _, rit, rmass = ref
+        np.testing.assert_array_equal(u, ru)
+        np.testing.assert_array_equal(v, rv)
+        assert it == rit
+        assert mass == rmass
+        assert err <= tol
+
+
 class TestEntropicDeconv:
+    def test_one_solve_per_cloud(self):
+        rng = np.random.default_rng(17)
+        data = ParticleCloud(rng.normal(size=(10, 2)))
+        J = EntropicDeconv(0.25, data)
+        mu = ParticleCloud(rng.normal(size=(10, 2)))
+        val = J.value(mu)
+        J.derivative_oracle(mu, 1e-9)
+        assert len(J.marginal_error_log) == 1
+        assert J.value(mu) == val
+        assert len(J.marginal_error_log) == 1
+        nu = ParticleCloud(mu.points + 0.1)
+        J.derivative_oracle(nu, 1e-9)
+        J.value(nu)
+        assert len(J.marginal_error_log) == 2
+        # a fresh functional, solving each call from scratch, gives the same bits
+        assert EntropicDeconv(0.25, data).value(nu) == J.value(nu)
+
+    @pytest.mark.parametrize("read_only_view", [False, True])
+    def test_changeable_points_are_solved_afresh(self, read_only_view):
+        """A writeable array, or a read-only view of one, may change between
+        calls, so its solve is never reused."""
+        rng = np.random.default_rng(18)
+        data = ParticleCloud(rng.normal(size=(6, 2)))
+        J = EntropicDeconv(0.25, data)
+        points = rng.normal(size=(5, 2))
+        mu = SimpleNamespace(points=points.view() if read_only_view else points)
+        mu.points.setflags(write=not read_only_view)
+        before = J.value(mu)
+        points += 0.3
+        after = J.value(mu)
+        assert len(J.marginal_error_log) == 2
+        assert after == EntropicDeconv(0.25, data).value(ParticleCloud(points))
+        assert after != before
+
     def test_marginal_errors_are_logged_and_small(self):
         rng = np.random.default_rng(12)
         data = ParticleCloud(rng.normal(size=(10, 2)))
