@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import DimensionMismatch, SizeCapExceeded, TOutOfRange
@@ -138,10 +139,11 @@ def wasserstein2_exact(a, b, cap=EXACT_OT_CAP):
 def _lp_transport(d2, n, m):
     # Equality-constrained LP over vec(w); marginal constraints are
     # rank-deficient by one, so drop the last column constraint.
+    # Sparse, so memory grows with the 2nm nonzeros, not (n+m-1) * nm.
     c = d2.ravel()
-    a_rows = np.repeat(np.eye(n), m, axis=1)
-    a_cols = np.tile(np.eye(m - 1, m), (1, n))
-    a_eq = np.vstack([a_rows, a_cols])
+    a_rows = sparse.kron(sparse.eye(n), np.ones((1, m)))
+    a_cols = sparse.kron(np.ones((1, n)), sparse.eye(m - 1, m))
+    a_eq = sparse.vstack([a_rows, a_cols], format="csc")
     b_eq = np.concatenate([np.full(n, 1.0 / n), np.full(m - 1, 1.0 / m)])
     res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:

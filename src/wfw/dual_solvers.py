@@ -151,12 +151,10 @@ class DualSolveReport:
 class PushforwardSampler:
     """Coupling (x, m(x)) of a cloud with its prox images at a fixed lam.
 
-    `images[i]` is the prox of atom i of `source` at weight `lam`, so
+    `images[i]` is the prox of atom i of the stepped cloud, so
     `target_cloud` materializes the second marginal of the coupling.
     """
 
-    lam: float
-    source: object
     images: np.ndarray
 
     def target_cloud(self):
@@ -192,14 +190,14 @@ def _dual_interval(f, m2, penalty, c=None):
     reg = penalty.regularization_at(l)
     lsm = f.smoothness
     need = m2 / (8.0 * lsm * lsm) if lsm > 0 else math.inf
-    # the relative slack keeps this consistent with the radius pre-check in
-    # `trust_region_step` when delta sits exactly on the admissible bound
-    # (the two sides compute the same quantity along different float paths)
+    # The relative slack admits a trust-region radius set exactly to the
+    # reported bound sqrt(m2) / (2 L): squared and halved back into psi*'s
+    # slope, it can land a few ulps above m2 / (8 L^2).
     if reg > need * (1.0 + 1e-12):
-        max_delta = math.sqrt(m2) / (2.0 * lsm) if lsm > 0 else None
+        max_delta = math.sqrt(m2) / (2.0 * lsm)  # need < inf, so L > 0
         hint = (
             f"; maximal admissible delta = {max_delta}"
-            if isinstance(penalty, TrustRegionIndicator) and max_delta is not None
+            if isinstance(penalty, TrustRegionIndicator)
             else ""
         )
         raise RegularizationTooWeak(
@@ -219,9 +217,17 @@ def _penalty_matched_c(f, m2, penalty):
     return m2 / reg if reg > 0 else None
 
 
-def primal_dual_bisection(
-    f, mu, penalty, eps, delta_prob, rng, stochastic=False, *, _m2=None
-):
+def _slope(f, mu, lam, eps, eps_prox, delta, rng, stochastic):
+    """(estimate of g'(lam), samples drawn): sampled at accuracy eps and
+    confidence delta, or one full-batch prox pass at accuracy eps_prox."""
+    if stochastic:
+        k = hp_sample_count(f, mu, lam, eps, delta)
+        return supergradient_hp(f, mu, lam, eps, delta, rng), k
+    _, slope = g_value_and_grad_fullbatch(f, mu, lam, eps_prox)
+    return slope, mu.n
+
+
+def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False):
     """Bisection on the dual with a primal certificate at the returned point.
 
     Halves the interval on the sign of eta = g'(lam) - psi*'(lam), with the
@@ -235,11 +241,12 @@ def primal_dual_bisection(
             stochastic oracle calls; unused on the deterministic path).
         stochastic: use the sampled supergradient oracle instead of the
             full-batch one.
-        _m2: E_mu[||grad f||^2] when the caller has already computed it.
+
+    Raises:
+        RegularizationTooWeak, IntervalEmpty: as `dual_interval`.
     """
-    m2 = _mean_sq_grad(f, mu) if _m2 is None else _m2
-    c_pen = _penalty_matched_c(f, m2, penalty)
-    l, u = _dual_interval(f, m2, penalty, c=c_pen)
+    m2 = _mean_sq_grad(f, mu)
+    l, u = _dual_interval(f, m2, penalty, c=_penalty_matched_c(f, m2, penalty))
     l0, u0, b = l, u, l
     eps_alg = eps / (4.0 + l)
     eps_prox = eps_alg / (2.0 * max(u - l, 1.0))
@@ -253,12 +260,8 @@ def primal_dual_bisection(
 
     while u - l > width:
         lam = 0.5 * (l + u)
-        if stochastic:
-            samples += hp_sample_count(f, mu, lam, eps_alg, delta_call)
-            eta = supergradient_hp(f, mu, lam, eps_alg, delta_call, rng)
-        else:
-            _, eta = g_value_and_grad_fullbatch(f, mu, lam, eps_prox)
-            samples += mu.n
+        eta, drawn = _slope(f, mu, lam, eps_alg, eps_prox, delta_call, rng, stochastic)
+        samples += drawn
         oracle_calls += 1
         eta -= penalty.psi_star_deriv(lam)
         if eta < -eps_alg / max(lam - b, 1.0):
@@ -292,41 +295,23 @@ def _report_values(f, mu, penalty, lam, eps_prox):
     return dual, primal, primal - dual, y, cbar
 
 
-def stochastic_bisection(
-    f,
-    mu,
-    penalty,
-    eps,
-    delta_prob,
-    rng,
-    stochastic=True,
-    interval=None,
-    oracle=None,
-    b_bound=None,
-):
+def stochastic_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=True):
     """Dual-only bisection with an early exit on a small supergradient.
 
     Follows the sign of eta = theta_g(lam) - Proj_{subgrad psi*(lam)}(theta_g)
+    on the interval `dual_interval` gives with the penalty-matched width,
     and stops as soon as |eta| <= eps / max(lam - l, 1) or the interval is
-    narrower than eps / B, returning the last midpoint.  The report carries
-    the dual value only (primal fields are None).
+    narrower than eps / B, with B = 2 E_mu[||grad f||^2] + psi*'(u),
+    returning the last midpoint.  The report carries the dual value only
+    (primal fields are None).
 
-    `interval`, `oracle` and `b_bound` exist for plumbing tests with
-    synthetic oracles; by default everything is derived from (f, mu).
+    Raises:
+        RegularizationTooWeak, IntervalEmpty: as `dual_interval`.
     """
-    m2 = _mean_sq_grad(f, mu) if interval is None or b_bound is None else None
-    if interval is None:
-        l, u = _dual_interval(f, m2, penalty, c=_penalty_matched_c(f, m2, penalty))
-    else:
-        l, u = interval
-        if u <= l:
-            raise IntervalEmpty(f"interval ({l}, {u}) is empty")
+    m2 = _mean_sq_grad(f, mu)
+    l, u = _dual_interval(f, m2, penalty, c=_penalty_matched_c(f, m2, penalty))
     l0, u0, b = l, u, l
-    if b_bound is None:
-        big_b = 2.0 * m2 + penalty.psi_star_deriv(u)
-    else:
-        big_b = b_bound
-    big_b = max(big_b, 1e-12)
+    big_b = max(2.0 * m2 + penalty.psi_star_deriv(u), 1e-12)
     width = eps / big_b
     steps = max(int(math.ceil(math.log2((u - l) / width))) + 1, 1) if u - l > width else 1
     delta_call = delta_prob / steps
@@ -337,14 +322,8 @@ def stochastic_bisection(
     oracle_calls, samples = 0, 0
     while abs(eta) > eps / max(lam - b, 1.0) and u - l > width:
         lam = 0.5 * (l + u)
-        if oracle is not None:
-            eta = float(oracle(lam))
-        elif stochastic:
-            samples += hp_sample_count(f, mu, lam, eps, delta_call)
-            eta = supergradient_hp(f, mu, lam, eps, delta_call, rng)
-        else:
-            _, eta = g_value_and_grad_fullbatch(f, mu, lam, eps_prox)
-            samples += mu.n
+        eta, drawn = _slope(f, mu, lam, eps, eps_prox, delta_call, rng, stochastic)
+        samples += drawn
         oracle_calls += 1
         lo, hi = penalty.subgrad_interval(lam)
         eta -= min(max(eta, lo), hi)
@@ -353,15 +332,11 @@ def stochastic_bisection(
         else:
             u = lam
 
-    if f is not None:
-        gval, _ = g_value_and_grad_fullbatch(f, mu, lam, eps_prox)
-        samples += mu.n
-        dual = gval - penalty.psi_star(lam)
-    else:
-        dual = math.nan
+    gval, _ = g_value_and_grad_fullbatch(f, mu, lam, eps_prox)
+    samples += mu.n
     return DualSolveReport(
         lambda_star=lam,
-        dual_value=dual,
+        dual_value=gval - penalty.psi_star(lam),
         primal_value=None,
         gap=None,
         oracle_calls=oracle_calls,
@@ -388,14 +363,14 @@ def mirror_ascent(
     stochastic=False,
     eps_oracle=1e-2,
     delta_prob=0.1,
-    eps_prox=1e-9,
 ):
     """Projected supergradient ascent on the dual with a fixed step.
 
     Runs k steps from the left endpoint with step (u-l)/sqrt(2k(C^2+D^2)),
     where C^2 bounds the oracle's second moment and D the penalty slope at
     the right endpoint, and returns the iterate average (whose expected
-    suboptimality obeys `mirror_ascent_envelope`).
+    suboptimality obeys `mirror_ascent_envelope`).  The full-batch oracle
+    solves each prox to accuracy 1e-9.
 
     Args:
         oracle: optional lam -> supergradient-estimate override.
@@ -427,10 +402,10 @@ def mirror_ascent(
         lams[i] = lam
         if oracle is not None:
             est = float(oracle(lam))
-        elif stochastic:
-            est = supergradient_hp(f, mu, lam, eps_oracle, delta_prob / k, rng)
         else:
-            _, est = g_value_and_grad_fullbatch(f, mu, lam, eps_prox)
+            est, _ = _slope(
+                f, mu, lam, eps_oracle, 1e-9, delta_prob / k, rng, stochastic
+            )
         lo, hi = penalty.subgrad_interval(lam)
         eta = est - min(max(est, lo), hi)
         etas[i] = eta
@@ -444,7 +419,9 @@ def trust_region_step(f, mu, delta, eps, gamma, rng, stochastic=False):
     Solves the indicator-penalized dual by bisection, then certifies primal
     feasibility from the transported cost of the bisection's certifying
     prox pass (nudging lam up a few times, one prox pass each, if prox error
-    leaves the cost a hair above delta^2/2).
+    leaves the cost a hair above delta^2/2).  The radius is admitted by the
+    bisection's own interval check, so the gradient field is evaluated over
+    the atoms once per step.
 
     Returns:
         (sampler, report): the sampler couples each atom to its prox image;
@@ -452,26 +429,26 @@ def trust_region_step(f, mu, delta, eps, gamma, rng, stochastic=False):
 
     Raises:
         DeltaTooLarge: delta above the admissible curvature bound
-            ||grad f||_{L2(mu)} / (2 L), or a zero gradient field.
+            ||grad f||_{L2(mu)} / (2 L) (up to a 1e-12 relative slack on
+            delta^2), or a zero gradient field (admissible 0.0).
         InfeasiblePrimal: feasibility could not be certified after nudging.
     """
-    m2 = _mean_sq_grad(f, mu)
-    msgn = math.sqrt(m2)
-    if msgn == 0.0:
+    penalty = TrustRegionIndicator(delta, feas_slack=1e-6)
+    try:
+        rep = primal_dual_bisection(
+            f, mu, penalty, eps, gamma, rng, stochastic=stochastic
+        )
+    except RegularizationTooWeak as exc:
+        bound = exc.max_admissible
+        raise DeltaTooLarge(
+            f"delta = {delta} exceeds admissible bound {bound}", admissible=bound
+        ) from exc
+    except IntervalEmpty as exc:
+        # With L = 0 a zero field matches the penalty with width m2/reg = 0.
         raise DeltaTooLarge(
             "gradient field vanishes on the cloud; no descent direction",
             admissible=0.0,
-        )
-    if f.smoothness > 0:
-        bound = msgn / (2.0 * f.smoothness)
-        if delta > bound:
-            raise DeltaTooLarge(
-                f"delta = {delta} exceeds admissible bound {bound}", admissible=bound
-            )
-    penalty = TrustRegionIndicator(delta, feas_slack=1e-6)
-    rep = primal_dual_bisection(
-        f, mu, penalty, eps, gamma, rng, stochastic=stochastic, _m2=m2
-    )
+        ) from exc
 
     l0, u0 = rep.interval
     eps_prox = (eps / (4.0 + l0)) / (2.0 * max(u0 - l0, 1.0))
@@ -497,7 +474,7 @@ def trust_region_step(f, mu, delta, eps, gamma, rng, stochastic=False):
             cost=rep.cost,
             bound=0.5 * delta**2,
         )
-    return PushforwardSampler(lam=lam, source=mu, images=rep.images), rep
+    return PushforwardSampler(images=rep.images), rep
 
 
 def primal_dual_gap(f, mu, penalty, lam, eps_inner):

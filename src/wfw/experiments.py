@@ -91,6 +91,22 @@ def _write_rows(path, header, rows):
             )
 
 
+def _unit_schedule(cfg, smoothness):
+    """Outer-loop constants with unit domination and Holder constants (alpha 1)."""
+    return FWConfig.from_schedule(
+        tau=1.0,
+        theta=1.0,
+        big_t=1.0,
+        alpha=1.0,
+        delta1=cfg.delta_cap,
+        delta2=cfg.delta_cap,
+        smoothness=smoothness,
+        eps=cfg.eps,
+        k_max=cfg.k_max,
+        seed=cfg.seed,
+    )
+
+
 def run_deconv(cfg):
     """Deconvolve a noisy mixture sample; returns (cloud, trace, functional).
 
@@ -103,18 +119,7 @@ def run_deconv(cfg):
     data = ParticleCloud(obs)
     J = EntropicDeconv(cfg.sigma2, data, tol=cfg.sinkhorn_tol)
     smoothness = J.derivative_oracle(data, 1.0).smoothness
-    fw_cfg = FWConfig.from_schedule(
-        tau=1.0,
-        theta=1.0,
-        big_t=1.0,
-        alpha=1.0,
-        delta1=cfg.delta_cap,
-        delta2=cfg.delta_cap,
-        smoothness=smoothness,
-        eps=cfg.eps,
-        k_max=cfg.k_max,
-        seed=cfg.seed,
-    )
+    fw_cfg = _unit_schedule(cfg, smoothness)
 
     def snapshot(i, cloud):
         if cfg.snap_every > 0 and i % cfg.snap_every == 0:
@@ -171,19 +176,7 @@ def run_mmd_flow(cfg):
     J = MMDSquared(kernel, teacher)
     J_val = MMDSquared(kernel, held_out)
     smoothness = J.derivative_oracle(student0, 1.0).smoothness
-
-    fw_cfg = FWConfig.from_schedule(
-        tau=1.0,
-        theta=1.0,
-        big_t=1.0,
-        alpha=1.0,
-        delta1=cfg.delta_cap,
-        delta2=cfg.delta_cap,
-        smoothness=smoothness,
-        eps=cfg.eps,
-        k_max=cfg.k_max,
-        seed=cfg.seed,
-    )
+    fw_cfg = _unit_schedule(cfg, smoothness)
 
     fw_rows = []
 

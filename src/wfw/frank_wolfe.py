@@ -145,11 +145,15 @@ def counted_model(model, counter):
     return replace(model, grad_many=grad_many)
 
 
-def estimate_gradient_norm(phi, mu, eps_bar, rng, full_batch_max=4096, z_score=2.33):
+_FULL_BATCH_MAX = 4096
+_Z_SCORE = 2.33  # one-sided 99% standard-normal quantile
+
+
+def estimate_gradient_norm(phi, mu, eps_bar, rng):
     """One-sided estimate s of the witness-gradient norm over mu.
 
     Guarantees (norm - eps_bar) <= s <= norm: exactly for clouds up to
-    `full_batch_max` atoms (full-batch evaluation), and with calibrated
+    4096 atoms (full-batch evaluation), and with calibrated
     confidence on the subsampled path, which grows its sample until the
     z-scored standard error fits inside the band and then backs the
     mean-of-squares off by that margin.
@@ -157,7 +161,7 @@ def estimate_gradient_norm(phi, mu, eps_bar, rng, full_batch_max=4096, z_score=2
     if eps_bar <= 0:
         raise ValueError("eps_bar must be positive")
     n = mu.n
-    if n <= full_batch_max:
+    if n <= _FULL_BATCH_MAX:
         return mean_squared_gradient_norm(mu, phi)
 
     batch = 512
@@ -174,12 +178,12 @@ def estimate_gradient_norm(phi, mu, eps_bar, rng, full_batch_max=4096, z_score=2
         m_hat = total / count
         var = max(total_sq / count - m_hat**2, 0.0)
         se = math.sqrt(var / count)
-        if z_score * se <= 0.5 * eps_bar * max(math.sqrt(m_hat), eps_bar):
+        if _Z_SCORE * se <= 0.5 * eps_bar * max(math.sqrt(m_hat), eps_bar):
             break
         if count >= 4 * n:
             break
         batch = min(batch * 2, 4 * n - count)
-    return math.sqrt(max(m_hat - z_score * se, 0.0))
+    return math.sqrt(max(m_hat - _Z_SCORE * se, 0.0))
 
 
 def run_frank_wolfe(

@@ -14,10 +14,6 @@ from .cloud import sqdist_matrix
 from .errors import NonFiniteDual, SinkhornNotConverged
 from .moreau import SmoothObjective
 
-#: The witness model type handed to prox solvers; same contract as any
-#: pointwise smooth objective.
-GradientModel = SmoothObjective
-
 # Peak of |tanh''|, slightly rounded up: 4 / (3 * sqrt(3)).
 _TANH_CURV = 0.7699
 
@@ -122,7 +118,7 @@ class RandomFeatureKernel:
 
 
 class Functional:
-    """Interface: value(mu) and derivative_oracle(mu, eps) -> GradientModel."""
+    """Interface: value(mu) and derivative_oracle(mu, eps) -> SmoothObjective."""
 
     def value(self, mu):
         raise NotImplementedError
@@ -167,7 +163,7 @@ class MMDSquared(Functional):
             return 2.0 * (kernel.mean_grad(x, z) - kernel.mean_grad(y, z))
 
         lips = 4.0 * kernel.grad_lipschitz
-        return GradientModel(
+        return SmoothObjective(
             eval_many=eval_many,
             grad_many=grad_many,
             smoothness=lips,
@@ -175,7 +171,7 @@ class MMDSquared(Functional):
         )
 
 
-def _sinkhorn_potentials(x, y, sigma2, tol, max_iter):
+def _sinkhorn_potentials(x, y, sigma2, tol, max_iter=20000):
     """Log-domain alternating dual updates for uniform marginals.
 
     Returns (u, v, marginal_error, iterations, coupling_mass) with the
@@ -213,18 +209,19 @@ def _sinkhorn_potentials(x, y, sigma2, tol, max_iter):
     )
 
 
-def sinkhorn_dual(mu, data, sigma2, tol=1e-9, max_iter=20000):
+def sinkhorn_dual(mu, data, sigma2, tol=1e-9):
     """Dual potential on the data side of the entropic transport between mu and data.
 
     Deterministic given inputs; the returned vector is gauged so the two
     potentials share their mean.
 
     Raises:
-        SinkhornNotConverged: marginal error still above tol at max_iter.
+        SinkhornNotConverged: marginal error still above tol after
+            20,000 sweeps.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    _, v, _, _, _ = _sinkhorn_potentials(mu.points, data.points, sigma2, tol, max_iter)
+    _, v, _, _, _ = _sinkhorn_potentials(mu.points, data.points, sigma2, tol)
     return v
 
 
@@ -247,13 +244,12 @@ class EntropicDeconv(Functional):
     `marginal_error_log` for auditing, so the log holds one entry per solve.
     """
 
-    def __init__(self, sigma2, data, tol=1e-9, max_iter=20000):
+    def __init__(self, sigma2, data, tol=1e-9):
         if sigma2 <= 0:
             raise ValueError("sigma2 must be positive")
         self.sigma2 = float(sigma2)
         self.data = data
         self.tol = float(tol)
-        self.max_iter = int(max_iter)
         self.marginal_error_log = []
         self._memo = (None, None)
         # Softmax weights always sit on the data atoms, so the weighted
@@ -269,7 +265,7 @@ class EntropicDeconv(Functional):
         if key is points:
             return result
         u, v, err, _, mass = _sinkhorn_potentials(
-            points, self.data.points, self.sigma2, self.tol, self.max_iter
+            points, self.data.points, self.sigma2, self.tol
         )
         self.marginal_error_log.append(err)
         result = (u, v, mass)
@@ -301,7 +297,7 @@ class EntropicDeconv(Functional):
             return z - w @ y
 
         rho = self._rho
-        return GradientModel(
+        return SmoothObjective(
             eval_many=eval_many,
             grad_many=grad_many,
             smoothness=max(1.0, rho),
@@ -358,7 +354,7 @@ class PotentialInteraction(Functional):
             inter = np.mean(w.grad_x(z[:, None, :], atoms), axis=1)
             return v.grad_many(z) + 2.0 * inter
 
-        return GradientModel(
+        return SmoothObjective(
             eval_many=eval_many,
             grad_many=grad_many,
             smoothness=v.smoothness + 2.0 * w.smoothness,

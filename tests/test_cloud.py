@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,22 @@ class TestExactTransport:
         np.testing.assert_allclose(plan.weights.sum(axis=1), 1 / 4, atol=1e-9)
         np.testing.assert_allclose(plan.weights.sum(axis=0), 1 / 6, atol=1e-9)
         assert dist >= 0.0
+
+    def test_unequal_sizes_never_hold_a_dense_constraint_matrix(self):
+        """Peak memory of the LP path stays below the (n+m-1) x nm float
+        matrix a dense build of its marginal constraints would take."""
+        rng = np.random.default_rng(3)
+        n, m = 60, 59
+        a = ParticleCloud(rng.normal(size=(n, 2)))
+        b = ParticleCloud(rng.normal(size=(m, 2)))
+        tracemalloc.start()
+        try:
+            dist, _ = wasserstein2_exact(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dist > 0.0
+        assert peak < (n + m - 1) * n * m * 8
 
     def test_identity(self):
         cloud = ParticleCloud(np.arange(8.0).reshape(4, 2))

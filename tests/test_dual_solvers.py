@@ -154,6 +154,27 @@ class TestBisection:
         # plus the final report pass
         assert rep.samples_drawn == rep.oracle_calls * mu.n + mu.n
 
+    def test_full_batch_oracle_is_looked_up_on_the_module(self, monkeypatch):
+        """Every full-batch slope goes through the module global
+        `dual_solvers.g_value_and_grad_fullbatch`, which the benchmark
+        tracer wraps."""
+        calls = []
+        fullbatch = dual_solvers.g_value_and_grad_fullbatch
+
+        def spy(*args):
+            calls.append(args[2])
+            return fullbatch(*args)
+
+        monkeypatch.setattr(dual_solvers, "g_value_and_grad_fullbatch", spy)
+        mu = ParticleCloud(np.random.default_rng(1).normal(size=(6, 2)) * 3.5)
+        m2 = float(np.mean(np.sum(mu.points**2, axis=1)))
+        pen = TrustRegionIndicator(0.3 * math.sqrt(m2) / 2.0)
+        rep = primal_dual_bisection(quadratic(), mu, pen, 1e-3, 0.05, None)
+        assert len(calls) == rep.oracle_calls
+        calls.clear()
+        mirror_ascent(quadratic(), mu, pen, rep.interval, 7, None)
+        assert len(calls) == 7
+
     def test_stochastic_variant_stays_in_interval(self):
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(8, 2)) * 0.45
@@ -169,10 +190,14 @@ class TestBisection:
 
 class TestStochasticBisection:
     def test_zero_oracle_and_penalty_exits_at_midpoint(self):
-        mu = ParticleCloud(np.zeros((4, 2)))
-        pen = TrustRegionIndicator(1.0)  # psi*' = 0.5, but eta samples are 0
+        """A penalty whose subdifferential is the whole line zeroes eta at the
+        first midpoint of (1, 3), so the search stops there."""
+        pts = np.random.default_rng(16).normal(size=(4, 2))
+        mu = ParticleCloud(pts)
+        a = np.array([0.3, -0.4])
+        m2 = float(np.sum(a**2))  # grad f = a at every atom
 
-        class FlatPenalty:
+        class WholeLinePenalty:
             def psi_star(self, lam):
                 return 0.0
 
@@ -180,19 +205,20 @@ class TestStochasticBisection:
                 return 0.0
 
             def subgrad_interval(self, lam):
-                return (0.0, 0.0)
+                return (-math.inf, math.inf)
 
             def smoothness_on(self, l, u):
                 return 0.0
 
             def regularization_at(self, lam):
-                return 0.0
+                return 0.5 * m2  # penalty-matched width m2/reg = 2: u = 1 + 2
 
         rep = stochastic_bisection(
-            zero(), mu, FlatPenalty(), 0.5, 0.2, np.random.default_rng(0),
-            interval=(1.0, 3.0),
+            linear(a), mu, WholeLinePenalty(), 0.5, 0.2, np.random.default_rng(0)
         )
+        assert rep.interval == (1.0, 3.0)
         assert rep.lambda_star == pytest.approx(2.0)
+        assert rep.oracle_calls == 1
         assert rep.primal_value is None and rep.gap is None
 
     def test_near_optimal_on_linear_objective(self):
@@ -303,6 +329,30 @@ class TestTrustRegion:
             trust_region_step(f, mu, 5.0, 1e-3, 0.1, np.random.default_rng(0))
         assert exc.value.admissible < 5.0
 
+    def test_radius_on_the_admissible_bound_accepted(self):
+        rng = np.random.default_rng(17)
+        mu = ParticleCloud(rng.normal(size=(8, 2)) * 0.3)
+        m2 = float(np.mean(np.sum(mu.points**2, axis=1)))
+        bound = math.sqrt(m2) / 2.0  # quadratic: grad f = x, L = 1
+        sampler, rep = trust_region_step(
+            quadratic(), mu, bound, 1e-3, 0.1, np.random.default_rng(0)
+        )
+        assert rep.gap >= 0.0
+        assert rep.cost <= 0.5 * bound**2 * (1.0 + 1e-6)
+        with pytest.raises(DeltaTooLarge) as exc:
+            trust_region_step(
+                quadratic(), mu, bound * (1 + 1e-9), 1e-3, 0.1, np.random.default_rng(0)
+            )
+        assert exc.value.admissible == bound
+        assert isinstance(exc.value.__cause__, RegularizationTooWeak)
+
+    def test_zero_field_with_curvature_rejected(self):
+        """L > 0: the zero field fails the radius check with bound 0."""
+        mu = ParticleCloud(np.zeros((5, 2)))
+        with pytest.raises(DeltaTooLarge) as exc:
+            trust_region_step(quadratic(), mu, 0.1, 1e-3, 0.1, np.random.default_rng(0))
+        assert exc.value.admissible == 0.0
+
     def test_zero_gradient_field_rejected(self):
         mu = ParticleCloud(np.random.default_rng(12).normal(size=(4, 2)))
         with pytest.raises(DeltaTooLarge) as exc:
@@ -319,8 +369,8 @@ class TestTrustRegion:
         np.testing.assert_array_equal(sampler.target_cloud().points, sampler.images)
 
     def test_step_reuses_the_certifying_prox_pass(self, monkeypatch):
-        """Beyond its radius check (one row per atom), a step without nudges
-        evaluates exactly the gradient rows of its own bisection."""
+        """A step without nudges evaluates exactly the gradient rows of its
+        own bisection, whose interval check also admits the radius."""
         counter = {"rows": 0}
         f = counted_model(double_well(), counter)
         mu = ParticleCloud(np.random.default_rng(15).normal(size=(12, 2)))
@@ -336,7 +386,7 @@ class TestTrustRegion:
         _, rep = trust_region_step(f, mu, 0.1, 1e-3, 0.1, np.random.default_rng(0))
         [(rows, lam)] = bisection_rows
         assert rep.lambda_star == lam  # no nudge
-        assert counter["rows"] == mu.n + rows
+        assert counter["rows"] == rows == 3850
 
     def test_step_computes_the_gradient_norm_once(self, monkeypatch):
         """The radius check, the dual interval, its penalty-matched width and
