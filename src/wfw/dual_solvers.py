@@ -29,6 +29,7 @@ from .errors import (
 from .moreau import (
     agd_prox_batch,
     g_value_and_grad_fullbatch,
+    gradient_fourth_moment,
     hp_sample_count,
     supergradient_hp,
 )
@@ -217,12 +218,14 @@ def _penalty_matched_c(f, m2, penalty):
     return m2 / reg if reg > 0 else None
 
 
-def _slope(f, mu, lam, eps, eps_prox, delta, rng, stochastic):
+def _slope(f, mu, lam, eps, eps_prox, delta, rng, m4):
     """(estimate of g'(lam), samples drawn): sampled at accuracy eps and
-    confidence delta, or one full-batch prox pass at accuracy eps_prox."""
-    if stochastic:
-        k = hp_sample_count(f, mu, lam, eps, delta)
-        return supergradient_hp(f, mu, lam, eps, delta, rng), k
+    confidence delta when given the cloud's gradient fourth moment m4
+    (computed once per solve), or one full-batch prox pass at accuracy
+    eps_prox when m4 is None."""
+    if m4 is not None:
+        k = hp_sample_count(f, mu, lam, eps, delta, m4=m4)
+        return supergradient_hp(f, mu, lam, eps, delta, rng, m4=m4), k
     _, slope = g_value_and_grad_fullbatch(f, mu, lam, eps_prox)
     return slope, mu.n
 
@@ -253,6 +256,7 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
 
     _, gp_l = g_value_and_grad_fullbatch(f, mu, l, eps_prox)
     oracle_calls, samples = 1, mu.n
+    m4 = gradient_fourth_moment(f, mu) if stochastic else None
     big_b = max(penalty.smoothness_on(l, u), 4.0 * gp_l**2, 16.0 * m2**2, 1e-12)
     width = eps_alg / big_b
     steps = max(int(math.ceil(math.log2((u - l) / width))) + 1, 1) if u - l > width else 1
@@ -260,7 +264,7 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
 
     while u - l > width:
         lam = 0.5 * (l + u)
-        eta, drawn = _slope(f, mu, lam, eps_alg, eps_prox, delta_call, rng, stochastic)
+        eta, drawn = _slope(f, mu, lam, eps_alg, eps_prox, delta_call, rng, m4)
         samples += drawn
         oracle_calls += 1
         eta -= penalty.psi_star_deriv(lam)
@@ -316,13 +320,14 @@ def stochastic_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=True):
     steps = max(int(math.ceil(math.log2((u - l) / width))) + 1, 1) if u - l > width else 1
     delta_call = delta_prob / steps
     eps_prox = eps / (2.0 * max(u - l, 1.0))
+    m4 = gradient_fourth_moment(f, mu) if stochastic else None
 
     lam = 0.5 * (l + u)
     eta = math.inf
     oracle_calls, samples = 0, 0
     while abs(eta) > eps / max(lam - b, 1.0) and u - l > width:
         lam = 0.5 * (l + u)
-        eta, drawn = _slope(f, mu, lam, eps, eps_prox, delta_call, rng, stochastic)
+        eta, drawn = _slope(f, mu, lam, eps, eps_prox, delta_call, rng, m4)
         samples += drawn
         oracle_calls += 1
         lo, hi = penalty.subgrad_interval(lam)
@@ -388,10 +393,12 @@ def mirror_ascent(
         raise IntervalEmpty(f"interval ({l}, {u}) is empty")
     if k < 1:
         raise ValueError("k must be >= 1")
+    m4 = None
+    if c2 is None or (stochastic and oracle is None):
+        m4 = gradient_fourth_moment(f, mu)
     if c2 is None:
-        g = f.grad_many(mu.points)
-        m4 = float(np.mean(np.sum(g**2, axis=1) ** 2))
         c2 = 256.0 * m4 / (l - f.semiconvexity) ** 4
+    sampled_m4 = m4 if stochastic else None
     d_bound = penalty.psi_star_deriv(u)
     step = (u - l) / math.sqrt(2.0 * k * (c2 + d_bound**2))
 
@@ -404,7 +411,7 @@ def mirror_ascent(
             est = float(oracle(lam))
         else:
             est, _ = _slope(
-                f, mu, lam, eps_oracle, 1e-9, delta_prob / k, rng, stochastic
+                f, mu, lam, eps_oracle, 1e-9, delta_prob / k, rng, sampled_m4
             )
         lo, hi = penalty.subgrad_interval(lam)
         eta = est - min(max(est, lo), hi)

@@ -201,7 +201,8 @@ def run_frank_wolfe(
         chained: resample the iterate through its prox lineage instead of
             keeping the one-image-per-atom materialization.
         wall_budget_s: optional wall-clock budget; the loop stops cleanly
-            (status "budget-exhausted") once exceeded.
+            (status "wall-budget") once exceeded before iteration k_max;
+            running all k_max iterations leaves "budget-exhausted".
         on_iterate: optional callback invoked as on_iterate(i, cloud) after
             each recorded iteration with the post-step cloud.
     """
@@ -254,6 +255,8 @@ def run_frank_wolfe(
         if on_iterate is not None:
             on_iterate(i, mu)
         if wall_budget_s is not None and time.perf_counter() - t_start > wall_budget_s:
+            if i < cfg.k_max:
+                trace.status = "wall-budget"
             break
 
     return mu, trace

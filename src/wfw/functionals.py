@@ -107,14 +107,15 @@ class RandomFeatureKernel:
     def features(self, x):
         return np.tanh(x @ self.table.T)
 
+    def feature_grad(self, z, w):
+        """Rows: grad_z of phi(z) . w, for a weight vector w of length B."""
+        return ((1.0 - self.features(z) ** 2) * w) @ self.table
+
     def gram(self, a, b):
         return self.features(a) @ self.features(b).T / self.table.shape[0]
 
     def mean_grad(self, a, z):
-        mean_feat = self.features(a).mean(axis=0)
-        u = z @ self.table.T
-        s = (1.0 - np.tanh(u) ** 2) * mean_feat[None, :]
-        return s @ self.table / self.table.shape[0]
+        return self.feature_grad(z, self.features(a).mean(axis=0)) / self.table.shape[0]
 
 
 class Functional:
@@ -134,24 +135,49 @@ class MMDSquared(Functional):
     `derivative_oracle` is twice the difference of mean kernel embeddings,
     the factor matching the first-order expansion of the V-statistic under
     particle displacement.
+
+    Under `RandomFeatureKernel`, k(x, y) = phi(x) . phi(y) / B is linear in
+    feature space, so both are computed there: value(mu) is
+    ||mean phi(x) - mean phi(y)||^2 / B and the witness is phi(z) . w with
+    w = (2/B) (mean phi(x) - mean phi(y)).  That costs one feature map
+    over the cloud and no Gram matrix; the target's mean embedding is
+    computed once, here.  Other kernels use the Gram forms.
     """
 
     def __init__(self, kernel, target):
         self.kernel = kernel
         self.target = target
-        self._target_mean = float(np.mean(kernel.gram(target.points, target.points)))
+        y = target.points
+        if isinstance(kernel, RandomFeatureKernel):
+            self._target_embedding = kernel.features(y).mean(axis=0)
+            self._value, self._witness = self._feature_value, self._feature_witness
+        else:
+            self._target_mean = float(np.mean(kernel.gram(y, y)))
+            self._value, self._witness = self._gram_value, self._gram_witness
 
     def value(self, mu):
-        x, y = mu.points, self.target.points
+        return self._value(mu.points)
+
+    def derivative_oracle(self, mu, eps):
+        eval_many, grad_many = self._witness(mu.points)
+        lips = 4.0 * self.kernel.grad_lipschitz
+        return SmoothObjective(
+            eval_many=eval_many,
+            grad_many=grad_many,
+            smoothness=lips,
+            semiconvexity=lips,
+        )
+
+    def _gram_value(self, x):
+        y = self.target.points
         return float(
             np.mean(self.kernel.gram(x, x))
             + self._target_mean
             - 2.0 * np.mean(self.kernel.gram(x, y))
         )
 
-    def derivative_oracle(self, mu, eps):
+    def _gram_witness(self, x):
         kernel = self.kernel
-        x = mu.points
         y = self.target.points
 
         def eval_many(z):
@@ -162,13 +188,26 @@ class MMDSquared(Functional):
         def grad_many(z):
             return 2.0 * (kernel.mean_grad(x, z) - kernel.mean_grad(y, z))
 
-        lips = 4.0 * kernel.grad_lipschitz
-        return SmoothObjective(
-            eval_many=eval_many,
-            grad_many=grad_many,
-            smoothness=lips,
-            semiconvexity=lips,
-        )
+        return eval_many, grad_many
+
+    def _embedding_gap(self, x):
+        return self.kernel.features(x).mean(axis=0) - self._target_embedding
+
+    def _feature_value(self, x):
+        gap = self._embedding_gap(x)
+        return float(gap @ gap) / self.kernel.table.shape[0]
+
+    def _feature_witness(self, x):
+        kernel = self.kernel
+        w = (2.0 / kernel.table.shape[0]) * self._embedding_gap(x)
+
+        def eval_many(z):
+            return kernel.features(z) @ w
+
+        def grad_many(z):
+            return kernel.feature_grad(z, w)
+
+        return eval_many, grad_many
 
 
 def _sinkhorn_potentials(x, y, sigma2, tol, max_iter=20000):

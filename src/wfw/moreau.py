@@ -167,26 +167,34 @@ def agd_prox_batch(f, x, lam, eps):
     return z, theta, iters, grad_evals
 
 
-def hp_sample_count(f, mu, lam, eps, delta):
+def gradient_fourth_moment(f, mu):
+    """Plug-in fourth moment E_mu ||grad f||^4 over the cloud's atoms."""
+    g = f.grad_many(mu.points)
+    return float(np.mean(np.sum(g**2, axis=1) ** 2))
+
+
+def hp_sample_count(f, mu, lam, eps, delta, m4=None):
     """Sample count for one high-probability supergradient query.
 
-    Driven by the plug-in fourth moment of the gradient over the cloud's
-    atoms and a Chebyshev bound at confidence delta, accuracy eps.
+    Driven by the plug-in fourth moment m4 of the gradient over the cloud's
+    atoms (one gradient pass when not given) and a Chebyshev bound at
+    confidence delta, accuracy eps.
     """
     gap = lam - f.semiconvexity
-    g = f.grad_many(mu.points)
-    m4 = float(np.mean(np.sum(g**2, axis=1) ** 2))
+    if m4 is None:
+        m4 = gradient_fourth_moment(f, mu)
     if m4 == 0.0:
         return 1
     k = 64.0 * m4 / (gap**2 * min(gap**2, 1.0) * delta * eps**2)
     return max(int(math.ceil(k)), 1)
 
 
-def supergradient_hp(f, mu, lam, eps, delta, rng, k_cap=K_CAP):
+def supergradient_hp(f, mu, lam, eps, delta, rng, k_cap=K_CAP, m4=None):
     """Estimate g'(lam) = E_mu[(1/2)||prox(x) - x||^2] to accuracy eps whp.
 
     Averages K independent prox displacements of atoms drawn i.i.d. (with
-    replacement) from mu, where K comes from `hp_sample_count`.  With
+    replacement) from mu, where K comes from `hp_sample_count` (given m4,
+    the `gradient_fourth_moment` of (f, mu), it skips that pass).  With
     probability >= 1 - delta the estimate lies within eps / max(lam - rho, 1)
     of the true derivative.
 
@@ -202,7 +210,7 @@ def supergradient_hp(f, mu, lam, eps, delta, rng, k_cap=K_CAP):
         raise LambdaTooSmall(
             f"lam = {lam} must exceed semiconvexity {f.semiconvexity}"
         )
-    k = hp_sample_count(f, mu, lam, eps, delta)
+    k = hp_sample_count(f, mu, lam, eps, delta, m4=m4)
     if k > k_cap:
         raise KCapExceeded(
             f"supergradient query needs K = {k} samples (cap {k_cap})",

@@ -6,6 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+
+# `wfw.cloud` loads scipy.optimize on first use.  Loading it here keeps that
+# one-time import out of the tracemalloc window below, which bounds the LP's
+# own allocations.
+import scipy.optimize  # noqa: F401
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -241,6 +241,65 @@ class TestStochasticBisection:
         assert h(lam_opt) - h(rep.lambda_star) <= 0.1
 
 
+class TestSampledSlope:
+    """The sampled oracle's fourth moment depends on (f, mu) only, so a
+    solve computes it once, however many sampled slopes it asks for."""
+
+    def _spy(self, monkeypatch):
+        calls = []
+        moment = dual_solvers.gradient_fourth_moment
+
+        def spy(f, mu):
+            calls.append(mu.n)
+            return moment(f, mu)
+
+        monkeypatch.setattr(dual_solvers, "gradient_fourth_moment", spy)
+        return calls
+
+    def test_bisections_compute_it_once(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        rng = np.random.default_rng(2)
+        mu = ParticleCloud(rng.normal(size=(8, 2)) * 0.45)
+        m2 = float(np.mean(np.sum(mu.points**2, axis=1)))
+        pen = TrustRegionIndicator(0.4 * math.sqrt(m2) / 2.0)
+        rep = primal_dual_bisection(
+            quadratic(), mu, pen, 0.5, 0.3, np.random.default_rng(7), stochastic=True
+        )
+        assert rep.oracle_calls > 2 and calls == [8]
+
+        calls.clear()
+        mu = ParticleCloud(np.random.default_rng(3).normal(size=(10, 2)) * 0.6)
+        rep = stochastic_bisection(
+            linear(np.array([0.12, -0.05])),
+            mu,
+            TrustRegionIndicator(0.2),
+            0.01,
+            0.3,
+            np.random.default_rng(4),
+        )
+        assert rep.oracle_calls > 2 and calls == [10]
+
+    def test_mirror_ascent_shares_it_with_its_step_size(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        mu = ParticleCloud(0.5 * np.random.default_rng(9).standard_normal((12, 3)))
+        f = linear(np.array([0.08, -0.04, 0.03]))
+        counter = {"rows": 0}
+        mirror_ascent(
+            counted_model(f, counter),
+            mu,
+            TrustRegionIndicator(0.07),
+            (0.5, 3.0),
+            20,
+            np.random.default_rng(1),
+            stochastic=True,
+            eps_oracle=0.05,
+        )
+        assert calls == [12]
+        # one 12-row moment pass, then per step one prox over the 12 atoms
+        # hit: its first gradient and one certified iteration (two more)
+        assert counter["rows"] == 12 + 20 * 3 * 12
+
+
 class TestMirrorAscent:
     def test_single_step_returns_left_endpoint(self):
         mu = ParticleCloud(np.ones((3, 2)) * 2.0)

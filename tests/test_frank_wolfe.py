@@ -227,6 +227,13 @@ class TestRunFrankWolfe:
             _interaction(), _uniform_cloud(), self._cfg(1e-4, 50), wall_budget_s=0.0
         )
         assert len(trace) == 1
+        assert trace.status == "wall-budget"
+
+    def test_wall_budget_spent_on_the_last_iteration_is_k_max_exhaustion(self):
+        _, trace = run_frank_wolfe(
+            _interaction(), _uniform_cloud(), self._cfg(1e-4, 1), wall_budget_s=0.0
+        )
+        assert len(trace) == 1
         assert trace.status == "budget-exhausted"
 
     def test_oversized_schedule_is_halved_and_logged(self):

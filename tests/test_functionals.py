@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.special import logsumexp
 
+from wfw import experiments
 from wfw.cloud import ParticleCloud, sqdist_matrix
 from wfw.errors import NonFiniteDual, SinkhornNotConverged
+from wfw.experiments import ExperimentConfig, run_mmd_flow
 from wfw.functionals import (
     EntropicDeconv,
     GaussianKernel,
@@ -150,6 +152,144 @@ class TestMMDSquared:
         model = J.derivative_oracle(ParticleCloud(np.ones((4, 2))), 1e-6)
         assert model.smoothness == pytest.approx(4.0 * k.grad_lipschitz)
         assert model.semiconvexity == pytest.approx(4.0 * k.grad_lipschitz)
+
+
+def _gram_mmd(kernel, x, y):
+    """Reference MMD^2 and witness through Gram matrices: the V-statistic
+    and the mean-gradient forms, in the order `MMDSquared` evaluates them
+    for kernels without a feature map."""
+    target_mean = float(np.mean(kernel.gram(y, y)))
+    value = float(
+        np.mean(kernel.gram(x, x)) + target_mean - 2.0 * np.mean(kernel.gram(x, y))
+    )
+
+    def eval_many(z):
+        return 2.0 * (kernel.gram(z, x).mean(axis=1) - kernel.gram(z, y).mean(axis=1))
+
+    def grad_many(z):
+        return 2.0 * (kernel.mean_grad(x, z) - kernel.mean_grad(y, z))
+
+    return value, eval_many, grad_many
+
+
+_clouds = st.tuples(
+    st.integers(0, 2**32 - 1),  # seed
+    st.integers(1, 12),  # n
+    st.integers(1, 12),  # m
+    st.integers(1, 4),  # d
+)
+
+
+class TestMMDFeatureSpace:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        clouds=_clouds,
+        features=st.integers(1, 48),
+        scale=st.floats(0.01, 3.0),
+        rows=st.integers(1, 6),
+    )
+    def test_random_feature_path_matches_gram_reference(
+        self, clouds, features, scale, rows
+    ):
+        seed, n, m, d = clouds
+        rng = np.random.default_rng(seed)
+        table = scale * rng.standard_normal((features, d))
+        kernel = RandomFeatureKernel(table)
+        x = rng.normal(size=(n, d)) * rng.uniform(0.1, 3.0)
+        y = rng.normal(size=(m, d)) + rng.uniform(-1.0, 1.0)
+        z = 2.0 * rng.normal(size=(rows, d))
+        J = MMDSquared(kernel, ParticleCloud(y))
+        model = J.derivative_oracle(ParticleCloud(x), 1e-9)
+        ref_value, ref_eval, ref_grad = _gram_mmd(kernel, x, y)
+
+        value = J.value(ParticleCloud(x))
+        assert value >= 0.0
+        # Every Gram entry lies in [-1, 1], so the V-statistic's cancellation
+        # error is a few ulps of 1; the gradients scale with the table rows.
+        assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-14)
+        np.testing.assert_allclose(model.eval_many(z), ref_eval(z), rtol=1e-12, atol=1e-14)
+        grad_scale = float(np.max(np.linalg.norm(table, axis=1)))
+        np.testing.assert_allclose(
+            model.grad_many(z), ref_grad(z), rtol=1e-12, atol=1e-14 * grad_scale
+        )
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [GaussianKernel(0.8), InverseMultiquadricKernel(1.2, 0.5)],
+        ids=lambda k: k.name,
+    )
+    @settings(max_examples=20, deadline=None)
+    @given(clouds=_clouds)
+    def test_gram_kernels_keep_their_bits(self, kernel, clouds):
+        seed, n, m, d = clouds
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=(n, d)), rng.normal(size=(m, d)) + 0.5
+        z = rng.normal(size=(5, d))
+        J = MMDSquared(kernel, ParticleCloud(y))
+        model = J.derivative_oracle(ParticleCloud(x), 1e-9)
+        ref_value, ref_eval, ref_grad = _gram_mmd(kernel, x, y)
+        assert J.value(ParticleCloud(x)) == ref_value
+        assert np.array_equal(model.eval_many(z), ref_eval(z))
+        assert np.array_equal(model.grad_many(z), ref_grad(z))
+
+    def test_random_feature_oracle_builds_no_gram(self, monkeypatch):
+        def no_gram(self, a, b):
+            raise AssertionError("random-feature MMD built a Gram matrix")
+
+        monkeypatch.setattr(RandomFeatureKernel, "gram", no_gram)
+        rng = np.random.default_rng(12)
+        kernel = RandomFeatureKernel(0.4 * rng.standard_normal((16, 3)))
+        J = MMDSquared(kernel, ParticleCloud(rng.normal(size=(9, 3))))
+        mu = ParticleCloud(rng.normal(size=(7, 3)) + 1.0)
+        assert J.value(mu) > 0.0
+        model = J.derivative_oracle(mu, 1e-9)
+        z = rng.normal(size=(4, 3))
+        assert model.eval_many(z).shape == (4,)
+        assert model.grad_many(z).shape == (4, 3)
+
+    def test_mmd_flow_baseline_maps_each_cloud_once_per_use(
+        self, tmp_path, monkeypatch
+    ):
+        """A baseline step maps n rows through the features four times: the
+        cloud's embedding for the witness, the witness gradient at the atoms,
+        and J and J_val of the moved cloud.  No Gram matrix is built."""
+        feature_rows = {"total": 0, "baseline": 0}
+        features = RandomFeatureKernel.features
+
+        def counted_features(self, x):
+            feature_rows["total"] += x.shape[0]
+            return features(self, x)
+
+        def no_gram(self, a, b):
+            raise AssertionError("random-feature MMD built a Gram matrix")
+
+        flow = experiments.mmd_gradient_flow
+
+        def counted_flow(*args, **kwargs):
+            before = feature_rows["total"]
+            result = flow(*args, **kwargs)
+            feature_rows["baseline"] = feature_rows["total"] - before
+            return result
+
+        monkeypatch.setattr(RandomFeatureKernel, "features", counted_features)
+        monkeypatch.setattr(RandomFeatureKernel, "gram", no_gram)
+        monkeypatch.setattr(experiments, "mmd_gradient_flow", counted_flow)
+        n = 6
+        cfg = ExperimentConfig(
+            experiment="mmd-flow",
+            seed=11,
+            particles=n,
+            dim=2,
+            eps=0.05,
+            k_max=3,
+            features=8,
+            out=str(tmp_path / "fw.csv"),
+            baseline_out=str(tmp_path / "base.csv"),
+        )
+        result = run_mmd_flow(cfg)
+        steps = len(result["baseline_rows"])
+        assert steps > 0
+        assert feature_rows["baseline"] == 4 * n * steps
 
 
 class TestSinkhorn:

@@ -7,11 +7,13 @@ import pytest
 
 from wfw.cloud import ParticleCloud
 from wfw.errors import KCapExceeded, LambdaTooSmall
+from wfw.frank_wolfe import counted_model
 from wfw.moreau import (
     SmoothObjective,
     agd_prox,
     agd_prox_batch,
     g_value_and_grad_fullbatch,
+    gradient_fourth_moment,
     hp_sample_count,
     supergradient_hp,
 )
@@ -194,6 +196,23 @@ class TestSupergradientSampling:
         mu = ParticleCloud(np.ones((3, 1)))
         with pytest.raises(LambdaTooSmall):
             supergradient_hp(double_well(), mu, 0.5, 0.1, 0.1, np.random.default_rng(0))
+
+    def test_given_fourth_moment_skips_the_gradient_pass(self):
+        mu = ParticleCloud(np.random.default_rng(12).normal(size=(8, 2)) * 0.5)
+        f = quadratic()
+        m4 = gradient_fourth_moment(f, mu)
+        assert m4 == float(np.mean(np.sum(mu.points**2, axis=1) ** 2))
+        assert hp_sample_count(f, mu, 2.0, 0.1, 0.2, m4=m4) == hp_sample_count(
+            f, mu, 2.0, 0.1, 0.2
+        )
+        given, fresh = {"rows": 0}, {"rows": 0}
+        est = supergradient_hp(
+            counted_model(f, given), mu, 2.0, 0.1, 0.2, np.random.default_rng(5), m4=m4
+        )
+        assert est == supergradient_hp(
+            counted_model(f, fresh), mu, 2.0, 0.1, 0.2, np.random.default_rng(5)
+        )
+        assert fresh["rows"] - given["rows"] == mu.n
 
     def test_same_seed_same_estimate(self):
         mu = ParticleCloud(np.random.default_rng(11).normal(size=(8, 2)) * 0.5)
