@@ -19,7 +19,6 @@ from .dual_solvers import (
     mirror_ascent,
     primal_dual_bisection,
     primal_dual_gap,
-    stochastic_bisection,
     trust_region_step,
 )
 from .frank_wolfe import (
@@ -86,7 +85,6 @@ __all__ = [
     "save_csv",
     "sinkhorn_dual",
     "smoothness_probe",
-    "stochastic_bisection",
     "supergradient_hp",
     "trust_region_step",
     "wasserstein2_exact",

@@ -56,6 +56,28 @@ class ParticleCloud:
         return float(np.mean(np.sum(self.points**2, axis=1)))
 
 
+class CloudMemo:
+    """fn(points), computed once per cloud: a one-entry memo keyed on array identity.
+
+    Only a read-only array that owns its data (every `ParticleCloud`'s
+    points) is remembered: it cannot change under the memo, and holding it
+    keeps its identity from passing to another array.  Any other array may
+    change between calls, so fn runs afresh on it and the entry is kept.
+    """
+
+    def __init__(self, fn):
+        self._fn = fn
+        self._key = self._value = None
+
+    def __call__(self, points):
+        if points is self._key and not points.flags.writeable:
+            return self._value
+        value = self._fn(points)
+        if not points.flags.writeable and points.flags.owndata:
+            self._key, self._value = points, value
+        return value
+
+
 @dataclass(frozen=True)
 class TransportPlan:
     """Coupling between two clouds: nonnegative n-by-m weights with uniform marginals."""

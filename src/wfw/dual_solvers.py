@@ -72,10 +72,6 @@ class TrustRegionIndicator:
     def smoothness_on(self, l, u):
         return 0.0  # affine on lam > 0
 
-    def regularization_at(self, lam):
-        """Left derivative of psi*."""
-        return 0.5 * self.delta**2 if lam > 0.0 else 0.0
-
 
 class PowerPenalty:
     """Power penalty psi(x) = x^(1+alpha)/(1+alpha) on the cost axis x >= 0.
@@ -110,9 +106,6 @@ class PowerPenalty:
         lo = (1.0 / a) * l ** (1.0 / a - 1.0) if l > 0 else math.inf
         hi = (1.0 / a) * u ** (1.0 / a - 1.0) if u > 0 else math.inf
         return max(lo, hi)
-
-    def regularization_at(self, lam):
-        return max(lam, 0.0) ** (1.0 / self.alpha)
 
 
 @dataclass(frozen=True)
@@ -174,8 +167,8 @@ def dual_interval(f, mu, penalty, c=None):
 
     l sits one unit above the semiconvexity; u = l + sqrt(2C) with C = 8 L^2
     by default (callers may pass the penalty-matched C they can certify).
-    The penalty must be strong enough at l: its conjugate's left derivative
-    there may not exceed E[||grad f||^2] / (8 L^2).
+    The penalty must be strong enough at l: its conjugate's slope there may
+    not exceed E[||grad f||^2] / (8 L^2).
 
     Raises:
         RegularizationTooWeak: the slope check fails (for the trust-region
@@ -188,7 +181,7 @@ def dual_interval(f, mu, penalty, c=None):
 def _dual_interval(f, m2, penalty, c=None):
     """`dual_interval` given m2 = E_mu[||grad f||^2]."""
     l = f.semiconvexity + 1.0
-    reg = penalty.regularization_at(l)
+    reg = penalty.psi_star_deriv(l)
     lsm = f.smoothness
     need = m2 / (8.0 * lsm * lsm) if lsm > 0 else math.inf
     # The relative slack admits a trust-region radius set exactly to the
@@ -214,8 +207,16 @@ def _dual_interval(f, m2, penalty, c=None):
 
 
 def _penalty_matched_c(f, m2, penalty):
-    reg = penalty.regularization_at(f.semiconvexity + 1.0)
+    reg = penalty.psi_star_deriv(f.semiconvexity + 1.0)
     return m2 / reg if reg > 0 else None
+
+
+def _tolerances(eps, interval):
+    """(eps_alg, eps_prox) of a bisection on `interval` with target gap eps:
+    its slope tolerance and the accuracy of every prox pass it makes."""
+    l, u = interval
+    eps_alg = eps / (4.0 + l)
+    return eps_alg, eps_alg / (2.0 * max(u - l, 1.0))
 
 
 def _slope(f, mu, lam, eps, eps_prox, delta, rng, m4):
@@ -251,8 +252,7 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
     m2 = _mean_sq_grad(f, mu)
     l, u = _dual_interval(f, m2, penalty, c=_penalty_matched_c(f, m2, penalty))
     l0, u0, b = l, u, l
-    eps_alg = eps / (4.0 + l)
-    eps_prox = eps_alg / (2.0 * max(u - l, 1.0))
+    eps_alg, eps_prox = _tolerances(eps, (l, u))
 
     _, gp_l = g_value_and_grad_fullbatch(f, mu, l, eps_prox)
     oracle_calls, samples = 1, mu.n
@@ -297,57 +297,6 @@ def _report_values(f, mu, penalty, lam, eps_prox):
     dual = fbar + lam * cbar - penalty.psi_star(lam)
     primal = fbar + penalty.psi(cbar)
     return dual, primal, primal - dual, y, cbar
-
-
-def stochastic_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=True):
-    """Dual-only bisection with an early exit on a small supergradient.
-
-    Follows the sign of eta = theta_g(lam) - Proj_{subgrad psi*(lam)}(theta_g)
-    on the interval `dual_interval` gives with the penalty-matched width,
-    and stops as soon as |eta| <= eps / max(lam - l, 1) or the interval is
-    narrower than eps / B, with B = 2 E_mu[||grad f||^2] + psi*'(u),
-    returning the last midpoint.  The report carries the dual value only
-    (primal fields are None).
-
-    Raises:
-        RegularizationTooWeak, IntervalEmpty: as `dual_interval`.
-    """
-    m2 = _mean_sq_grad(f, mu)
-    l, u = _dual_interval(f, m2, penalty, c=_penalty_matched_c(f, m2, penalty))
-    l0, u0, b = l, u, l
-    big_b = max(2.0 * m2 + penalty.psi_star_deriv(u), 1e-12)
-    width = eps / big_b
-    steps = max(int(math.ceil(math.log2((u - l) / width))) + 1, 1) if u - l > width else 1
-    delta_call = delta_prob / steps
-    eps_prox = eps / (2.0 * max(u - l, 1.0))
-    m4 = gradient_fourth_moment(f, mu) if stochastic else None
-
-    lam = 0.5 * (l + u)
-    eta = math.inf
-    oracle_calls, samples = 0, 0
-    while abs(eta) > eps / max(lam - b, 1.0) and u - l > width:
-        lam = 0.5 * (l + u)
-        eta, drawn = _slope(f, mu, lam, eps, eps_prox, delta_call, rng, m4)
-        samples += drawn
-        oracle_calls += 1
-        lo, hi = penalty.subgrad_interval(lam)
-        eta -= min(max(eta, lo), hi)
-        if eta > 0:
-            l = lam
-        else:
-            u = lam
-
-    gval, _ = g_value_and_grad_fullbatch(f, mu, lam, eps_prox)
-    samples += mu.n
-    return DualSolveReport(
-        lambda_star=lam,
-        dual_value=gval - penalty.psi_star(lam),
-        primal_value=None,
-        gap=None,
-        oracle_calls=oracle_calls,
-        samples_drawn=samples,
-        interval=(l0, u0),
-    )
 
 
 def mirror_ascent_envelope(interval, k, c2, d_bound, eps=0.0):
@@ -457,12 +406,10 @@ def trust_region_step(f, mu, delta, eps, gamma, rng, stochastic=False):
             admissible=0.0,
         ) from exc
 
-    l0, u0 = rep.interval
-    eps_prox = (eps / (4.0 + l0)) / (2.0 * max(u0 - l0, 1.0))
+    _, eps_prox = _tolerances(eps, rep.interval)
     lam = rep.lambda_star
-    cost_cap = 0.5 * delta**2 * (1.0 + 1e-6)
     for _ in range(5):
-        if rep.cost <= cost_cap:
+        if penalty.psi(rep.cost) == 0.0:
             break
         lam *= 1.05
         dual, primal, gap, y, cbar = _report_values(f, mu, penalty, lam, eps_prox)
@@ -475,7 +422,7 @@ def trust_region_step(f, mu, delta, eps, gamma, rng, stochastic=False):
             images=y,
             cost=cbar,
         )
-    if rep.cost > cost_cap:
+    if penalty.psi(rep.cost) != 0.0:
         raise InfeasiblePrimal(
             f"transported cost {rep.cost} above bound {0.5 * delta**2} after nudging",
             cost=rep.cost,

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .cloud import sqdist_matrix
+from .cloud import CloudMemo, sqdist_matrix
 from .errors import NonFiniteDual, SinkhornNotConverged
 from .moreau import SmoothObjective
 
@@ -91,7 +91,8 @@ class RandomFeatureKernel:
     `table` holds the B frozen feature directions t_b as rows; the Gram
     matrix is a Gram of feature vectors, hence positive semidefinite by
     construction.  The gradient Lipschitz bound uses the peak curvature of
-    tanh and the mean squared row norm of the table.
+    tanh and the mean squared row norm of the table.  A cloud's feature map
+    is computed once and shared by every caller (`CloudMemo`).
     """
 
     name = "random-feature"
@@ -103,9 +104,16 @@ class RandomFeatureKernel:
         self.table = table.copy()
         self.table.setflags(write=False)
         self.grad_lipschitz = _TANH_CURV * float(np.mean(np.sum(table**2, axis=1)))
+        self._memo = CloudMemo(self._map)
 
     def features(self, x):
-        return np.tanh(x @ self.table.T)
+        """phi(x) = tanh(x T^T), one row per point, as a read-only array."""
+        return self._memo(x)
+
+    def _map(self, x):
+        phi = np.tanh(x @ self.table.T)
+        phi.setflags(write=False)
+        return phi
 
     def feature_grad(self, z, w):
         """Rows: grad_z of phi(z) . w, for a weight vector w of length B."""
@@ -276,11 +284,10 @@ class EntropicDeconv(Functional):
     whose gradient is z minus the softmax-weighted data mean.
 
     One Sinkhorn solve serves each cloud: `value` and `derivative_oracle`
-    on the same read-only points array (as every `ParticleCloud` holds)
-    share it through a one-entry memo.  Any other array may change between
-    calls, so it is solved afresh every time.
-    Every actual solve appends its final marginal error to
-    `marginal_error_log` for auditing, so the log holds one entry per solve.
+    on the same `ParticleCloud` share it through a `CloudMemo`, and any
+    other array is solved afresh every time.  Every actual solve appends
+    its final marginal error to `marginal_error_log` for auditing, so the
+    log holds one entry per solve.
     """
 
     def __init__(self, sigma2, data, tol=1e-9):
@@ -290,7 +297,7 @@ class EntropicDeconv(Functional):
         self.data = data
         self.tol = float(tol)
         self.marginal_error_log = []
-        self._memo = (None, None)
+        self._solve = CloudMemo(self._sinkhorn)
         # Softmax weights always sit on the data atoms, so the weighted
         # covariance never exceeds (diam/2)^2 in any direction: a global
         # semiconvexity bound for the witness.
@@ -298,21 +305,13 @@ class EntropicDeconv(Functional):
         diam2 = float(np.max(d2))
         self._rho = max(0.0, diam2 / (4.0 * self.sigma2) - 1.0)
 
-    def _solve(self, points):
-        """(u, v, mass) for the cloud at `points`; reuses the last solve when it can."""
-        key, result = self._memo
-        if key is points:
-            return result
+    def _sinkhorn(self, points):
+        """(u, v, mass) for the cloud at `points`, logging the marginal error."""
         u, v, err, _, mass = _sinkhorn_potentials(
             points, self.data.points, self.sigma2, self.tol
         )
         self.marginal_error_log.append(err)
-        result = (u, v, mass)
-        # A read-only array that owns its data cannot change under us, and
-        # holding it keeps its identity from passing to another array.
-        frozen = not points.flags.writeable and points.flags.owndata
-        self._memo = (points if frozen else None, result)
-        return result
+        return u, v, mass
 
     def value(self, mu):
         u, v, mass = self._solve(mu.points)

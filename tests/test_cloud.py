@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -25,6 +28,20 @@ from wfw.cloud import (
 )
 from wfw.errors import DimensionMismatch, SizeCapExceeded, TOutOfRange
 from wfw.registry import linear, quadratic
+
+
+def test_import_loads_no_scipy():
+    """scipy loads with the exact-OT oracle, not with the package: at import
+    it adds ~22 MB and ~0.23 s to every `import wfw`.  A fresh interpreter
+    shows it, since this one has loaded scipy already."""
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, wfw; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def _brute_force_w2(a, b):

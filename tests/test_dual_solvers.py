@@ -18,7 +18,6 @@ from wfw.dual_solvers import (
     mirror_ascent_envelope,
     primal_dual_bisection,
     primal_dual_gap,
-    stochastic_bisection,
     trust_region_step,
 )
 from wfw.errors import (
@@ -188,59 +187,6 @@ class TestBisection:
         assert rep.gap is None or rep.gap >= 0.0
 
 
-class TestStochasticBisection:
-    def test_zero_oracle_and_penalty_exits_at_midpoint(self):
-        """A penalty whose subdifferential is the whole line zeroes eta at the
-        first midpoint of (1, 3), so the search stops there."""
-        pts = np.random.default_rng(16).normal(size=(4, 2))
-        mu = ParticleCloud(pts)
-        a = np.array([0.3, -0.4])
-        m2 = float(np.sum(a**2))  # grad f = a at every atom
-
-        class WholeLinePenalty:
-            def psi_star(self, lam):
-                return 0.0
-
-            def psi_star_deriv(self, lam):
-                return 0.0
-
-            def subgrad_interval(self, lam):
-                return (-math.inf, math.inf)
-
-            def smoothness_on(self, l, u):
-                return 0.0
-
-            def regularization_at(self, lam):
-                return 0.5 * m2  # penalty-matched width m2/reg = 2: u = 1 + 2
-
-        rep = stochastic_bisection(
-            linear(a), mu, WholeLinePenalty(), 0.5, 0.2, np.random.default_rng(0)
-        )
-        assert rep.interval == (1.0, 3.0)
-        assert rep.lambda_star == pytest.approx(2.0)
-        assert rep.oracle_calls == 1
-        assert rep.primal_value is None and rep.gap is None
-
-    def test_near_optimal_on_linear_objective(self):
-        rng = np.random.default_rng(3)
-        pts = rng.normal(size=(10, 2)) * 0.6
-        mu = ParticleCloud(pts)
-        a = np.array([0.12, -0.05])
-        pen = TrustRegionIndicator(0.1)
-        rep = stochastic_bisection(
-            linear(a), mu, pen, 0.01, 0.3, np.random.default_rng(4)
-        )
-        assert rep.oracle_calls >= 1
-        assert rep.interval[0] <= rep.lambda_star <= rep.interval[1]
-        # dual suboptimality of the returned multiplier, against the
-        # closed-form maximizer lam* = ||a|| / delta of
-        # h(lam) = E[a.x] - ||a||^2/(2 lam) - lam delta^2/2
-        na = float(np.linalg.norm(a))
-        lam_opt = min(max(na / 0.1, rep.interval[0]), rep.interval[1])
-        h = lambda lam: float(np.mean(pts @ a)) - na**2 / (2 * lam) - 0.005 * lam
-        assert h(lam_opt) - h(rep.lambda_star) <= 0.1
-
-
 class TestSampledSlope:
     """The sampled oracle's fourth moment depends on (f, mu) only, so a
     solve computes it once, however many sampled slopes it asks for."""
@@ -266,18 +212,6 @@ class TestSampledSlope:
             quadratic(), mu, pen, 0.5, 0.3, np.random.default_rng(7), stochastic=True
         )
         assert rep.oracle_calls > 2 and calls == [8]
-
-        calls.clear()
-        mu = ParticleCloud(np.random.default_rng(3).normal(size=(10, 2)) * 0.6)
-        rep = stochastic_bisection(
-            linear(np.array([0.12, -0.05])),
-            mu,
-            TrustRegionIndicator(0.2),
-            0.01,
-            0.3,
-            np.random.default_rng(4),
-        )
-        assert rep.oracle_calls > 2 and calls == [10]
 
     def test_mirror_ascent_shares_it_with_its_step_size(self, monkeypatch):
         calls = self._spy(monkeypatch)

@@ -250,15 +250,16 @@ class TestMMDFeatureSpace:
     def test_mmd_flow_baseline_maps_each_cloud_once_per_use(
         self, tmp_path, monkeypatch
     ):
-        """A baseline step maps n rows through the features four times: the
-        cloud's embedding for the witness, the witness gradient at the atoms,
-        and J and J_val of the moved cloud.  No Gram matrix is built."""
+        """A baseline step maps its n atoms through tanh once: J and J_val of
+        the moved cloud, and the next step's witness embedding and gradient
+        at the atoms, share one map.  The start cloud adds one more.  No
+        Gram matrix is built.  The spy counts the rows tanh actually maps."""
         feature_rows = {"total": 0, "baseline": 0}
-        features = RandomFeatureKernel.features
+        tanh = np.tanh
 
-        def counted_features(self, x):
+        def counted_tanh(x):
             feature_rows["total"] += x.shape[0]
-            return features(self, x)
+            return tanh(x)
 
         def no_gram(self, a, b):
             raise AssertionError("random-feature MMD built a Gram matrix")
@@ -271,7 +272,7 @@ class TestMMDFeatureSpace:
             feature_rows["baseline"] = feature_rows["total"] - before
             return result
 
-        monkeypatch.setattr(RandomFeatureKernel, "features", counted_features)
+        monkeypatch.setattr(np, "tanh", counted_tanh)
         monkeypatch.setattr(RandomFeatureKernel, "gram", no_gram)
         monkeypatch.setattr(experiments, "mmd_gradient_flow", counted_flow)
         n = 6
@@ -289,7 +290,54 @@ class TestMMDFeatureSpace:
         result = run_mmd_flow(cfg)
         steps = len(result["baseline_rows"])
         assert steps > 0
-        assert feature_rows["baseline"] == 4 * n * steps
+        assert feature_rows["baseline"] == n * (steps + 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        points=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(1, 3)),
+            elements=st.floats(-2.0, 2.0),
+        ),
+        moves=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["cloud", "equal cloud", "thawed cloud", "writeable", "view"]
+                ),
+                st.floats(-1.0, 1.0),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_feature_map_is_never_stale(self, points, moves):
+        """Whichever array comes in, and in whatever order, its map is tanh
+        of its current values: a writeable array or a read-only view that
+        changed in place, a new cloud, a new cloud with equal values, or a
+        cloud made writeable and moved in place.  Every returned map, cached
+        or not, is read-only."""
+        table = 0.5 * np.random.default_rng(0).standard_normal((5, points.shape[1]))
+        kernel = RandomFeatureKernel(table)
+        cloud = ParticleCloud(points)
+        base = points.copy()
+        view = base.view()
+        view.setflags(write=False)
+        for kind, shift in moves:
+            if kind == "cloud":
+                cloud = ParticleCloud(cloud.points + shift)
+            elif kind == "equal cloud":
+                cloud = ParticleCloud(cloud.points)
+            elif kind == "thawed cloud":
+                cloud.points.setflags(write=True)
+                cloud.points[...] += shift
+            else:
+                base += shift
+            x = {"writeable": base, "view": view}.get(kind, cloud.points)
+            for arr in (x, cloud.points, x):
+                phi = kernel.features(arr)
+                np.testing.assert_array_equal(phi, np.tanh(arr @ table.T))
+                with pytest.raises(ValueError):
+                    phi[0, 0] = 0.0
 
 
 class TestSinkhorn:
