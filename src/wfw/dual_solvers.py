@@ -7,9 +7,9 @@ penalty psi on the transported cost:
 
 Its dual over the single scalar lam is g(lam) - psi*(lam) with g the
 Moreau-envelope mean of the `moreau` module — concave, one-dimensional, and
-solvable by bisection or mirror ascent.  The trust-region specialization
-(psi an indicator of [0, delta^2/2]) is the inner step of the outer
-Frank-Wolfe loop.
+solvable by a bracketing search or mirror ascent.  The trust-region
+specialization (psi an indicator of [0, delta^2/2]) is the inner step of
+the outer Frank-Wolfe loop.
 """
 
 import math
@@ -115,6 +115,7 @@ class DualSolveReport:
     `images` and `cost` are the prox images of the atoms at `lambda_star`
     and their mean half squared displacement, from the prox pass that
     certified the primal value (None when no such pass ran).
+    `oracle_calls` counts every certifying prox pass and sampled slope.
 
     Raises:
         WeakDualityViolated: the gap is below -1e-6.
@@ -232,15 +233,22 @@ def _slope(f, mu, lam, eps, eps_prox, delta, rng, m4):
 
 
 def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False):
-    """Bisection on the dual with a primal certificate at the returned point.
+    """Bracketing search on the dual with a primal certificate at the returned point.
 
-    Halves the interval on the sign of eta = g'(lam) - psi*'(lam), with the
-    asymmetric acceptance threshold -eps_alg / max(lam - l, 1); on exit the
-    right endpoint is returned and a full prox pass at it produces matching
-    primal and dual values, so the reported gap is a true Fenchel-Young gap.
+    Keeps a bracket [l, u] on the sign of h(lam) = g'(lam) - psi*'(lam) and
+    returns u with a full prox pass at u, whose matching primal and dual
+    values make the reported gap a true Fenchel-Young gap.  On the full-batch
+    path every point is such a pass (the name is historical): Illinois regula
+    falsi (Dowell & Jarratt, BIT 11, 1971) on h(l) > 0 >= h(u), with the
+    midpoint for a secant point outside (l, u), stops as soon as u's pass
+    certifies a gap <= eps_alg, and returns l itself when h(l) <= 0.  The
+    sampled path bisects, moving u on h < -eps_alg / max(lam - l, 1), and
+    certifies u at the end.  Both stop by plain bisection's a-priori width
+    eps_alg / B (B >= 16 m2^2) or two passes past its pass count.
 
     Args:
-        eps: target primal-dual gap; the internal tolerance is eps/(4 + l).
+        eps: target primal-dual gap; the internal tolerance is
+            eps_alg = eps/(4 + l).
         delta_prob: total failure probability budget (split across the
             stochastic oracle calls; unused on the deterministic path).
         stochastic: use the sampled supergradient oracle instead of the
@@ -251,33 +259,53 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
     """
     m2 = _mean_sq_grad(f, mu)
     l, u = _dual_interval(f, m2, penalty, c=_penalty_matched_c(f, m2, penalty))
-    l0, u0, b = l, u, l
+    l0, u0 = l, u
     eps_alg, eps_prox = _tolerances(eps, (l, u))
+    oracle_calls = samples = 0
 
-    _, gp_l = g_value_and_grad_fullbatch(f, mu, l, eps_prox)
-    oracle_calls, samples = 1, mu.n
+    def full_pass(lam):
+        nonlocal oracle_calls, samples
+        oracle_calls, samples = oracle_calls + 1, samples + mu.n
+        values = _report_values(f, mu, penalty, lam, eps_prox)
+        return values, values[4] - penalty.psi_star_deriv(lam)
+
+    lo, h_l = full_pass(l)
     m4 = gradient_fourth_moment(f, mu) if stochastic else None
-    big_b = max(penalty.smoothness_on(l, u), 4.0 * gp_l**2, 16.0 * m2**2, 1e-12)
+    big_b = max(penalty.smoothness_on(l, u), 4.0 * lo[4] ** 2, 16.0 * m2**2, 1e-12)
     width = eps_alg / big_b
     steps = max(int(math.ceil(math.log2((u - l) / width))) + 1, 1) if u - l > width else 1
     delta_call = delta_prob / steps
+    hi, h_u, kept = None, 0.0, None  # kept: the end the last step left in place
+    if not stochastic and h_l <= 0.0:  # the dual peaks at l
+        u, hi = l, lo
+    elif not stochastic:
+        hi, h_u = full_pass(u)
 
-    while u - l > width:
-        lam = 0.5 * (l + u)
-        eta, drawn = _slope(f, mu, lam, eps_alg, eps_prox, delta_call, rng, m4)
-        samples += drawn
-        oracle_calls += 1
-        eta -= penalty.psi_star_deriv(lam)
-        if eta < -eps_alg / max(lam - b, 1.0):
-            u = lam
+    # hi[2] is the gap of u's pass; plain bisection makes steps + 1 passes.
+    while u - l > width and (hi is None or hi[2] > eps_alg) and oracle_calls < steps + 3:
+        if stochastic:
+            lam = 0.5 * (l + u)
+            h, drawn = _slope(f, mu, lam, eps_alg, eps_prox, delta_call, rng, m4)
+            oracle_calls, samples = oracle_calls + 1, samples + drawn
+            values, h = None, h - penalty.psi_star_deriv(lam)
+            right = h < -eps_alg / max(lam - l0, 1.0)
         else:
-            l = lam
+            lam = l + h_l * (u - l) / (h_l - h_u)
+            lam = lam if l < lam < u else 0.5 * (l + u)
+            values, h = full_pass(lam)
+            right = h <= 0.0
+        if right:
+            h_l *= 0.5 if kept == "l" else 1.0  # Illinois: l kept twice running
+            u, hi, h_u, kept = lam, values, h, "l"
+        else:
+            h_u *= 0.5 if kept == "u" else 1.0
+            l, h_l, kept = lam, h, "u"
 
-    lam_star = u
-    dual, primal, gap, y, cbar = _report_values(f, mu, penalty, lam_star, eps_prox)
-    samples += mu.n
+    if hi is None:
+        hi, _ = full_pass(u)
+    dual, primal, gap, y, cbar = hi
     return DualSolveReport(
-        lambda_star=lam_star,
+        lambda_star=u,
         dual_value=dual,
         primal_value=primal,
         gap=gap,
@@ -372,12 +400,13 @@ def mirror_ascent(
 def trust_region_step(f, mu, delta, eps, gamma, rng, stochastic=False):
     """Approximately minimize E_nu[f] over clouds within transport distance delta of mu.
 
-    Solves the indicator-penalized dual by bisection, then certifies primal
-    feasibility from the transported cost of the bisection's certifying
-    prox pass (nudging lam up a few times, one prox pass each, if prox error
-    leaves the cost a hair above delta^2/2).  The radius is admitted by the
-    bisection's own interval check, so the gradient field is evaluated over
-    the atoms once per step.
+    Solves the indicator-penalized dual by `primal_dual_bisection` and moves
+    the atoms to the images of its certifying prox pass.  On the full-batch
+    path that pass has cost <= delta^2/2 by the bracket's invariant; on the
+    sampled path lam is nudged up a few times, one prox pass each, while
+    the cost sits a hair above it.  The radius is admitted by the solver's
+    own interval check, so the gradient field is evaluated over the atoms
+    once per step.
 
     Returns:
         (sampler, report): the sampler couples each atom to its prox image;

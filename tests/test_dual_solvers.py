@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wfw import dual_solvers
@@ -28,8 +28,46 @@ from wfw.errors import (
     WfwError,
 )
 from wfw.frank_wolfe import counted_model
-from wfw.moreau import SmoothObjective
+from wfw.moreau import SmoothObjective, g_value_and_grad_fullbatch
 from wfw.registry import double_well, linear, quadratic, zero
+
+
+def _plain_bisection_budget(f, mu, pen, eps):
+    """(eps_alg, width, passes) of plain bisection on the solver's interval:
+    its tolerance, its a-priori stopping width eps_alg / B, and the prox
+    passes it spends (one at l, one per halving, one to certify)."""
+    m2 = float(np.mean(np.sum(f.grad_many(mu.points) ** 2, axis=1)))
+    l = f.semiconvexity + 1.0
+    l, u = dual_interval(f, mu, pen, c=m2 / pen.psi_star_deriv(l))
+    eps_alg, eps_prox = dual_solvers._tolerances(eps, (l, u))
+    _, cbar_l = g_value_and_grad_fullbatch(f, mu, l, eps_prox)
+    width = eps_alg / max(pen.smoothness_on(l, u), 4.0 * cbar_l**2, 16.0 * m2**2, 1e-12)
+    return eps_alg, width, max(math.ceil(math.log2((u - l) / width)), 0) + 2
+
+
+def _spy_passes(monkeypatch):
+    """(lam, h(lam)) of every certifying prox pass, in evaluation order."""
+    passes = []
+    report_values = dual_solvers._report_values
+
+    def spy(f, mu, pen, lam, eps_prox):
+        values = report_values(f, mu, pen, lam, eps_prox)
+        passes.append((lam, values[4] - pen.psi_star_deriv(lam)))
+        return values
+
+    monkeypatch.setattr(dual_solvers, "_report_values", spy)
+    return passes
+
+
+_SOLVER_CASES = [
+    ("quadratic", "indicator"),
+    ("double-well", "indicator"),
+    ("linear", "indicator"),
+    ("quadratic", 0.5),
+    ("quadratic", 1.0),
+    ("linear", 0.5),
+    ("linear", 1.0),
+]
 
 
 class TestPenalties:
@@ -149,30 +187,144 @@ class TestBisection:
         m2 = float(np.mean(np.sum(pts**2, axis=1)))
         pen = TrustRegionIndicator(0.3 * math.sqrt(m2) / 2.0)
         rep = primal_dual_bisection(quadratic(), mu, pen, 1e-3, 0.05, rng)
-        # setup call + one per bisection step, n atoms sampled per call,
-        # plus the final report pass
-        assert rep.samples_drawn == rep.oracle_calls * mu.n + mu.n
+        # every oracle call is a certifying prox pass over the n atoms
+        assert rep.samples_drawn == rep.oracle_calls * mu.n
 
     def test_full_batch_oracle_is_looked_up_on_the_module(self, monkeypatch):
-        """Every full-batch slope goes through the module global
-        `dual_solvers.g_value_and_grad_fullbatch`, which the benchmark
-        tracer wraps."""
-        calls = []
-        fullbatch = dual_solvers.g_value_and_grad_fullbatch
+        """Every full-batch pass goes through a module global of `dual_solvers`
+        that the benchmark tracer wraps: `agd_prox_batch` for the bisection's
+        certifying passes, `g_value_and_grad_fullbatch` for mirror ascent's
+        slopes."""
+        calls = {"agd_prox_batch": [], "g_value_and_grad_fullbatch": []}
+        for name, lams in calls.items():
 
-        def spy(*args):
-            calls.append(args[2])
-            return fullbatch(*args)
+            def spy(*args, _real=getattr(dual_solvers, name), _lams=lams):
+                _lams.append(args[2])
+                return _real(*args)
 
-        monkeypatch.setattr(dual_solvers, "g_value_and_grad_fullbatch", spy)
+            monkeypatch.setattr(dual_solvers, name, spy)
         mu = ParticleCloud(np.random.default_rng(1).normal(size=(6, 2)) * 3.5)
         m2 = float(np.mean(np.sum(mu.points**2, axis=1)))
         pen = TrustRegionIndicator(0.3 * math.sqrt(m2) / 2.0)
         rep = primal_dual_bisection(quadratic(), mu, pen, 1e-3, 0.05, None)
-        assert len(calls) == rep.oracle_calls
-        calls.clear()
+        assert len(calls["agd_prox_batch"]) == rep.oracle_calls
+        assert calls["g_value_and_grad_fullbatch"] == []
         mirror_ascent(quadratic(), mu, pen, rep.interval, 7, None)
-        assert len(calls) == 7
+        assert len(calls["g_value_and_grad_fullbatch"]) == 7
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(_SOLVER_CASES),
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 8),
+        st.integers(1, 3),
+        st.floats(0.05, 1.0),
+        st.floats(-6.0, -2.0),
+    )
+    def test_full_batch_search_certifies_within_budget(
+        self, case, seed, n, d, frac, log_eps
+    ):
+        """The returned point has h <= 0, a finite primal and a gap in
+        [0, eps_alg], after at most two passes more than plain bisection."""
+        kind, power = case
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(n, d)) * rng.uniform(0.3, 3.0)
+        if kind == "double-well":  # its smoothness bound holds on ||x|| <= 2
+            pts /= np.maximum(1.0, np.linalg.norm(pts, axis=1, keepdims=True) / 2.0)
+        a = rng.normal(size=d)
+        a *= rng.uniform(1.5, 3.0) / np.linalg.norm(a)  # h(l) > 0 for each penalty
+        f = {"quadratic": quadratic(), "double-well": double_well(), "linear": linear(a)}[kind]
+        if power != "indicator" and kind == "quadratic":  # admissible for m2 >= 8
+            pts *= math.sqrt(12.0 / np.mean(np.sum(pts**2, axis=1)))
+        m2 = float(np.mean(np.sum(f.grad_many(pts) ** 2, axis=1)))
+        # a tinier field leaves the a-priori width too coarse to certify
+        # (test_uncertified_search_stops_on_its_caps)
+        assume(m2 >= 0.02)
+        if power != "indicator":
+            pen = PowerPenalty(power)
+        elif kind == "linear":
+            pen = TrustRegionIndicator(frac * np.linalg.norm(a))
+        else:
+            pen = TrustRegionIndicator(frac * math.sqrt(m2) / (2.0 * f.smoothness))
+        mu = ParticleCloud(pts)
+        eps = 10.0**log_eps
+        rep = primal_dual_bisection(f, mu, pen, eps, 0.05, None)
+        eps_alg, _, passes = _plain_bisection_budget(f, mu, pen, eps)
+        assert rep.cost <= pen.psi_star_deriv(rep.lambda_star)
+        assert math.isfinite(rep.primal_value)
+        # primal - dual cancels to roundoff at a tight certificate
+        assert -1e-12 * (1.0 + abs(rep.primal_value)) <= rep.gap <= eps_alg
+        assert rep.oracle_calls <= passes + 2
+
+    def test_double_well_step_stops_on_its_certificate(self):
+        """The 12-atom double-well step certifies within 13 passes; plain
+        bisection to its a-priori width spends 33 (32 oracle calls before its
+        certificate pass)."""
+        mu = ParticleCloud(np.random.default_rng(15).normal(size=(12, 2)))
+        _, rep = trust_region_step(
+            double_well(), mu, 0.1, 1e-3, 0.1, np.random.default_rng(0)
+        )
+        pen = TrustRegionIndicator(0.1, feas_slack=1e-6)
+        eps_alg, _, passes = _plain_bisection_budget(double_well(), mu, pen, 1e-3)
+        assert passes == 33
+        assert rep.oracle_calls <= 13
+        assert rep.gap <= eps_alg
+
+    def test_illinois_halves_the_end_kept_twice(self, monkeypatch):
+        """h(lam) = |a|^2 / (2 lam^2) - delta^2/2 is convex, so plain regula
+        falsi keeps l forever; after two moves of u, the secant uses h(l)/2."""
+        passes = _spy_passes(monkeypatch)
+        mu = ParticleCloud(np.random.default_rng(7).normal(size=(10, 3)))
+        a = np.array([0.9, -0.3, 0.4])
+        rep = primal_dual_bisection(
+            linear(a), mu, TrustRegionIndicator(0.25), 1e-3, 0.1, None
+        )
+        (l, h_l), _, (_, h_1), (u, h_2), (lam, _) = passes[:5]
+        assert h_l > 0.0 >= h_1 and h_2 <= 0.0
+        half = 0.5 * h_l
+        assert lam == pytest.approx(l + half * (u - l) / (half - h_2), rel=1e-12)
+        assert lam < l + h_l * (u - l) / (h_l - h_2)
+        assert rep.lambda_star == pytest.approx(np.linalg.norm(a) / 0.25, rel=1e-4)
+
+    @pytest.mark.parametrize(
+        "shape, scale, frac, cap",
+        [((6, 2), 0.02, 0.5, "width"), ((8, 3), 0.01, 0.3, "passes")],
+        ids=["width", "passes"],
+    )
+    def test_uncertified_search_stops_on_its_caps(
+        self, monkeypatch, shape, scale, frac, cap
+    ):
+        """With a tiny gradient field the a-priori width is too coarse for the
+        certificate: the search stops at that width, or two passes past plain
+        bisection's count, and still returns a point with h <= 0."""
+        passes = _spy_passes(monkeypatch)
+        mu = ParticleCloud(scale * np.random.default_rng(0).normal(size=shape))
+        m2 = float(np.mean(np.sum(mu.points**2, axis=1)))
+        pen = TrustRegionIndicator(frac * math.sqrt(m2) / 2.0)
+        rep = primal_dual_bisection(quadratic(), mu, pen, 1e-5, 0.1, None)
+        eps_alg, width, plain = _plain_bisection_budget(quadratic(), mu, pen, 1e-5)
+        bracket = rep.lambda_star - max(lam for lam, h in passes if h > 0.0)
+        assert rep.gap > eps_alg
+        assert rep.cost <= pen.psi_star_deriv(rep.lambda_star)
+        assert len(passes) == rep.oracle_calls
+        if cap == "width":
+            assert bracket <= width and rep.oracle_calls < plain + 2
+        else:
+            assert bracket > width and rep.oracle_calls == plain + 2
+
+    def test_dual_peaking_at_the_left_end_returns_it(self):
+        """A linear field weaker than the radius has h(l) < 0: the dual peaks
+        at l (its maximizer |a| / delta lies below the interval), so the
+        first pass is the answer."""
+        mu = ParticleCloud(np.random.default_rng(3).normal(size=(5, 2)))
+        a = np.array([0.3, -0.4])
+        rep = primal_dual_bisection(
+            linear(a), mu, TrustRegionIndicator(0.8), 1e-3, 0.1, None
+        )
+        assert rep.lambda_star == rep.interval[0] == 1.0
+        assert rep.oracle_calls == 1
+        assert rep.cost == pytest.approx(0.125)  # |a|^2 / (2 l^2)
+        assert rep.gap == pytest.approx(0.32 - 0.125)  # l (delta^2/2 - cost)
 
     def test_stochastic_variant_stays_in_interval(self):
         rng = np.random.default_rng(2)
@@ -379,7 +531,27 @@ class TestTrustRegion:
         _, rep = trust_region_step(f, mu, 0.1, 1e-3, 0.1, np.random.default_rng(0))
         [(rows, lam)] = bisection_rows
         assert rep.lambda_star == lam  # no nudge
-        assert counter["rows"] == rows == 3850
+        assert counter["rows"] == rows == 1302
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 8),
+        st.sampled_from(["quadratic", "double-well"]),
+        st.floats(0.05, 1.0),
+        st.booleans(),
+    )
+    def test_moved_cloud_is_within_the_radius(self, seed, n, kind, frac, stochastic):
+        """W2(mu, moved)^2 / 2 <= delta^2/2 (1 + 1e-6) on both oracle paths."""
+        rng = np.random.default_rng(seed)
+        mu = ParticleCloud(0.45 * rng.normal(size=(n, 2)))
+        f = quadratic() if kind == "quadratic" else double_well()
+        m2 = float(np.mean(np.sum(f.grad_many(mu.points) ** 2, axis=1)))
+        delta = frac * math.sqrt(m2) / (2.0 * f.smoothness)
+        eps = 0.5 if stochastic else 1e-3
+        sampler, _ = trust_region_step(f, mu, delta, eps, 0.3, rng, stochastic=stochastic)
+        dist, _ = wasserstein2_exact(mu, sampler.target_cloud())
+        assert 0.5 * dist**2 <= 0.5 * delta**2 * (1.0 + 1e-6)
 
     def test_step_computes_the_gradient_norm_once(self, monkeypatch):
         """The radius check, the dual interval, its penalty-matched width and
