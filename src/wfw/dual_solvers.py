@@ -13,7 +13,7 @@ the outer Frank-Wolfe loop.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -22,7 +22,6 @@ from .errors import (
     DeltaTooLarge,
     InfeasiblePrimal,
     IntervalEmpty,
-    LambdaTooSmall,
     RegularizationTooWeak,
     WeakDualityViolated,
 )
@@ -38,21 +37,20 @@ from .moreau import (
 class TrustRegionIndicator:
     """Indicator penalty of the cost interval [0, delta^2/2].
 
-    psi(x) = 0 on the interval, +inf beyond it (with a small relative
-    feasibility slack absorbing prox roundoff); psi*(lam) = (delta^2/2) *
-    max(lam, 0).  Constraining the transported cost to delta^2/2 constrains
-    the transport distance to delta.
+    psi(x) = 0 on the interval, +inf beyond it (with a fixed relative
+    feasibility slack of 1e-6 absorbing prox roundoff); psi*(lam) =
+    (delta^2/2) * max(lam, 0).  Constraining the transported cost to
+    delta^2/2 constrains the transport distance to delta.
     """
 
-    def __init__(self, delta, feas_slack=1e-9):
+    def __init__(self, delta):
         if delta <= 0:
             raise ValueError("delta must be positive")
         self.delta = float(delta)
-        self.feas_slack = float(feas_slack)
 
     def psi(self, x):
         bound = 0.5 * self.delta**2
-        return 0.0 if x <= bound * (1.0 + self.feas_slack) else math.inf
+        return 0.0 if x <= bound * (1.0 + 1e-6) else math.inf
 
     def psi_star(self, lam):
         return 0.5 * self.delta**2 * max(lam, 0.0)
@@ -207,19 +205,6 @@ def _dual_interval(f, m2, penalty, c=None):
     return l, u
 
 
-def _penalty_matched_c(f, m2, penalty):
-    reg = penalty.psi_star_deriv(f.semiconvexity + 1.0)
-    return m2 / reg if reg > 0 else None
-
-
-def _tolerances(eps, interval):
-    """(eps_alg, eps_prox) of a bisection on `interval` with target gap eps:
-    its slope tolerance and the accuracy of every prox pass it makes."""
-    l, u = interval
-    eps_alg = eps / (4.0 + l)
-    return eps_alg, eps_alg / (2.0 * max(u - l, 1.0))
-
-
 def _slope(f, mu, lam, eps, eps_prox, delta, rng, m4):
     """(estimate of g'(lam), samples drawn): sampled at accuracy eps and
     confidence delta when given the cloud's gradient fourth moment m4
@@ -235,16 +220,18 @@ def _slope(f, mu, lam, eps, eps_prox, delta, rng, m4):
 def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False):
     """Bracketing search on the dual with a primal certificate at the returned point.
 
-    Keeps a bracket [l, u] on the sign of h(lam) = g'(lam) - psi*'(lam) and
-    returns u with a full prox pass at u, whose matching primal and dual
-    values make the reported gap a true Fenchel-Young gap.  On the full-batch
-    path every point is such a pass (the name is historical): Illinois regula
-    falsi (Dowell & Jarratt, BIT 11, 1971) on h(l) > 0 >= h(u), with the
-    midpoint for a secant point outside (l, u), stops as soon as u's pass
-    certifies a gap <= eps_alg, and returns l itself when h(l) <= 0.  The
-    sampled path bisects, moving u on h < -eps_alg / max(lam - l, 1), and
-    certifies u at the end.  Both stop by plain bisection's a-priori width
-    eps_alg / B (B >= 16 m2^2) or two passes past its pass count.
+    Keeps [l, u] on the sign of h(lam) = g'(lam) - psi*'(lam) and returns u
+    with a full prox pass at u, whose matching primal and dual values make
+    the reported gap a true Fenchel-Young gap.  On the full-batch path every
+    point is such a pass (the name is historical): Illinois regula falsi
+    (Dowell & Jarratt, BIT 11, 1971) on h(l) > 0 >= h(u), with the midpoint
+    for a secant point outside (l, u), stops as soon as u's pass certifies a
+    gap <= eps_alg, and returns l itself when h(l) <= 0.  The sampled path
+    bisects, moving u on h < -eps_alg / max(lam - l, 1), and passes at u;
+    when that pass is infeasible (misled samples) it certifies the right end
+    u0, where g'(u0) < psi*'(u0) / 4.  Both stop at plain bisection's width
+    eps_alg / B, B = max(psi* smoothness, 16 m2^2, 1e-12), m2 = E||grad f||^2;
+    the full-batch search also stops two passes past plain bisection's count.
 
     Args:
         eps: target primal-dual gap; the internal tolerance is
@@ -258,9 +245,13 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
         RegularizationTooWeak, IntervalEmpty: as `dual_interval`.
     """
     m2 = _mean_sq_grad(f, mu)
-    l, u = _dual_interval(f, m2, penalty, c=_penalty_matched_c(f, m2, penalty))
+    reg = penalty.psi_star_deriv(f.semiconvexity + 1.0)
+    l, u = _dual_interval(f, m2, penalty, c=m2 / reg if reg > 0 else None)
     l0, u0 = l, u
-    eps_alg, eps_prox = _tolerances(eps, (l, u))
+    eps_alg = eps / (4.0 + l)
+    eps_prox = eps_alg / (2.0 * max(u - l, 1.0))
+    width = eps_alg / max(penalty.smoothness_on(l, u), 16.0 * m2**2, 1e-12)
+    steps = max(math.ceil(math.log2((u - l) / width)) + 1, 1)
     oracle_calls = samples = 0
 
     def full_pass(lam):
@@ -269,40 +260,39 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
         values = _report_values(f, mu, penalty, lam, eps_prox)
         return values, values[4] - penalty.psi_star_deriv(lam)
 
-    lo, h_l = full_pass(l)
-    m4 = gradient_fourth_moment(f, mu) if stochastic else None
-    big_b = max(penalty.smoothness_on(l, u), 4.0 * lo[4] ** 2, 16.0 * m2**2, 1e-12)
-    width = eps_alg / big_b
-    steps = max(int(math.ceil(math.log2((u - l) / width))) + 1, 1) if u - l > width else 1
-    delta_call = delta_prob / steps
-    hi, h_u, kept = None, 0.0, None  # kept: the end the last step left in place
-    if not stochastic and h_l <= 0.0:  # the dual peaks at l
-        u, hi = l, lo
-    elif not stochastic:
-        hi, h_u = full_pass(u)
-
-    # hi[2] is the gap of u's pass; plain bisection makes steps + 1 passes.
-    while u - l > width and (hi is None or hi[2] > eps_alg) and oracle_calls < steps + 3:
-        if stochastic:
+    if stochastic:
+        m4 = gradient_fourth_moment(f, mu)
+        while u - l > width:
             lam = 0.5 * (l + u)
-            h, drawn = _slope(f, mu, lam, eps_alg, eps_prox, delta_call, rng, m4)
+            h, drawn = _slope(f, mu, lam, eps_alg, eps_prox, delta_prob / steps, rng, m4)
             oracle_calls, samples = oracle_calls + 1, samples + drawn
-            values, h = None, h - penalty.psi_star_deriv(lam)
-            right = h < -eps_alg / max(lam - l0, 1.0)
-        else:
+            if h - penalty.psi_star_deriv(lam) < -eps_alg / max(lam - l0, 1.0):
+                u = lam
+            else:
+                l = lam
+        hi, _ = full_pass(u)
+        if not math.isfinite(hi[1]):
+            # u0 - rho > sqrt(2 m2 / psi*'(l)) and g'(lam) <= m2 / (2 (lam - rho)^2)
+            u, (hi, _) = u0, full_pass(u0)
+    else:
+        hi, h_l = full_pass(l)
+        h_u, kept = 0.0, None  # kept: the end the last step left in place
+        if h_l > 0.0:
+            hi, h_u = full_pass(u)
+        else:  # the dual peaks at l
+            u = l
+        # hi[2] is the gap of u's pass; plain bisection makes steps + 1 passes.
+        while u - l > width and hi[2] > eps_alg and oracle_calls < steps + 3:
             lam = l + h_l * (u - l) / (h_l - h_u)
             lam = lam if l < lam < u else 0.5 * (l + u)
             values, h = full_pass(lam)
-            right = h <= 0.0
-        if right:
-            h_l *= 0.5 if kept == "l" else 1.0  # Illinois: l kept twice running
-            u, hi, h_u, kept = lam, values, h, "l"
-        else:
-            h_u *= 0.5 if kept == "u" else 1.0
-            l, h_l, kept = lam, h, "u"
+            if h <= 0.0:
+                h_l *= 0.5 if kept == "l" else 1.0  # Illinois: l kept twice running
+                u, hi, h_u, kept = lam, values, h, "l"
+            else:
+                h_u *= 0.5 if kept == "u" else 1.0
+                l, h_l, kept = lam, h, "u"
 
-    if hi is None:
-        hi, _ = full_pass(u)
     dual, primal, gap, y, cbar = hi
     return DualSolveReport(
         lambda_star=u,
@@ -401,12 +391,12 @@ def trust_region_step(f, mu, delta, eps, gamma, rng, stochastic=False):
     """Approximately minimize E_nu[f] over clouds within transport distance delta of mu.
 
     Solves the indicator-penalized dual by `primal_dual_bisection` and moves
-    the atoms to the images of its certifying prox pass.  On the full-batch
-    path that pass has cost <= delta^2/2 by the bracket's invariant; on the
-    sampled path lam is nudged up a few times, one prox pass each, while
-    the cost sits a hair above it.  The radius is admitted by the solver's
-    own interval check, so the gradient field is evaluated over the atoms
-    once per step.
+    the atoms to the images of its certifying prox pass, which lies in the
+    ball on both oracle paths; no pass runs after the search.  The radius
+    is admitted by the solver's own interval check, so the gradient field
+    is evaluated over the atoms once per step.  When h(l) <= 0 (for a
+    linear f, |a| <= delta) the step is the prox at l: shorter than delta,
+    with a gap l (delta^2/2 - cost) that can exceed eps.
 
     Returns:
         (sampler, report): the sampler couples each atom to its prox image;
@@ -416,9 +406,9 @@ def trust_region_step(f, mu, delta, eps, gamma, rng, stochastic=False):
         DeltaTooLarge: delta above the admissible curvature bound
             ||grad f||_{L2(mu)} / (2 L) (up to a 1e-12 relative slack on
             delta^2), or a zero gradient field (admissible 0.0).
-        InfeasiblePrimal: feasibility could not be certified after nudging.
+        InfeasiblePrimal: the certifying pass lies outside the ball.
     """
-    penalty = TrustRegionIndicator(delta, feas_slack=1e-6)
+    penalty = TrustRegionIndicator(delta)
     try:
         rep = primal_dual_bisection(
             f, mu, penalty, eps, gamma, rng, stochastic=stochastic
@@ -434,26 +424,9 @@ def trust_region_step(f, mu, delta, eps, gamma, rng, stochastic=False):
             "gradient field vanishes on the cloud; no descent direction",
             admissible=0.0,
         ) from exc
-
-    _, eps_prox = _tolerances(eps, rep.interval)
-    lam = rep.lambda_star
-    for _ in range(5):
-        if penalty.psi(rep.cost) == 0.0:
-            break
-        lam *= 1.05
-        dual, primal, gap, y, cbar = _report_values(f, mu, penalty, lam, eps_prox)
-        rep = replace(
-            rep,
-            lambda_star=lam,
-            dual_value=dual,
-            primal_value=primal,
-            gap=gap,
-            images=y,
-            cost=cbar,
-        )
     if penalty.psi(rep.cost) != 0.0:
         raise InfeasiblePrimal(
-            f"transported cost {rep.cost} above bound {0.5 * delta**2} after nudging",
+            f"transported cost {rep.cost} above bound {0.5 * delta**2}",
             cost=rep.cost,
             bound=0.5 * delta**2,
         )
@@ -465,10 +438,8 @@ def primal_dual_gap(f, mu, penalty, lam, eps_inner):
 
     Raises:
         InfeasiblePrimal: the transported cost lands where psi is infinite.
-        LambdaTooSmall: lam at or below the semiconvexity.
+        LambdaTooSmall: lam at or below the semiconvexity (from the prox).
     """
-    if lam <= f.semiconvexity:
-        raise LambdaTooSmall(f"lam = {lam} <= semiconvexity {f.semiconvexity}")
     dual, primal, gap, _, cbar = _report_values(f, mu, penalty, lam, eps_inner)
     if not math.isfinite(primal):
         raise InfeasiblePrimal(

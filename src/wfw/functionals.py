@@ -350,12 +350,11 @@ class PairPotential:
     shape (..., d) they return shapes (...) and (..., d).
     """
 
-    def __init__(self, eval, grad_x, smoothness, semiconvexity, name=""):
+    def __init__(self, eval, grad_x, smoothness, semiconvexity):
         self.eval = eval
         self.grad_x = grad_x
         self.smoothness = float(smoothness)
         self.semiconvexity = float(semiconvexity)
-        self.name = name
 
 
 class PotentialInteraction(Functional):

@@ -1,7 +1,8 @@
 """Named builders for the built-in potentials, pair interactions, and kernels.
 
-The CLI resolves `--objective`/`--pair`/`--kernel` flags here; tests use the
-same builders so closed-form constants live in exactly one place.
+The CLI resolves `--objective`/`--pair` flags here and `run_mmd_flow` builds
+its random-feature kernel here; tests use the same builders so closed-form
+constants live in exactly one place.
 """
 
 import numpy as np
@@ -63,7 +64,6 @@ def pair_quadratic():
         grad_x=lambda x, y: x - y,
         smoothness=1.0,
         semiconvexity=0.0,
-        name="quadratic",
     )
 
 
@@ -82,7 +82,6 @@ def pair_double_well():
         grad_x=_grad_x,
         smoothness=11.0,
         semiconvexity=1.0,
-        name="double-well",
     )
 
 
@@ -93,7 +92,6 @@ def pair_zero():
         grad_x=lambda x, y: np.zeros(np.broadcast_shapes(x.shape, y.shape)),
         smoothness=0.0,
         semiconvexity=0.0,
-        name="zero",
     )
 
 

@@ -34,14 +34,14 @@ from wfw.registry import double_well, linear, quadratic, zero
 
 def _plain_bisection_budget(f, mu, pen, eps):
     """(eps_alg, width, passes) of plain bisection on the solver's interval:
-    its tolerance, its a-priori stopping width eps_alg / B, and the prox
+    its tolerance eps_alg = eps / (4 + l), its a-priori stopping width
+    eps_alg / B with B = max(psi* smoothness, 16 m2^2, 1e-12), and the prox
     passes it spends (one at l, one per halving, one to certify)."""
     m2 = float(np.mean(np.sum(f.grad_many(mu.points) ** 2, axis=1)))
     l = f.semiconvexity + 1.0
     l, u = dual_interval(f, mu, pen, c=m2 / pen.psi_star_deriv(l))
-    eps_alg, eps_prox = dual_solvers._tolerances(eps, (l, u))
-    _, cbar_l = g_value_and_grad_fullbatch(f, mu, l, eps_prox)
-    width = eps_alg / max(pen.smoothness_on(l, u), 4.0 * cbar_l**2, 16.0 * m2**2, 1e-12)
+    eps_alg = eps / (4.0 + l)
+    width = eps_alg / max(pen.smoothness_on(l, u), 16.0 * m2**2, 1e-12)
     return eps_alg, width, max(math.ceil(math.log2((u - l) / width)), 0) + 2
 
 
@@ -68,6 +68,43 @@ _SOLVER_CASES = [
     ("linear", 0.5),
     ("linear", 1.0),
 ]
+
+
+#: Accuracy of the prox passes behind the slope-bound properties: each
+#: atom's half squared displacement is certified within it.
+_PROX_EPS = 1e-10
+
+
+def _solver_instance(case, seed, n, d, frac):
+    """(f, mu, penalty, m2) of a random admissible solver instance for one of
+    `_SOLVER_CASES`; the indicator's radius is frac of the admissible one."""
+    kind, power = case
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, d)) * rng.uniform(0.3, 3.0)
+    if kind == "double-well":  # its smoothness bound holds on ||x|| <= 2
+        pts /= np.maximum(1.0, np.linalg.norm(pts, axis=1, keepdims=True) / 2.0)
+    a = rng.normal(size=d)
+    a *= rng.uniform(1.5, 3.0) / np.linalg.norm(a)  # h(l) > 0 for each penalty
+    f = {"quadratic": quadratic(), "double-well": double_well(), "linear": linear(a)}[kind]
+    if power != "indicator" and kind == "quadratic":  # admissible for m2 >= 8
+        pts *= math.sqrt(12.0 / np.mean(np.sum(pts**2, axis=1)))
+    m2 = float(np.mean(np.sum(f.grad_many(pts) ** 2, axis=1)))
+    if power != "indicator":
+        pen = PowerPenalty(power)
+    elif kind == "linear":
+        pen = TrustRegionIndicator(frac * np.linalg.norm(a))
+    else:
+        pen = TrustRegionIndicator(frac * math.sqrt(m2) / (2.0 * f.smoothness))
+    return f, ParticleCloud(pts), pen, m2
+
+
+_INSTANCES = (
+    st.sampled_from(_SOLVER_CASES),
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 8),
+    st.integers(1, 3),
+    st.floats(0.05, 1.0),
+)
 
 
 class TestPenalties:
@@ -213,40 +250,16 @@ class TestBisection:
         assert len(calls["g_value_and_grad_fullbatch"]) == 7
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.sampled_from(_SOLVER_CASES),
-        st.integers(0, 2**32 - 1),
-        st.integers(2, 8),
-        st.integers(1, 3),
-        st.floats(0.05, 1.0),
-        st.floats(-6.0, -2.0),
-    )
+    @given(*_INSTANCES, st.floats(-6.0, -2.0))
     def test_full_batch_search_certifies_within_budget(
         self, case, seed, n, d, frac, log_eps
     ):
         """The returned point has h <= 0, a finite primal and a gap in
         [0, eps_alg], after at most two passes more than plain bisection."""
-        kind, power = case
-        rng = np.random.default_rng(seed)
-        pts = rng.normal(size=(n, d)) * rng.uniform(0.3, 3.0)
-        if kind == "double-well":  # its smoothness bound holds on ||x|| <= 2
-            pts /= np.maximum(1.0, np.linalg.norm(pts, axis=1, keepdims=True) / 2.0)
-        a = rng.normal(size=d)
-        a *= rng.uniform(1.5, 3.0) / np.linalg.norm(a)  # h(l) > 0 for each penalty
-        f = {"quadratic": quadratic(), "double-well": double_well(), "linear": linear(a)}[kind]
-        if power != "indicator" and kind == "quadratic":  # admissible for m2 >= 8
-            pts *= math.sqrt(12.0 / np.mean(np.sum(pts**2, axis=1)))
-        m2 = float(np.mean(np.sum(f.grad_many(pts) ** 2, axis=1)))
+        f, mu, pen, m2 = _solver_instance(case, seed, n, d, frac)
         # a tinier field leaves the a-priori width too coarse to certify
         # (test_uncertified_search_stops_on_its_caps)
         assume(m2 >= 0.02)
-        if power != "indicator":
-            pen = PowerPenalty(power)
-        elif kind == "linear":
-            pen = TrustRegionIndicator(frac * np.linalg.norm(a))
-        else:
-            pen = TrustRegionIndicator(frac * math.sqrt(m2) / (2.0 * f.smoothness))
-        mu = ParticleCloud(pts)
         eps = 10.0**log_eps
         rep = primal_dual_bisection(f, mu, pen, eps, 0.05, None)
         eps_alg, _, passes = _plain_bisection_budget(f, mu, pen, eps)
@@ -264,7 +277,7 @@ class TestBisection:
         _, rep = trust_region_step(
             double_well(), mu, 0.1, 1e-3, 0.1, np.random.default_rng(0)
         )
-        pen = TrustRegionIndicator(0.1, feas_slack=1e-6)
+        pen = TrustRegionIndicator(0.1)
         eps_alg, _, passes = _plain_bisection_budget(double_well(), mu, pen, 1e-3)
         assert passes == 33
         assert rep.oracle_calls <= 13
@@ -326,7 +339,9 @@ class TestBisection:
         assert rep.cost == pytest.approx(0.125)  # |a|^2 / (2 l^2)
         assert rep.gap == pytest.approx(0.32 - 0.125)  # l (delta^2/2 - cost)
 
-    def test_stochastic_variant_stays_in_interval(self):
+    def test_stochastic_variant_stays_in_interval(self, monkeypatch):
+        """The sampled search makes one full prox pass, at its answer."""
+        passes = _spy_passes(monkeypatch)
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(8, 2)) * 0.45
         mu = ParticleCloud(pts)
@@ -337,6 +352,23 @@ class TestBisection:
         )
         assert rep.interval[0] <= rep.lambda_star <= rep.interval[1]
         assert rep.gap is None or rep.gap >= 0.0
+        assert [lam for lam, _ in passes] == [rep.lambda_star]
+
+    @settings(max_examples=60, deadline=None)
+    @given(*_INSTANCES)
+    def test_slope_bounds_behind_the_interval(self, case, seed, n, d, frac):
+        """g'(rho + 1) <= m2 / 2, so 4 g'(l)^2 never exceeds the width
+        bound's 16 m2^2 term; and g'(u0) <= psi*'(u0) / 4 at the right end
+        of the penalty-matched interval, since u0 - rho > sqrt(2 m2 / psi*'(l))
+        and g'(lam) <= m2 / (2 (lam - rho)^2): the sampled path's fallback
+        to u0 is feasible."""
+        f, mu, pen, m2 = _solver_instance(case, seed, n, d, frac)
+        l = f.semiconvexity + 1.0
+        _, u0 = dual_interval(f, mu, pen, c=m2 / pen.psi_star_deriv(l))
+        _, slope_l = g_value_and_grad_fullbatch(f, mu, l, _PROX_EPS)
+        _, slope_u0 = g_value_and_grad_fullbatch(f, mu, u0, _PROX_EPS)
+        assert slope_l <= 0.5 * m2 + _PROX_EPS
+        assert slope_u0 <= 0.25 * pen.psi_star_deriv(u0) + _PROX_EPS
 
 
 class TestSampledSlope:
@@ -514,8 +546,8 @@ class TestTrustRegion:
         np.testing.assert_array_equal(sampler.target_cloud().points, sampler.images)
 
     def test_step_reuses_the_certifying_prox_pass(self, monkeypatch):
-        """A step without nudges evaluates exactly the gradient rows of its
-        own bisection, whose interval check also admits the radius."""
+        """A step evaluates exactly the gradient rows of its own bisection,
+        whose interval check also admits the radius."""
         counter = {"rows": 0}
         f = counted_model(double_well(), counter)
         mu = ParticleCloud(np.random.default_rng(15).normal(size=(12, 2)))
@@ -530,8 +562,25 @@ class TestTrustRegion:
         monkeypatch.setattr(dual_solvers, "primal_dual_bisection", spy)
         _, rep = trust_region_step(f, mu, 0.1, 1e-3, 0.1, np.random.default_rng(0))
         [(rows, lam)] = bisection_rows
-        assert rep.lambda_star == lam  # no nudge
+        assert rep.lambda_star == lam
         assert counter["rows"] == rows == 1302
+
+    def test_misled_sampled_search_certifies_the_right_end(self, monkeypatch):
+        """Sampled slopes that always read -1 drive the search down to l,
+        whose pass leaves the ball; the step then certifies u0 = 11 instead,
+        where g'(u0) < psi*'(u0) / 4 keeps the images inside it."""
+        monkeypatch.setattr(dual_solvers, "_slope", lambda f, mu, *rest: (-1.0, mu.n))
+        mu = ParticleCloud(np.random.default_rng(2).normal(size=(8, 2)) * 0.45)
+        m2 = float(np.mean(np.sum(mu.points**2, axis=1)))
+        delta = 0.4 * math.sqrt(m2) / 2.0
+        sampler, rep = trust_region_step(
+            quadratic(), mu, delta, 0.5, 0.3, np.random.default_rng(7), stochastic=True
+        )
+        assert rep.lambda_star == rep.interval[1] == 11.0
+        assert rep.cost <= 0.5 * delta**2
+        assert math.isfinite(rep.primal_value)
+        dist, _ = wasserstein2_exact(mu, sampler.target_cloud())
+        assert dist <= delta
 
     @settings(max_examples=30, deadline=None)
     @given(
