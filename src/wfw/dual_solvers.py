@@ -224,9 +224,14 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
     with a full prox pass at u, whose matching primal and dual values make
     the reported gap a true Fenchel-Young gap.  On the full-batch path every
     point is such a pass (the name is historical): Illinois regula falsi
-    (Dowell & Jarratt, BIT 11, 1971) on h(l) > 0 >= h(u), with the midpoint
-    for a secant point outside (l, u), stops as soon as u's pass certifies a
-    gap <= eps_alg, and returns l itself when h(l) <= 0.  The sampled path
+    (Dowell & Jarratt, BIT 11, 1971) keeps h(l) > 0 >= h(u) but takes its
+    secant from r = psi*'^(-1/2) - cbar^(-1/2), which has h's sign and is
+    affine in lam where cbar = K / (rho' + lam)^2 (linear and quadratic
+    witnesses under the indicator).  Each secant point steps past the root
+    by a gap of eps_alg / 2, so it lands with h <= 0 despite roundoff; the
+    midpoint replaces a point outside (l, u) or an undefined secant (cbar or
+    psi*' zero).  It stops as soon as u's pass certifies a gap <= eps_alg,
+    and returns l itself when h(l) <= 0.  The sampled path
     bisects, moving u on h < -eps_alg / max(lam - l, 1), and passes at u;
     when that pass is infeasible (misled samples) it certifies the right end
     u0, where g'(u0) < psi*'(u0) / 4.  Both stop at plain bisection's width
@@ -258,7 +263,9 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
         nonlocal oracle_calls, samples
         oracle_calls, samples = oracle_calls + 1, samples + mu.n
         values = _report_values(f, mu, penalty, lam, eps_prox)
-        return values, values[4] - penalty.psi_star_deriv(lam)
+        cbar, slope = values[4], penalty.psi_star_deriv(lam)
+        r = slope**-0.5 - cbar**-0.5 if min(cbar, slope) > 0.0 else math.nan
+        return values, cbar - slope, r
 
     if stochastic:
         m4 = gradient_fourth_moment(f, mu)
@@ -270,28 +277,32 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
                 u = lam
             else:
                 l = lam
-        hi, _ = full_pass(u)
+        hi = full_pass(u)[0]
         if not math.isfinite(hi[1]):
             # u0 - rho > sqrt(2 m2 / psi*'(l)) and g'(lam) <= m2 / (2 (lam - rho)^2)
-            u, (hi, _) = u0, full_pass(u0)
+            u, hi = u0, full_pass(u0)[0]
     else:
-        hi, h_l = full_pass(l)
-        h_u, kept = 0.0, None  # kept: the end the last step left in place
+        hi, h_l, r_l = full_pass(l)
+        r_u, kept = 0.0, None  # kept: the end the last step left in place
         if h_l > 0.0:
-            hi, h_u = full_pass(u)
+            hi, _, r_u = full_pass(u)
         else:  # the dual peaks at l
             u = l
         # hi[2] is the gap of u's pass; plain bisection makes steps + 1 passes.
         while u - l > width and hi[2] > eps_alg and oracle_calls < steps + 3:
-            lam = l + h_l * (u - l) / (h_l - h_u)
+            lam = l + r_l * (u - l) / (r_l - r_u) if r_l > r_u else l
+            # Past the root by a step whose gap is <= eps_alg / 2, since
+            # |cbar'| <= 2 cbar / (lam - rho) and gap <= lam (psi*' - cbar).
+            step = eps_alg * (lam - f.semiconvexity) / (4.0 * lam)
+            lam += step / penalty.psi_star_deriv(lam)
             lam = lam if l < lam < u else 0.5 * (l + u)
-            values, h = full_pass(lam)
+            values, h, r = full_pass(lam)
             if h <= 0.0:
-                h_l *= 0.5 if kept == "l" else 1.0  # Illinois: l kept twice running
-                u, hi, h_u, kept = lam, values, h, "l"
+                r_l *= 0.5 if kept == "l" else 1.0  # Illinois: l kept twice running
+                u, hi, r_u, kept = lam, values, r, "l"
             else:
-                h_u *= 0.5 if kept == "u" else 1.0
-                l, h_l, kept = lam, h, "u"
+                r_u *= 0.5 if kept == "u" else 1.0
+                l, r_l, kept = lam, r, "u"
 
     dual, primal, gap, y, cbar = hi
     return DualSolveReport(
@@ -308,13 +319,15 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
 
 
 def _report_values(f, mu, penalty, lam, eps_prox):
-    """Primal and dual values sharing one prox pass (Fenchel-Young gap >= 0)."""
+    """Primal and dual values sharing one prox pass, and their gap in its
+    Fenchel-Young form psi(cbar) + psi*(lam) - lam cbar (primal - dual would
+    cancel the shared mean f(y) into roundoff of either sign)."""
     y, theta, _, _ = agd_prox_batch(f, mu.points, lam, eps_prox)
     cbar = float(np.mean(theta))
     fbar = float(np.mean(f.eval_many(y)))
-    dual = fbar + lam * cbar - penalty.psi_star(lam)
-    primal = fbar + penalty.psi(cbar)
-    return dual, primal, primal - dual, y, cbar
+    psi, psi_star = penalty.psi(cbar), penalty.psi_star(lam)
+    gap = psi + psi_star - lam * cbar
+    return fbar + lam * cbar - psi_star, fbar + psi, gap, y, cbar
 
 
 def mirror_ascent_envelope(interval, k, c2, d_bound, eps=0.0):

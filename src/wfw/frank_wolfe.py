@@ -12,11 +12,12 @@ from the target accuracy via `FWConfig.from_schedule`.
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cloud import ParticleCloud, mean_squared_gradient_norm
+from .cloud import CloudMemo, ParticleCloud, mean_squared_gradient_norm
 from .dual_solvers import trust_region_step
 from .errors import DeltaTooLarge
 
@@ -89,30 +90,35 @@ class FWConfig:
 
 
 _COLUMNS = ("iter", "J", "s", "delta", "zeta", "samples", "wall_ms")
+_FIELDS = ("iters", "objective", "s", "delta", "zeta", "samples", "wall_ms")
+
+
+def _column(typecode):
+    return field(default_factory=lambda: array(typecode))
 
 
 @dataclass
 class FWTrace:
-    """Per-iteration records of the outer loop."""
+    """Per-iteration records of the outer loop; the seven CSV columns are
+    compact arrays, 8 bytes an entry ("q" for iters and samples, else "d")."""
 
-    iters: list = field(default_factory=list)
-    objective: list = field(default_factory=list)
-    s: list = field(default_factory=list)
-    delta: list = field(default_factory=list)
-    zeta: list = field(default_factory=list)
-    samples: list = field(default_factory=list)
-    wall_ms: list = field(default_factory=list)
+    iters: array = _column("q")
+    objective: array = _column("d")
+    s: array = _column("d")
+    delta: array = _column("d")
+    zeta: array = _column("d")
+    samples: array = _column("q")
+    wall_ms: array = _column("d")
     events: list = field(default_factory=list)
     status: str = "budget-exhausted"
 
+    def _columns(self):
+        return [getattr(self, name) for name in _FIELDS]
+
     def append(self, i, objective, s, delta, zeta, samples, wall_ms):
-        self.iters.append(i)
-        self.objective.append(objective)
-        self.s.append(s)
-        self.delta.append(delta)
-        self.zeta.append(zeta)
-        self.samples.append(samples)
-        self.wall_ms.append(wall_ms)
+        row = (i, objective, s, delta, zeta, samples, wall_ms)
+        for column, value in zip(self._columns(), row):
+            column.append(value)
 
     def __len__(self):
         return len(self.iters)
@@ -120,29 +126,22 @@ class FWTrace:
     def to_csv(self, path):
         with open(path, "w") as fh:
             fh.write(",".join(_COLUMNS) + "\n")
-            for row in zip(
-                self.iters,
-                self.objective,
-                self.s,
-                self.delta,
-                self.zeta,
-                self.samples,
-                self.wall_ms,
-            ):
-                i, j, s, d, z, m, w = row
-                fh.write(
-                    f"{i},{j:.17g},{s:.17g},{d:.17g},{z:.17g},{m},{w:.3f}\n"
-                )
+            for i, j, s, d, z, m, w in zip(*self._columns()):
+                fh.write(f"{i},{j:.17g},{s:.17g},{d:.17g},{z:.17g},{m},{w:.3f}\n")
 
 
 def counted_model(model, counter):
-    """Wrap a witness model so gradient-row evaluations accumulate in counter["rows"]."""
+    """Wrap a witness model so gradient-row evaluations accumulate in counter["rows"];
+    a cloud's own atoms are evaluated once (`CloudMemo`), shared read-only."""
 
     def grad_many(x):
         counter["rows"] += x.shape[0]
-        return model.grad_many(x)
+        g = model.grad_many(x)
+        if not x.flags.writeable:
+            g.setflags(write=False)
+        return g
 
-    return replace(model, grad_many=grad_many)
+    return replace(model, grad_many=CloudMemo(grad_many))
 
 
 _FULL_BATCH_MAX = 4096

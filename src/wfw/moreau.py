@@ -109,7 +109,8 @@ def agd_prox_batch(f, x, lam, eps):
 
     Each row follows exactly the iteration `agd_prox` would run on it alone:
     rows are frozen individually once certified or once their own budget is
-    spent.
+    spent.  The first step reuses the gradients at x, so a row that steps
+    iters times evaluates 2 * iters gradients (one when it never steps).
 
     Returns:
         (y, theta, iters, grad_evals) with shapes ((n,d), (n,), (n,), (n,)).
@@ -128,7 +129,6 @@ def agd_prox_batch(f, x, lam, eps):
 
     g0 = f.grad_many(x)
     gnorm0 = np.sqrt(np.sum(g0**2, axis=1))
-    grad_evals = np.ones(n, dtype=np.int64)
 
     budget = np.zeros(n, dtype=np.int64)
     pos = gnorm0 > 0
@@ -144,7 +144,8 @@ def agd_prox_batch(f, x, lam, eps):
 
     while np.any(active):
         idx = np.nonzero(active)[0]
-        gy = f.grad_many(y[idx])
+        # Every active row has run the same count; before the first, y == x.
+        gy = f.grad_many(y[idx]) if iters[idx[0]] else g0[idx]
         z_new = y[idx] - step * (gy + lam * (y[idx] - x[idx]))
         if not np.all(np.isfinite(z_new)):
             raise NonFiniteIterate("prox iterate left the finite range")
@@ -152,7 +153,6 @@ def agd_prox_batch(f, x, lam, eps):
         # Certificate: the prox objective a(.) = f + (lam/2)||.-x||^2 is
         # mu_sc-strongly convex, so ||z - prox(x)|| <= ||grad a(z)||/mu_sc.
         gz = f.grad_many(z_new)
-        grad_evals[idx] += 2
         resid = gz + lam * (z_new - x[idx])
         d = np.sqrt(np.sum(resid**2, axis=1)) / mu_sc
         dist = np.sqrt(np.sum((z_new - x[idx]) ** 2, axis=1))
@@ -164,7 +164,7 @@ def agd_prox_batch(f, x, lam, eps):
         active[idx[done]] = False
 
     theta = 0.5 * np.sum((z - x) ** 2, axis=1)
-    return z, theta, iters, grad_evals
+    return z, theta, iters, np.maximum(2 * iters, 1)
 
 
 def gradient_fourth_moment(f, mu):

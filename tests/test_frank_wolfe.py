@@ -123,6 +123,21 @@ class TestCountedModel:
         estimate_gradient_norm(phi, mu, 0.1, np.random.default_rng(0))
         assert counter["rows"] == 23
 
+    def test_a_cloud_is_evaluated_once_and_shared_read_only(self):
+        """A repeat over a cloud's own points is a memo hit: it counts no rows
+        and returns the same read-only array.  A writeable copy of the same
+        points is evaluated, and counted, afresh."""
+        counter = {"rows": 0}
+        mu = _uniform_cloud(9, 2, seed=3)
+        phi = counted_model(linear(np.array([0.5, -1.0])), counter)
+        first = phi.grad_many(mu.points)
+        assert phi.grad_many(mu.points) is first
+        assert not first.flags.writeable
+        fresh = phi.grad_many(mu.points.copy())
+        assert fresh.flags.writeable
+        np.testing.assert_array_equal(fresh, first)
+        assert counter["rows"] == 18
+
 
 class _AuditedFunctional:
     """Counts witness-gradient rows independently of the loop's own counter."""
@@ -183,7 +198,7 @@ class TestRunFrankWolfe:
             on_iterate=lambda i, c: seen.append((i, c)),
         )
         assert trace.status == "converged"
-        assert len(trace) == 1 and trace.iters == [1]
+        assert len(trace) == 1 and list(trace.iters) == [1]
         assert seen == [(1, mu)]
         np.testing.assert_allclose(mu.points, mu0.points)
 
@@ -204,7 +219,7 @@ class TestRunFrankWolfe:
         _, trace = run_frank_wolfe(audited, _uniform_cloud(), self._cfg(1e-4, 6))
         bounds = audited.marks + [audited.rows]
         recount = [bounds[k + 1] - bounds[k] for k in range(len(trace))]
-        assert trace.samples == recount
+        assert list(trace.samples) == recount
 
     def test_same_seed_same_trace(self):
         cfg = self._cfg(1e-4, 8)
@@ -267,6 +282,18 @@ class TestTraceSerialization:
         assert cols["iter"] == [1.0, 2.0]
         assert cols["J"] == [0.123456789012345678, 1.0 / 3.0]
         assert cols["samples"] == [100.0, 200.0]
+
+    def test_columns_are_compact_arrays(self):
+        """Eight bytes per entry, with list-like reads."""
+        trace = FWTrace()
+        trace.append(1, 0.5, 0.25, 0.125, 1e-3, 100, 1.5)
+        trace.append(2, 0.25, 0.125, 0.0625, 5e-4, 200, 2.5)
+        columns = [trace.iters, trace.objective, trace.s, trace.delta]
+        columns += [trace.zeta, trace.samples, trace.wall_ms]
+        assert [c.typecode for c in columns] == ["q", "d", "d", "d", "d", "q", "d"]
+        assert all(c.itemsize == 8 for c in columns)
+        assert trace.objective[-1] == 0.25 and list(trace.iters) == [1, 2]
+        assert list(np.cumsum(trace.samples)) == [100, 300]
 
     def test_len_tracks_rows(self):
         trace = FWTrace()

@@ -67,10 +67,10 @@ class TestProxClosedForms:
             agd_prox(f, np.ones(2), f.semiconvexity, 1e-6)
 
     def test_grad_eval_accounting(self):
-        """One setup gradient plus two per iteration."""
+        """Two gradients per iteration: the setup gradient serves the first."""
         f = quadratic()
         res = agd_prox(f, np.array([1.0, 2.0]), 3.0, 1e-12)
-        assert res.grad_evals == 1 + 2 * res.iters
+        assert res.grad_evals == 2 * res.iters
 
     def test_batch_matches_row_loop(self):
         f = double_well()
