@@ -231,12 +231,14 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
     by a gap of eps_alg / 2, so it lands with h <= 0 despite roundoff; the
     midpoint replaces a point outside (l, u) or an undefined secant (cbar or
     psi*' zero).  It stops as soon as u's pass certifies a gap <= eps_alg,
-    and returns l itself when h(l) <= 0.  The sampled path
-    bisects, moving u on h < -eps_alg / max(lam - l, 1), and passes at u;
+    on a collapsed bracket u = l (at once when h(l) <= 0: l is the answer),
+    and otherwise two passes past the count plain bisection needs to reach
+    the a-priori width eps_alg / B, B = max(psi* smoothness, 16 m2^2, 1e-12),
+    m2 = E||grad f||^2.  That width does not stop it: on a tiny field it is
+    too coarse for the certificate.  The sampled path bisects to that
+    width, moving u on h < -eps_alg / max(lam - l, 1), and passes at u;
     when that pass is infeasible (misled samples) it certifies the right end
-    u0, where g'(u0) < psi*'(u0) / 4.  Both stop at plain bisection's width
-    eps_alg / B, B = max(psi* smoothness, 16 m2^2, 1e-12), m2 = E||grad f||^2;
-    the full-batch search also stops two passes past plain bisection's count.
+    u0, where g'(u0) < psi*'(u0) / 4.
 
     Args:
         eps: target primal-dual gap; the internal tolerance is
@@ -289,7 +291,7 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
         else:  # the dual peaks at l
             u = l
         # hi[2] is the gap of u's pass; plain bisection makes steps + 1 passes.
-        while u - l > width and hi[2] > eps_alg and oracle_calls < steps + 3:
+        while u > l and hi[2] > eps_alg and oracle_calls < steps + 3:
             lam = l + r_l * (u - l) / (r_l - r_u) if r_l > r_u else l
             # Past the root by a step whose gap is <= eps_alg / 2, since
             # |cbar'| <= 2 cbar / (lam - rho) and gap <= lam (psi*' - cbar).

@@ -1,8 +1,8 @@
 """Outer loop: conditional-gradient descent over particle clouds.
 
-Each iteration asks the functional for a witness model, estimates the
-witness-gradient norm s over the current cloud, stops once s falls to the
-threshold r, and otherwise moves the cloud by a trust-region step of radius
+Each iteration asks the functional for a witness model, evaluates the
+witness-gradient norm s exactly over the current cloud, stops once s falls to
+the threshold r, and otherwise moves the cloud by a trust-region step of radius
 
     delta = min(beta1, beta2 * s, beta3 * s^(1/alpha))
 
@@ -24,14 +24,14 @@ from .errors import DeltaTooLarge
 
 @dataclass(frozen=True)
 class FWConfig:
-    """Step-size multipliers, stopping threshold, and error budgets."""
+    """Step-size multipliers, stopping threshold, and error budgets: eps_hat
+    for the witness model, eps_tilde for the step's inner tolerance."""
 
     beta1: float
     beta2: float
     beta3: float
     r: float
     eps_hat: float
-    eps_bar: float
     eps_tilde: float
     k_max: int = 500
     alpha: float = 1.0
@@ -42,7 +42,7 @@ class FWConfig:
             raise ValueError("alpha must lie in (0, 1]")
         if min(self.beta1, self.beta2, self.beta3) <= 0:
             raise ValueError("step multipliers must be positive")
-        if min(self.eps_hat, self.eps_bar, self.eps_tilde) <= 0:
+        if min(self.eps_hat, self.eps_tilde) <= 0:
             raise ValueError("error budgets must be positive")
         if self.r < 0:
             raise ValueError("stopping threshold must be nonnegative")
@@ -81,7 +81,6 @@ class FWConfig:
             beta3=(1.0 - alpha / 2.0) ** (1.0 / alpha) * big_t ** (-1.0 / alpha),
             r=r,
             eps_hat=r / (2.0 * alpha_star),
-            eps_bar=alpha * r / 2.0,
             eps_tilde=r / (4.0 * alpha_star),
             k_max=k_max,
             alpha=alpha,
@@ -144,61 +143,25 @@ def counted_model(model, counter):
     return replace(model, grad_many=CloudMemo(grad_many))
 
 
-_FULL_BATCH_MAX = 4096
-_Z_SCORE = 2.33  # one-sided 99% standard-normal quantile
+def estimate_gradient_norm(phi, mu):
+    """Witness-gradient norm s over mu, exact: the one n-row evaluation of
+    the cloud that the step's dual shares through `counted_model`'s memo."""
+    return mean_squared_gradient_norm(mu, phi)
 
 
-def estimate_gradient_norm(phi, mu, eps_bar, rng):
-    """One-sided estimate s of the witness-gradient norm over mu.
-
-    Guarantees (norm - eps_bar) <= s <= norm: exactly for clouds up to
-    4096 atoms (full-batch evaluation), and with calibrated
-    confidence on the subsampled path, which grows its sample until the
-    z-scored standard error fits inside the band and then backs the
-    mean-of-squares off by that margin.
-    """
-    if eps_bar <= 0:
-        raise ValueError("eps_bar must be positive")
-    n = mu.n
-    if n <= _FULL_BATCH_MAX:
-        return mean_squared_gradient_norm(mu, phi)
-
-    batch = 512
-    count = 0
-    total = 0.0
-    total_sq = 0.0
-    while True:
-        idx = rng.integers(0, n, size=batch)
-        g = phi.grad_many(mu.points[idx])
-        sq = np.sum(g**2, axis=1)
-        count += batch
-        total += float(np.sum(sq))
-        total_sq += float(np.sum(sq**2))
-        m_hat = total / count
-        var = max(total_sq / count - m_hat**2, 0.0)
-        se = math.sqrt(var / count)
-        if _Z_SCORE * se <= 0.5 * eps_bar * max(math.sqrt(m_hat), eps_bar):
-            break
-        if count >= 4 * n:
-            break
-        batch = min(batch * 2, 4 * n - count)
-    return math.sqrt(max(m_hat - _Z_SCORE * se, 0.0))
-
-
-def run_frank_wolfe(
-    J, mu0, cfg, chained=False, wall_budget_s=None, gamma=0.1, on_iterate=None
-):
+def run_frank_wolfe(J, mu0, cfg, chained=False, wall_budget_s=None, on_iterate=None):
     """Run the outer loop; returns (final cloud, trace).
 
-    Per iteration: witness model at budget eps_hat, gradient-norm estimate
-    s within eps_bar, stop when s <= cfg.r, otherwise a trust-region step of
+    Per iteration: witness model at budget eps_hat, exact gradient norm s
+    over the cloud, stop when s <= cfg.r, otherwise a trust-region step of
     the scheduled radius with inner tolerance zeta = delta * eps_tilde.  A
     rejected radius is halved up to 8 times (each retry logged in
     trace.events) before aborting.
 
     Args:
         chained: resample the iterate through its prox lineage instead of
-            keeping the one-image-per-atom materialization.
+            keeping the one-image-per-atom materialization; the only use
+            of the run's rng, seeded with cfg.seed.
         wall_budget_s: optional wall-clock budget; the loop stops cleanly
             (status "wall-budget") once exceeded before iteration k_max;
             running all k_max iterations leaves "budget-exhausted".
@@ -214,7 +177,7 @@ def run_frank_wolfe(
         t0 = time.perf_counter()
         counter = {"rows": 0}
         model = counted_model(J.derivative_oracle(mu, cfg.eps_hat), counter)
-        s = estimate_gradient_norm(model, mu, cfg.eps_bar, rng)
+        s = estimate_gradient_norm(model, mu)
         obj = J.value(mu)
         delta = min(cfg.beta1, cfg.beta2 * s, cfg.beta3 * s ** (1.0 / cfg.alpha))
         zeta = delta * cfg.eps_tilde
@@ -231,7 +194,7 @@ def run_frank_wolfe(
         for attempt in range(9):
             try:
                 sampler, _ = trust_region_step(
-                    model, mu, cur_delta, cur_zeta, gamma, rng
+                    model, mu, cur_delta, cur_zeta, None, None
                 )
                 break
             except DeltaTooLarge as exc:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import KCapExceeded, LambdaTooSmall, NonFiniteIterate
 
-#: Default cap on the sample count a single supergradient query may draw.
+#: Cap on the sample count a single supergradient query may draw.
 K_CAP = 10**6
 
 
@@ -189,7 +189,7 @@ def hp_sample_count(f, mu, lam, eps, delta, m4=None):
     return max(int(math.ceil(k)), 1)
 
 
-def supergradient_hp(f, mu, lam, eps, delta, rng, k_cap=K_CAP, m4=None):
+def supergradient_hp(f, mu, lam, eps, delta, rng, m4=None):
     """Estimate g'(lam) = E_mu[(1/2)||prox(x) - x||^2] to accuracy eps whp.
 
     Averages K independent prox displacements of atoms drawn i.i.d. (with
@@ -211,11 +211,11 @@ def supergradient_hp(f, mu, lam, eps, delta, rng, k_cap=K_CAP, m4=None):
             f"lam = {lam} must exceed semiconvexity {f.semiconvexity}"
         )
     k = hp_sample_count(f, mu, lam, eps, delta, m4=m4)
-    if k > k_cap:
+    if k > K_CAP:
         raise KCapExceeded(
-            f"supergradient query needs K = {k} samples (cap {k_cap})",
+            f"supergradient query needs K = {k} samples (cap {K_CAP})",
             required=k,
-            cap=k_cap,
+            cap=K_CAP,
         )
     counts = rng.multinomial(k, np.full(mu.n, 1.0 / mu.n))
     eps_inner = eps / (2.0 * max(lam - f.semiconvexity, 1.0))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfw import dual_solvers
@@ -77,16 +77,21 @@ _SOLVER_CASES = [
 _PROX_EPS = 1e-10
 
 
-def _solver_instance(case, seed, n, d, frac):
+def _solver_instance(case, seed, n, d, frac, scale=None):
     """(f, mu, penalty, m2) of a random admissible solver instance for one of
-    `_SOLVER_CASES`; the indicator's radius is frac of the admissible one."""
+    `_SOLVER_CASES`; the indicator's radius is frac of the admissible one.
+    A given scale replaces the cloud's drawn U(0.3, 3) scale and multiplies
+    the linear field."""
     kind, power = case
     rng = np.random.default_rng(seed)
-    pts = rng.normal(size=(n, d)) * rng.uniform(0.3, 3.0)
+    pts = rng.normal(size=(n, d))
+    spread = rng.uniform(0.3, 3.0)  # drawn either way: later draws keep their bits
+    pts *= spread if scale is None else scale
     if kind == "double-well":  # its smoothness bound holds on ||x|| <= 2
         pts /= np.maximum(1.0, np.linalg.norm(pts, axis=1, keepdims=True) / 2.0)
     a = rng.normal(size=d)
     a *= rng.uniform(1.5, 3.0) / np.linalg.norm(a)  # h(l) > 0 for each penalty
+    a *= 1.0 if scale is None else scale
     f = {"quadratic": quadratic(), "double-well": double_well(), "linear": linear(a)}[kind]
     if power != "indicator" and kind == "quadratic":  # admissible for m2 >= 8
         pts *= math.sqrt(12.0 / np.mean(np.sum(pts**2, axis=1)))
@@ -107,6 +112,9 @@ _INSTANCES = (
     st.integers(1, 3),
     st.floats(0.05, 1.0),
 )
+
+#: log10 of an indicator instance's cloud (and linear field) scale.
+_LOG_SCALES = st.floats(-2.5, 0.5)
 
 
 class TestPenalties:
@@ -252,16 +260,15 @@ class TestBisection:
         assert len(calls["g_value_and_grad_fullbatch"]) == 7
 
     @settings(max_examples=60, deadline=None)
-    @given(*_INSTANCES, st.floats(-6.0, -2.0))
+    @given(*_INSTANCES, st.floats(-6.0, -2.0), _LOG_SCALES)
     def test_full_batch_search_certifies_within_budget(
-        self, case, seed, n, d, frac, log_eps
+        self, case, seed, n, d, frac, log_eps, log_scale
     ):
         """The returned point has h <= 0, a finite primal and a gap in
-        [0, eps_alg], after at most two passes more than plain bisection."""
-        f, mu, pen, m2 = _solver_instance(case, seed, n, d, frac)
-        # a tinier field leaves the a-priori width too coarse to certify
-        # (test_uncertified_search_stops_on_its_caps)
-        assume(m2 >= 0.02)
+        [0, eps_alg], after at most two passes more than plain bisection,
+        also on the tiny fields of indicator clouds scaled down to 10^-2.5."""
+        scale = 10.0**log_scale if case[1] == "indicator" else None
+        f, mu, pen, _ = _solver_instance(case, seed, n, d, frac, scale)
         eps = 10.0**log_eps
         rep = primal_dual_bisection(f, mu, pen, eps, 0.05, None)
         eps_alg, _, passes = _plain_bisection_budget(f, mu, pen, eps)
@@ -276,15 +283,15 @@ class TestBisection:
         st.sampled_from([("linear", "indicator"), ("quadratic", "indicator")]),
         *_INSTANCES[1:],
         st.floats(-6.0, -2.0),
+        _LOG_SCALES,
     )
     def test_affine_residual_certifies_in_three_passes(
-        self, case, seed, n, d, frac, log_eps
+        self, case, seed, n, d, frac, log_eps, log_scale
     ):
         """Linear and quadratic witnesses have cbar = K / (rho' + lam)^2, so
         under the indicator r = psi*'^(-1/2) - cbar^(-1/2) is affine in lam:
         the passes at l and u and one secant past the root certify."""
-        f, mu, pen, m2 = _solver_instance(case, seed, n, d, frac)
-        assume(m2 >= 0.02)  # as in test_full_batch_search_certifies_within_budget
+        f, mu, pen, _ = _solver_instance(case, seed, n, d, frac, 10.0**log_scale)
         eps = 10.0**log_eps
         rep = primal_dual_bisection(f, mu, pen, eps, 0.05, None)
         eps_alg, _, _ = _plain_bisection_budget(f, mu, pen, eps)
@@ -334,8 +341,9 @@ class TestBisection:
     def test_uncertified_search_stops_on_its_caps(
         self, monkeypatch, shape, scale, frac, cap
     ):
-        """With a tiny gradient field the a-priori width is too coarse for the
-        certificate, and the search stops at that width.  No real instance is
+        """The a-priori width sizes the pass cap but does not stop the search:
+        on the "width" case's tiny field it exceeds the whole interval, and
+        the search still runs on to its certificate.  No real instance is
         known to reach the pass cap, so the "passes" case hides every
         certificate and reports a cost falling like exp(-40 lam), whose steep
         r makes Illinois crawl: the search stops two passes past plain
@@ -354,12 +362,13 @@ class TestBisection:
         rep = primal_dual_bisection(quadratic(), mu, pen, 1e-5, 0.1, None)
         eps_alg, width, plain = _plain_bisection_budget(quadratic(), mu, pen, 1e-5)
         bracket = rep.lambda_star - max(lam for lam, h, _ in passes if h > 0.0)
-        assert rep.gap > eps_alg
         assert rep.cost <= pen.psi_star_deriv(rep.lambda_star)
         assert len(passes) == rep.oracle_calls
         if cap == "width":
-            assert bracket <= width and rep.oracle_calls < plain + 2
+            l0, u0 = rep.interval
+            assert u0 - l0 < width and rep.gap <= eps_alg
         else:
+            assert rep.gap > eps_alg
             assert bracket > width and rep.oracle_calls == plain + 2
 
     def test_dual_peaking_at_the_left_end_returns_it(self):

@@ -43,7 +43,6 @@ class TestFWConfig:
         )
         assert cfg.r == pytest.approx(r)
         assert cfg.eps_hat == pytest.approx(r / (2.0 * alpha_star))
-        assert cfg.eps_bar == pytest.approx(alpha * r / 2.0)
         assert cfg.eps_tilde == pytest.approx(r / (4.0 * alpha_star))
 
     @pytest.mark.parametrize(
@@ -66,7 +65,6 @@ class TestFWConfig:
             beta3=0.3,
             r=0.01,
             eps_hat=1e-3,
-            eps_bar=1e-3,
             eps_tilde=1e-3,
         )
         good[field] = value
@@ -76,36 +74,12 @@ class TestFWConfig:
 
 class TestEstimateGradientNorm:
     def test_small_cloud_is_exact_full_batch(self):
-        mu = _uniform_cloud(40, 3, seed=1)
-        phi = quadratic()
-        s = estimate_gradient_norm(phi, mu, 0.05, np.random.default_rng(0))
-        assert s == pytest.approx(mean_squared_gradient_norm(mu, phi))
-
-    def test_constant_field_subsample_is_exact(self):
-        rng = np.random.default_rng(2)
-        mu = ParticleCloud(rng.normal(size=(5000, 2)))
-        a = np.array([0.6, -0.8])
-        s = estimate_gradient_norm(linear(a), mu, 0.05, np.random.default_rng(3))
-        assert s == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_nonpositive_band(self):
-        mu = _uniform_cloud(5, 2)
-        with pytest.raises(ValueError):
-            estimate_gradient_norm(quadratic(), mu, 0.0, np.random.default_rng(0))
-
-    def test_subsampled_band_calibration(self):
-        """Over 200 seeds, (norm - eps_bar) <= s <= norm fails rarely."""
-        rng = np.random.default_rng(4)
-        mu = ParticleCloud(rng.normal(size=(6000, 3)))
-        phi = quadratic()
-        truth = mean_squared_gradient_norm(mu, phi)
-        eps_bar = 0.4
-        bad = 0
-        for t in range(200):
-            s = estimate_gradient_norm(phi, mu, eps_bar, np.random.default_rng(500 + t))
-            if s > truth + 1e-12 or s < truth - eps_bar:
-                bad += 1
-        assert bad <= 10
+        """Bit for bit the full-batch norm, whatever the cloud's size."""
+        for n in (40, 5000):
+            mu = _uniform_cloud(n, 3, seed=1)
+            phi = quadratic()
+            s = estimate_gradient_norm(phi, mu)
+            assert s == mean_squared_gradient_norm(mu, phi)
 
 
 class TestCountedModel:
@@ -117,11 +91,13 @@ class TestCountedModel:
         assert counter["rows"] == 8
 
     def test_norm_estimate_charges_one_row_per_atom(self):
-        counter = {"rows": 0}
-        mu = _uniform_cloud(23, 2, seed=5)
-        phi = counted_model(quadratic(), counter)
-        estimate_gradient_norm(phi, mu, 0.1, np.random.default_rng(0))
-        assert counter["rows"] == 23
+        for n in (23, 5000):
+            counter = {"rows": 0}
+            mu = _uniform_cloud(n, 2, seed=5)
+            phi = counted_model(quadratic(), counter)
+            s = estimate_gradient_norm(phi, mu)
+            assert counter["rows"] == n
+            assert s == mean_squared_gradient_norm(mu, quadratic())
 
     def test_a_cloud_is_evaluated_once_and_shared_read_only(self):
         """A repeat over a cloud's own points is a memo hit: it counts no rows
@@ -250,6 +226,24 @@ class TestRunFrankWolfe:
         )
         assert len(trace) == 1
         assert trace.status == "budget-exhausted"
+
+    def test_large_cloud_steps_on_its_exact_norm(self):
+        """Above 4,096 atoms each step's s is the exact norm of the cloud
+        entering it, and the step evaluates 4n witness rows: the norm's n
+        rows are the ones the step's dual reuses."""
+        mu0 = _uniform_cloud(5000, 2, seed=0)
+        cfg = self._cfg(1e-2, 3, delta1=0.5, delta2=0.5, seed=0)
+        J = _interaction()
+        clouds = [mu0]
+        _, trace = run_frank_wolfe(
+            J, mu0, cfg, on_iterate=lambda i, c: clouds.append(c)
+        )
+        assert len(trace) == 3
+        for s, mu in zip(trace.s, clouds):
+            assert s == mean_squared_gradient_norm(
+                mu, J.derivative_oracle(mu, cfg.eps_hat)
+            )
+        assert list(trace.samples) == [20000] * 3
 
     def test_oversized_schedule_is_halved_and_logged(self):
         # a schedule whose radius lands at 2 ||grad|| while the admissible
