@@ -4,7 +4,6 @@ from . import errors
 from .cloud import (
     ParticleCloud,
     TransportPlan,
-    geodesic_point,
     load_csv,
     mean_squared_gradient_norm,
     save_csv,
@@ -26,7 +25,6 @@ from .frank_wolfe import (
     FWTrace,
     estimate_gradient_norm,
     run_frank_wolfe,
-    smoothness_probe,
 )
 from .functionals import (
     EntropicDeconv,
@@ -36,7 +34,6 @@ from .functionals import (
     PairPotential,
     PotentialInteraction,
     RandomFeatureKernel,
-    sinkhorn_dual,
 )
 from .moreau import (
     ProxResult,
@@ -45,7 +42,7 @@ from .moreau import (
     g_value_and_grad_fullbatch,
     supergradient_hp,
 )
-from .registry import make_kernel, make_objective, make_pair
+from .registry import make_objective, make_pair
 
 __version__ = "0.1.0"
 
@@ -72,9 +69,7 @@ __all__ = [
     "errors",
     "estimate_gradient_norm",
     "g_value_and_grad_fullbatch",
-    "geodesic_point",
     "load_csv",
-    "make_kernel",
     "make_objective",
     "make_pair",
     "mean_squared_gradient_norm",
@@ -83,8 +78,6 @@ __all__ = [
     "primal_dual_gap",
     "run_frank_wolfe",
     "save_csv",
-    "sinkhorn_dual",
-    "smoothness_probe",
     "supergradient_hp",
     "trust_region_step",
     "wasserstein2_exact",

@@ -1,4 +1,4 @@
-"""Particle clouds, exact desk-scale optimal transport, and geodesics.
+"""Particle clouds and exact desk-scale optimal transport.
 
 A cloud is a uniform empirical measure: n points in R^d, each carrying mass
 1/n.  Everything downstream (functionals, prox solves, the outer loop) only
@@ -10,13 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SizeCapExceeded, TOutOfRange
+from .errors import DimensionMismatch, SizeCapExceeded
 
 #: Hard cap on n*m for the exact transport solvers.
 EXACT_OT_CAP = 10**6
-
-#: Hard cap on the particle count geodesic_point may materialize.
-GEODESIC_OUTPUT_CAP = 10**5
 
 _MARGINAL_TOL = 1e-9
 
@@ -50,10 +47,6 @@ class ParticleCloud:
     @property
     def dim(self):
         return self.points.shape[1]
-
-    def second_moment(self):
-        """(1/n) sum ||x_i||^2 — finite by construction, kept for assertions."""
-        return float(np.mean(np.sum(self.points**2, axis=1)))
 
 
 class CloudMemo:
@@ -179,35 +172,6 @@ def _lp_transport(d2, n, m):
     # Rescale marginals exactly to kill solver roundoff before validation.
     w *= (1.0 / n) / np.maximum(w.sum(axis=1, keepdims=True), 1e-300)
     return w, float(np.sum(w * d2))
-
-
-def geodesic_point(plan, t, cap=GEODESIC_OUTPUT_CAP):
-    """Point at parameter t on the displacement interpolation of a plan.
-
-    The interpolant ((1-t)x + t y)#w is materialized as an equal-weight
-    cloud by replicating each nonzero plan entry in proportion to its weight
-    (entries of an exact plan are integer multiples of 1/lcm(n, m)).
-
-    Raises:
-        TOutOfRange: t outside [0, 1].
-        SizeCapExceeded: replication would exceed the output cap.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise TOutOfRange(f"t = {t} outside [0, 1]")
-    n, m = plan.source.n, plan.target.n
-    lcm = math.lcm(n, m)
-    if lcm > cap:
-        raise SizeCapExceeded(
-            f"geodesic replication needs {lcm} particles (cap {cap})",
-            required=lcm,
-            cap=cap,
-        )
-    rows, cols = np.nonzero(plan.weights > _MARGINAL_TOL)
-    counts = np.rint(plan.weights[rows, cols] * lcm).astype(int)
-    if np.max(np.abs(counts - plan.weights[rows, cols] * lcm)) > 1e-6:
-        raise ValueError("plan weights are not multiples of 1/lcm(n, m)")
-    pts = (1.0 - t) * plan.source.points[rows] + t * plan.target.points[cols]
-    return ParticleCloud(np.repeat(pts, counts, axis=0))
 
 
 def mean_squared_gradient_norm(cloud, g):

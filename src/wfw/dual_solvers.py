@@ -37,10 +37,10 @@ from .moreau import (
 class TrustRegionIndicator:
     """Indicator penalty of the cost interval [0, delta^2/2].
 
-    psi(x) = 0 on the interval, +inf beyond it (with a fixed relative
-    feasibility slack of 1e-6 absorbing prox roundoff); psi*(lam) =
-    (delta^2/2) * max(lam, 0).  Constraining the transported cost to
-    delta^2/2 constrains the transport distance to delta.
+    psi(x) = 0 on the interval, +inf beyond it; psi*(lam) =
+    (delta^2/2) * max(lam, 0) is its exact conjugate, so every
+    Fenchel-Young gap psi(x) + psi*(lam) - lam x is >= 0.  Constraining the
+    transported cost to delta^2/2 constrains the transport distance to delta.
     """
 
     def __init__(self, delta):
@@ -49,8 +49,7 @@ class TrustRegionIndicator:
         self.delta = float(delta)
 
     def psi(self, x):
-        bound = 0.5 * self.delta**2
-        return 0.0 if x <= bound * (1.0 + 1e-6) else math.inf
+        return 0.0 if x <= 0.5 * self.delta**2 else math.inf
 
     def psi_star(self, lam):
         return 0.5 * self.delta**2 * max(lam, 0.0)
@@ -162,7 +161,8 @@ def _mean_sq_grad(f, mu):
 
 
 def dual_interval(f, mu, penalty, c=None):
-    """Search interval [l, u] for the dual variable.
+    """Search interval [l, u] for the dual variable.  Public because
+    acceptance gates 5 and 7 build `mirror_ascent`'s interval with it.
 
     l sits one unit above the semiconvexity; u = l + sqrt(2C) with C = 8 L^2
     by default (callers may pass the penalty-matched C they can certify).

@@ -23,10 +23,6 @@ class SizeCapExceeded(WfwError):
         self.cap = cap
 
 
-class TOutOfRange(WfwError):
-    """Geodesic parameter t outside [0, 1]."""
-
-
 class SinkhornNotConverged(WfwError):
     """Sinkhorn loop hit max_iter before the marginal tolerance; carries the last error."""
 

@@ -16,8 +16,7 @@ import numpy as np
 from .cloud import ParticleCloud, save_csv
 from .errors import MissingColumn
 from .frank_wolfe import FWConfig, run_frank_wolfe
-from .functionals import EntropicDeconv, MMDSquared
-from .registry import make_kernel
+from .functionals import EntropicDeconv, MMDSquared, RandomFeatureKernel
 from .svg import line_chart
 
 _EXPERIMENTS = ("deconv", "mmd-flow")
@@ -162,9 +161,8 @@ def run_mmd_flow(cfg):
     """
     rng = np.random.default_rng(cfg.seed)
     n, d = cfg.particles, cfg.dim
-    kernel = make_kernel(
-        "random-feature",
-        table=cfg.feature_scale * rng.standard_normal((cfg.features, d)),
+    kernel = RandomFeatureKernel(
+        cfg.feature_scale * rng.standard_normal((cfg.features, d))
     )
 
     teacher = ParticleCloud(rng.standard_normal((n, d)))

@@ -10,7 +10,6 @@ with inner tolerance zeta = delta * eps_tilde.  The schedule constants come
 from the target accuracy via `FWConfig.from_schedule`.
 """
 
-import math
 import time
 from array import array
 from dataclasses import dataclass, field, replace
@@ -222,48 +221,3 @@ def run_frank_wolfe(J, mu0, cfg, chained=False, wall_budget_s=None, on_iterate=N
             break
 
     return mu, trace
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """Advisory curvature fit; never gates execution."""
-
-    alpha_hat: float
-    t_hat: float
-    degenerate: bool
-
-
-def smoothness_probe(J, mu, trials, rng):
-    """Fit the first-order remainder of J against transport distance.
-
-    Perturbs the cloud along random displacement fields at random small
-    scales, regresses log |J(nu) - J(mu) - <witness grads, displacement>|
-    on log W, and reports (alpha_hat, T_hat) from the fitted power
-    remainder T * W^(1 + alpha).
-    """
-    if trials < 10:
-        raise ValueError("need at least 10 trials for a stable fit")
-    base = J.value(mu)
-    model = J.derivative_oracle(mu, 1e-9)
-    grads = model.grad_many(mu.points)
-
-    ws, rems = [], []
-    for _ in range(trials):
-        direction = rng.standard_normal(mu.points.shape)
-        direction /= math.sqrt(float(np.mean(np.sum(direction**2, axis=1))))
-        scale = 10.0 ** rng.uniform(-2.5, -0.5)
-        nu = ParticleCloud(mu.points + scale * direction)
-        linear = float(np.mean(np.sum(grads * (scale * direction), axis=1)))
-        rem = abs(J.value(nu) - base - linear)
-        ws.append(scale)
-        rems.append(rem)
-
-    ws = np.array(ws)
-    rems = np.array(rems)
-    keep = rems > 1e-13 * (1.0 + abs(base))
-    if int(np.sum(keep)) < 3:
-        return ProbeReport(alpha_hat=math.nan, t_hat=0.0, degenerate=True)
-    slope, intercept = np.polyfit(np.log(ws[keep]), np.log(rems[keep]), 1)
-    return ProbeReport(
-        alpha_hat=float(slope - 1.0), t_hat=float(math.exp(intercept)), degenerate=False
-    )

@@ -256,22 +256,6 @@ def _sinkhorn_potentials(x, y, sigma2, tol, max_iter=20000):
     )
 
 
-def sinkhorn_dual(mu, data, sigma2, tol=1e-9):
-    """Dual potential on the data side of the entropic transport between mu and data.
-
-    Deterministic given inputs; the returned vector is gauged so the two
-    potentials share their mean.
-
-    Raises:
-        SinkhornNotConverged: marginal error still above tol after
-            20,000 sweeps.
-    """
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    _, v, _, _, _ = _sinkhorn_potentials(mu.points, data.points, sigma2, tol)
-    return v
-
-
 class EntropicDeconv(Functional):
     """Entropy-regularized transport cost from the iterate to a fixed data cloud.
 

@@ -1,18 +1,12 @@
-"""Named builders for the built-in potentials, pair interactions, and kernels.
+"""Named builders for the built-in potentials and pair interactions.
 
-The CLI resolves `--objective`/`--pair` flags here and `run_mmd_flow` builds
-its random-feature kernel here; tests use the same builders so closed-form
-constants live in exactly one place.
+The CLI resolves `--objective`/`--pair` flags here; tests use the same
+builders so closed-form constants live in exactly one place.
 """
 
 import numpy as np
 
-from .functionals import (
-    GaussianKernel,
-    InverseMultiquadricKernel,
-    PairPotential,
-    RandomFeatureKernel,
-)
+from .functionals import PairPotential
 from .moreau import SmoothObjective
 
 
@@ -128,35 +122,3 @@ def make_pair(name):
         return PAIRS[name]()
     except KeyError:
         raise ValueError(f"unknown pair potential {name!r}; choose from {sorted(PAIRS)}") from None
-
-
-def make_kernel(
-    name,
-    sigma=1.0,
-    c=1.0,
-    beta=0.5,
-    table=None,
-    dim=None,
-    features=64,
-    feature_scale=0.4,
-    seed=0,
-):
-    """Build a kernel by CLI key: gaussian | imq | random-feature.
-
-    random-feature uses `table` when given, otherwise a frozen table of
-    feature_scale-scaled standard normal rows with shape (features, dim).
-    The mild default scale keeps tanh responses away from saturation for
-    data of a few units' magnitude.
-    """
-    if name == "gaussian":
-        return GaussianKernel(sigma)
-    if name == "imq":
-        return InverseMultiquadricKernel(c, beta)
-    if name == "random-feature":
-        if table is None:
-            if dim is None:
-                raise ValueError("random-feature kernel needs `table` or `dim`")
-            rng = np.random.default_rng(seed)
-            table = feature_scale * rng.standard_normal((features, dim))
-        return RandomFeatureKernel(table)
-    raise ValueError(f"unknown kernel {name!r}; choose gaussian, imq, or random-feature")

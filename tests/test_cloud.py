@@ -1,4 +1,4 @@
-"""Particle-cloud container, exact transport, and geodesic tests."""
+"""Particle-cloud container and exact transport tests."""
 
 import itertools
 import math
@@ -20,13 +20,12 @@ from hypothesis import strategies as st
 from wfw.cloud import (
     ParticleCloud,
     TransportPlan,
-    geodesic_point,
     load_csv,
     mean_squared_gradient_norm,
     save_csv,
     wasserstein2_exact,
 )
-from wfw.errors import DimensionMismatch, SizeCapExceeded, TOutOfRange
+from wfw.errors import DimensionMismatch, SizeCapExceeded
 from wfw.registry import linear, quadratic
 
 
@@ -71,10 +70,6 @@ class TestParticleCloud:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             ParticleCloud(np.array([[1.0, np.nan]]))
-
-    def test_second_moment(self):
-        pts = np.array([[3.0, 4.0], [0.0, 0.0]])
-        assert ParticleCloud(pts).second_moment() == pytest.approx(12.5)
 
     def test_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -176,57 +171,6 @@ class TestExactTransport:
         b = ParticleCloud(np.zeros((4, 1)))
         with pytest.raises(SizeCapExceeded):
             wasserstein2_exact(a, b, cap=10)
-
-
-class TestGeodesic:
-    def test_endpoints(self):
-        rng = np.random.default_rng(4)
-        a = ParticleCloud(rng.normal(size=(4, 2)))
-        b = ParticleCloud(rng.normal(size=(4, 2)))
-        _, plan = wasserstein2_exact(a, b)
-        start = geodesic_point(plan, 0.0)
-        end = geodesic_point(plan, 1.0)
-        d0, _ = wasserstein2_exact(start, a)
-        d1, _ = wasserstein2_exact(end, b)
-        assert d0 == pytest.approx(0.0, abs=1e-12)
-        assert d1 == pytest.approx(0.0, abs=1e-12)
-
-    def test_constant_speed(self):
-        """W2(mu_t, mu_s) = |t - s| * W2(mu_0, mu_1) along the path."""
-        rng = np.random.default_rng(5)
-        a = ParticleCloud(rng.normal(size=(5, 2)))
-        b = ParticleCloud(rng.normal(size=(5, 2)))
-        dist, plan = wasserstein2_exact(a, b)
-        for t, s in ((0.25, 0.75), (0.0, 0.4), (0.3, 1.0)):
-            mt = geodesic_point(plan, t)
-            ms = geodesic_point(plan, s)
-            dts, _ = wasserstein2_exact(mt, ms)
-            assert dts == pytest.approx(abs(t - s) * dist, abs=1e-9)
-
-    def test_unequal_sizes_interpolate(self):
-        rng = np.random.default_rng(6)
-        a = ParticleCloud(rng.normal(size=(2, 1)))
-        b = ParticleCloud(rng.normal(size=(3, 1)))
-        dist, plan = wasserstein2_exact(a, b)
-        mid = geodesic_point(plan, 0.5)
-        da, _ = wasserstein2_exact(mid, a)
-        db, _ = wasserstein2_exact(mid, b)
-        assert da == pytest.approx(0.5 * dist, abs=1e-9)
-        assert db == pytest.approx(0.5 * dist, abs=1e-9)
-
-    def test_t_out_of_range(self):
-        a = ParticleCloud(np.zeros((2, 1)))
-        _, plan = wasserstein2_exact(a, a)
-        with pytest.raises(TOutOfRange):
-            geodesic_point(plan, 1.5)
-
-    def test_output_cap(self):
-        rng = np.random.default_rng(7)
-        a = ParticleCloud(rng.normal(size=(7, 1)))
-        b = ParticleCloud(rng.normal(size=(11, 1)))
-        _, plan = wasserstein2_exact(a, b)
-        with pytest.raises(SizeCapExceeded):
-            geodesic_point(plan, 0.5, cap=10)
 
 
 class TestGradientNorm:

@@ -1,6 +1,4 @@
-"""Outer-loop schedule, gradient-norm estimator, trace, and probe tests."""
-
-import math
+"""Outer-loop schedule, gradient-norm estimator, and trace tests."""
 
 import numpy as np
 import pytest
@@ -13,7 +11,6 @@ from wfw.frank_wolfe import (
     counted_model,
     estimate_gradient_norm,
     run_frank_wolfe,
-    smoothness_probe,
 )
 from wfw.functionals import PotentialInteraction
 from wfw.moreau import SmoothObjective
@@ -294,24 +291,3 @@ class TestTraceSerialization:
         assert len(trace) == 0
         trace.append(1, 0.0, 0.0, 0.0, 0.0, 0, 0.0)
         assert len(trace) == 1
-
-
-class TestSmoothnessProbe:
-    def test_quadratic_energy_fits_square_remainder(self):
-        mu = _uniform_cloud(40, 2, seed=3)
-        report = smoothness_probe(_interaction(), mu, 60, np.random.default_rng(11))
-        assert not report.degenerate
-        assert report.alpha_hat == pytest.approx(1.0, abs=0.05)
-        assert report.t_hat == pytest.approx(0.5, rel=0.15)
-
-    def test_linear_energy_is_degenerate(self):
-        mu = _uniform_cloud(25, 3, seed=4)
-        J = PotentialInteraction(linear(np.array([0.4, -0.2, 0.9])))
-        report = smoothness_probe(J, mu, 20, np.random.default_rng(12))
-        assert report.degenerate
-        assert report.t_hat == 0.0
-        assert math.isnan(report.alpha_hat)
-
-    def test_rejects_too_few_trials(self):
-        with pytest.raises(ValueError):
-            smoothness_probe(_interaction(), _uniform_cloud(), 9, np.random.default_rng(0))
