@@ -87,9 +87,9 @@ def _objective_flags(p):
 
 def cmd_deconv(args):
     cfg = _experiment_config(args, "deconv")
-    mu, trace, J = run_deconv(cfg)
+    _, trace, _ = run_deconv(cfg)
     print(f"deconv: {len(trace)} iterations, status {trace.status}")
-    print(f"final objective {J.value(mu):.17g}")
+    print(f"final objective {trace.final_objective:.17g}")
     print(f"trace written to {cfg.out}")
     return EXIT_OK
 
@@ -135,7 +135,7 @@ def cmd_fw(args):
         save_csv(mu, args.final_out)
     print(f"fw: {len(trace)} iterations, status {trace.status}")
     s = mean_squared_gradient_norm(mu, J.derivative_oracle(mu, cfg.eps_hat))
-    print(f"final objective {J.value(mu):.17g}, s {s:.17g}")
+    print(f"final objective {trace.final_objective:.17g}, s {s:.17g}")
     print(f"trace written to {args.out}")
     return EXIT_OK if trace.status == "converged" else EXIT_BUDGET
 

@@ -207,11 +207,11 @@ def _dual_interval(f, m2, penalty, c=None):
 
 def _slope(f, mu, lam, eps, eps_prox, delta, rng, m4):
     """(estimate of g'(lam), samples drawn): sampled at accuracy eps and
-    confidence delta when given the cloud's gradient fourth moment m4
-    (computed once per solve), or one full-batch prox pass at accuracy
-    eps_prox when m4 is None."""
-    if m4 is not None:
-        k = hp_sample_count(f, mu, lam, eps, delta, m4=m4)
+    confidence delta given the cloud's gradient fourth moment m4 (computed
+    once per solve) while its count K is below the n atoms, else one exact
+    full-batch prox pass at accuracy eps_prox, charged n samples."""
+    k = None if m4 is None else hp_sample_count(f, mu, lam, eps, delta, m4=m4)
+    if k is not None and k < mu.n:
         return supergradient_hp(f, mu, lam, eps, delta, rng, m4=m4), k
     _, slope = g_value_and_grad_fullbatch(f, mu, lam, eps_prox)
     return slope, mu.n

@@ -13,6 +13,7 @@ from the target accuracy via `FWConfig.from_schedule`.
 import time
 from array import array
 from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
@@ -98,7 +99,12 @@ def _column(typecode):
 @dataclass
 class FWTrace:
     """Per-iteration records of the outer loop; the seven CSV columns are
-    compact arrays, 8 bytes an entry ("q" for iters and samples, else "d")."""
+    compact arrays, 8 bytes an entry ("q" for iters and samples, else "d").
+
+    Row i's J is the objective of the cloud entering step i;
+    `final_objective` is J of the cloud the loop returns, which no row
+    holds after a step (None until the loop has run).
+    """
 
     iters: array = _column("q")
     objective: array = _column("d")
@@ -109,6 +115,7 @@ class FWTrace:
     wall_ms: array = _column("d")
     events: list = field(default_factory=list)
     status: str = "budget-exhausted"
+    final_objective: Optional[float] = None
 
     def _columns(self):
         return [getattr(self, name) for name in _FIELDS]
@@ -149,7 +156,8 @@ def estimate_gradient_norm(phi, mu):
 
 
 def run_frank_wolfe(J, mu0, cfg, chained=False, wall_budget_s=None, on_iterate=None):
-    """Run the outer loop; returns (final cloud, trace).
+    """Run the outer loop; returns (final cloud, trace), the trace carrying
+    the final cloud's objective in `final_objective`.
 
     Per iteration: witness model at budget eps_hat, exact gradient norm s
     over the cloud, stop when s <= cfg.r, otherwise a trust-region step of
@@ -220,4 +228,5 @@ def run_frank_wolfe(J, mu0, cfg, chained=False, wall_budget_s=None, on_iterate=N
                 trace.status = "wall-budget"
             break
 
+    trace.final_objective = J.value(mu)
     return mu, trace

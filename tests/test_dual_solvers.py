@@ -460,10 +460,11 @@ class TestSampledSlope:
             eps_oracle=0.05,
         )
         assert calls == [12]
-        # one 12-row moment pass, then per step one prox over the 12 atoms
-        # hit: its first gradient, which its first iteration reuses, and the
-        # certificate's gradient at the one certified iterate
-        assert counter["rows"] == 12 + 20 * 2 * 12
+        # one 12-row moment pass; every step's sample count K exceeds the 12
+        # atoms, so each step is one exact full-batch pass instead, whose
+        # first gradient is the cloud's memoized one: 12 rows per step, for
+        # the certificate's gradient at the one certified iterate
+        assert counter["rows"] == 12 + 20 * 12
 
 
 class TestMirrorAscent:
@@ -516,6 +517,20 @@ class TestMirrorAscent:
 
 
 class TestTrustRegion:
+    @pytest.mark.parametrize("n", [12, 50])
+    def test_sampled_step_on_a_small_cloud_passes_exactly(self, n):
+        """A sampled slope here needs K = 4,482,954 draws at 12 atoms and
+        4,077,907 at 50, above the sample cap.  K >= n, so every slope is
+        one exact full-batch pass charged n samples, and the step lands in
+        the ball."""
+        mu = ParticleCloud(np.random.default_rng(0).normal(size=(n, 2)))
+        sampler, rep = trust_region_step(
+            double_well(), mu, 0.05, 0.1, 0.3, np.random.default_rng(1), stochastic=True
+        )
+        assert rep.samples_drawn == rep.oracle_calls * n
+        dist, _ = wasserstein2_exact(mu, sampler.target_cloud())
+        assert dist <= 0.05
+
     def test_linear_closed_form(self):
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(10, 3))

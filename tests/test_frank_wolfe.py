@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wfw.cloud import ParticleCloud, mean_squared_gradient_norm
-from wfw.experiments import read_trace
+from wfw.experiments import ExperimentConfig, read_trace, run_deconv
 from wfw.frank_wolfe import (
     FWConfig,
     FWTrace,
@@ -12,7 +12,7 @@ from wfw.frank_wolfe import (
     estimate_gradient_norm,
     run_frank_wolfe,
 )
-from wfw.functionals import PotentialInteraction
+from wfw.functionals import EntropicDeconv, PotentialInteraction
 from wfw.moreau import SmoothObjective
 from wfw.registry import linear, quadratic
 
@@ -174,6 +174,17 @@ class TestRunFrankWolfe:
         assert len(trace) == 1 and list(trace.iters) == [1]
         assert seen == [(1, mu)]
         np.testing.assert_allclose(mu.points, mu0.points)
+        assert trace.final_objective == trace.objective[0]
+
+    def test_final_objective_is_that_of_the_returned_cloud(self, tmp_path):
+        """The trace's last J was measured before the last step: on deconv
+        seed 0 it reads 0.5382559, against 0.5379641 for the returned cloud."""
+        cfg = ExperimentConfig(experiment="deconv", seed=0, out=str(tmp_path / "d.csv"))
+        mu, trace, J = run_deconv(cfg)
+        fresh = EntropicDeconv(J.sigma2, J.data, tol=J.tol)
+        assert trace.final_objective == fresh.value(mu)
+        assert trace.final_objective == pytest.approx(0.5379641, abs=1e-7)
+        assert trace.objective[-1] == pytest.approx(0.5382559, abs=1e-7)
 
     def test_budget_exhaustion_and_scheduled_radius_identity(self):
         cfg = self._cfg(eps=1e-4, k_max=12)

@@ -430,6 +430,13 @@ def _solve_or_iterations(solve, *args):
         return exc.iterations
 
 
+def _marginal_errors(x, y, sigma2, u, v):
+    """L1 row and column marginal errors of the coupling the potentials define."""
+    n, m = x.shape[0], y.shape[0]
+    pi = np.exp((u[:, None] + v[None, :] - 0.5 * sqdist_matrix(x, y)) / sigma2) / (n * m)
+    return np.abs(pi.sum(axis=1) - 1.0 / n).sum(), np.abs(pi.sum(axis=0) - 1.0 / m).sum()
+
+
 class TestSinkhornSweep:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -443,25 +450,59 @@ class TestSinkhornSweep:
     def test_two_reduction_sweep_matches_four_reduction_reference(
         self, seed, n, m, dim, sigma2, tol
     ):
-        """Testing only the column marginal after the u-update stops at the
-        same sweep with the same bits as testing both marginals on the coupling,
-        and gives up on the same instances (small sigma2 converges slowly)."""
+        """Where the sweep-only reference converges within 300 sweeps, the
+        solver meets tol with the same potentials and mass up to the
+        reference's own O(tol) distance from the solution (100 tol: 1e-7 at
+        tol 1e-9); where the reference gives up, the solver converges."""
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, dim))
         y = rng.normal(size=(m, dim)) + 0.5
-        args = (x, y, sigma2, tol, 300)
-        got = _solve_or_iterations(_sinkhorn_potentials, *args)
-        ref = _solve_or_iterations(_four_reduction_sinkhorn, *args)
-        if isinstance(ref, int):
-            assert got == ref
-            return
-        u, v, err, it, mass = got
-        ru, rv, _, rit, rmass = ref
-        np.testing.assert_array_equal(u, ru)
-        np.testing.assert_array_equal(v, rv)
-        assert it == rit
-        assert mass == rmass
+        u, v, err, _, mass = _sinkhorn_potentials(x, y, sigma2, tol)
         assert err <= tol
+        assert _marginal_errors(x, y, sigma2, u, v)[1] <= 2.0 * tol
+        ref = _solve_or_iterations(_four_reduction_sinkhorn, x, y, sigma2, tol, 300)
+        if isinstance(ref, int):
+            return
+        ru, rv, _, _, rmass = ref
+        np.testing.assert_allclose(u, ru, rtol=0.0, atol=100.0 * tol)
+        np.testing.assert_allclose(v, rv, rtol=0.0, atol=100.0 * tol)
+        assert mass == pytest.approx(rmass, rel=0.0, abs=100.0 * tol)
+
+
+class TestSinkhornStalls:
+    """Inputs on which 20,000 plain sweeps stopped short of the tolerance."""
+
+    def test_two_point_clouds_at_small_sigma2(self):
+        """cost / sigma2 up to 120: the sweeps sat at 4.2e-6."""
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(2, 2))
+        y = rng.normal(size=(2, 2)) + 0.5
+        u, v, err, _, _ = _sinkhorn_potentials(x, y, 0.1, 1e-9)
+        assert err <= 1e-9
+        assert max(_marginal_errors(x, y, 0.1, u, v)) <= 2e-9
+
+    def test_deconv_witness_of_the_batch_contract(self):
+        """Seed 36644787 of the deconv batch contract: the sweeps sat at 3.67e-7."""
+        _assert_batch_rows_equal_per_point_forms("deconv", 36644787, 1)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        m=st.integers(1, 8),
+        log_scale=st.floats(-0.5, 0.5),
+        log_sigma2=st.floats(-2.0, 0.0),
+    )
+    def test_converges_down_to_small_sigma2(self, seed, n, m, log_scale, log_sigma2):
+        """Clouds scaled by 10^U(-0.5, 0.5) at sigma2 in [1e-2, 1], where cost /
+        sigma2 reaches the thousands and whole columns underflow."""
+        rng = np.random.default_rng(seed)
+        scale, sigma2 = 10.0**log_scale, 10.0**log_sigma2
+        x = scale * rng.normal(size=(n, 2))
+        y = scale * (rng.normal(size=(m, 2)) + 0.3)
+        u, v, err, _, _ = _sinkhorn_potentials(x, y, sigma2, 1e-9)
+        assert err <= 1e-9
+        assert max(_marginal_errors(x, y, sigma2, u, v)) <= 2e-9
 
 
 class TestEntropicDeconv:
@@ -625,19 +666,23 @@ _WITNESS_KINDS = [f"mmd-{k.name}" for k in _kernels()] + ["deconv"] + [
 ]
 
 
+def _assert_batch_rows_equal_per_point_forms(kind, seed, rows):
+    rng = np.random.default_rng(seed)
+    model = _witness(kind, rng)
+    Z = 1.5 * rng.normal(size=(rows, 2))
+    values, grads = model.eval_many(Z), model.grad_many(Z)
+    assert values.shape == (rows,) and grads.shape == (rows, 2)
+    for i in range(rows):
+        assert values[i] == pytest.approx(model.eval(Z[i]), rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(grads[i], model.grad(Z[i]), rtol=1e-12, atol=1e-12)
+
+
 class TestBatchContract:
     @pytest.mark.parametrize("kind", _WITNESS_KINDS)
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 8))
     def test_batch_rows_equal_per_point_forms(self, kind, seed, rows):
-        rng = np.random.default_rng(seed)
-        model = _witness(kind, rng)
-        Z = 1.5 * rng.normal(size=(rows, 2))
-        values, grads = model.eval_many(Z), model.grad_many(Z)
-        assert values.shape == (rows,) and grads.shape == (rows, 2)
-        for i in range(rows):
-            assert values[i] == pytest.approx(model.eval(Z[i]), rel=1e-12, abs=1e-12)
-            np.testing.assert_allclose(grads[i], model.grad(Z[i]), rtol=1e-12, atol=1e-12)
+        _assert_batch_rows_equal_per_point_forms(kind, seed, rows)
 
     @pytest.mark.parametrize("name", sorted(PAIRS))
     @settings(max_examples=25, deadline=None)
