@@ -41,7 +41,17 @@ class LambdaTooSmall(WfwError):
 
 
 class NonFiniteIterate(WfwError):
-    """An inner iterate left the representable range (diverging prox solve)."""
+    """An inner iterate left the representable range (diverging prox solve).
+
+    Carries the prox weight `lam`, the step count `step` at which it
+    happened, and the number of rows still `active` then.
+    """
+
+    def __init__(self, message, lam=None, step=None, active=None):
+        super().__init__(message)
+        self.lam = lam
+        self.step = step
+        self.active = active
 
 
 class KCapExceeded(WfwError):

@@ -92,7 +92,8 @@ class RandomFeatureKernel:
     matrix is a Gram of feature vectors, hence positive semidefinite by
     construction.  The gradient Lipschitz bound uses the peak curvature of
     tanh and the mean squared row norm of the table.  A cloud's feature map
-    is computed once and shared by every caller (`CloudMemo`).
+    and its mean embedding are each computed once and shared by every
+    caller (`CloudMemo`).
     """
 
     name = "random-feature"
@@ -105,15 +106,25 @@ class RandomFeatureKernel:
         self.table.setflags(write=False)
         self.grad_lipschitz = _TANH_CURV * float(np.mean(np.sum(table**2, axis=1)))
         self._memo = CloudMemo(self._map)
+        self._mean_memo = CloudMemo(self._mean)
 
     def features(self, x):
         """phi(x) = tanh(x T^T), one row per point, as a read-only array."""
         return self._memo(x)
 
+    def mean_embedding(self, x):
+        """The column mean of phi(x), as a read-only array."""
+        return self._mean_memo(x)
+
     def _map(self, x):
         phi = np.tanh(x @ self.table.T)
         phi.setflags(write=False)
         return phi
+
+    def _mean(self, x):
+        m = self.features(x).mean(axis=0)
+        m.setflags(write=False)
+        return m
 
     def feature_grad(self, z, w):
         """Rows: grad_z of phi(z) . w, for a weight vector w of length B."""
@@ -123,7 +134,7 @@ class RandomFeatureKernel:
         return self.features(a) @ self.features(b).T / self.table.shape[0]
 
     def mean_grad(self, a, z):
-        return self.feature_grad(z, self.features(a).mean(axis=0)) / self.table.shape[0]
+        return self.feature_grad(z, self.mean_embedding(a)) / self.table.shape[0]
 
 
 class Functional:
@@ -148,7 +159,8 @@ class MMDSquared(Functional):
     feature space, so both are computed there: value(mu) is
     ||mean phi(x) - mean phi(y)||^2 / B and the witness is phi(z) . w with
     w = (2/B) (mean phi(x) - mean phi(y)).  That costs one feature map
-    over the cloud and no Gram matrix; the target's mean embedding is
+    and one mean embedding per cloud, shared by every functional on the
+    same kernel, and no Gram matrix; the target's mean embedding is
     computed once, here.  Other kernels use the Gram forms.
     """
 
@@ -157,7 +169,7 @@ class MMDSquared(Functional):
         self.target = target
         y = target.points
         if isinstance(kernel, RandomFeatureKernel):
-            self._target_embedding = kernel.features(y).mean(axis=0)
+            self._target_embedding = kernel.mean_embedding(y)
             self._value, self._witness = self._feature_value, self._feature_witness
         else:
             self._target_mean = float(np.mean(kernel.gram(y, y)))
@@ -199,7 +211,7 @@ class MMDSquared(Functional):
         return eval_many, grad_many
 
     def _embedding_gap(self, x):
-        return self.kernel.features(x).mean(axis=0) - self._target_embedding
+        return self.kernel.mean_embedding(x) - self._target_embedding
 
     def _feature_value(self, x):
         gap = self._embedding_gap(x)

@@ -112,8 +112,20 @@ def agd_prox_batch(f, x, lam, eps):
     spent.  The first step reuses the gradients at x, so a row that steps
     iters times evaluates 2 * iters gradients (one when it never steps).
 
+    The loop runs on the active rows alone, in their original order; all
+    of them have run the same count.  A row is written back when it leaves,
+    and the working set shrinks only on steps where some row leaves, so
+    each witness call sees the rows, order and shape that a masked loop
+    over the full batch would pass it.  Arrays handed to the witness are
+    never written to, since a witness may return its argument.
+
     Returns:
         (y, theta, iters, grad_evals) with shapes ((n,d), (n,), (n,), (n,)).
+
+    Raises:
+        LambdaTooSmall: lam <= f.semiconvexity.
+        NonFiniteIterate: an iterate, or a gradient at one, left the finite
+            range; carries lam, the step count and the rows still active.
     """
     if lam <= f.semiconvexity:
         raise LambdaTooSmall(
@@ -136,32 +148,50 @@ def agd_prox_batch(f, x, lam, eps):
         raw = 4.0 * kappa * np.log(12.0 * kappa * gnorm0[pos] / eps)
         budget[pos] = np.maximum(np.ceil(raw), 0.0).astype(np.int64)
 
-    y = x.copy()
     z = x.copy()  # latest gradient-step iterate per row; rows with budget 0 stay at x
     iters = np.zeros(n, dtype=np.int64)
-    active = budget > 0
     d_tol = 0.5 * math.sqrt(eps)
 
-    while np.any(active):
-        idx = np.nonzero(active)[0]
-        # Every active row has run the same count; before the first, y == x.
-        gy = f.grad_many(y[idx]) if iters[idx[0]] else g0[idx]
-        z_new = y[idx] - step * (gy + lam * (y[idx] - x[idx]))
-        if not np.all(np.isfinite(z_new)):
-            raise NonFiniteIterate("prox iterate left the finite range")
-        iters[idx] += 1
-        # Certificate: the prox objective a(.) = f + (lam/2)||.-x||^2 is
-        # mu_sc-strongly convex, so ||z - prox(x)|| <= ||grad a(z)||/mu_sc.
-        gz = f.grad_many(z_new)
-        resid = gz + lam * (z_new - x[idx])
-        d = np.sqrt(np.sum(resid**2, axis=1)) / mu_sc
-        dist = np.sqrt(np.sum((z_new - x[idx]) ** 2, axis=1))
-        certified = (d * (dist + 0.5 * d) <= 0.5 * eps) & (d <= d_tol)
+    # Working set: row indices, centers, momentum points, iterates, budgets.
+    idx = np.flatnonzero(budget)
+    xa = ya = za = x[idx]
+    ba = budget[idx]
+    k = 0
+    # A diverging solve surfaces as NonFiniteIterate below, not as a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while idx.size:
+            # Before the first step, ya == xa and its gradients are g0's.
+            gy = f.grad_many(ya) if k else g0[idx]
+            z_new = ya - step * (gy + lam * (ya - xa))
+            k += 1
+            # Certificate: the prox objective a(.) = f + (lam/2)||.-x||^2 is
+            # mu_sc-strongly convex, so ||z - prox(x)|| <= ||grad a(z)||/mu_sc.
+            gz = f.grad_many(z_new)
+            diff = z_new - xa
+            resid = gz + lam * diff
+            d = np.sqrt(np.sum(resid**2, axis=1)) / mu_sc
+            dist = np.sqrt(np.sum(diff**2, axis=1))
+            bound = d * (dist + 0.5 * d)
+            # Finite only if z_new and its gradients are.
+            if not np.isfinite(bound).all():
+                raise NonFiniteIterate(
+                    f"prox iterate left the finite range at lam = {lam}, "
+                    f"step {k}, {idx.size} rows active",
+                    lam=lam,
+                    step=k,
+                    active=int(idx.size),
+                )
+            certified = (bound <= 0.5 * eps) & (d <= d_tol)
 
-        y[idx] = z_new + momentum * (z_new - z[idx])
-        z[idx] = z_new
-        done = certified | (iters[idx] >= budget[idx])
-        active[idx[done]] = False
+            ya = z_new + momentum * (z_new - za)
+            za = z_new
+            done = certified | (ba <= k)
+            if done.any():
+                out = idx[done]
+                z[out] = z_new[done]
+                iters[out] = k
+                keep = ~done
+                idx, xa, ya, za, ba = idx[keep], xa[keep], ya[keep], za[keep], ba[keep]
 
     theta = 0.5 * np.sum((z - x) ** 2, axis=1)
     return z, theta, iters, np.maximum(2 * iters, 1)

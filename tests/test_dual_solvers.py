@@ -24,6 +24,7 @@ from wfw.errors import (
     DeltaTooLarge,
     InfeasiblePrimal,
     LambdaTooSmall,
+    NonFiniteIterate,
     RegularizationTooWeak,
     WeakDualityViolated,
     WfwError,
@@ -681,6 +682,22 @@ class TestTrustRegion:
         mu = ParticleCloud(np.random.default_rng(15).normal(size=(12, 2)))
         trust_region_step(f, mu, 0.1, 1e-3, 0.1, np.random.default_rng(0))
         assert calls == [12]
+
+    def test_diverging_prox_raises_a_typed_error(self):
+        """A double-well cloud at scale 1.91, outside the region its
+        smoothness bound covers: the radius is admitted, the prox diverges,
+        and the step raises NonFiniteIterate with its context, not a numpy
+        overflow warning (an error under this suite)."""
+        rng = np.random.default_rng(0)
+        n = int(rng.integers(2, 9))
+        scale = 10 ** rng.uniform(0.2, 0.5)
+        assert n == 7 and round(scale, 2) == 1.91
+        mu = ParticleCloud(scale * rng.standard_normal((n, 2)))
+        with pytest.raises(NonFiniteIterate) as info:
+            trust_region_step(double_well(), mu, 0.3, 0.5, None, None)
+        assert info.value.lam > double_well().semiconvexity
+        assert info.value.step >= 1
+        assert 1 <= info.value.active <= n
 
 
 class TestPrimalDualGap:

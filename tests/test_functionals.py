@@ -290,6 +290,48 @@ class TestMMDFeatureSpace:
         assert steps > 0
         assert feature_rows["baseline"] == n * (steps + 1)
 
+    def test_mean_embedding_is_taken_once_per_cloud(self, monkeypatch):
+        """J.value, J_val.value and J.derivative_oracle on one cloud, under a
+        shared kernel, take its column mean once, and give the same bits as
+        the mean taken afresh.  A writeable array is never remembered: its
+        mean follows it when it changes in place."""
+        means = []
+        mean = RandomFeatureKernel._mean
+
+        def counted(self, x):
+            means.append(x.shape[0])
+            return mean(self, x)
+
+        monkeypatch.setattr(RandomFeatureKernel, "_mean", counted)
+        rng = np.random.default_rng(21)
+        kernel = RandomFeatureKernel(0.6 * rng.standard_normal((12, 2)))
+        teacher = ParticleCloud(rng.normal(size=(8, 2)))
+        J = MMDSquared(kernel, teacher)
+        J_val = MMDSquared(kernel, ParticleCloud(rng.normal(size=(8, 2))))
+        mu = ParticleCloud(rng.normal(size=(5, 2)) + 0.5)
+        assert means == [8, 8]
+        value, val = J.value(mu), J_val.value(mu)
+        model = J.derivative_oracle(mu, 1e-9)
+        assert means == [8, 8, 5]
+
+        phi = np.tanh(mu.points @ kernel.table.T)
+        gap = phi.mean(axis=0) - np.tanh(teacher.points @ kernel.table.T).mean(axis=0)
+        assert value == float(gap @ gap) / 12
+        z = rng.normal(size=(3, 2))
+        assert np.array_equal(model.eval_many(z), np.tanh(z @ kernel.table.T) @ ((2.0 / 12) * gap))
+        assert val == J_val.value(ParticleCloud(mu.points))
+
+        x = mu.points.copy()
+        first = kernel.mean_embedding(x)
+        x += 1.0
+        np.testing.assert_array_equal(
+            kernel.mean_embedding(x), np.tanh(x @ kernel.table.T).mean(axis=0)
+        )
+        assert not np.array_equal(first, kernel.mean_embedding(x))
+        assert means == [8, 8, 5, 5, 5, 5, 5]
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+
     @settings(max_examples=60, deadline=None)
     @given(
         points=arrays(

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from wfw.cloud import ParticleCloud
-from wfw.errors import KCapExceeded, LambdaTooSmall
+from wfw.errors import KCapExceeded, LambdaTooSmall, NonFiniteIterate
 from wfw.frank_wolfe import counted_model
+from wfw.functionals import EntropicDeconv, MMDSquared, RandomFeatureKernel
 from wfw.moreau import (
     SmoothObjective,
     agd_prox,
@@ -27,6 +28,125 @@ def _iteration_ceiling(f, x, lam, eps):
     if gnorm == 0.0:
         return 0
     return max(math.ceil(4.0 * kappa * math.log(12.0 * kappa * gnorm / eps)), 0)
+
+
+def _masked_prox_batch(f, x, lam, eps):
+    """Reference: the prox loop over the full batch with an active mask.
+
+    Every step re-gathers the active rows by index and scatters them back.
+    `agd_prox_batch` keeps a compacted working set instead and must match
+    this bit for bit.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    mu_sc = lam - f.semiconvexity
+    l_smooth = lam + f.smoothness
+    kappa = math.sqrt(l_smooth / mu_sc)
+    step = 1.0 / l_smooth
+    momentum = (kappa - 1.0) / (kappa + 1.0)
+    g0 = f.grad_many(x)
+    gnorm0 = np.sqrt(np.sum(g0**2, axis=1))
+    budget = np.zeros(n, dtype=np.int64)
+    pos = gnorm0 > 0
+    if np.any(pos):
+        raw = 4.0 * kappa * np.log(12.0 * kappa * gnorm0[pos] / eps)
+        budget[pos] = np.maximum(np.ceil(raw), 0.0).astype(np.int64)
+    y = x.copy()
+    z = x.copy()
+    iters = np.zeros(n, dtype=np.int64)
+    active = budget > 0
+    d_tol = 0.5 * math.sqrt(eps)
+    while np.any(active):
+        idx = np.nonzero(active)[0]
+        gy = f.grad_many(y[idx]) if iters[idx[0]] else g0[idx]
+        z_new = y[idx] - step * (gy + lam * (y[idx] - x[idx]))
+        assert np.all(np.isfinite(z_new))
+        iters[idx] += 1
+        gz = f.grad_many(z_new)
+        resid = gz + lam * (z_new - x[idx])
+        d = np.sqrt(np.sum(resid**2, axis=1)) / mu_sc
+        dist = np.sqrt(np.sum((z_new - x[idx]) ** 2, axis=1))
+        certified = (d * (dist + 0.5 * d) <= 0.5 * eps) & (d <= d_tol)
+        y[idx] = z_new + momentum * (z_new - z[idx])
+        z[idx] = z_new
+        done = certified | (iters[idx] >= budget[idx])
+        active[idx[done]] = False
+    theta = 0.5 * np.sum((z - x) ** 2, axis=1)
+    return z, theta, iters, np.maximum(2 * iters, 1)
+
+
+def _recorded(f, calls):
+    """f, with the bytes, shape and order of every gradient query appended to calls."""
+
+    def grad_many(z):
+        calls.append((z.shape, z.tobytes()))
+        return f.grad_many(z)
+
+    return SmoothObjective(
+        eval_many=f.eval_many,
+        grad_many=grad_many,
+        smoothness=f.smoothness,
+        semiconvexity=f.semiconvexity,
+    )
+
+
+def _witness(kind, rng):
+    """(witness, centers, lam): centers at mixed distances, so budgets and
+    certification steps differ from row to row.  The quadratic's gradient
+    is its argument, so it also checks that no queried array is written to."""
+    x = rng.normal(size=(9, 2)) * rng.uniform(0.05, 1.5, size=(9, 1))
+    if kind == "quadratic":
+        x[[1, 6]] = 0.0  # zero gradient: budget 0
+        return quadratic(), x, 0.7
+    if kind == "double-well":
+        x[2] = 0.0
+        x[5] = [1.0, 0.0]  # both stationary: budget 0
+        return double_well(), x, 3.5
+    if kind == "linear":
+        return linear([0.3, -1.2]), x, 2.0
+    if kind == "deconv":
+        data = ParticleCloud(rng.normal(size=(11, 2)))
+        J = EntropicDeconv(0.25, data)
+        f = J.derivative_oracle(ParticleCloud(rng.normal(size=(7, 2))), 1e-9)
+        return f, x, f.semiconvexity + 1.5
+    kernel = RandomFeatureKernel(0.8 * rng.standard_normal((64, 2)))
+    J = MMDSquared(kernel, ParticleCloud(rng.normal(size=(10, 2))))
+    f = J.derivative_oracle(ParticleCloud(rng.normal(size=(10, 2)) + 1.0), 1e-9)
+    return f, x, f.semiconvexity + 0.5
+
+
+class TestCompactedLoop:
+    """`agd_prox_batch` against the masked reference loop, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "kind", ["quadratic", "double-well", "linear", "deconv", "mmd-features"]
+    )
+    @pytest.mark.parametrize("eps", [1e-3, 1e-10])
+    def test_bit_identical_to_the_masked_loop(self, kind, eps):
+        f, x, lam = _witness(kind, np.random.default_rng(len(kind)))
+        got_calls, want_calls = [], []
+        got = agd_prox_batch(_recorded(f, got_calls), x, lam, eps)
+        want = _masked_prox_batch(_recorded(f, want_calls), x, lam, eps)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        # Every gradient query sees the same rows, in the same order and shape.
+        assert got_calls == want_calls
+        if kind in ("quadratic", "double-well"):
+            assert np.count_nonzero(got[2] == 0) == 2
+        if kind not in ("quadratic", "linear"):  # those two certify in one step
+            assert len(set(got[2].tolist())) > 2
+
+    def test_diverging_rows_raise_with_context(self):
+        """Centers outside the double-well's smoothness region blow up; the
+        loop raises its own typed error, with no numpy warning first."""
+        x = np.array([[0.1, 0.2], [40.0, -30.0], [0.5, 0.0]])
+        with pytest.raises(NonFiniteIterate) as info:
+            agd_prox_batch(double_well(), x, 2.0, 1e-6)
+        err = info.value
+        assert err.lam == 2.0
+        assert err.step >= 1
+        assert 1 <= err.active <= 3
 
 
 class TestProxClosedForms:
@@ -80,8 +200,9 @@ class TestProxClosedForms:
         y, theta, iters, _ = agd_prox_batch(f, X, lam, 1e-10)
         for i in range(6):
             single = agd_prox(f, X[i], lam, 1e-10)
-            np.testing.assert_allclose(y[i], single.y, atol=1e-12)
-            assert theta[i] == pytest.approx(single.theta, abs=1e-12)
+            np.testing.assert_array_equal(y[i], single.y)
+            assert theta[i] == single.theta
+            assert iters[i] == single.iters
 
     def test_double_well_stationarity(self):
         """Returned point satisfies the prox first-order condition."""
