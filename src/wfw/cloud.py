@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SizeCapExceeded
+from .errors import DimensionMismatch, NonFiniteIterate, SizeCapExceeded
 
 #: Hard cap on n*m for the exact transport solvers.
 EXACT_OT_CAP = 10**6
@@ -174,10 +174,22 @@ def _lp_transport(d2, n, m):
     return w, float(np.sum(w * d2))
 
 
+def mean_squared_gradient(cloud, g):
+    """(1/n) sum ||grad(x_i)||^2; NonFiniteIterate if it leaves the finite range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        grads = g.grad_many(cloud.points)
+        m2 = float(np.mean(np.sum(grads**2, axis=1)))
+    if not math.isfinite(m2):
+        raise NonFiniteIterate(
+            f"squared gradient norm left the finite range on {cloud.n} atoms",
+            active=cloud.n,
+        )
+    return m2
+
+
 def mean_squared_gradient_norm(cloud, g):
     """L2(mu) norm of a gradient field: sqrt((1/n) sum ||grad(x_i)||^2)."""
-    grads = g.grad_many(cloud.points)
-    return float(np.sqrt(np.mean(np.sum(grads**2, axis=1))))
+    return math.sqrt(mean_squared_gradient(cloud, g))
 
 
 def save_csv(cloud, path, header=False):

@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .cloud import ParticleCloud, mean_squared_gradient
 from .errors import (
     DeltaTooLarge,
     InfeasiblePrimal,
@@ -150,14 +151,7 @@ class PushforwardSampler:
     images: np.ndarray
 
     def target_cloud(self):
-        from .cloud import ParticleCloud
-
         return ParticleCloud(self.images)
-
-
-def _mean_sq_grad(f, mu):
-    g = f.grad_many(mu.points)
-    return float(np.mean(np.sum(g**2, axis=1)))
 
 
 def dual_interval(f, mu, penalty, c=None):
@@ -174,7 +168,7 @@ def dual_interval(f, mu, penalty, c=None):
             indicator the message reports the maximal admissible delta).
         IntervalEmpty: u <= l.
     """
-    return _dual_interval(f, _mean_sq_grad(f, mu), penalty, c)
+    return _dual_interval(f, mean_squared_gradient(mu, f), penalty, c)
 
 
 def _dual_interval(f, m2, penalty, c=None):
@@ -251,7 +245,7 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
     Raises:
         RegularizationTooWeak, IntervalEmpty: as `dual_interval`.
     """
-    m2 = _mean_sq_grad(f, mu)
+    m2 = mean_squared_gradient(mu, f)
     reg = penalty.psi_star_deriv(f.semiconvexity + 1.0)
     l, u = _dual_interval(f, m2, penalty, c=m2 / reg if reg > 0 else None)
     l0, u0 = l, u

@@ -18,7 +18,7 @@ from .moreau import SmoothObjective
 _TANH_CURV = 0.7699
 
 
-def _logsumexp(a, axis=None, keepdims=False):
+def _logsumexp(a, axis=None):
     """log(sum(exp(a))) along `axis`, bit for bit what scipy.special.logsumexp returns.
 
     Same arithmetic as scipy's real-input path: the maxima are counted (m
@@ -37,9 +37,7 @@ def _logsumexp(a, axis=None, keepdims=False):
     np.exp(e, out=e)
     np.putmask(e, mask, 0.0)
     s = e.sum(axis=axis, keepdims=True)
-    out = np.log1p(s / m) + np.log(m) + a_max
-    if not keepdims:
-        out = out.squeeze(axis=axis)
+    out = (np.log1p(s / m) + np.log(m) + a_max).squeeze(axis=axis)
     return out[()] if out.ndim == 0 else out
 
 
@@ -413,20 +411,27 @@ class EntropicDeconv(Functional):
 
     def derivative_oracle(self, mu, eps):
         _, v, _ = self._solve(mu.points)
-        y = self.data.points
-        m = y.shape[0]
-        sigma2 = self.sigma2
+        y, sigma2 = self.data.points, self.sigma2
+        # Logits of the softmax over the data atoms, less the ||z||^2 / (2 sigma2)
+        # that ||z - y_j||^2 = ||z||^2 + ||y_j||^2 - 2 z . y_j puts in each one.
+        yt = y.T / sigma2
+        c = (v - 0.5 * np.sum(y**2, axis=1)) / sigma2 - math.log(y.shape[0])
 
-        def _logits(z):
-            return (v[None, :] - 0.5 * sqdist_matrix(z, y)) / sigma2
+        def softmax(z):
+            e = z @ yt
+            e += c
+            top = e.max(axis=1)
+            e -= top[:, None]
+            np.exp(e, out=e)
+            return e, top
 
         def eval_many(z):
-            return -sigma2 * (_logsumexp(_logits(z), axis=1) - math.log(m))
+            e, top = softmax(z)
+            return 0.5 * np.sum(z**2, axis=1) - sigma2 * (np.log(e.sum(axis=1)) + top)
 
         def grad_many(z):
-            lg = _logits(z)
-            w = np.exp(lg - _logsumexp(lg, axis=1, keepdims=True))
-            return z - w @ y
+            e, _ = softmax(z)
+            return z - (e @ y) / e.sum(axis=1, keepdims=True)
 
         rho = self._rho
         return SmoothObjective(

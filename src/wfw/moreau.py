@@ -124,8 +124,9 @@ def agd_prox_batch(f, x, lam, eps):
 
     Raises:
         LambdaTooSmall: lam <= f.semiconvexity.
-        NonFiniteIterate: an iterate, or a gradient at one, left the finite
-            range; carries lam, the step count and the rows still active.
+        NonFiniteIterate: an iterate, or a gradient at one or at a center
+            (step 0), left the finite range; carries lam, the step count and
+            the rows still active.
     """
     if lam <= f.semiconvexity:
         raise LambdaTooSmall(
@@ -138,27 +139,33 @@ def agd_prox_batch(f, x, lam, eps):
     kappa = math.sqrt(l_smooth / mu_sc)
     step = 1.0 / l_smooth
     momentum = (kappa - 1.0) / (kappa + 1.0)
-
-    g0 = f.grad_many(x)
-    gnorm0 = np.sqrt(np.sum(g0**2, axis=1))
-
-    budget = np.zeros(n, dtype=np.int64)
-    pos = gnorm0 > 0
-    if np.any(pos):
-        raw = 4.0 * kappa * np.log(12.0 * kappa * gnorm0[pos] / eps)
-        budget[pos] = np.maximum(np.ceil(raw), 0.0).astype(np.int64)
-
     z = x.copy()  # latest gradient-step iterate per row; rows with budget 0 stay at x
     iters = np.zeros(n, dtype=np.int64)
     d_tol = 0.5 * math.sqrt(eps)
 
-    # Working set: row indices, centers, momentum points, iterates, budgets.
-    idx = np.flatnonzero(budget)
-    xa = ya = za = x[idx]
-    ba = budget[idx]
-    k = 0
-    # A diverging solve surfaces as NonFiniteIterate below, not as a numpy warning.
+    # A diverging solve surfaces as NonFiniteIterate, not as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g0 = f.grad_many(x)
+        gnorm0 = np.sqrt(np.sum(g0**2, axis=1))
+        if not np.isfinite(gnorm0).all():
+            raise NonFiniteIterate(
+                f"gradient at the prox centers left the finite range at lam = {lam}",
+                lam=lam,
+                step=0,
+                active=n,
+            )
+
+        budget = np.zeros(n, dtype=np.int64)
+        pos = gnorm0 > 0
+        if np.any(pos):
+            raw = 4.0 * kappa * np.log(12.0 * kappa * gnorm0[pos] / eps)
+            budget[pos] = np.maximum(np.ceil(raw), 0.0).astype(np.int64)
+
+        # Working set: row indices, centers, momentum points, iterates, budgets.
+        idx = np.flatnonzero(budget)
+        xa = ya = za = x[idx]
+        ba = budget[idx]
+        k = 0
         while idx.size:
             # Before the first step, ya == xa and its gradients are g0's.
             gy = f.grad_many(ya) if k else g0[idx]

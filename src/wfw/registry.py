@@ -104,21 +104,17 @@ PAIRS = {
 _REJECTED = ("kl", "f-divergence", "f-div", "chi2", "tv")
 
 
-def make_objective(name):
+def _build(table, kind, name):
     if name in _REJECTED:
-        raise ValueError(f"divergence-type objectives are not supported: {name!r}")
-    try:
-        return OBJECTIVES[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown objective {name!r}; choose from {sorted(OBJECTIVES)}"
-        ) from None
+        raise ValueError(f"divergence-type {kind}s are not supported: {name!r}")
+    if name not in table:
+        raise ValueError(f"unknown {kind} {name!r}; choose from {sorted(table)}")
+    return table[name]()
+
+
+def make_objective(name):
+    return _build(OBJECTIVES, "objective", name)
 
 
 def make_pair(name):
-    if name in _REJECTED:
-        raise ValueError(f"divergence-type interactions are not supported: {name!r}")
-    try:
-        return PAIRS[name]()
-    except KeyError:
-        raise ValueError(f"unknown pair potential {name!r}; choose from {sorted(PAIRS)}") from None
+    return _build(PAIRS, "pair potential", name)

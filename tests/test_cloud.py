@@ -21,12 +21,14 @@ from wfw.cloud import (
     ParticleCloud,
     TransportPlan,
     load_csv,
+    mean_squared_gradient,
     mean_squared_gradient_norm,
     save_csv,
     wasserstein2_exact,
 )
-from wfw.errors import DimensionMismatch, SizeCapExceeded
-from wfw.registry import linear, quadratic
+from wfw.errors import DimensionMismatch, NonFiniteIterate, SizeCapExceeded
+from wfw.functionals import EntropicDeconv
+from wfw.registry import double_well, linear, quadratic
 
 
 def test_import_loads_no_scipy():
@@ -185,3 +187,32 @@ class TestGradientNorm:
         cloud = ParticleCloud(pts)
         expected = math.sqrt(float(np.mean(np.sum(pts**2, axis=1))))
         assert mean_squared_gradient_norm(cloud, quadratic()) == pytest.approx(expected)
+
+    def test_norm_is_the_root_of_the_mean_square(self):
+        """Bit for bit the norm taken in one numpy expression: math.sqrt
+        rounds the mean square the same way, so s keeps its trace digits."""
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            cloud = ParticleCloud(rng.normal(size=(int(rng.integers(1, 30)), 3)))
+            grads = double_well().grad_many(cloud.points)
+            want = float(np.sqrt(np.mean(np.sum(grads**2, axis=1))))
+            assert mean_squared_gradient_norm(cloud, double_well()) == want
+            assert math.sqrt(mean_squared_gradient(cloud, double_well())) == want
+
+    @pytest.mark.parametrize(
+        "field, scale", [("double-well", 1e103), ("double-well", 1e160), ("deconv", 1e160)]
+    )
+    def test_overflowing_field_raises_a_typed_error(self, field, scale):
+        """The field (double-well at 1e103) or its square (1e160) overflows:
+        NonFiniteIterate with the atom count, not a numpy warning."""
+        rng = np.random.default_rng(3)
+        if field == "deconv":
+            J = EntropicDeconv(0.25, ParticleCloud(rng.normal(size=(6, 2))))
+            g = J.derivative_oracle(ParticleCloud(rng.normal(size=(5, 2))), 1e-9)
+        else:
+            g = double_well()
+        cloud = ParticleCloud([[0.5, 0.0], [scale, 0.0]])
+        for norm in (mean_squared_gradient, mean_squared_gradient_norm):
+            with pytest.raises(NonFiniteIterate) as info:
+                norm(cloud, g)
+            assert info.value.active == 2

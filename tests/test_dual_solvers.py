@@ -670,18 +670,27 @@ class TestTrustRegion:
         """The radius check, the dual interval, its penalty-matched width and
         the bisection's bound all share one pass over the atoms."""
         calls = []
-        mean_sq_grad = dual_solvers._mean_sq_grad
+        mean_sq_grad = dual_solvers.mean_squared_gradient
 
-        def spy(f, mu):
+        def spy(mu, f):
             calls.append(mu.n)
-            return mean_sq_grad(f, mu)
+            return mean_sq_grad(mu, f)
 
-        monkeypatch.setattr(dual_solvers, "_mean_sq_grad", spy)
+        monkeypatch.setattr(dual_solvers, "mean_squared_gradient", spy)
         counter = {"rows": 0}
         f = counted_model(double_well(), counter)
         mu = ParticleCloud(np.random.default_rng(15).normal(size=(12, 2)))
         trust_region_step(f, mu, 0.1, 1e-3, 0.1, np.random.default_rng(0))
         assert calls == [12]
+
+    @pytest.mark.parametrize("scale", [1e103, 1e160])
+    def test_overflowing_field_at_the_atoms_raises_a_typed_error(self, scale):
+        """The step's one gradient pass over the atoms overflows on a
+        double-well cloud with a huge coordinate."""
+        mu = ParticleCloud([[0.5, 0.0], [scale, 0.0]])
+        with pytest.raises(NonFiniteIterate) as info:
+            trust_region_step(double_well(), mu, 0.1, 1e-3, 0.1, np.random.default_rng(0))
+        assert info.value.active == 2
 
     def test_diverging_prox_raises_a_typed_error(self):
         """A double-well cloud at scale 1.91, outside the region its

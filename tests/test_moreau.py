@@ -149,6 +149,21 @@ class TestCompactedLoop:
         assert 1 <= err.active <= 3
 
 
+    @pytest.mark.parametrize(
+        "kind, scale", [("double-well", 1e103), ("double-well", 1e160), ("deconv", 1e160)]
+    )
+    def test_overflowing_gradient_at_a_center_raises_at_step_zero(self, kind, scale):
+        """At 1e103 the double-well's gradient overflows, at 1e160 its squared
+        norm does, as does the deconvolution witness's gradient norm: a typed
+        error before the first step, with no numpy warning first."""
+        f, _, lam = _witness(kind, np.random.default_rng(0))
+        x = np.array([[0.5, 0.0], [scale, 0.0]])
+        with pytest.raises(NonFiniteIterate) as info:
+            agd_prox_batch(f, x, lam, 1e-6)
+        err = info.value
+        assert (err.lam, err.step, err.active) == (lam, 0, 2)
+
+
 class TestProxClosedForms:
     def test_quadratic(self):
         """argmin 0.5|y|^2 + lam/2 |y-x|^2 = lam x / (1 + lam)."""
