@@ -228,11 +228,11 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
     on a collapsed bracket u = l (at once when h(l) <= 0: l is the answer),
     and otherwise two passes past the count plain bisection needs to reach
     the a-priori width eps_alg / B, B = max(psi* smoothness, 16 m2^2, 1e-12),
-    m2 = E||grad f||^2.  That width does not stop it: on a tiny field it is
-    too coarse for the certificate.  The sampled path bisects to that
-    width, moving u on h < -eps_alg / max(lam - l, 1), and passes at u;
-    when that pass is infeasible (misled samples) it certifies the right end
-    u0, where g'(u0) < psi*'(u0) / 4.
+    m2 = E||grad f||^2, or ulp(u) if wider.  That width does not stop it: on
+    a tiny field it is too coarse for the certificate.  The sampled path
+    bisects to that width, moving u on h < -eps_alg / max(lam - l, 1), and
+    passes at u; when that pass is infeasible (misled samples) it certifies
+    the right end u0, where g'(u0) < psi*'(u0) / 4.
 
     Args:
         eps: target primal-dual gap; the internal tolerance is
@@ -251,7 +251,9 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
     l0, u0 = l, u
     eps_alg = eps / (4.0 + l)
     eps_prox = eps_alg / (2.0 * max(u - l, 1.0))
-    width = eps_alg / max(penalty.smoothness_on(l, u), 16.0 * m2**2, 1e-12)
+    # No bracket shrinks below ulp(u), and 16 m2^2 may be inf: floor the width there.
+    b = max(penalty.smoothness_on(l, u), 16.0 * m2 * m2, 1e-12)
+    width = max(eps_alg / b, math.ulp(u))
     steps = max(math.ceil(math.log2((u - l) / width)) + 1, 1)
     oracle_calls = samples = 0
 

@@ -24,7 +24,7 @@ class SizeCapExceeded(WfwError):
 
 
 class SinkhornNotConverged(WfwError):
-    """Sinkhorn loop hit max_iter before the marginal tolerance; carries the last error."""
+    """A Sinkhorn solve ran out of iterations before tol; carries the last marginal error."""
 
     def __init__(self, message, marginal_error=None, iterations=None):
         super().__init__(message)

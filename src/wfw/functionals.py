@@ -17,28 +17,18 @@ from .moreau import SmoothObjective
 # Peak of |tanh''|, slightly rounded up: 4 / (3 * sqrt(3)).
 _TANH_CURV = 0.7699
 
+# Iterations, sweeps plus Newton steps, that one Sinkhorn solve may spend.
+_SINKHORN_MAX_ITER = 20000
 
-def _logsumexp(a, axis=None):
-    """log(sum(exp(a))) along `axis`, bit for bit what scipy.special.logsumexp returns.
 
-    Same arithmetic as scipy's real-input path: the maxima are counted (m
-    ties), left out of the shifted sum, and added back as log1p(s / m) +
-    log(m) + max.  (scipy falls back to log(sum(exp(a))) where that is not
-    finite, which happens only at an infinite or NaN maximum, and there
-    both forms agree.)  It skips scipy's array-API dispatch, which costs
-    ~3x the arithmetic on 50 x 50 inputs.
-    """
-    if axis is None:
-        axis = tuple(range(a.ndim))
-    a_max = a.max(axis=axis, keepdims=True)
-    mask = a == a_max
-    m = mask.sum(axis=axis, keepdims=True, dtype=a.dtype)
-    e = a - a_max
-    np.exp(e, out=e)
-    np.putmask(e, mask, 0.0)
-    s = e.sum(axis=axis, keepdims=True)
-    out = (np.log1p(s / m) + np.log(m) + a_max).squeeze(axis=axis)
-    return out[()] if out.ndim == 0 else out
+def _softmax(a):
+    """Unnormalized row softmax of the 2-d logits `a`, in place: returns
+    (e, top) with top the row max and e = exp(a - top), so that row i's
+    log-sum-exp is log(e[i].sum()) + top[i] and its softmax e[i] / e[i].sum()."""
+    top = a.max(axis=1)
+    a -= top[:, None]
+    np.exp(a, out=a)
+    return a, top
 
 
 class GaussianKernel:
@@ -231,7 +221,8 @@ class MMDSquared(Functional):
 def _soft_c_transform(w, cost, s2):
     """-s2 log mean_j exp((w_j - cost_ij) / s2) per row i: the exact u-update
     given v (w = v), the v-update given u (w = u, cost transposed)."""
-    return -s2 * (_logsumexp((w[None, :] - cost) / s2, axis=1) - math.log(w.shape[0]))
+    e, top = _softmax((w[None, :] - cost) / s2)
+    return -s2 * (np.log(e.sum(axis=1)) + top - math.log(w.shape[0]))
 
 
 def _sinkhorn_sweeps(v, cost, s2, target, budget):
@@ -270,8 +261,8 @@ def _sinkhorn_newton(v, cost, s2, target):
     reach = 2.0 * max(float(cost.max()), s2)
 
     def coupling(v):
-        log_p = (_soft_c_transform(v, cost, s2)[:, None] + v[None, :] - cost) / s2
-        p = np.exp(log_p - math.log(n) - math.log(m))
+        e, _ = _softmax((v[None, :] - cost) / s2)
+        p = e / (n * e.sum(axis=1, keepdims=True))
         b = p.sum(axis=0)
         return p, b, float(np.sum(np.abs(b - 1.0 / m)))
 
@@ -313,23 +304,23 @@ def _sinkhorn_newton(v, cost, s2, target):
     return v, err, steps
 
 
-def _sinkhorn_potentials(x, y, sigma2, tol, max_iter=20000):
+def _sinkhorn_potentials(x, y, sigma2, tol):
     """Entropic transport potentials between uniform clouds, as (u, v,
-    marginal_error, iterations, coupling_mass), gauged to mean(u) == mean(v).
+    marginal_error, iterations), gauged to mean(u) == mean(v).
 
-    The error, <= tol, is the L1 column-marginal error after an exact
-    u-update; `iterations` counts sweeps plus Newton steps.  (a) Plain
-    sweeps run to 1e-2, then (b) Newton steps to tol.  If either stalls,
-    (c) both rerun over an eps ladder from max(max cost, sigma2), divided
-    by 4 per stage, each stage to 1e-3 and sigma2 itself to tol (Schmitzer,
-    arXiv:1610.06519).  Plain sweeps, up to `max_iter` iterations in all,
-    are the last fallback.
+    u is the exact u-update of v, so the coupling they define has row sums
+    1/n and total mass 1.  The error, <= tol, is the L1 column-marginal
+    error; `iterations` counts sweeps plus Newton steps.  (a) Plain sweeps
+    run to 1e-2, then (b) Newton steps to tol.  If either stalls, (c) both
+    rerun over an eps ladder from max(max cost, sigma2), divided by 4 per
+    stage, each stage to 1e-3 and sigma2 itself to tol (Schmitzer,
+    arXiv:1610.06519).  Plain sweeps, up to `_SINKHORN_MAX_ITER` iterations
+    in all, are the last fallback.
 
     Raises:
         SinkhornNotConverged: the fallback ran out of iterations.
         NonFiniteDual: a sweep left the finite range.
     """
-    n, m = x.shape[0], y.shape[0]
     cost = 0.5 * sqdist_matrix(x, y)
     iterations = 0
 
@@ -340,15 +331,15 @@ def _sinkhorn_potentials(x, y, sigma2, tol, max_iter=20000):
         iterations += sweeps + steps
         return v, err
 
-    v, err = stage(np.zeros(m), sigma2, tol)
+    v, err = stage(np.zeros(y.shape[0]), sigma2, tol)
     if err > tol:
-        v, s2 = np.zeros(m), max(float(cost.max()), sigma2)
+        v, s2 = np.zeros(y.shape[0]), max(float(cost.max()), sigma2)
         while s2 > sigma2:
             v, _ = stage(v, s2, 1e-3)
             s2 /= 4.0
         v, err = stage(v, sigma2, tol)
     if err > tol:
-        budget = max(max_iter - iterations, 0)
+        budget = max(_SINKHORN_MAX_ITER - iterations, 0)
         v, err, sweeps = _sinkhorn_sweeps(v, cost, sigma2, tol, budget)
         iterations += sweeps
     if err > tol:
@@ -358,22 +349,22 @@ def _sinkhorn_potentials(x, y, sigma2, tol, max_iter=20000):
             iterations=iterations,
         )
     u = _soft_c_transform(v, cost, sigma2)
-    log_pi = (u[:, None] + v[None, :] - cost) / sigma2 - math.log(n) - math.log(m)
-    mass = float(np.exp(_logsumexp(log_pi)))
     shift = 0.5 * (float(np.mean(v)) - float(np.mean(u)))
-    return u + shift, v - shift, err, iterations, mass
+    return u + shift, v - shift, err, iterations
 
 
 class EntropicDeconv(Functional):
     """Entropy-regularized transport cost from the iterate to a fixed data cloud.
 
-    value(mu) is the converged dual objective mean(u) + mean(v) (with the
-    coupling-mass correction, which vanishes at convergence).  The witness
-    is the canonical smooth extension of the u-potential,
+    value(mu) is the converged dual objective mean(u) + mean(v); u is the
+    exact u-update of v, so the coupling has mass 1 and the dual carries no
+    mass term.  The witness is the canonical smooth extension of the
+    u-potential,
 
         phi(z) = -sigma2 * log( (1/m) sum_j exp((v_j - ||z - y_j||^2 / 2) / sigma2) ),
 
-    whose gradient is z minus the softmax-weighted data mean.
+    whose gradient is z minus the softmax-weighted data mean.  It is the
+    soft c-transform of v, through the same row softmax as the solve.
 
     One Sinkhorn solve serves each cloud: `value` and `derivative_oracle`
     on the same `ParticleCloud` share it through a `CloudMemo`, and any
@@ -398,39 +389,33 @@ class EntropicDeconv(Functional):
         self._rho = max(0.0, diam2 / (4.0 * self.sigma2) - 1.0)
 
     def _sinkhorn(self, points):
-        """(u, v, mass) for the cloud at `points`, logging the marginal error."""
-        u, v, err, _, mass = _sinkhorn_potentials(
-            points, self.data.points, self.sigma2, self.tol
-        )
+        """(u, v) for the cloud at `points`, logging the marginal error."""
+        u, v, err, _ = _sinkhorn_potentials(points, self.data.points, self.sigma2, self.tol)
         self.marginal_error_log.append(err)
-        return u, v, mass
+        return u, v
 
     def value(self, mu):
-        u, v, mass = self._solve(mu.points)
-        return float(np.mean(u) + np.mean(v) - self.sigma2 * (mass - 1.0))
+        u, v = self._solve(mu.points)
+        return float(np.mean(u) + np.mean(v))
 
     def derivative_oracle(self, mu, eps):
-        _, v, _ = self._solve(mu.points)
+        _, v = self._solve(mu.points)
         y, sigma2 = self.data.points, self.sigma2
         # Logits of the softmax over the data atoms, less the ||z||^2 / (2 sigma2)
         # that ||z - y_j||^2 = ||z||^2 + ||y_j||^2 - 2 z . y_j puts in each one.
         yt = y.T / sigma2
         c = (v - 0.5 * np.sum(y**2, axis=1)) / sigma2 - math.log(y.shape[0])
 
-        def softmax(z):
-            e = z @ yt
-            e += c
-            top = e.max(axis=1)
-            e -= top[:, None]
-            np.exp(e, out=e)
-            return e, top
-
         def eval_many(z):
-            e, top = softmax(z)
+            a = z @ yt
+            a += c
+            e, top = _softmax(a)
             return 0.5 * np.sum(z**2, axis=1) - sigma2 * (np.log(e.sum(axis=1)) + top)
 
         def grad_many(z):
-            e, _ = softmax(z)
+            a = z @ yt
+            a += c
+            e, _ = _softmax(a)
             return z - (e @ y) / e.sum(axis=1, keepdims=True)
 
         rho = self._rho

@@ -205,9 +205,14 @@ def agd_prox_batch(f, x, lam, eps):
 
 
 def gradient_fourth_moment(f, mu):
-    """Plug-in fourth moment E_mu ||grad f||^4 over the cloud's atoms."""
-    g = f.grad_many(mu.points)
-    return float(np.mean(np.sum(g**2, axis=1) ** 2))
+    """Plug-in fourth moment E_mu ||grad f||^4 over the cloud's atoms;
+    NonFiniteIterate if it leaves the finite range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = f.grad_many(mu.points)
+        m4 = float(np.mean(np.sum(g**2, axis=1) ** 2))
+    if not math.isfinite(m4):
+        raise NonFiniteIterate(f"fourth moment overflowed on {mu.n} atoms", active=mu.n)
+    return m4
 
 
 def hp_sample_count(f, mu, lam, eps, delta, m4=None):

@@ -516,6 +516,16 @@ class TestMirrorAscent:
             env = mirror_ascent_envelope((0.0, 2.0), k, 4.0, 4.0, 0.0)
             assert 0.0 <= subopt <= env
 
+    def test_overflowing_fourth_moment_raises_a_typed_error(self):
+        """At 1e80 the double-well's squared gradient norm (1e480) overflows
+        in the plug-in fourth moment that sets C^2: NonFiniteIterate with
+        the atom count, not a numpy overflow warning."""
+        mu = ParticleCloud([[0.5, 0.0], [1e80, 0.0]])
+        pen = TrustRegionIndicator(0.1)
+        with pytest.raises(NonFiniteIterate) as info:
+            mirror_ascent(double_well(), mu, pen, (2.0, 3.0), 5, np.random.default_rng(0))
+        assert info.value.active == 2
+
 
 class TestTrustRegion:
     @pytest.mark.parametrize("n", [12, 50])
@@ -691,6 +701,41 @@ class TestTrustRegion:
         with pytest.raises(NonFiniteIterate) as info:
             trust_region_step(double_well(), mu, 0.1, 1e-3, 0.1, np.random.default_rng(0))
         assert info.value.active == 2
+
+    @pytest.mark.parametrize("stochastic", [False, True])
+    def test_huge_mean_squared_gradient_raises_a_typed_error(self, stochastic):
+        """At 1e26 the double-well's m2 (1e156) is finite but its square in
+        the a-priori width is not: the prox at l diverges on the full-batch
+        path and the gradient fourth moment overflows on the sampled one,
+        each a NonFiniteIterate, not a raw OverflowError."""
+        mu = ParticleCloud([[0.5, 0.0], [1e26, 0.0]])
+        args = (0.5, 0.3, np.random.default_rng(0)) if stochastic else (1e-3, None, None)
+        with pytest.raises(NonFiniteIterate) as info:
+            trust_region_step(double_well(), mu, 0.1, *args, stochastic=stochastic)
+        assert info.value.active == 2
+
+    @pytest.mark.parametrize("scale", [10.0, 1e3])
+    def test_sampled_bisection_stops_at_the_rounding_unit(self, monkeypatch, scale):
+        """The a-priori width (2e-14 at 10, 2e-38 at 1e3) is below the
+        rounding unit of u (6714 and 7.1e9), where the bracket stops
+        shrinking: the sampled loop ends there, within the 53 halvings that
+        take u - l < u to ulp(u), each at a new lam."""
+        slopes = []
+        sampled_slope = dual_solvers._slope
+
+        def spy(*args):
+            slopes.append(args[2])
+            assert len(slopes) <= 100, "the bisection does not stop"
+            return sampled_slope(*args)
+
+        monkeypatch.setattr(dual_solvers, "_slope", spy)
+        mu = ParticleCloud([[0.5, 0.0], [scale, 0.0]])
+        _, rep = trust_region_step(
+            double_well(), mu, 0.1, 0.5, 0.3, np.random.default_rng(0), stochastic=True
+        )
+        assert len(slopes) <= 53
+        assert rep.oracle_calls == len(slopes) + 1
+        assert np.diff(slopes).all()
 
     def test_diverging_prox_raises_a_typed_error(self):
         """A double-well cloud at scale 1.91, outside the region its
