@@ -31,7 +31,6 @@ from .functionals import (
     GaussianKernel,
     InverseMultiquadricKernel,
     MMDSquared,
-    PairPotential,
     PotentialInteraction,
     RandomFeatureKernel,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "GaussianKernel",
     "InverseMultiquadricKernel",
     "MMDSquared",
-    "PairPotential",
     "ParticleCloud",
     "PotentialInteraction",
     "PowerPenalty",

@@ -45,8 +45,8 @@ class TrustRegionIndicator:
     """
 
     def __init__(self, delta):
-        if delta <= 0:
-            raise ValueError("delta must be positive")
+        if not delta > 0:
+            raise ValueError(f"delta must be positive, got {delta}")
         self.delta = float(delta)
 
     def psi(self, x):
@@ -243,8 +243,13 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
             full-batch one.
 
     Raises:
+        ValueError: eps outside (0, inf); sampled path: delta_prob outside (0, 1).
         RegularizationTooWeak, IntervalEmpty: as `dual_interval`.
     """
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    if stochastic and (delta_prob is None or not 0.0 < delta_prob < 1.0):
+        raise ValueError(f"delta_prob must lie in (0, 1), got {delta_prob}")
     m2 = mean_squared_gradient(mu, f)
     reg = penalty.psi_star_deriv(f.semiconvexity + 1.0)
     l, u = _dual_interval(f, m2, penalty, c=m2 / reg if reg > 0 else None)
@@ -418,6 +423,7 @@ def trust_region_step(f, mu, delta, eps, gamma, rng, stochastic=False):
             ||grad f||_{L2(mu)} / (2 L) (up to a 1e-12 relative slack on
             delta^2), or a zero gradient field (admissible 0.0).
         InfeasiblePrimal: the certifying pass lies outside the ball.
+        ValueError: as `primal_dual_bisection`, gamma being its delta_prob.
     """
     penalty = TrustRegionIndicator(delta)
     try:

@@ -10,6 +10,7 @@ with inner tolerance zeta = delta * eps_tilde.  The schedule constants come
 from the target accuracy via `FWConfig.from_schedule`.
 """
 
+import math
 import time
 from array import array
 from dataclasses import dataclass, field, replace
@@ -72,12 +73,19 @@ class FWConfig:
             delta1, delta2: locality radii capping the first multiplier.
             smoothness: witness gradient Lipschitz bound L.
             eps: target objective accuracy.
+
+        A zero smoothness (a constant witness gradient) leaves the
+        gradient-scaled cap off: beta2 = inf.
         """
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError("alpha must lie in (0, 1]")
+        if not min(big_t, eps) > 0.0:
+            raise ValueError(f"big_t and eps must be positive, got {big_t} and {eps}")
         alpha_star = (1.0 + alpha) / alpha
         r = 0.5 * tau * eps**theta
         return cls(
             beta1=min(delta1, delta2),
-            beta2=alpha / (4.0 * smoothness),
+            beta2=alpha / (4.0 * smoothness) if smoothness else math.inf,
             beta3=(1.0 - alpha / 2.0) ** (1.0 / alpha) * big_t ** (-1.0 / alpha),
             r=r,
             eps_hat=r / (2.0 * alpha_star),
@@ -186,7 +194,10 @@ def run_frank_wolfe(J, mu0, cfg, chained=False, wall_budget_s=None, on_iterate=N
         model = counted_model(J.derivative_oracle(mu, cfg.eps_hat), counter)
         s = estimate_gradient_norm(model, mu)
         obj = J.value(mu)
-        delta = min(cfg.beta1, cfg.beta2 * s, cfg.beta3 * s ** (1.0 / cfg.alpha))
+        # s = 0 gives delta = 0 without forming beta2 * s = inf * 0.
+        delta = (
+            min(cfg.beta1, cfg.beta2 * s, cfg.beta3 * s ** (1.0 / cfg.alpha)) if s else 0.0
+        )
         zeta = delta * cfg.eps_tilde
 
         if s <= cfg.r:

@@ -427,27 +427,23 @@ class EntropicDeconv(Functional):
         )
 
 
-class PairPotential:
-    """Symmetric interaction term w(x, y) with its gradient in the first slot.
-
-    `eval(x, y)` and `grad_x(x, y)` broadcast over leading axes: on inputs of
-    shape (..., d) they return shapes (...) and (..., d).
-    """
-
-    def __init__(self, eval, grad_x, smoothness, semiconvexity):
-        self.eval = eval
-        self.grad_x = grad_x
-        self.smoothness = float(smoothness)
-        self.semiconvexity = float(semiconvexity)
+def _pairwise(fn, z, atoms):
+    """fn at every difference z_i - x_j, as a (rows, atoms) or (rows, atoms, d)
+    array: the one pair broadcast, built once and handed to fn's batch form
+    as (rows * atoms, d) rows."""
+    diff = z[:, None, :] - atoms[None, :, :]
+    out = fn(diff.reshape(-1, diff.shape[2]))
+    return out.reshape(diff.shape[:2] + out.shape[1:])
 
 
 class PotentialInteraction(Functional):
     """Potential-plus-interaction energy.
 
-    value(mu) = (1/n) sum_i v(x_i) + (1/n^2) sum_ij w(x_i, x_j); the witness
-    phi(z) = v(z) + (2/n) sum_j w(z, x_j) is exact (eps is ignored and
-    repeated oracle calls are identical).  Pair terms are evaluated on
-    (rows, atoms, d) broadcasts of the two point sets.
+    value(mu) = (1/n) sum_i v(x_i) + (1/n^2) sum_ij W(x_i - x_j), with v and
+    the pair term W both `SmoothObjective`s.  W must be even, W(-x) = W(x):
+    then the witness phi(z) = v(z) + (2/n) sum_j W(z - x_j) is the exact
+    first variation (eps is ignored and repeated oracle calls are
+    identical).  Every pair term goes through `_pairwise`.
     """
 
     def __init__(self, v, w=None):
@@ -458,26 +454,21 @@ class PotentialInteraction(Functional):
         x = mu.points
         total = float(np.mean(self.v.eval_many(x)))
         if self.w is not None:
-            total += float(np.mean(self.w.eval(x[:, None, :], x[None, :, :])))
+            total += float(np.mean(_pairwise(self.w.eval_many, x, x)))
         return total
 
     def derivative_oracle(self, mu, eps):
         v, w = self.v, self.w
         if w is None:
             return v
-        atoms = mu.points[None, :, :]
+        atoms = mu.points
 
-        def eval_many(z):
-            inter = np.mean(w.eval(z[:, None, :], atoms), axis=1)
-            return v.eval_many(z) + 2.0 * inter
-
-        def grad_many(z):
-            inter = np.mean(w.grad_x(z[:, None, :], atoms), axis=1)
-            return v.grad_many(z) + 2.0 * inter
+        def witness(v_form, w_form):
+            return lambda z: v_form(z) + 2.0 * np.mean(_pairwise(w_form, z, atoms), axis=1)
 
         return SmoothObjective(
-            eval_many=eval_many,
-            grad_many=grad_many,
+            eval_many=witness(v.eval_many, w.eval_many),
+            grad_many=witness(v.grad_many, w.grad_many),
             smoothness=v.smoothness + 2.0 * w.smoothness,
             semiconvexity=v.semiconvexity + 2.0 * w.semiconvexity,
         )

@@ -1,12 +1,13 @@
-"""Named builders for the built-in potentials and pair interactions.
+"""Named builders for the built-in potentials.
 
-The CLI resolves `--objective`/`--pair` flags here; tests use the same
-builders so closed-form constants live in exactly one place.
+The CLI resolves `--objective` and `--pair` flags here, from one table: a
+pair term w(x, y) = W(x - y) is the named objective W, and every one of
+them is even.  Tests use the same builders so closed-form constants live
+in exactly one place.
 """
 
 import numpy as np
 
-from .functionals import PairPotential
 from .moreau import SmoothObjective
 
 
@@ -51,70 +52,28 @@ def linear(a):
     )
 
 
-def pair_quadratic():
-    """w(x, y) = (1/2)||x - y||^2."""
-    return PairPotential(
-        eval=lambda x, y: 0.5 * np.sum((x - y) ** 2, axis=-1),
-        grad_x=lambda x, y: x - y,
-        smoothness=1.0,
-        semiconvexity=0.0,
-    )
-
-
-def pair_double_well():
-    """w(x, y) = (1/4)(||x - y||^2 - 1)^2; smoothness bound on ||x - y|| <= 2."""
-
-    def _eval(x, y):
-        return 0.25 * (np.sum((x - y) ** 2, axis=-1) - 1.0) ** 2
-
-    def _grad_x(x, y):
-        d = x - y
-        return (np.sum(d**2, axis=-1) - 1.0)[..., None] * d
-
-    return PairPotential(
-        eval=_eval,
-        grad_x=_grad_x,
-        smoothness=11.0,
-        semiconvexity=1.0,
-    )
-
-
-def pair_zero():
-    """w identically 0."""
-    return PairPotential(
-        eval=lambda x, y: np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1]),
-        grad_x=lambda x, y: np.zeros(np.broadcast_shapes(x.shape, y.shape)),
-        smoothness=0.0,
-        semiconvexity=0.0,
-    )
-
-
 OBJECTIVES = {
     "quadratic": quadratic,
     "double-well": double_well,
     "zero": zero,
 }
 
-PAIRS = {
-    "quadratic": pair_quadratic,
-    "double-well": pair_double_well,
-    "zero": pair_zero,
-}
-
 _REJECTED = ("kl", "f-divergence", "f-div", "chi2", "tv")
 
 
-def _build(table, kind, name):
+def _build(kind, name):
     if name in _REJECTED:
         raise ValueError(f"divergence-type {kind}s are not supported: {name!r}")
-    if name not in table:
-        raise ValueError(f"unknown {kind} {name!r}; choose from {sorted(table)}")
-    return table[name]()
+    if name not in OBJECTIVES:
+        raise ValueError(f"unknown {kind} {name!r}; choose from {sorted(OBJECTIVES)}")
+    return OBJECTIVES[name]()
 
 
 def make_objective(name):
-    return _build(OBJECTIVES, "objective", name)
+    return _build("objective", name)
 
 
 def make_pair(name):
-    return _build(PAIRS, "pair potential", name)
+    """The pair term w(x, y) = W(x - y) for the named objective W: an even
+    `SmoothObjective` of the difference, as `PotentialInteraction` takes it."""
+    return _build("pair potential", name)

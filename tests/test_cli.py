@@ -76,6 +76,62 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
 
+# Inputs that once ended in a raw traceback, a misleading message or a
+# futile search: (argv, exit code, what stdout or stderr must say).
+# "{cloud}" is a 12-atom cloud CSV.
+_TR = ["trust-region", "--seed", "0", "--cloud", "{cloud}", "--delta", "0.1"]
+_BAD_INPUTS = {
+    "zero-objective": (
+        ["fw", "--seed", "0", "--objective", "zero"],
+        EXIT_OK,
+        "status converged",
+    ),
+    "zero-objective-zero-pair": (
+        ["fw", "--seed", "0", "--objective", "zero", "--pair", "zero"],
+        EXIT_OK,
+        "status converged",
+    ),
+    "alpha-zero": (["fw", "--seed", "0", "--alpha", "0"], EXIT_ERROR, "alpha"),
+    "big-t-zero": (["fw", "--seed", "0", "--big-t", "0"], EXIT_ERROR, "big_t"),
+    "fw-eps-zero": (
+        ["fw", "--seed", "0", "--eps", "0", "--theta", "-1"],
+        EXIT_ERROR,
+        "eps must be positive",
+    ),
+    "fw-eps-negative": (
+        ["fw", "--seed", "0", "--eps", "-1", "--theta", "0.5"],
+        EXIT_ERROR,
+        "eps must be positive",
+    ),
+    "gamma-zero": (_TR + ["--stochastic", "--gamma", "0"], EXIT_ERROR, "delta_prob"),
+    "gamma-two": (_TR + ["--stochastic", "--gamma", "2"], EXIT_ERROR, "delta_prob"),
+    "eps-negative": (_TR + ["--eps", "-1"], EXIT_ERROR, "eps must be positive"),
+    "eps-zero": (_TR + ["--eps", "0"], EXIT_ERROR, "eps must be positive"),
+    "eps-inf": (_TR + ["--eps", "inf"], EXIT_ERROR, "eps must be positive"),
+    "delta-nan": (_TR[:-1] + ["nan"], EXIT_ERROR, "delta must be positive"),
+}
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+    def test_exit_code_and_message(self, case, tmp_path, capsys):
+        argv, expected, says = _BAD_INPUTS[case]
+        cloud, out = _cloud_csv(tmp_path), tmp_path / "out.csv"
+        argv = [str(cloud) if a == "{cloud}" else a for a in argv]
+        code = main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == expected
+        if expected == EXIT_ERROR:
+            assert captured.err.startswith("error: ") and says in captured.err
+            assert not out.exists()
+        else:
+            assert says in captured.out
+            # the zero field converges at once, with J, s, delta and zeta all 0
+            rows = out.read_text().splitlines()
+            assert len(rows) == 2
+            assert [float(v) for v in rows[1].split(",")[1:5]] == [0.0] * 4
+
+
 class TestConfigPlumbing:
     def test_flags_override_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

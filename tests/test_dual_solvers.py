@@ -213,6 +213,35 @@ class TestBisection:
             assert rep.gap <= 1e-3 + 1e-9
             assert rep.interval[0] <= rep.lambda_star <= rep.interval[1]
 
+    @pytest.mark.parametrize(
+        "eps, delta_prob, stochastic, says",
+        [
+            (0.0, 0.05, False, "eps"),
+            (-1.0, 0.05, True, "eps"),
+            (math.nan, 0.05, False, "eps"),
+            (math.inf, 0.05, False, "eps"),
+            (1e-3, 0.0, True, "delta_prob"),
+            (1e-3, 1.0, True, "delta_prob"),
+            (1e-3, None, True, "delta_prob"),
+        ],
+    )
+    def test_bad_arguments_are_named_before_any_pass(
+        self, eps, delta_prob, stochastic, says, monkeypatch
+    ):
+        passes = _spy_passes(monkeypatch)
+        mu = ParticleCloud(np.random.default_rng(1).normal(size=(6, 2)))
+        with pytest.raises(ValueError, match=says):
+            primal_dual_bisection(
+                quadratic(),
+                mu,
+                TrustRegionIndicator(0.1),
+                eps,
+                delta_prob,
+                np.random.default_rng(0),
+                stochastic=stochastic,
+            )
+        assert passes == []
+
     def test_report_rejects_negative_gap(self):
         with pytest.raises(WeakDualityViolated) as exc:
             DualSolveReport(

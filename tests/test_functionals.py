@@ -23,13 +23,7 @@ from wfw.functionals import (
     RandomFeatureKernel,
     _sinkhorn_potentials,
 )
-from wfw.registry import (
-    PAIRS,
-    make_objective,
-    make_pair,
-    pair_quadratic,
-    quadratic,
-)
+from wfw.registry import OBJECTIVES, make_objective, make_pair, quadratic
 
 
 def _kernels():
@@ -711,7 +705,7 @@ class TestPotentialInteraction:
         rng = np.random.default_rng(17)
         pts = rng.normal(size=(5, 2))
         mu = ParticleCloud(pts)
-        J = PotentialInteraction(quadratic(), pair_quadratic())
+        J = PotentialInteraction(quadratic(), quadratic())
         v_term = float(np.mean(0.5 * np.sum(pts**2, axis=1)))
         w_term = 0.0
         for i in range(5):
@@ -725,7 +719,7 @@ class TestPotentialInteraction:
         rng = np.random.default_rng(18)
         pts = rng.normal(size=(6, 2))
         mu = ParticleCloud(pts)
-        J = PotentialInteraction(quadratic(), pair_quadratic())
+        J = PotentialInteraction(quadratic(), quadratic())
         model = J.derivative_oracle(mu, 1e-9)
         V = rng.normal(size=pts.shape)
         base = J.value(mu)
@@ -742,10 +736,10 @@ class TestPotentialInteraction:
         assert J.value(mu) == pytest.approx(1.0)
 
     def test_constants_combine(self):
-        J = PotentialInteraction(quadratic(), pair_quadratic())
+        J = PotentialInteraction(quadratic(), quadratic())
         model = J.derivative_oracle(ParticleCloud(np.zeros((2, 2))), 1e-9)
         assert model.smoothness == pytest.approx(
-            quadratic().smoothness + 2 * pair_quadratic().smoothness
+            quadratic().smoothness + 2 * quadratic().smoothness
         )
 
 
@@ -765,7 +759,7 @@ def _witness(kind, rng):
 
 
 _WITNESS_KINDS = [f"mmd-{k.name}" for k in _kernels()] + ["deconv"] + [
-    f"pair-{name}" for name in sorted(PAIRS)
+    f"pair-{name}" for name in sorted(OBJECTIVES)
 ]
 
 
@@ -787,7 +781,7 @@ class TestBatchContract:
     def test_batch_rows_equal_per_point_forms(self, kind, seed, rows):
         _assert_batch_rows_equal_per_point_forms(kind, seed, rows)
 
-    @pytest.mark.parametrize("name", sorted(PAIRS))
+    @pytest.mark.parametrize("name", sorted(OBJECTIVES))
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6))
     def test_pair_witness_and_value_match_per_pair_loop(self, name, seed, rows):
@@ -801,12 +795,12 @@ class TestBatchContract:
         values, grads = model.eval_many(Z), model.grad_many(Z)
         n = x.shape[0]
         for i, z in enumerate(Z):
-            ref_val = v.eval(z) + 2.0 * sum(float(w.eval(z, a)) for a in x) / n
-            ref_grad = v.grad(z) + 2.0 * sum(w.grad_x(z, a) for a in x) / n
+            ref_val = v.eval(z) + 2.0 * sum(w.eval(z - a) for a in x) / n
+            ref_grad = v.grad(z) + 2.0 * sum(w.grad(z - a) for a in x) / n
             assert values[i] == pytest.approx(ref_val, rel=1e-12, abs=1e-12)
             np.testing.assert_allclose(grads[i], ref_grad, rtol=1e-12, atol=1e-12)
         ref_value = float(np.mean(v.eval_many(x))) + sum(
-            float(w.eval(a, b)) for a in x for b in x
+            w.eval(a - b) for a in x for b in x
         ) / n**2
         assert J.value(mu) == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
 
@@ -818,6 +812,29 @@ class TestRegistry:
             make_objective(name)
         with pytest.raises(ValueError):
             make_pair(name)
+
+    def test_pair_messages_name_the_pair_table(self):
+        with pytest.raises(ValueError, match="divergence-type pair potentials"):
+            make_pair("kl")
+        with pytest.raises(
+            ValueError,
+            match=r"unknown pair potential 'nope'; choose from "
+            r"\['double-well', 'quadratic', 'zero'\]",
+        ):
+            make_pair("nope")
+
+    @pytest.mark.parametrize("name", sorted(OBJECTIVES))
+    def test_pair_terms_are_even(self, name):
+        """W(-x) = W(x) and grad W(-x) = -grad W(x): the witness
+        v + (2/n) sum_j W(. - x_j) is the first variation only for an even W."""
+        w = make_pair(name)
+        x = 1.5 * np.random.default_rng(23).normal(size=(40, 3))
+        np.testing.assert_allclose(
+            w.eval_many(-x), w.eval_many(x), rtol=1e-12, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            w.grad_many(-x), -w.grad_many(x), rtol=1e-12, atol=1e-12
+        )
 
     def test_double_well_constants_cover_unit_ball(self):
         """Hessian of 0.25(|x|^2-1)^2 lies in [-rho, L] for |x| <= 2."""

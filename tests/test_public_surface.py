@@ -3,10 +3,22 @@
 import pytest
 
 import wfw
+from wfw import functionals, registry
 
 # Deleted with their tests: no gate, CLI command, experiment runner or
-# benchmark reached them.
-_DELETED = ("geodesic_point", "make_kernel", "sinkhorn_dual", "smoothness_probe")
+# benchmark reached them.  The pair-potential class and its builders went
+# when pair terms became even `SmoothObjective`s of x - y.
+_DELETED = (
+    "geodesic_point",
+    "make_kernel",
+    "sinkhorn_dual",
+    "smoothness_probe",
+    "PairPotential",
+    "PAIRS",
+    "pair_double_well",
+    "pair_quadratic",
+    "pair_zero",
+)
 
 
 def test_all_resolves_once_and_deleted_names_are_gone():
@@ -15,3 +27,5 @@ def test_all_resolves_once_and_deleted_names_are_gone():
     for name in _DELETED:
         with pytest.raises(ImportError):
             exec(f"from wfw import {name}", {})
+        for module in (functionals, registry):
+            assert not hasattr(module, name)
