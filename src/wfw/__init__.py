@@ -35,9 +35,7 @@ from .functionals import (
     RandomFeatureKernel,
 )
 from .moreau import (
-    ProxResult,
     SmoothObjective,
-    agd_prox,
     g_value_and_grad_fullbatch,
     supergradient_hp,
 )
@@ -56,13 +54,11 @@ __all__ = [
     "ParticleCloud",
     "PotentialInteraction",
     "PowerPenalty",
-    "ProxResult",
     "PushforwardSampler",
     "RandomFeatureKernel",
     "SmoothObjective",
     "TransportPlan",
     "TrustRegionIndicator",
-    "agd_prox",
     "dual_interval",
     "errors",
     "estimate_gradient_norm",

@@ -39,14 +39,14 @@ class FWConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # Each check is false for NaN, so a NaN field is named here.
         if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
-        if min(self.beta1, self.beta2, self.beta3) <= 0:
-            raise ValueError("step multipliers must be positive")
-        if min(self.eps_hat, self.eps_tilde) <= 0:
-            raise ValueError("error budgets must be positive")
-        if self.r < 0:
-            raise ValueError("stopping threshold must be nonnegative")
+            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        for name in ("beta1", "beta2", "beta3", "eps_hat", "eps_tilde"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.r >= 0.0:
+            raise ValueError(f"stopping threshold r must be nonnegative, got {self.r}")
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
 
@@ -77,10 +77,17 @@ class FWConfig:
         A zero smoothness (a constant witness gradient) leaves the
         gradient-scaled cap off: beta2 = inf.
         """
+        # Checked before any division; each check is false for NaN.
         if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
-        if not min(big_t, eps) > 0.0:
-            raise ValueError(f"big_t and eps must be positive, got {big_t} and {eps}")
+            raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+        positive = dict(tau=tau, big_t=big_t, delta1=delta1, delta2=delta2, eps=eps)
+        for name, value in positive.items():
+            if not value > 0.0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        if not abs(theta) < math.inf:
+            raise ValueError(f"theta must be finite, got {theta}")
+        if not smoothness >= 0.0:
+            raise ValueError(f"smoothness must be nonnegative, got {smoothness}")
         alpha_star = (1.0 + alpha) / alpha
         r = 0.5 * tau * eps**theta
         return cls(
@@ -109,9 +116,11 @@ class FWTrace:
     """Per-iteration records of the outer loop; the seven CSV columns are
     compact arrays, 8 bytes an entry ("q" for iters and samples, else "d").
 
-    Row i's J is the objective of the cloud entering step i;
-    `final_objective` is J of the cloud the loop returns, which no row
-    holds after a step (None until the loop has run).
+    Row i's J is the objective of the cloud entering step i, and its delta
+    and zeta are the radius and tolerance that step used; `final_objective`
+    is J of the cloud the loop returns, which no row holds after a step
+    (None until the loop has run).  `status` is "converged" or
+    "budget-exhausted".
     """
 
     iters: array = _column("q")
@@ -121,7 +130,6 @@ class FWTrace:
     zeta: array = _column("d")
     samples: array = _column("q")
     wall_ms: array = _column("d")
-    events: list = field(default_factory=list)
     status: str = "budget-exhausted"
     final_objective: Optional[float] = None
 
@@ -163,30 +171,27 @@ def estimate_gradient_norm(phi, mu):
     return mean_squared_gradient_norm(mu, phi)
 
 
-def run_frank_wolfe(J, mu0, cfg, chained=False, wall_budget_s=None, on_iterate=None):
+def run_frank_wolfe(J, mu0, cfg, chained=False, on_iterate=None):
     """Run the outer loop; returns (final cloud, trace), the trace carrying
     the final cloud's objective in `final_objective`.
 
     Per iteration: witness model at budget eps_hat, exact gradient norm s
-    over the cloud, stop when s <= cfg.r, otherwise a trust-region step of
-    the scheduled radius with inner tolerance zeta = delta * eps_tilde.  A
-    rejected radius is halved up to 8 times (each retry logged in
-    trace.events) before aborting.
+    over the cloud, stop when s <= cfg.r (status "converged"), otherwise a
+    trust-region step of the scheduled radius with inner tolerance
+    zeta = delta * eps_tilde.  A rejected radius (`DeltaTooLarge`) is
+    replaced, in the step and the trace, by the admissible bound the error
+    carries; a zero bound is re-raised.
 
     Args:
         chained: resample the iterate through its prox lineage instead of
             keeping the one-image-per-atom materialization; the only use
             of the run's rng, seeded with cfg.seed.
-        wall_budget_s: optional wall-clock budget; the loop stops cleanly
-            (status "wall-budget") once exceeded before iteration k_max;
-            running all k_max iterations leaves "budget-exhausted".
         on_iterate: optional callback invoked as on_iterate(i, cloud) after
             each recorded iteration with the post-step cloud.
     """
     mu = mu0
     rng = np.random.default_rng(cfg.seed)
     trace = FWTrace()
-    t_start = time.perf_counter()
 
     for i in range(1, cfg.k_max + 1):
         t0 = time.perf_counter()
@@ -199,44 +204,28 @@ def run_frank_wolfe(J, mu0, cfg, chained=False, wall_budget_s=None, on_iterate=N
             min(cfg.beta1, cfg.beta2 * s, cfg.beta3 * s ** (1.0 / cfg.alpha)) if s else 0.0
         )
         zeta = delta * cfg.eps_tilde
+        converged = s <= cfg.r
 
-        if s <= cfg.r:
-            wall = (time.perf_counter() - t0) * 1000.0
-            trace.append(i, obj, s, delta, zeta, counter["rows"], wall)
-            trace.status = "converged"
-            if on_iterate is not None:
-                on_iterate(i, mu)
-            break
-
-        cur_delta, cur_zeta = delta, zeta
-        for attempt in range(9):
+        if not converged:
             try:
-                sampler, _ = trust_region_step(
-                    model, mu, cur_delta, cur_zeta, None, None
-                )
-                break
+                sampler, _ = trust_region_step(model, mu, delta, zeta, None, None)
             except DeltaTooLarge as exc:
-                if attempt == 8:
+                if not exc.admissible:
                     raise
-                trace.events.append(
-                    f"iter {i}: delta {cur_delta:.6g} rejected ({exc}); halving"
-                )
-                cur_delta *= 0.5
-                cur_zeta = cur_delta * cfg.eps_tilde
-
-        if chained:
-            idx = rng.integers(0, sampler.images.shape[0], size=mu0.n)
-            mu = ParticleCloud(sampler.images[idx])
-        else:
-            mu = sampler.target_cloud()
+                delta, zeta = exc.admissible, exc.admissible * cfg.eps_tilde
+                sampler, _ = trust_region_step(model, mu, delta, zeta, None, None)
+            if chained:
+                idx = rng.integers(0, sampler.images.shape[0], size=mu0.n)
+                mu = ParticleCloud(sampler.images[idx])
+            else:
+                mu = sampler.target_cloud()
 
         wall = (time.perf_counter() - t0) * 1000.0
         trace.append(i, obj, s, delta, zeta, counter["rows"], wall)
         if on_iterate is not None:
             on_iterate(i, mu)
-        if wall_budget_s is not None and time.perf_counter() - t_start > wall_budget_s:
-            if i < cfg.k_max:
-                trace.status = "wall-budget"
+        if converged:
+            trace.status = "converged"
             break
 
     trace.final_objective = J.value(mu)

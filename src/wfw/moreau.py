@@ -66,51 +66,16 @@ def _as_row(x):
     return np.asarray(x, dtype=np.float64)[None, :]
 
 
-@dataclass(frozen=True)
-class ProxResult:
-    """One prox solve: approximate minimizer, its half squared displacement, work done."""
-
-    y: np.ndarray
-    theta: float
-    iters: int
-    grad_evals: int = 0
-
-
-def agd_prox(f, x, lam, eps):
-    """Approximately evaluate prox_{f/lam}(x) by accelerated gradient descent.
-
-    The iteration budget is max(ceil(4*kappa*log(12*kappa*||grad f(x)||/eps)), 0)
-    with kappa = sqrt((lam + L)/(lam - rho)); a strong-convexity certificate
-    stops the loop earlier as soon as theta is provably within eps (and the
-    iterate within sqrt(eps)/2) of the true prox.
-
-    Args:
-        f: SmoothObjective.
-        x: center point, shape (d,).
-        lam: prox weight, must exceed f.semiconvexity.
-        eps: accuracy target for theta = (1/2)||y - x||^2.
-
-    Returns:
-        ProxResult with theta recomputed from the returned iterate.
-
-    Raises:
-        LambdaTooSmall: lam <= f.semiconvexity.
-        NonFiniteIterate: the loop left the representable range.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y, theta, iters, gevals = agd_prox_batch(f, x[None, :], lam, eps)
-    return ProxResult(
-        y=y[0], theta=float(theta[0]), iters=int(iters[0]), grad_evals=int(gevals[0])
-    )
-
-
 def agd_prox_batch(f, x, lam, eps):
-    """Vectorized agd_prox over the rows of x (independent trajectories).
+    """Approximately evaluate prox_{f/lam} at each row of x (one
+    independent trajectory per row; pass x[None, :] for one point).
 
-    Each row follows exactly the iteration `agd_prox` would run on it alone:
-    rows are frozen individually once certified or once their own budget is
-    spent.  The first step reuses the gradients at x, so a row that steps
-    iters times evaluates 2 * iters gradients (one when it never steps).
+    Row i's budget is max(ceil(4*kappa*log(12*kappa*||grad f(x_i)||/eps)), 0)
+    with kappa = sqrt((lam + L)/(lam - rho)); a strong-convexity certificate
+    freezes the row earlier, once theta_i = (1/2)||y_i - x_i||^2 is provably
+    within eps (and y_i within sqrt(eps)/2) of the true prox.  The first
+    step reuses the gradients at x, so a row that steps iters times
+    evaluates 2 * iters gradients (one when it never steps).
 
     The loop runs on the active rows alone, in their original order; all
     of them have run the same count.  A row is written back when it leaves,

@@ -29,7 +29,7 @@ from wfw.experiments import ExperimentConfig, run_deconv, run_mmd_flow
 from wfw.frank_wolfe import FWConfig, run_frank_wolfe
 from wfw.functionals import PotentialInteraction
 from wfw.moreau import (
-    agd_prox,
+    agd_prox_batch,
     g_value_and_grad_fullbatch,
     hp_sample_count,
     supergradient_hp,
@@ -93,10 +93,10 @@ def test_prox_reaches_closed_forms_within_budget():
             f = linear(a)
             y_star = x - a / lam
             theta_star = float(a @ a) / (2.0 * lam**2)
-        res = agd_prox(f, x, lam, eps)
-        np.testing.assert_allclose(res.y, y_star, atol=1e-6)
-        assert abs(res.theta - theta_star) <= 1e-6
-        assert res.iters <= _prox_iteration_ceiling(f, x, lam, eps)
+        y, theta, iters, _ = agd_prox_batch(f, x[None, :], lam, eps)
+        np.testing.assert_allclose(y[0], y_star, atol=1e-6)
+        assert abs(theta[0] - theta_star) <= 1e-6
+        assert iters[0] <= _prox_iteration_ceiling(f, x, lam, eps)
     assert time.perf_counter() - start < 5.0
 
 

@@ -109,6 +109,18 @@ _BAD_INPUTS = {
     "eps-zero": (_TR + ["--eps", "0"], EXIT_ERROR, "eps must be positive"),
     "eps-inf": (_TR + ["--eps", "inf"], EXIT_ERROR, "eps must be positive"),
     "delta-nan": (_TR[:-1] + ["nan"], EXIT_ERROR, "delta must be positive"),
+    "tau-nan": (["fw", "--seed", "0", "--tau", "nan"], EXIT_ERROR, "tau must be"),
+    "theta-nan": (["fw", "--seed", "0", "--theta", "nan"], EXIT_ERROR, "theta must be"),
+    "fw-eps-nan": (
+        ["fw", "--seed", "0", "--eps", "nan"],
+        EXIT_ERROR,
+        "eps must be positive, got nan",
+    ),
+    "delta-cap-nan": (
+        ["fw", "--seed", "0", "--delta-cap", "nan"],
+        EXIT_ERROR,
+        "delta1 must be",
+    ),
 }
 
 

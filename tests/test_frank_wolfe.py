@@ -1,9 +1,11 @@
 """Outer-loop schedule, gradient-norm estimator, and trace tests."""
 
+import math
+
 import numpy as np
 import pytest
 
-from wfw.cloud import ParticleCloud, mean_squared_gradient_norm
+from wfw.cloud import ParticleCloud, mean_squared_gradient_norm, wasserstein2_exact
 from wfw.experiments import ExperimentConfig, read_trace, run_deconv
 from wfw.frank_wolfe import (
     FWConfig,
@@ -14,7 +16,7 @@ from wfw.frank_wolfe import (
 )
 from wfw.functionals import EntropicDeconv, PotentialInteraction
 from wfw.moreau import SmoothObjective
-from wfw.registry import linear, quadratic
+from wfw.registry import linear, make_objective, make_pair, quadratic
 
 
 def _interaction():
@@ -53,6 +55,13 @@ class TestFWConfig:
             ("eps_tilde", -1e-3),
             ("r", -0.1),
             ("k_max", 0),
+            ("alpha", math.nan),
+            ("beta1", math.nan),
+            ("beta2", math.nan),
+            ("beta3", math.nan),
+            ("r", math.nan),
+            ("eps_hat", math.nan),
+            ("eps_tilde", math.nan),
         ],
     )
     def test_rejects_bad_fields(self, field, value):
@@ -67,6 +76,27 @@ class TestFWConfig:
         good[field] = value
         with pytest.raises(ValueError):
             FWConfig(**good)
+
+    @pytest.mark.parametrize(
+        "arg",
+        ["tau", "theta", "big_t", "alpha", "delta1", "delta2", "smoothness", "eps"],
+    )
+    def test_from_schedule_names_a_nan_argument(self, arg):
+        """A NaN argument is refused under its own name, before any division
+        (min(delta1, nan) would otherwise drop it)."""
+        args = dict(
+            tau=1.0,
+            theta=1.0,
+            big_t=1.0,
+            alpha=1.0,
+            delta1=0.1,
+            delta2=0.1,
+            smoothness=1.0,
+            eps=1e-2,
+        )
+        args[arg] = math.nan
+        with pytest.raises(ValueError, match=rf"^{arg} must .*nan"):
+            FWConfig.from_schedule(**args)
 
 
 class TestEstimateGradientNorm:
@@ -191,7 +221,6 @@ class TestRunFrankWolfe:
         mu, trace = run_frank_wolfe(_interaction(), _uniform_cloud(), cfg)
         assert trace.status == "budget-exhausted"
         assert len(trace) == 12
-        assert trace.events == []
         for s, d, z in zip(trace.s, trace.delta, trace.zeta):
             assert d == min(cfg.beta1, cfg.beta2 * s, cfg.beta3 * s ** (1.0 / cfg.alpha))
             assert z == d * cfg.eps_tilde
@@ -221,20 +250,6 @@ class TestRunFrankWolfe:
         assert mu.n == mu0.n and mu.dim == mu0.dim
         assert len(trace) == 5
 
-    def test_wall_budget_stops_after_first_iteration(self):
-        _, trace = run_frank_wolfe(
-            _interaction(), _uniform_cloud(), self._cfg(1e-4, 50), wall_budget_s=0.0
-        )
-        assert len(trace) == 1
-        assert trace.status == "wall-budget"
-
-    def test_wall_budget_spent_on_the_last_iteration_is_k_max_exhaustion(self):
-        _, trace = run_frank_wolfe(
-            _interaction(), _uniform_cloud(), self._cfg(1e-4, 1), wall_budget_s=0.0
-        )
-        assert len(trace) == 1
-        assert trace.status == "budget-exhausted"
-
     def test_large_cloud_steps_on_its_exact_norm(self):
         """Above 4,096 atoms each step's s is the exact norm of the cloud
         entering it, and the step evaluates 4n witness rows: the norm's n
@@ -253,21 +268,54 @@ class TestRunFrankWolfe:
             )
         assert list(trace.samples) == [20000] * 3
 
-    def test_oversized_schedule_is_halved_and_logged(self):
-        # a schedule whose radius lands at 2 ||grad|| while the admissible
-        # bound is ||grad|| / 2: the loop halves the attempted radius twice,
-        # logs each rejection, and still records the scheduled delta.
-        cfg = self._cfg(
+    def _misdeclared_cfg(self):
+        """Declares L = 0.001 for a witness of smoothness 1: the scheduled
+        radius lands at 2 s while the admissible bound is s / 2."""
+        return self._cfg(
             1e-4, 1, delta1=10.0, delta2=10.0, smoothness=0.001, big_t=0.25
         )
-        mu0 = _uniform_cloud()
-        _, trace = run_frank_wolfe(_interaction(), mu0, cfg)
-        assert len(trace.events) == 2
-        assert all("halving" in e for e in trace.events)
-        assert trace.delta[0] == pytest.approx(
-            min(cfg.beta1, cfg.beta2 * trace.s[0], cfg.beta3 * trace.s[0])
+
+    def test_oversized_schedule_steps_at_the_admissible_radius(self):
+        """The rejected radius is replaced by the admissible bound the error
+        carries, s / (2 L) at L = 1, and the trace records the radius and
+        tolerance the step used, not the scheduled ones."""
+        cfg = self._misdeclared_cfg()
+        _, trace = run_frank_wolfe(_interaction(), _uniform_cloud(), cfg)
+        s = trace.s[0]
+        assert min(cfg.beta1, cfg.beta2 * s, cfg.beta3 * s) == 2.0 * s
+        assert trace.delta[0] == s / 2.0
+        assert trace.zeta[0] == trace.delta[0] * cfg.eps_tilde
+
+    @pytest.mark.parametrize("run", ["fw-rate", "double-well-pair", "misdeclared"])
+    def test_every_step_stays_in_its_ball(self, run):
+        """W2(mu_k, mu_k+1) <= delta_k for every recorded step."""
+        if run == "fw-rate":
+            J, mu0 = _interaction(), _uniform_cloud(20, 2, seed=0)
+            cfg = self._cfg(
+                2.0 * 0.01 / math.sqrt(6.0),
+                110,
+                tau=math.sqrt(6.0),
+                big_t=0.5,
+                delta1=0.0055,
+                delta2=0.0055,
+                seed=0,
+            )
+        elif run == "double-well-pair":
+            objective = make_objective("double-well")
+            J = PotentialInteraction(objective, make_pair("double-well"))
+            mu0 = _uniform_cloud(12, 2, seed=0)
+            smoothness = J.derivative_oracle(mu0, 1.0).smoothness
+            cfg = self._cfg(1e-2, 5, delta1=0.5, delta2=0.5, smoothness=smoothness)
+        else:
+            J, mu0, cfg = _interaction(), _uniform_cloud(), self._misdeclared_cfg()
+        clouds = [mu0]
+        _, trace = run_frank_wolfe(
+            J, mu0, cfg, on_iterate=lambda i, c: clouds.append(c)
         )
-        assert trace.delta[0] > 1.0  # scheduled, not the halved value
+        assert len(clouds) == len(trace) + 1
+        for k, delta in enumerate(trace.delta):
+            dist, _ = wasserstein2_exact(clouds[k], clouds[k + 1])
+            assert dist <= delta * math.sqrt(1.0 + 1e-6)
 
 
 class TestTraceSerialization:

@@ -11,7 +11,6 @@ from wfw.frank_wolfe import counted_model
 from wfw.functionals import EntropicDeconv, MMDSquared, RandomFeatureKernel
 from wfw.moreau import (
     SmoothObjective,
-    agd_prox,
     agd_prox_batch,
     g_value_and_grad_fullbatch,
     gradient_fourth_moment,
@@ -19,6 +18,12 @@ from wfw.moreau import (
     supergradient_hp,
 )
 from wfw.registry import double_well, linear, quadratic
+
+
+def _prox_row(f, x, lam, eps):
+    """`agd_prox_batch` on the one row x: (y, theta, iters, grad_evals)."""
+    y, theta, iters, gevals = agd_prox_batch(f, np.asarray(x, float)[None, :], lam, eps)
+    return y[0], theta[0], iters[0], gevals[0]
 
 
 def _iteration_ceiling(f, x, lam, eps):
@@ -172,11 +177,10 @@ class TestProxClosedForms:
         for _ in range(30):
             x = rng.normal(size=3)
             lam = float(rng.uniform(0.2, 8.0))
-            res = agd_prox(f, x, lam, 1e-12)
-            np.testing.assert_allclose(res.y, lam * x / (1 + lam), atol=1e-6)
-            theta = 0.5 * float(np.sum((res.y - x) ** 2))
-            assert res.theta == pytest.approx(theta, abs=1e-12)
-            assert res.iters <= _iteration_ceiling(f, x, lam, 1e-12)
+            y, theta, iters, _ = _prox_row(f, x, lam, 1e-12)
+            np.testing.assert_allclose(y, lam * x / (1 + lam), atol=1e-6)
+            assert theta == pytest.approx(0.5 * float(np.sum((y - x) ** 2)), abs=1e-12)
+            assert iters <= _iteration_ceiling(f, x, lam, 1e-12)
 
     def test_linear(self):
         """argmin a.y + lam/2 |y-x|^2 = x - a/lam, found in one step."""
@@ -186,26 +190,26 @@ class TestProxClosedForms:
             f = linear(a)
             x = rng.normal(size=2)
             lam = float(rng.uniform(0.3, 5.0))
-            res = agd_prox(f, x, lam, 1e-12)
-            np.testing.assert_allclose(res.y, x - a / lam, atol=1e-9)
-            assert res.iters == 1
+            y, _, iters, _ = _prox_row(f, x, lam, 1e-12)
+            np.testing.assert_allclose(y, x - a / lam, atol=1e-9)
+            assert iters == 1
 
     def test_zero_gradient_start_returns_immediately(self):
         f = quadratic()
-        res = agd_prox(f, np.zeros(2), 2.0, 1e-10)
-        np.testing.assert_allclose(res.y, np.zeros(2))
-        assert res.iters == 0
+        y, _, iters, _ = _prox_row(f, np.zeros(2), 2.0, 1e-10)
+        np.testing.assert_allclose(y, np.zeros(2))
+        assert iters == 0
 
     def test_lambda_at_or_below_semiconvexity_rejected(self):
         f = double_well()
         with pytest.raises(LambdaTooSmall):
-            agd_prox(f, np.ones(2), f.semiconvexity, 1e-6)
+            _prox_row(f, np.ones(2), f.semiconvexity, 1e-6)
 
     def test_grad_eval_accounting(self):
         """Two gradients per iteration: the setup gradient serves the first."""
         f = quadratic()
-        res = agd_prox(f, np.array([1.0, 2.0]), 3.0, 1e-12)
-        assert res.grad_evals == 2 * res.iters
+        _, _, iters, grad_evals = _prox_row(f, np.array([1.0, 2.0]), 3.0, 1e-12)
+        assert grad_evals == 2 * iters
 
     def test_batch_matches_row_loop(self):
         f = double_well()
@@ -214,18 +218,18 @@ class TestProxClosedForms:
         lam = f.semiconvexity + 2.0
         y, theta, iters, _ = agd_prox_batch(f, X, lam, 1e-10)
         for i in range(6):
-            single = agd_prox(f, X[i], lam, 1e-10)
-            np.testing.assert_array_equal(y[i], single.y)
-            assert theta[i] == single.theta
-            assert iters[i] == single.iters
+            y_i, theta_i, iters_i, _ = _prox_row(f, X[i], lam, 1e-10)
+            np.testing.assert_array_equal(y[i], y_i)
+            assert theta[i] == theta_i
+            assert iters[i] == iters_i
 
     def test_double_well_stationarity(self):
         """Returned point satisfies the prox first-order condition."""
         f = double_well()
         x = np.array([1.4, -0.3])
         lam = 6.0
-        res = agd_prox(f, x, lam, 1e-12)
-        resid = f.grad(res.y) + lam * (res.y - x)
+        y, _, _, _ = _prox_row(f, x, lam, 1e-12)
+        resid = f.grad(y) + lam * (y - x)
         assert np.linalg.norm(resid) < 1e-5
 
 

@@ -3,11 +3,12 @@
 import pytest
 
 import wfw
-from wfw import functionals, registry
+from wfw import frank_wolfe, functionals, moreau, registry
 
 # Deleted with their tests: no gate, CLI command, experiment runner or
 # benchmark reached them.  The pair-potential class and its builders went
-# when pair terms became even `SmoothObjective`s of x - y.
+# when pair terms became even `SmoothObjective`s of x - y; the one-row prox
+# and its result type went beside `agd_prox_batch`, which takes one row.
 _DELETED = (
     "geodesic_point",
     "make_kernel",
@@ -18,6 +19,8 @@ _DELETED = (
     "pair_double_well",
     "pair_quadratic",
     "pair_zero",
+    "agd_prox",
+    "ProxResult",
 )
 
 
@@ -27,5 +30,5 @@ def test_all_resolves_once_and_deleted_names_are_gone():
     for name in _DELETED:
         with pytest.raises(ImportError):
             exec(f"from wfw import {name}", {})
-        for module in (functionals, registry):
+        for module in (frank_wolfe, functionals, moreau, registry):
             assert not hasattr(module, name)
