@@ -32,8 +32,8 @@ class ParticleCloud:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim == 1:
             pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise ValueError("cloud needs an (n, d) array with n >= 1")
+        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
+            raise ValueError("cloud needs an (n, d) array with n >= 1 and d >= 1")
         if not np.all(np.isfinite(pts)):
             raise ValueError("cloud coordinates must be finite")
         pts = pts.copy()
@@ -192,13 +192,12 @@ def mean_squared_gradient_norm(cloud, g):
     return math.sqrt(mean_squared_gradient(cloud, g))
 
 
-def save_csv(cloud, path, header=False):
+def save_csv(cloud, path):
     """Write one row per particle, d numeric columns."""
-    hdr = ",".join(f"x{i}" for i in range(cloud.dim)) if header else ""
-    np.savetxt(path, cloud.points, delimiter=",", header=hdr, comments="")
+    np.savetxt(path, cloud.points, delimiter=",")
 
 
-def load_csv(path, header=False):
+def load_csv(path):
     """Read a cloud written by save_csv (or any d-column numeric CSV)."""
-    pts = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
+    pts = np.loadtxt(path, delimiter=",", ndmin=2)
     return ParticleCloud(pts)

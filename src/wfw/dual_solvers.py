@@ -13,14 +13,14 @@ the outer Frank-Wolfe loop.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cloud import ParticleCloud, mean_squared_gradient
 from .errors import (
     DeltaTooLarge,
+    GapNotCertified,
     InfeasiblePrimal,
     IntervalEmpty,
     RegularizationTooWeak,
@@ -48,24 +48,17 @@ class TrustRegionIndicator:
         if not delta > 0:
             raise ValueError(f"delta must be positive, got {delta}")
         self.delta = float(delta)
+        self.cost_bound = 0.5 * self.delta**2
 
     def psi(self, x):
-        return 0.0 if x <= 0.5 * self.delta**2 else math.inf
+        return 0.0 if x <= self.cost_bound else math.inf
 
     def psi_star(self, lam):
-        return 0.5 * self.delta**2 * max(lam, 0.0)
+        return self.cost_bound * max(lam, 0.0)
 
     def psi_star_deriv(self, lam):
         """Right derivative of psi*."""
-        return 0.5 * self.delta**2 if lam >= 0.0 else 0.0
-
-    def subgrad_interval(self, lam):
-        bound = 0.5 * self.delta**2
-        if lam > 0.0:
-            return bound, bound
-        if lam < 0.0:
-            return 0.0, 0.0
-        return 0.0, bound
+        return self.cost_bound if lam >= 0.0 else 0.0
 
     def smoothness_on(self, l, u):
         return 0.0  # affine on lam > 0
@@ -77,6 +70,8 @@ class PowerPenalty:
     Conjugate psi*(lam) = (alpha/(1+alpha)) * max(lam, 0)^((1+alpha)/alpha),
     smooth on any interval bounded away from the origin.
     """
+
+    cost_bound = math.inf  # psi is finite on the whole cost axis
 
     def __init__(self, alpha):
         if alpha <= 0:
@@ -94,10 +89,6 @@ class PowerPenalty:
     def psi_star_deriv(self, lam):
         return max(lam, 0.0) ** (1.0 / self.alpha)
 
-    def subgrad_interval(self, lam):
-        d = self.psi_star_deriv(lam)
-        return d, d
-
     def smoothness_on(self, l, u):
         # psi*'' is monotone, so its max over [l, u] sits at an endpoint.
         a = self.alpha
@@ -108,12 +99,14 @@ class PowerPenalty:
 
 @dataclass(frozen=True)
 class DualSolveReport:
-    """Outcome of one dual solve; primal fields are None for dual-only solvers.
+    """One certifying prox pass at `lambda_star`, as a dual solve returns it.
 
-    `images` and `cost` are the prox images of the atoms at `lambda_star`
-    and their mean half squared displacement, from the prox pass that
-    certified the primal value (None when no such pass ran).
-    `oracle_calls` counts every certifying prox pass and sampled slope.
+    `images` are the prox images of the atoms and `cost` their mean half
+    squared displacement; the primal and dual values share them, and `gap`
+    is their Fenchel-Young gap.  A solve's `oracle_calls` counts its prox
+    passes and sampled slopes, `samples_drawn` the atoms and samples they
+    read, and `interval` is its search interval; a lone pass reports 1,
+    its n atoms and (lam, lam).
 
     Raises:
         WeakDualityViolated: the gap is below -1e-6.
@@ -121,16 +114,16 @@ class DualSolveReport:
 
     lambda_star: float
     dual_value: float
-    primal_value: Optional[float]
-    gap: Optional[float]
+    primal_value: float
+    gap: float
     oracle_calls: int
     samples_drawn: int
     interval: tuple
-    images: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    cost: Optional[float] = None
+    images: np.ndarray = field(repr=False, compare=False)
+    cost: float
 
     def __post_init__(self):
-        if self.gap is not None and not (self.gap >= -1e-6):
+        if not self.gap >= -1e-6:
             raise WeakDualityViolated(
                 f"weak duality violated: gap = {self.gap} "
                 f"(primal {self.primal_value}, dual {self.dual_value})",
@@ -245,6 +238,8 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
     Raises:
         ValueError: eps outside (0, inf); sampled path: delta_prob outside (0, 1).
         RegularizationTooWeak, IntervalEmpty: as `dual_interval`.
+        InfeasiblePrimal: the returned pass lies where psi is infinite.
+        GapNotCertified: sampled path: the returned pass's gap exceeds eps.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
@@ -265,10 +260,10 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
     def full_pass(lam):
         nonlocal oracle_calls, samples
         oracle_calls, samples = oracle_calls + 1, samples + mu.n
-        values = _report_values(f, mu, penalty, lam, eps_prox)
-        cbar, slope = values[4], penalty.psi_star_deriv(lam)
+        rep = _prox_pass(f, mu, penalty, lam, eps_prox)
+        cbar, slope = rep.cost, penalty.psi_star_deriv(lam)
         r = slope**-0.5 - cbar**-0.5 if min(cbar, slope) > 0.0 else math.nan
-        return values, cbar - slope, r
+        return rep, cbar - slope, r
 
     if stochastic:
         m4 = gradient_fourth_moment(f, mu)
@@ -281,9 +276,9 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
             else:
                 l = lam
         hi = full_pass(u)[0]
-        if not math.isfinite(hi[1]):
+        if not math.isfinite(hi.primal_value):
             # u0 - rho > sqrt(2 m2 / psi*'(l)) and g'(lam) <= m2 / (2 (lam - rho)^2)
-            u, hi = u0, full_pass(u0)[0]
+            hi = full_pass(u0)[0]
     else:
         hi, h_l, r_l = full_pass(l)
         r_u, kept = 0.0, None  # kept: the end the last step left in place
@@ -291,46 +286,56 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
             hi, _, r_u = full_pass(u)
         else:  # the dual peaks at l
             u = l
-        # hi[2] is the gap of u's pass; plain bisection makes steps + 1 passes.
-        while u > l and hi[2] > eps_alg and oracle_calls < steps + 3:
+        # Plain bisection makes steps + 1 passes.
+        while u > l and hi.gap > eps_alg and oracle_calls < steps + 3:
             lam = l + r_l * (u - l) / (r_l - r_u) if r_l > r_u else l
             # Past the root by a step whose gap is <= eps_alg / 2, since
             # |cbar'| <= 2 cbar / (lam - rho) and gap <= lam (psi*' - cbar).
             step = eps_alg * (lam - f.semiconvexity) / (4.0 * lam)
             lam += step / penalty.psi_star_deriv(lam)
             lam = lam if l < lam < u else 0.5 * (l + u)
-            values, h, r = full_pass(lam)
+            rep, h, r = full_pass(lam)
             if h <= 0.0:
                 r_l *= 0.5 if kept == "l" else 1.0  # Illinois: l kept twice running
-                u, hi, r_u, kept = lam, values, r, "l"
+                u, hi, r_u, kept = lam, rep, r, "l"
             else:
                 r_u *= 0.5 if kept == "u" else 1.0
                 l, r_l, kept = lam, r, "u"
 
-    dual, primal, gap, y, cbar = hi
+    _check_feasible(penalty, hi)
+    if stochastic and hi.gap > eps:
+        msg = f"sampled search ends at lam = {hi.lambda_star} with gap {hi.gap} > {eps}"
+        raise GapNotCertified(msg, lam=hi.lambda_star, gap=hi.gap, eps=eps)
+    return replace(hi, oracle_calls=oracle_calls, samples_drawn=samples, interval=(l0, u0))
+
+
+def _prox_pass(f, mu, penalty, lam, eps_prox):
+    """Report of one prox pass at lam: primal and dual values sharing its
+    images, and their gap in its Fenchel-Young form psi(cbar) + psi*(lam) -
+    lam cbar (primal - dual would cancel the shared mean f(y) into roundoff
+    of either sign)."""
+    y, theta, _, _ = agd_prox_batch(f, mu.points, lam, eps_prox)
+    cbar = float(np.mean(theta))
+    fbar = float(np.mean(f.eval_many(y)))
+    psi, psi_star = penalty.psi(cbar), penalty.psi_star(lam)
     return DualSolveReport(
-        lambda_star=u,
-        dual_value=dual,
-        primal_value=primal,
-        gap=gap,
-        oracle_calls=oracle_calls,
-        samples_drawn=samples,
-        interval=(l0, u0),
+        lambda_star=lam,
+        dual_value=fbar + lam * cbar - psi_star,
+        primal_value=fbar + psi,
+        gap=psi + psi_star - lam * cbar,
+        oracle_calls=1,
+        samples_drawn=mu.n,
+        interval=(lam, lam),
         images=y,
         cost=cbar,
     )
 
 
-def _report_values(f, mu, penalty, lam, eps_prox):
-    """Primal and dual values sharing one prox pass, and their gap in its
-    Fenchel-Young form psi(cbar) + psi*(lam) - lam cbar (primal - dual would
-    cancel the shared mean f(y) into roundoff of either sign)."""
-    y, theta, _, _ = agd_prox_batch(f, mu.points, lam, eps_prox)
-    cbar = float(np.mean(theta))
-    fbar = float(np.mean(f.eval_many(y)))
-    psi, psi_star = penalty.psi(cbar), penalty.psi_star(lam)
-    gap = psi + psi_star - lam * cbar
-    return fbar + lam * cbar - psi_star, fbar + psi, gap, y, cbar
+def _check_feasible(penalty, rep):
+    """Raise InfeasiblePrimal when rep's cost lies where psi is infinite."""
+    if not rep.cost <= penalty.cost_bound:
+        msg = f"transported cost {rep.cost} above bound {penalty.cost_bound}"
+        raise InfeasiblePrimal(msg, cost=rep.cost, bound=penalty.cost_bound)
 
 
 def mirror_ascent_envelope(interval, k, c2, d_bound, eps=0.0):
@@ -357,8 +362,10 @@ def mirror_ascent(
     Runs k steps from the left endpoint with step (u-l)/sqrt(2k(C^2+D^2)),
     where C^2 bounds the oracle's second moment and D the penalty slope at
     the right endpoint, and returns the iterate average (whose expected
-    suboptimality obeys `mirror_ascent_envelope`).  The full-batch oracle
-    solves each prox to accuracy 1e-9.
+    suboptimality obeys `mirror_ascent_envelope`).  It steps along
+    est - psi*'(lam), a supergradient also at psi*'s kink at 0, where the
+    projection onto l >= 0 absorbs it.  The full-batch oracle solves each
+    prox to accuracy 1e-9.
 
     Args:
         oracle: optional lam -> supergradient-estimate override.
@@ -366,7 +373,7 @@ def mirror_ascent(
             fourth moment when omitted.
 
     Returns:
-        (lambda_bar, trace) with trace arrays "lambda" and "eta".
+        (lambda_bar, trace) with the trace array "lambda" of the iterates.
 
     Raises:
         IntervalEmpty: the interval has u <= l.
@@ -387,7 +394,6 @@ def mirror_ascent(
 
     lam = l
     lams = np.empty(k)
-    etas = np.empty(k)
     for i in range(k):
         lams[i] = lam
         if oracle is not None:
@@ -396,19 +402,16 @@ def mirror_ascent(
             est, _ = _slope(
                 f, mu, lam, eps_oracle, 1e-9, delta_prob / k, rng, sampled_m4
             )
-        lo, hi = penalty.subgrad_interval(lam)
-        eta = est - min(max(est, lo), hi)
-        etas[i] = eta
-        lam = min(max(lam + step * eta, l), u)
-    return float(np.mean(lams)), {"lambda": lams, "eta": etas}
+        lam = min(max(lam + step * (est - penalty.psi_star_deriv(lam)), l), u)
+    return float(np.mean(lams)), {"lambda": lams}
 
 
 def trust_region_step(f, mu, delta, eps, gamma, rng, stochastic=False):
     """Approximately minimize E_nu[f] over clouds within transport distance delta of mu.
 
     Solves the indicator-penalized dual by `primal_dual_bisection` and moves
-    the atoms to the images of its certifying prox pass, which lies in the
-    ball on both oracle paths; no pass runs after the search.  The radius
+    the atoms to the images of its certifying prox pass, which that search
+    checks lies in the ball; no pass runs after the search.  The radius
     is admitted by the solver's own interval check, so the gradient field
     is evaluated over the atoms once per step.  When h(l) <= 0 (for a
     linear f, |a| <= delta) the step is the prox at l: shorter than delta,
@@ -422,8 +425,8 @@ def trust_region_step(f, mu, delta, eps, gamma, rng, stochastic=False):
         DeltaTooLarge: delta above the admissible curvature bound
             ||grad f||_{L2(mu)} / (2 L) (up to a 1e-12 relative slack on
             delta^2), or a zero gradient field (admissible 0.0).
-        InfeasiblePrimal: the certifying pass lies outside the ball.
-        ValueError: as `primal_dual_bisection`, gamma being its delta_prob.
+        ValueError, InfeasiblePrimal, GapNotCertified: as
+            `primal_dual_bisection`, gamma being its delta_prob.
     """
     penalty = TrustRegionIndicator(delta)
     try:
@@ -441,12 +444,6 @@ def trust_region_step(f, mu, delta, eps, gamma, rng, stochastic=False):
             "gradient field vanishes on the cloud; no descent direction",
             admissible=0.0,
         ) from exc
-    if penalty.psi(rep.cost) != 0.0:
-        raise InfeasiblePrimal(
-            f"transported cost {rep.cost} above bound {0.5 * delta**2}",
-            cost=rep.cost,
-            bound=0.5 * delta**2,
-        )
     return PushforwardSampler(images=rep.images), rep
 
 
@@ -457,11 +454,6 @@ def primal_dual_gap(f, mu, penalty, lam, eps_inner):
         InfeasiblePrimal: the transported cost lands where psi is infinite.
         LambdaTooSmall: lam at or below the semiconvexity (from the prox).
     """
-    dual, primal, gap, _, cbar = _report_values(f, mu, penalty, lam, eps_inner)
-    if not math.isfinite(primal):
-        raise InfeasiblePrimal(
-            f"transported cost {cbar} is outside the penalty's finite domain",
-            cost=cbar,
-            bound=0.5 * penalty.delta**2 if hasattr(penalty, "delta") else None,
-        )
-    return gap
+    rep = _prox_pass(f, mu, penalty, lam, eps_inner)
+    _check_feasible(penalty, rep)
+    return rep.gap

@@ -96,6 +96,20 @@ class InfeasiblePrimal(WfwError):
         self.bound = bound
 
 
+class GapNotCertified(WfwError):
+    """A sampled dual search ended on a pass whose gap exceeds the target.
+
+    Carries the returned multiplier `lam`, its Fenchel-Young `gap` and the
+    target `eps`.
+    """
+
+    def __init__(self, message, lam=None, gap=None, eps=None):
+        super().__init__(message)
+        self.lam = lam
+        self.gap = gap
+        self.eps = eps
+
+
 class WeakDualityViolated(WfwError):
     """A solve reported a dual value above its primal value beyond tolerance.
 

@@ -129,12 +129,12 @@ def run_deconv(cfg):
     return mu, trace, J
 
 
-def mmd_gradient_flow(J, mu0, step, grad_budget, val_fn=None):
+def mmd_gradient_flow(J, mu0, step, grad_budget, val_fn):
     """Explicit-Euler particle descent on the witness gradient.
 
     Moves every atom by -step * witness gradient each iteration until the
     cumulative gradient-evaluation count reaches grad_budget.  Returns
-    (final cloud, rows) with rows of (grad_evals, objective, validation).
+    (final cloud, rows) with rows of (grad_evals, objective, val_fn(cloud)).
     """
     mu = mu0
     rows = []
@@ -144,8 +144,7 @@ def mmd_gradient_flow(J, mu0, step, grad_budget, val_fn=None):
         g = model.grad_many(mu.points)
         grad_evals += mu.n
         mu = ParticleCloud(mu.points - step * g)
-        val = val_fn(mu) if val_fn is not None else math.nan
-        rows.append((grad_evals, J.value(mu), val))
+        rows.append((grad_evals, J.value(mu), val_fn(mu)))
     return mu, rows
 
 

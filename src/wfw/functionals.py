@@ -125,17 +125,7 @@ class RandomFeatureKernel:
         return self.feature_grad(z, self.mean_embedding(a)) / self.table.shape[0]
 
 
-class Functional:
-    """Interface: value(mu) and derivative_oracle(mu, eps) -> SmoothObjective."""
-
-    def value(self, mu):
-        raise NotImplementedError
-
-    def derivative_oracle(self, mu, eps):
-        raise NotImplementedError
-
-
-class MMDSquared(Functional):
+class MMDSquared:
     """Squared maximum mean discrepancy to a fixed target cloud.
 
     value(mu) is the V-statistic E_mm k + E_tt k - 2 E_mt k; the witness of
@@ -353,7 +343,7 @@ def _sinkhorn_potentials(x, y, sigma2, tol):
     return u + shift, v - shift, err, iterations
 
 
-class EntropicDeconv(Functional):
+class EntropicDeconv:
     """Entropy-regularized transport cost from the iterate to a fixed data cloud.
 
     value(mu) is the converged dual objective mean(u) + mean(v); u is the
@@ -436,7 +426,7 @@ def _pairwise(fn, z, atoms):
     return out.reshape(diff.shape[:2] + out.shape[1:])
 
 
-class PotentialInteraction(Functional):
+class PotentialInteraction:
     """Potential-plus-interaction energy.
 
     value(mu) = (1/n) sum_i v(x_i) + (1/n^2) sum_ij W(x_i - x_j), with v and

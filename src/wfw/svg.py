@@ -1,10 +1,12 @@
 """Tiny deterministic SVG line charts.
 
 No timestamps, no randomness: the same series always serialize to the same
-bytes, so chart output can be diffed across runs.
+bytes, so chart output can be diffed across runs.  Titles and labels are
+XML-escaped, so any text (trace file names among them) keeps the SVG well formed.
 """
 
 import math
+from html import escape  # xml.sax.saxutils would load urllib.request with it
 
 _PALETTE = ("#1f6f8b", "#c0392b", "#27ae60", "#8e44ad", "#e67e22", "#2c3e50")
 
@@ -29,6 +31,7 @@ def line_chart(series, title="", xlabel="", ylabel="", log_y=False):
     Empty input still yields a valid axes-only chart.  With log_y the y
     axis is log10-scaled and every y must be positive.
     """
+    title, xlabel, ylabel = (escape(t, quote=False) for t in (title, xlabel, ylabel))
     pts = []
     for _, xs, ys in series:
         if len(xs) != len(ys):
@@ -127,7 +130,7 @@ def line_chart(series, title="", xlabel="", ylabel="", log_y=False):
         )
         out.append(
             f'<text x="{_ML + pw - 102}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{label}</text>'
+            f'font-size="11">{escape(label, quote=False)}</text>'
         )
 
     out.append("</svg>")

@@ -283,9 +283,6 @@ class _SquareConjugate:
     def psi_star_deriv(self, lam):
         return 2.0 * lam
 
-    def subgrad_interval(self, lam):
-        return (2.0 * lam, 2.0 * lam)
-
 
 def test_mirror_ascent_obeys_its_envelope():
     start = time.perf_counter()

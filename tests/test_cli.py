@@ -1,6 +1,7 @@
 """CLI wiring, experiment runners, trace/chart IO, and exit-code tests."""
 
 import json
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -121,6 +122,12 @@ _BAD_INPUTS = {
         EXIT_ERROR,
         "delta1 must be",
     ),
+    "dim-zero": (["fw", "--seed", "0", "--dim", "0"], EXIT_ERROR, "d >= 1"),
+    "trust-region-no-seed": (
+        ["trust-region", "--cloud", "{cloud}", "--delta", "0.1"],
+        EXIT_ERROR,
+        "seed is mandatory",
+    ),
 }
 
 
@@ -188,6 +195,10 @@ class TestConfigPlumbing:
     def test_config_rejects_unknown_experiment(self):
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="nonsense", seed=0)
+
+    def test_config_rejects_zero_particles(self):
+        with pytest.raises(ValueError, match="particles and dim must be positive"):
+            ExperimentConfig(experiment="deconv", seed=0, particles=0)
 
     def test_from_mapping_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
@@ -489,6 +500,13 @@ class TestLineChart:
     def test_length_mismatch_is_rejected(self):
         with pytest.raises(ValueError):
             line_chart([("a", [1, 2], [1.0])])
+
+    def test_text_is_escaped(self):
+        """Titles and legend labels (trace file names, for `wfw plot`) may hold
+        XML metacharacters; the chart still parses and keeps the raw text."""
+        svg = line_chart([("a<b", [0, 1], [1, 2])], title="J & s")
+        texts = [el.text for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+        assert "J & s" in texts and "a<b" in texts
 
     def test_log_ticks_label_the_raw_scale(self):
         svg = line_chart([("a", [0, 1], [1.0, 100.0])], log_y=True)

@@ -73,6 +73,11 @@ class TestParticleCloud:
         with pytest.raises(ValueError):
             ParticleCloud(np.array([[1.0, np.nan]]))
 
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0)], ids=["n=0", "d=0"])
+    def test_rejects_an_empty_shape(self, shape):
+        with pytest.raises(ValueError, match="n >= 1 and d >= 1"):
+            ParticleCloud(np.zeros(shape))
+
     def test_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
         cloud = ParticleCloud(rng.normal(size=(6, 3)))
@@ -89,6 +94,20 @@ class TestTransportPlan:
         weights = np.array([[0.5, 0.0], [0.0, 0.4]])
         with pytest.raises(ValueError):
             TransportPlan(weights, a, b)
+
+    @pytest.mark.parametrize(
+        "weights, says",
+        [
+            ([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]], "plan shape"),
+            ([[0.6, -0.1], [-0.1, 0.6]], "negative entries"),
+        ],
+        ids=["shape", "negative"],
+    )
+    def test_rejects_bad_shape_or_sign(self, weights, says):
+        a = ParticleCloud(np.zeros((2, 1)))
+        b = ParticleCloud(np.ones((2, 1)))
+        with pytest.raises(ValueError, match=says):
+            TransportPlan(np.array(weights), a, b)
 
     def test_cost_of_identity_coupling(self):
         a = ParticleCloud(np.array([[0.0], [1.0]]))

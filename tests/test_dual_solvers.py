@@ -22,7 +22,9 @@ from wfw.dual_solvers import (
 )
 from wfw.errors import (
     DeltaTooLarge,
+    GapNotCertified,
     InfeasiblePrimal,
+    IntervalEmpty,
     LambdaTooSmall,
     NonFiniteIterate,
     RegularizationTooWeak,
@@ -51,15 +53,15 @@ def _spy_passes(monkeypatch):
     """(lam, h(lam), r(lam)) of every certifying prox pass, in evaluation
     order: h = cbar - psi*'(lam) and r = psi*'(lam)^(-1/2) - cbar^(-1/2)."""
     passes = []
-    report_values = dual_solvers._report_values
+    prox_pass = dual_solvers._prox_pass
 
     def spy(f, mu, pen, lam, eps_prox):
-        values = report_values(f, mu, pen, lam, eps_prox)
-        cbar, slope = values[4], pen.psi_star_deriv(lam)
-        passes.append((lam, cbar - slope, slope**-0.5 - cbar**-0.5))
-        return values
+        rep = prox_pass(f, mu, pen, lam, eps_prox)
+        slope = pen.psi_star_deriv(lam)
+        passes.append((lam, rep.cost - slope, slope**-0.5 - rep.cost**-0.5))
+        return rep
 
-    monkeypatch.setattr(dual_solvers, "_report_values", spy)
+    monkeypatch.setattr(dual_solvers, "_prox_pass", spy)
     return passes
 
 
@@ -127,6 +129,10 @@ class TestPenalties:
         assert pen.psi_star(3.0) == pytest.approx(0.08 * 3.0)
         assert pen.psi_star(-1.0) == 0.0
 
+    def test_power_rejects_a_nonpositive_exponent(self):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            PowerPenalty(0.0)
+
     def test_power_values(self):
         pen = PowerPenalty(0.5)
         x = 0.3
@@ -158,11 +164,6 @@ class TestPenalties:
         for lam in (0.0, 1.0, 3.0):
             fd = (pen.psi_star(lam + h) - pen.psi_star(lam)) / h
             assert pen.psi_star_deriv(lam) == pytest.approx(fd, abs=1e-6)
-
-    def test_subgrad_interval_contains_derivative(self):
-        pen = PowerPenalty(1.0)
-        lo, hi = pen.subgrad_interval(2.0)
-        assert lo <= pen.psi_star_deriv(2.0) <= hi
 
 
 class TestDualInterval:
@@ -252,6 +253,8 @@ class TestBisection:
                 oracle_calls=0,
                 samples_drawn=0,
                 interval=(1.0, 2.0),
+                images=np.zeros((1, 1)),
+                cost=0.0,
             )
         assert isinstance(exc.value, WfwError)
         assert exc.value.gap == -1.0
@@ -383,9 +386,13 @@ class TestBisection:
 
             def crawling(f, mu, pen, lam, eps_prox):
                 cbar = pen.psi_star_deriv(lam) * math.exp(-40.0 * (lam - 2.0))
-                return 0.0, 0.0, math.inf, mu.points, cbar
+                return DualSolveReport(
+                    lambda_star=lam, dual_value=0.0, primal_value=0.0, gap=math.inf,
+                    oracle_calls=1, samples_drawn=mu.n, interval=(lam, lam),
+                    images=mu.points, cost=cbar,
+                )
 
-            monkeypatch.setattr(dual_solvers, "_report_values", crawling)
+            monkeypatch.setattr(dual_solvers, "_prox_pass", crawling)
         passes = _spy_passes(monkeypatch)
         mu = ParticleCloud(scale * np.random.default_rng(0).normal(size=shape))
         m2 = float(np.mean(np.sum(mu.points**2, axis=1)))
@@ -428,7 +435,7 @@ class TestBisection:
             quadratic(), mu, pen, 0.5, 0.3, np.random.default_rng(7), stochastic=True
         )
         assert rep.interval[0] <= rep.lambda_star <= rep.interval[1]
-        assert rep.gap is None or rep.gap >= 0.0
+        assert rep.gap >= 0.0
         assert [lam for lam, _, _ in passes] == [rep.lambda_star]
 
     @settings(max_examples=60, deadline=None)
@@ -498,6 +505,16 @@ class TestSampledSlope:
 
 
 class TestMirrorAscent:
+    @pytest.mark.parametrize(
+        "interval, k, error",
+        [((1.0, 5.0), 0, ValueError), ((2.0, 2.0), 5, IntervalEmpty)],
+        ids=["k=0", "u=l"],
+    )
+    def test_rejects_bad_arguments(self, interval, k, error):
+        mu = ParticleCloud(np.ones((3, 2)))
+        with pytest.raises(error):
+            mirror_ascent(quadratic(), mu, TrustRegionIndicator(0.5), interval, k, None)
+
     def test_single_step_returns_left_endpoint(self):
         mu = ParticleCloud(np.ones((3, 2)) * 2.0)
         pen = TrustRegionIndicator(0.5)
@@ -531,9 +548,6 @@ class TestMirrorAscent:
 
             def psi_star_deriv(self, lam):
                 return 2.0 * lam
-
-            def subgrad_interval(self, lam):
-                return (2.0 * lam, 2.0 * lam)
 
         pen = SquareConjugate()
         for k in (100, 1000):
@@ -742,6 +756,21 @@ class TestTrustRegion:
         with pytest.raises(NonFiniteIterate) as info:
             trust_region_step(double_well(), mu, 0.1, *args, stochastic=stochastic)
         assert info.value.active == 2
+
+    def test_uncertified_sampled_gap_raises_a_typed_error(self):
+        """With a coordinate at 1e20 the sampled search ends at lam = 1.2e56,
+        whose pass has gap 6.1e53 against eps = 0.5: GapNotCertified with
+        lam, gap and eps, not a silent report (the full-batch path raises
+        NonFiniteIterate on this cloud)."""
+        mu = ParticleCloud([[0.5, 0.0], [1e20, 0.0]])
+        with pytest.raises(GapNotCertified) as info:
+            trust_region_step(
+                double_well(), mu, 0.1, 0.5, 0.3, np.random.default_rng(0), stochastic=True
+            )
+        assert isinstance(info.value, WfwError)
+        assert info.value.eps == 0.5
+        assert info.value.lam == pytest.approx(1.2207e56, rel=1e-4)
+        assert info.value.gap == pytest.approx(6.1035e53, rel=1e-4)
 
     @pytest.mark.parametrize("scale", [10.0, 1e3])
     def test_sampled_bisection_stops_at_the_rounding_unit(self, monkeypatch, scale):

@@ -46,6 +46,20 @@ def _grad_k(kernel, x, y):
 
 
 class TestKernels:
+    @pytest.mark.parametrize(
+        "build, says",
+        [
+            (lambda: GaussianKernel(0.0), "sigma must be positive"),
+            (lambda: InverseMultiquadricKernel(0.0, 1.0), "c and beta must be positive"),
+            (lambda: RandomFeatureKernel(np.ones(3)), "feature table must be"),
+            (lambda: EntropicDeconv(0.0, ParticleCloud(np.zeros((2, 2)))), "sigma2"),
+        ],
+        ids=["gaussian", "imq", "random-feature", "deconv"],
+    )
+    def test_rejects_bad_parameters(self, build, says):
+        with pytest.raises(ValueError, match=says):
+            build()
+
     @pytest.mark.parametrize("kernel", _kernels(), ids=lambda k: k.name)
     def test_symmetry(self, kernel):
         rng = np.random.default_rng(1)
@@ -512,6 +526,20 @@ class TestSinkhornStalls:
     def test_deconv_witness_of_the_batch_contract(self):
         """Seed 36644787 of the deconv batch contract: the sweeps sat at 3.67e-7."""
         _assert_batch_rows_equal_per_point_forms("deconv", 36644787, 1)
+
+    def test_spent_budget_raises_a_typed_error(self, monkeypatch):
+        """The example input below needs 143 ladder iterations and 83
+        fallback sweeps; capped at 200 in all, the fallback stops 26 sweeps
+        short and the solve reports its error and iteration count."""
+        monkeypatch.setattr(functionals, "_SINKHORN_MAX_ITER", 200)
+        rng = np.random.default_rng(374837)
+        scale, sigma2 = 10.0**0.3828882354073191, 10.0**-0.6875
+        x = scale * rng.normal(size=(7, 2))
+        y = scale * (rng.normal(size=(7, 2)) + 0.3)
+        with pytest.raises(SinkhornNotConverged) as info:
+            _sinkhorn_potentials(x, y, sigma2, 1e-9)
+        assert info.value.marginal_error > 1e-9
+        assert info.value.iterations == 200
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -295,6 +295,11 @@ class TestSupergradientSampling:
         )
         assert hp_sample_count(f, mu, lam, eps, delta) == expected
 
+    def test_zero_field_needs_one_sample(self):
+        """A zero gradient field has m4 = 0: every draw reads 0, so one is enough."""
+        mu = ParticleCloud(np.random.default_rng(7).normal(size=(5, 2)))
+        assert hp_sample_count(linear(np.zeros(2)), mu, 2.0, 0.05, 0.1) == 1
+
     def test_estimator_unbiased_against_fullbatch(self):
         """Mean of many hp estimates approaches the full-batch derivative."""
         rng = np.random.default_rng(8)
@@ -370,4 +375,13 @@ class TestSmoothObjective:
                 grad_many=np.zeros_like,
                 smoothness=0.5,
                 semiconvexity=1.0,
+            )
+
+    def test_rejects_negative_semiconvexity(self):
+        with pytest.raises(ValueError, match="semiconvexity must be >= 0"):
+            SmoothObjective(
+                eval_many=lambda y: np.zeros(y.shape[0]),
+                grad_many=np.zeros_like,
+                smoothness=1.0,
+                semiconvexity=-1.0,
             )
