@@ -23,6 +23,7 @@ from .errors import (
     GapNotCertified,
     InfeasiblePrimal,
     IntervalEmpty,
+    LambdaTooSmall,
     RegularizationTooWeak,
     WeakDualityViolated,
 )
@@ -377,12 +378,17 @@ def mirror_ascent(
 
     Raises:
         IntervalEmpty: the interval has u <= l.
+        LambdaTooSmall: f is given and l does not exceed its semiconvexity.
     """
     l, u = interval
     if u <= l:
         raise IntervalEmpty(f"interval ({l}, {u}) is empty")
     if k < 1:
         raise ValueError("k must be >= 1")
+    if f is not None and l <= f.semiconvexity:
+        raise LambdaTooSmall(
+            f"left end l = {l} must exceed semiconvexity {f.semiconvexity}"
+        )
     m4 = None
     if c2 is None or (stochastic and oracle is None):
         m4 = gradient_fourth_moment(f, mu)

@@ -54,6 +54,20 @@ class NonFiniteIterate(WfwError):
         self.active = active
 
 
+class ProxNotCertified(WfwError):
+    """A prox row spent its iteration budget without certifying its accuracy.
+
+    Carries the prox weight `lam`, the step count `step` at which the budget
+    ran out, and the number of rows still `active` then.
+    """
+
+    def __init__(self, message, lam=None, step=None, active=None):
+        super().__init__(message)
+        self.lam = lam
+        self.step = step
+        self.active = active
+
+
 class KCapExceeded(WfwError):
     """The concentration-driven sample count exceeds the configured cap."""
 

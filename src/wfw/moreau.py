@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import KCapExceeded, LambdaTooSmall, NonFiniteIterate
+from .errors import KCapExceeded, LambdaTooSmall, NonFiniteIterate, ProxNotCertified
 
 #: Cap on the sample count a single supergradient query may draw.
 K_CAP = 10**6
@@ -70,12 +70,22 @@ def agd_prox_batch(f, x, lam, eps):
     """Approximately evaluate prox_{f/lam} at each row of x (one
     independent trajectory per row; pass x[None, :] for one point).
 
+    The prox objective a(.) = f + (lam/2)||. - x||^2 is (lam - rho)-strongly
+    convex, so ||y - prox(x)|| <= ||grad a(y)||/(lam - rho) certifies a
+    point y: a row is returned at the first point where theta = (1/2)||y -
+    x||^2 is provably within eps (and y within sqrt(eps)/2) of the true
+    prox.  Step 1 is a plain gradient step from the center, which finishes
+    a quadratic in one step.  Later steps run constant-momentum AGD from
+    there and evaluate one gradient each, at the momentum point y: it serves
+    both the certificate at y and the step y - grad a(y)/(lam + L).  Where
+    grad a(y) points along the step just taken, the row's momentum is zeroed
+    for the next step (gradient restart).  With the gradient at x, a row
+    that steps iters times evaluates iters + 1 gradients (one when it never
+    steps).
+
     Row i's budget is max(ceil(4*kappa*log(12*kappa*||grad f(x_i)||/eps)), 0)
-    with kappa = sqrt((lam + L)/(lam - rho)); a strong-convexity certificate
-    freezes the row earlier, once theta_i = (1/2)||y_i - x_i||^2 is provably
-    within eps (and y_i within sqrt(eps)/2) of the true prox.  The first
-    step reuses the gradients at x, so a row that steps iters times
-    evaluates 2 * iters gradients (one when it never steps).
+    steps with kappa = sqrt((lam + L)/(lam - rho)).  A row with budget 0 is
+    returned at its center, which must itself certify.
 
     The loop runs on the active rows alone, in their original order; all
     of them have run the same count.  A row is written back when it leaves,
@@ -92,6 +102,9 @@ def agd_prox_batch(f, x, lam, eps):
         NonFiniteIterate: an iterate, or a gradient at one or at a center
             (step 0), left the finite range; carries lam, the step count and
             the rows still active.
+        ProxNotCertified: a row spent its budget without certifying (f is
+            not L-smooth where the row went, or rounding hides the prox);
+            carries lam, the step count and the rows still active.
     """
     if lam <= f.semiconvexity:
         raise LambdaTooSmall(
@@ -104,7 +117,7 @@ def agd_prox_batch(f, x, lam, eps):
     kappa = math.sqrt(l_smooth / mu_sc)
     step = 1.0 / l_smooth
     momentum = (kappa - 1.0) / (kappa + 1.0)
-    z = x.copy()  # latest gradient-step iterate per row; rows with budget 0 stay at x
+    y = x.copy()  # rows with budget 0 stay at x
     iters = np.zeros(n, dtype=np.int64)
     d_tol = 0.5 * math.sqrt(eps)
 
@@ -125,26 +138,25 @@ def agd_prox_batch(f, x, lam, eps):
         if np.any(pos):
             raw = 4.0 * kappa * np.log(12.0 * kappa * gnorm0[pos] / eps)
             budget[pos] = np.maximum(np.ceil(raw), 0.0).astype(np.int64)
+        # At a center the residual is g0 and the distance 0, so the
+        # certificate reduces to d <= d_tol.
+        missed = (budget == 0) & (gnorm0 / mu_sc > d_tol)
+        if missed.any():
+            _not_certified(lam, 0, np.count_nonzero(budget) + np.count_nonzero(missed))
 
         # Working set: row indices, centers, momentum points, iterates, budgets.
         idx = np.flatnonzero(budget)
-        xa = ya = za = x[idx]
-        ba = budget[idx]
+        xa, ba = x[idx], budget[idx]
+        ya = za = xa - step * g0[idx]
         k = 0
         while idx.size:
-            # Before the first step, ya == xa and its gradients are g0's.
-            gy = f.grad_many(ya) if k else g0[idx]
-            z_new = ya - step * (gy + lam * (ya - xa))
             k += 1
-            # Certificate: the prox objective a(.) = f + (lam/2)||.-x||^2 is
-            # mu_sc-strongly convex, so ||z - prox(x)|| <= ||grad a(z)||/mu_sc.
-            gz = f.grad_many(z_new)
-            diff = z_new - xa
-            resid = gz + lam * diff
+            diff = ya - xa
+            resid = f.grad_many(ya) + lam * diff
             d = np.sqrt(np.sum(resid**2, axis=1)) / mu_sc
             dist = np.sqrt(np.sum(diff**2, axis=1))
             bound = d * (dist + 0.5 * d)
-            # Finite only if z_new and its gradients are.
+            # Finite only if ya and its gradients are.
             if not np.isfinite(bound).all():
                 raise NonFiniteIterate(
                     f"prox iterate left the finite range at lam = {lam}, "
@@ -154,19 +166,36 @@ def agd_prox_batch(f, x, lam, eps):
                     active=int(idx.size),
                 )
             certified = (bound <= 0.5 * eps) & (d <= d_tol)
-
-            ya = z_new + momentum * (z_new - za)
-            za = z_new
-            done = certified | (ba <= k)
-            if done.any():
-                out = idx[done]
-                z[out] = z_new[done]
+            if certified.any():
+                out = idx[certified]
+                y[out] = ya[certified]
                 iters[out] = k
-                keep = ~done
+                keep = ~certified
                 idx, xa, ya, za, ba = idx[keep], xa[keep], ya[keep], za[keep], ba[keep]
+                if not idx.size:
+                    break
+                resid = resid[keep]
+            if (ba <= k).any():
+                _not_certified(lam, k, idx.size)
 
-    theta = 0.5 * np.sum((z - x) ** 2, axis=1)
-    return z, theta, iters, np.maximum(2 * iters, 1)
+            z_new = ya - step * resid
+            # Restart where grad a(y) has a positive component along the step.
+            beta = np.where(np.sum(resid * (z_new - za), axis=1) > 0, 0.0, momentum)
+            ya = z_new + beta[:, None] * (z_new - za)
+            za = z_new
+
+    theta = 0.5 * np.sum((y - x) ** 2, axis=1)
+    return y, theta, iters, iters + 1
+
+
+def _not_certified(lam, step, active):
+    raise ProxNotCertified(
+        f"a prox row spent its budget uncertified at lam = {lam}, "
+        f"step {step}, {active} rows active",
+        lam=lam,
+        step=step,
+        active=int(active),
+    )
 
 
 def gradient_fourth_moment(f, mu):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wfw import dual_solvers
+from wfw import dual_solvers, moreau
 from wfw.cloud import ParticleCloud, wasserstein2_exact
 from wfw.dual_solvers import (
     DualSolveReport,
@@ -27,6 +27,7 @@ from wfw.errors import (
     IntervalEmpty,
     LambdaTooSmall,
     NonFiniteIterate,
+    ProxNotCertified,
     RegularizationTooWeak,
     WeakDualityViolated,
     WfwError,
@@ -515,6 +516,17 @@ class TestMirrorAscent:
         with pytest.raises(error):
             mirror_ascent(quadratic(), mu, TrustRegionIndicator(0.5), interval, k, None)
 
+    @pytest.mark.parametrize("l", [0.0, -0.5])
+    def test_left_end_at_or_below_semiconvexity_is_named(self, l):
+        """At l = rho the plug-in bound 256 m4 / (l - rho)^4 would divide by
+        zero: LambdaTooSmall naming l and rho comes first."""
+        mu = ParticleCloud(np.random.default_rng(0).normal(size=(5, 2)))
+        with pytest.raises(LambdaTooSmall, match=f"l = {l} .* semiconvexity 0.0"):
+            mirror_ascent(
+                quadratic(), mu, TrustRegionIndicator(0.4), (l, 3.0), 5,
+                np.random.default_rng(0),
+            )
+
     def test_single_step_returns_left_endpoint(self):
         mu = ParticleCloud(np.ones((3, 2)) * 2.0)
         pen = TrustRegionIndicator(0.5)
@@ -680,7 +692,7 @@ class TestTrustRegion:
         _, rep = trust_region_step(f, mu, 0.1, 1e-3, 0.1, np.random.default_rng(0))
         [(rows, lam)] = bisection_rows
         assert rep.lambda_star == lam
-        assert counter["rows"] == rows == 906
+        assert counter["rows"] == rows == 408
 
     def test_misled_sampled_search_certifies_the_right_end(self, monkeypatch):
         """Sampled slopes that always read -1 drive the search down to l,
@@ -757,20 +769,51 @@ class TestTrustRegion:
             trust_region_step(double_well(), mu, 0.1, *args, stochastic=stochastic)
         assert info.value.active == 2
 
-    def test_uncertified_sampled_gap_raises_a_typed_error(self):
-        """With a coordinate at 1e20 the sampled search ends at lam = 1.2e56,
-        whose pass has gap 6.1e53 against eps = 0.5: GapNotCertified with
-        lam, gap and eps, not a silent report (the full-batch path raises
-        NonFiniteIterate on this cloud)."""
+    def test_uncertified_prox_on_a_huge_coordinate_raises_a_typed_error(self, monkeypatch):
+        """With a coordinate at 1e20 the sampled search's first pass, a
+        full-batch one at lam = 7.07e60, cannot certify the far atom's prox
+        (its residual is rounding noise on a 1e20 coordinate), and the step
+        raises ProxNotCertified with lam, step and active, not a report."""
+        passes = []
+        prox = dual_solvers.agd_prox_batch
+
+        def spy(f, x, lam, eps):
+            passes.append(lam)
+            return prox(f, x, lam, eps)
+
+        monkeypatch.setattr(dual_solvers, "agd_prox_batch", spy)
+        monkeypatch.setattr(moreau, "agd_prox_batch", spy)
         mu = ParticleCloud([[0.5, 0.0], [1e20, 0.0]])
-        with pytest.raises(GapNotCertified) as info:
+        with pytest.raises(ProxNotCertified) as info:
             trust_region_step(
                 double_well(), mu, 0.1, 0.5, 0.3, np.random.default_rng(0), stochastic=True
             )
         assert isinstance(info.value, WfwError)
+        assert passes == [info.value.lam]
+        assert info.value.lam == pytest.approx(7.0711e60, rel=1e-4)
+        assert info.value.step >= 1
+        assert info.value.active == 1
+
+    def test_uncertified_sampled_gap_raises_a_typed_error(self):
+        """A linear witness with |a| = 0.3 below delta = 1.5 has h(l) <= 0, so
+        the dual peaks at the left end l = 1.  The sampled interval (1, 1.4)
+        is already below its width, and the search returns the pass at 1.4,
+        whose exactly solved prox has gap lam (delta^2/2 - |a|^2/(2 lam^2))
+        = 1.54 against eps = 0.5: GapNotCertified with lam, gap and eps, not
+        a silent report."""
+        a, delta = np.array([0.3, 0.0]), 1.5
+        mu = ParticleCloud(np.random.default_rng(0).normal(size=(6, 2)))
+        with pytest.raises(GapNotCertified) as info:
+            trust_region_step(
+                linear(a), mu, delta, 0.5, 0.3, np.random.default_rng(0), stochastic=True
+            )
+        assert isinstance(info.value, WfwError)
+        lam = info.value.lam
         assert info.value.eps == 0.5
-        assert info.value.lam == pytest.approx(1.2207e56, rel=1e-4)
-        assert info.value.gap == pytest.approx(6.1035e53, rel=1e-4)
+        assert lam == pytest.approx(1.4)
+        cost = float(a @ a) / (2.0 * lam**2)
+        assert info.value.gap == pytest.approx(lam * (0.5 * delta**2 - cost), rel=1e-12)
+        assert info.value.gap > 0.5
 
     @pytest.mark.parametrize("scale", [10.0, 1e3])
     def test_sampled_bisection_stops_at_the_rounding_unit(self, monkeypatch, scale):
@@ -796,15 +839,15 @@ class TestTrustRegion:
         assert np.diff(slopes).all()
 
     def test_diverging_prox_raises_a_typed_error(self):
-        """A double-well cloud at scale 1.91, outside the region its
-        smoothness bound covers: the radius is admitted, the prox diverges,
-        and the step raises NonFiniteIterate with its context, not a numpy
-        overflow warning (an error under this suite)."""
+        """A double-well cloud at scale 3, outside the region its smoothness
+        bound covers: the radius is admitted, the prox diverges, and the step
+        raises NonFiniteIterate with its context, not a numpy overflow
+        warning (an error under this suite)."""
         rng = np.random.default_rng(0)
         n = int(rng.integers(2, 9))
-        scale = 10 ** rng.uniform(0.2, 0.5)
-        assert n == 7 and round(scale, 2) == 1.91
-        mu = ParticleCloud(scale * rng.standard_normal((n, 2)))
+        rng.uniform(0.2, 0.5)  # keeps the draw of the atoms below
+        assert n == 7
+        mu = ParticleCloud(3.0 * rng.standard_normal((n, 2)))
         with pytest.raises(NonFiniteIterate) as info:
             trust_region_step(double_well(), mu, 0.3, 0.5, None, None)
         assert info.value.lam > double_well().semiconvexity

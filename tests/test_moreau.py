@@ -4,9 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfw.cloud import ParticleCloud
-from wfw.errors import KCapExceeded, LambdaTooSmall, NonFiniteIterate
+from wfw.errors import (
+    KCapExceeded,
+    LambdaTooSmall,
+    NonFiniteIterate,
+    ProxNotCertified,
+    WfwError,
+)
 from wfw.frank_wolfe import counted_model
 from wfw.functionals import EntropicDeconv, MMDSquared, RandomFeatureKernel
 from wfw.moreau import (
@@ -40,7 +48,9 @@ def _masked_prox_batch(f, x, lam, eps):
 
     Every step re-gathers the active rows by index and scatters them back.
     `agd_prox_batch` keeps a compacted working set instead and must match
-    this bit for bit.
+    this bit for bit.  Step 1 is the gradient step from the center; each
+    later step certifies its momentum point or steps from it, restarting
+    the momentum where the gradient points along the step.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -56,28 +66,34 @@ def _masked_prox_batch(f, x, lam, eps):
     if np.any(pos):
         raw = 4.0 * kappa * np.log(12.0 * kappa * gnorm0[pos] / eps)
         budget[pos] = np.maximum(np.ceil(raw), 0.0).astype(np.int64)
-    y = x.copy()
-    z = x.copy()
+    assert np.all(gnorm0[budget == 0] / mu_sc <= 0.5 * math.sqrt(eps))
+    y = x - step * g0
+    z = y.copy()
+    out = x.copy()
     iters = np.zeros(n, dtype=np.int64)
     active = budget > 0
     d_tol = 0.5 * math.sqrt(eps)
+    k = 0
     while np.any(active):
         idx = np.nonzero(active)[0]
-        gy = f.grad_many(y[idx]) if iters[idx[0]] else g0[idx]
-        z_new = y[idx] - step * (gy + lam * (y[idx] - x[idx]))
-        assert np.all(np.isfinite(z_new))
-        iters[idx] += 1
-        gz = f.grad_many(z_new)
-        resid = gz + lam * (z_new - x[idx])
+        k += 1
+        resid = f.grad_many(y[idx]) + lam * (y[idx] - x[idx])
+        assert np.all(np.isfinite(resid))
         d = np.sqrt(np.sum(resid**2, axis=1)) / mu_sc
-        dist = np.sqrt(np.sum((z_new - x[idx]) ** 2, axis=1))
+        dist = np.sqrt(np.sum((y[idx] - x[idx]) ** 2, axis=1))
         certified = (d * (dist + 0.5 * d) <= 0.5 * eps) & (d <= d_tol)
-        y[idx] = z_new + momentum * (z_new - z[idx])
+        out[idx[certified]] = y[idx[certified]]
+        iters[idx[certified]] = k
+        active[idx[certified]] = False
+        assert np.all(budget[active] > k)
+        go = ~certified
+        idx, resid = idx[go], resid[go]
+        z_new = y[idx] - step * resid
+        restart = np.sum(resid * (z_new - z[idx]), axis=1) > 0
+        y[idx] = z_new + np.where(restart, 0.0, momentum)[:, None] * (z_new - z[idx])
         z[idx] = z_new
-        done = certified | (iters[idx] >= budget[idx])
-        active[idx[done]] = False
-    theta = 0.5 * np.sum((z - x) ** 2, axis=1)
-    return z, theta, iters, np.maximum(2 * iters, 1)
+    theta = 0.5 * np.sum((out - x) ** 2, axis=1)
+    return out, theta, iters, iters + 1
 
 
 def _recorded(f, calls):
@@ -120,12 +136,13 @@ def _witness(kind, rng):
     return f, x, f.semiconvexity + 0.5
 
 
+_WITNESS_KINDS = ["quadratic", "double-well", "linear", "deconv", "mmd-features"]
+
+
 class TestCompactedLoop:
     """`agd_prox_batch` against the masked reference loop, byte for byte."""
 
-    @pytest.mark.parametrize(
-        "kind", ["quadratic", "double-well", "linear", "deconv", "mmd-features"]
-    )
+    @pytest.mark.parametrize("kind", _WITNESS_KINDS)
     @pytest.mark.parametrize("eps", [1e-3, 1e-10])
     def test_bit_identical_to_the_masked_loop(self, kind, eps):
         f, x, lam = _witness(kind, np.random.default_rng(len(kind)))
@@ -169,6 +186,78 @@ class TestCompactedLoop:
         assert (err.lam, err.step, err.active) == (lam, 0, 2)
 
 
+class TestCertificate:
+    """Every row `agd_prox_batch` returns certifies; otherwise it raises."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(_WITNESS_KINDS),
+        st.integers(0, 2**32 - 1),
+        st.floats(-1.0, 1.0),
+        st.floats(-1.0, 1.5),
+        st.floats(-12.0, -1.0),
+    )
+    def test_every_returned_row_certifies(self, kind, seed, log_scale, log_gap, log_eps):
+        """Recomputed from the returned rows alone: the strong-convexity
+        bound d = ||grad a(y)||/(lam - rho) gives d (dist + d/2) <= eps/2
+        and d <= sqrt(eps)/2, unless the pass raises a typed error."""
+        f, x, _ = _witness(kind, np.random.default_rng(seed))
+        x = x * 10**log_scale
+        lam, eps = f.semiconvexity + 10**log_gap, 10**log_eps
+        try:
+            y, theta, iters, grad_evals = agd_prox_batch(f, x, lam, eps)
+        except WfwError:
+            return
+        resid = f.grad_many(y) + lam * (y - x)
+        d = np.sqrt(np.sum(resid**2, axis=1)) / (lam - f.semiconvexity)
+        dist = np.sqrt(np.sum((y - x) ** 2, axis=1))
+        assert np.all(d * (dist + 0.5 * d) <= 0.5 * eps)
+        assert np.all(d <= 0.5 * math.sqrt(eps))
+        np.testing.assert_array_equal(theta, 0.5 * np.sum((y - x) ** 2, axis=1))
+        np.testing.assert_array_equal(grad_evals, iters + 1)
+
+    def test_row_outside_the_smoothness_region_raises(self):
+        """A double-well center at (-1.10, 5.43), far outside the ball
+        ||x|| <= 2 that L = 11 covers, neither diverges nor certifies under
+        restart: after its 105-step budget it raises with its context."""
+        with pytest.raises(ProxNotCertified) as info:
+            agd_prox_batch(double_well(), np.array([[-1.10, 5.43]]), 8.879, 2.16e-4)
+        err = info.value
+        assert (err.lam, err.step, err.active) == (8.879, 105, 1)
+
+    def test_rounding_bound_row_raises(self):
+        """At lam = 1.2207e56 the prox of a 1e20 coordinate moves it by less
+        than its rounding unit, so no iterate certifies: ProxNotCertified,
+        not a silently returned row."""
+        with pytest.raises(ProxNotCertified) as info:
+            agd_prox_batch(double_well(), np.array([[1e20, 0.0]]), 1.2207e56, 0.5)
+        err = info.value
+        assert err.lam == 1.2207e56
+        assert err.step >= 1
+        assert err.active == 1
+
+    def test_uncertified_center_with_no_budget_raises_at_step_zero(self):
+        """Budget 0 (||grad f(x)|| <= eps/(12 kappa)) returns the center,
+        which must certify: with lam - rho = 1e-12 it does not."""
+        x = np.array([[0.0, 0.0], [1e-3, 0.0]])
+        with pytest.raises(ProxNotCertified) as info:
+            agd_prox_batch(linear([1e-3, 0.0]), x, 1e-12, 1.0)
+        assert (info.value.step, info.value.active) == (0, 2)
+
+    def test_quadratic_returns_after_the_plain_first_step(self):
+        """z1 = x - x/(1 + lam) is the quadratic's prox, so every row with a
+        nonzero gradient returns at step 1 with one gradient besides g0."""
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(40, 3)) * rng.uniform(1e-3, 10.0, size=(40, 1))
+        x[[4, 17]] = 0.0
+        for lam, eps in ((0.3, 1e-12), (2.0, 1e-6), (50.0, 1e-3)):
+            y, _, iters, grad_evals = agd_prox_batch(quadratic(), x, lam, eps)
+            moved = np.any(x != 0.0, axis=1)
+            np.testing.assert_array_equal(iters, np.where(moved, 1, 0))
+            np.testing.assert_array_equal(grad_evals, iters + 1)
+            np.testing.assert_allclose(y, lam * x / (1.0 + lam), rtol=1e-12, atol=0)
+
+
 class TestProxClosedForms:
     def test_quadratic(self):
         """argmin 0.5|y|^2 + lam/2 |y-x|^2 = lam x / (1 + lam)."""
@@ -206,10 +295,12 @@ class TestProxClosedForms:
             _prox_row(f, np.ones(2), f.semiconvexity, 1e-6)
 
     def test_grad_eval_accounting(self):
-        """Two gradients per iteration: the setup gradient serves the first."""
-        f = quadratic()
-        _, _, iters, grad_evals = _prox_row(f, np.array([1.0, 2.0]), 3.0, 1e-12)
-        assert grad_evals == 2 * iters
+        """One gradient per step, plus the one at the center."""
+        calls = []
+        f = _recorded(double_well(), calls)
+        _, _, iters, grad_evals = _prox_row(f, np.array([1.4, -0.3]), 6.0, 1e-12)
+        assert iters > 1
+        assert grad_evals == iters + 1 == len(calls)
 
     def test_batch_matches_row_loop(self):
         f = double_well()
