@@ -205,32 +205,52 @@ def _slope(f, mu, lam, eps, eps_prox, delta, rng, m4):
     return slope, mu.n
 
 
+def _slope_crossing(penalty, m2, s, u):
+    """The lam in (max(-s, 0), u] where m2 / (2 (lam + s)^2) = psi*'(lam).
+
+    As ||grad f|| / (lam + L) <= ||x - prox(x)|| <= ||grad f|| / (lam - rho),
+    m2 / (2 (lam + L)^2) <= g'(lam) <= m2 / (2 (lam - rho)^2) with m2 =
+    E||grad f||^2: h = g' - psi*' is >= 0 at the crossing for s = L and <= 0
+    at the one for s = -rho.  The left side falls and psi*' does not, so the
+    crossing is unique: sqrt(m2) / delta - s under the indicator, found by
+    bisection otherwise, below u = rho + 1 + sqrt(2 m2 / psi*'(rho + 1)).
+    """
+    if isinstance(penalty, TrustRegionIndicator):
+        return math.sqrt(m2) / penalty.delta - s
+    lo, hi = max(-s, 0.0), u
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if 2.0 * (mid + s) ** 2 * penalty.psi_star_deriv(mid) < m2:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False):
     """Bracketing search on the dual with a primal certificate at the returned point.
 
-    Keeps [l, u] on the sign of h(lam) = g'(lam) - psi*'(lam) and returns u
-    with a full prox pass at u, whose matching primal and dual values make
-    the reported gap a true Fenchel-Young gap.  On the full-batch path every
-    point is such a pass (the name is historical): Illinois regula falsi
-    (Dowell & Jarratt, BIT 11, 1971) keeps h(l) > 0 >= h(u) but takes its
-    secant from r = psi*'^(-1/2) - cbar^(-1/2), which has h's sign and is
-    affine in lam where cbar = K / (rho' + lam)^2 (linear and quadratic
-    witnesses under the indicator).  Each secant point steps past the root
-    by a gap of eps_alg / 2, so it lands with h <= 0 despite roundoff; the
-    midpoint replaces a point outside (l, u) or an undefined secant (cbar or
-    psi*' zero).  It stops as soon as u's pass certifies a gap <= eps_alg,
-    on a collapsed bracket u = l (at once when h(l) <= 0: l is the answer),
-    and otherwise two passes past the count plain bisection needs to reach
-    the a-priori width eps_alg / B, B = max(psi* smoothness, 16 m2^2, 1e-12),
-    m2 = E||grad f||^2, or ulp(u) if wider.  That width does not stop it: on
-    a tiny field it is too coarse for the certificate.  The sampled path
-    bisects to that width, moving u on h < -eps_alg / max(lam - l, 1), and
-    passes at u; when that pass is infeasible (misled samples) it certifies
-    the right end u0, where g'(u0) < psi*'(u0) / 4.
+    Returns a full prox pass with h(lam) = g'(lam) - psi*'(lam) <= 0 and its
+    Fenchel-Young gap.  The full-batch path (every point a pass; the name is
+    historical) searches between the `_slope_crossing`s at s = L (or rho, if
+    larger) and s = -rho.  It passes first at the one at s = 0, then takes
+    a Newton step on r = psi*'^(-1/2) - cbar^(-1/2), which has h's sign,
+    with the slope -sqrt(2 / m2) that r has for linear and quadratic f under
+    the indicator, then secants on r through its last two passes.  Each
+    point is clamped into the bracket, whose left end holds only where L
+    covers the cloud and, after the Newton step, relaxes to the last pass
+    with h > 0 (or rho), and is stepped past the root by a gap of
+    eps_alg / 2, as the right end is; the midpoint replaces an undefined
+    one.  It stops at the first pass with h <= 0 and gap <= eps_alg, and
+    raises three passes past plain bisection's count to the width
+    eps_alg / B, B = max(psi* smoothness, 16 m2^2, 1e-12), or ulp(u) if
+    wider.  The sampled path bisects [l, u] of `dual_interval` to that
+    width, moving u on h < -eps_alg / max(lam - l, 1), and passes at u, or
+    at u0 if that pass is infeasible (misled samples): g'(u0) < psi*'(u0) / 4.
 
     Args:
         eps: target primal-dual gap; the internal tolerance is
-            eps_alg = eps/(4 + l).
+            eps_alg = eps/(4 + l), l = rho + 1.
         delta_prob: total failure probability budget (split across the
             stochastic oracle calls; unused on the deterministic path).
         stochastic: use the sampled supergradient oracle instead of the
@@ -240,22 +260,22 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
         ValueError: eps outside (0, inf); sampled path: delta_prob outside (0, 1).
         RegularizationTooWeak, IntervalEmpty: as `dual_interval`.
         InfeasiblePrimal: the returned pass lies where psi is infinite.
-        GapNotCertified: sampled path: the returned pass's gap exceeds eps.
+        GapNotCertified: the full-batch search reaches its cap or a collapsed
+            bracket; the sampled path returns a pass with gap above eps.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if stochastic and (delta_prob is None or not 0.0 < delta_prob < 1.0):
         raise ValueError(f"delta_prob must lie in (0, 1), got {delta_prob}")
     m2 = mean_squared_gradient(mu, f)
-    reg = penalty.psi_star_deriv(f.semiconvexity + 1.0)
-    l, u = _dual_interval(f, m2, penalty, c=m2 / reg if reg > 0 else None)
-    l0, u0 = l, u
+    rho = f.semiconvexity
+    reg = penalty.psi_star_deriv(rho + 1.0)
+    l0, u0 = l, u = _dual_interval(f, m2, penalty, c=m2 / reg if reg > 0 else None)
     eps_alg = eps / (4.0 + l)
     eps_prox = eps_alg / (2.0 * max(u - l, 1.0))
     # No bracket shrinks below ulp(u), and 16 m2^2 may be inf: floor the width there.
     b = max(penalty.smoothness_on(l, u), 16.0 * m2 * m2, 1e-12)
     width = max(eps_alg / b, math.ulp(u))
-    steps = max(math.ceil(math.log2((u - l) / width)) + 1, 1)
     oracle_calls = samples = 0
 
     def full_pass(lam):
@@ -267,6 +287,7 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
         return rep, cbar - slope, r
 
     if stochastic:
+        steps = max(math.ceil(math.log2((u - l) / width)) + 1, 1)
         m4 = gradient_fourth_moment(f, mu)
         while u - l > width:
             lam = 0.5 * (l + u)
@@ -276,38 +297,47 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
                 u = lam
             else:
                 l = lam
-        hi = full_pass(u)[0]
-        if not math.isfinite(hi.primal_value):
+        rep = full_pass(u)[0]
+        if not math.isfinite(rep.primal_value):
             # u0 - rho > sqrt(2 m2 / psi*'(l)) and g'(lam) <= m2 / (2 (lam - rho)^2)
-            hi = full_pass(u0)[0]
+            rep = full_pass(u0)[0]
     else:
-        hi, h_l, r_l = full_pass(l)
-        r_u, kept = 0.0, None  # kept: the end the last step left in place
-        if h_l > 0.0:
-            hi, _, r_u = full_pass(u)
-        else:  # the dual peaks at l
-            u = l
-        # Plain bisection makes steps + 1 passes.
-        while u > l and hi.gap > eps_alg and oracle_calls < steps + 3:
-            lam = l + r_l * (u - l) / (r_l - r_u) if r_l > r_u else l
-            # Past the root by a step whose gap is <= eps_alg / 2, since
-            # |cbar'| <= 2 cbar / (lam - rho) and gap <= lam (psi*' - cbar).
-            step = eps_alg * (lam - f.semiconvexity) / (4.0 * lam)
-            lam += step / penalty.psi_star_deriv(lam)
-            lam = lam if l < lam < u else 0.5 * (l + u)
-            rep, h, r = full_pass(lam)
-            if h <= 0.0:
-                r_l *= 0.5 if kept == "l" else 1.0  # Illinois: l kept twice running
-                u, hi, r_u, kept = lam, rep, r, "l"
-            else:
-                r_u *= 0.5 if kept == "u" else 1.0
-                l, r_l, kept = lam, r, "u"
 
-    _check_feasible(penalty, hi)
-    if stochastic and hi.gap > eps:
-        msg = f"sampled search ends at lam = {hi.lambda_star} with gap {hi.gap} > {eps}"
-        raise GapNotCertified(msg, lam=hi.lambda_star, gap=hi.gap, eps=eps)
-    return replace(hi, oracle_calls=oracle_calls, samples_drawn=samples, interval=(l0, u0))
+        def past_root(lam):  # gap <= eps_alg / 2: |cbar'| <= 2 cbar / (lam - rho)
+            return lam + eps_alg * (lam - rho) / (4.0 * lam * penalty.psi_star_deriv(lam))
+
+        lo, lam, hi = (_slope_crossing(penalty, m2, s, u) for s in (f.smoothness, 0.0, -rho))
+        l0, u0 = lo, hi = max(lo, rho), past_root(hi)
+        cap = math.ceil(math.log2(max(hi - lo, width) / width)) + 3
+        known, slope, last = rho, -math.sqrt(2.0 / m2), None
+        while True:
+            rep, h, r = full_pass(lam)
+            if h <= 0.0 and rep.gap <= eps_alg:
+                break
+            if h > 0.0:
+                known = lam
+            else:
+                hi = lam
+            # known, the last pass with h > 0 (else rho), bounds the root
+            # below; lo does only where L covers the cloud, and only the
+            # Newton step, on its a-priori slope, is kept above it.
+            floor = max(lo, known) if last is None else known
+            if last is not None:  # each pass lies inside (floor, hi): a new lam
+                slope = (r - last[1]) / (lam - last[0])
+            last = lam, r
+            if slope < 0.0 and not math.isnan(r):
+                s = min(max(lam - r / slope, floor), hi)
+                lam = past_root(s) if s > rho else rho
+            lam = lam if floor < lam < hi else 0.5 * (floor + hi)
+            if oracle_calls == cap or not floor < lam < hi:
+                msg = f"full-batch search ends at lam = {rep.lambda_star}, gap {rep.gap}"
+                raise GapNotCertified(msg, lam=rep.lambda_star, gap=rep.gap, eps=eps_alg)
+
+    _check_feasible(penalty, rep)
+    if stochastic and rep.gap > eps:
+        msg = f"sampled search ends at lam = {rep.lambda_star} with gap {rep.gap} > {eps}"
+        raise GapNotCertified(msg, lam=rep.lambda_star, gap=rep.gap, eps=eps)
+    return replace(rep, oracle_calls=oracle_calls, samples_drawn=samples, interval=(l0, u0))
 
 
 def _prox_pass(f, mu, penalty, lam, eps_prox):
@@ -419,9 +449,7 @@ def trust_region_step(f, mu, delta, eps, gamma, rng, stochastic=False):
     the atoms to the images of its certifying prox pass, which that search
     checks lies in the ball; no pass runs after the search.  The radius
     is admitted by the solver's own interval check, so the gradient field
-    is evaluated over the atoms once per step.  When h(l) <= 0 (for a
-    linear f, |a| <= delta) the step is the prox at l: shorter than delta,
-    with a gap l (delta^2/2 - cost) that can exceed eps.
+    is evaluated over the atoms once per step.
 
     Returns:
         (sampler, report): the sampler couples each atom to its prox image;

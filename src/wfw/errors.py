@@ -111,10 +111,12 @@ class InfeasiblePrimal(WfwError):
 
 
 class GapNotCertified(WfwError):
-    """A sampled dual search ended on a pass whose gap exceeds the target.
+    """A dual search ended without a certified pass.
 
-    Carries the returned multiplier `lam`, its Fenchel-Young `gap` and the
-    target `eps`.
+    The sampled search's returned pass has a gap above eps; the full-batch
+    search spent its pass cap (or collapsed its bracket) without a pass
+    that has h <= 0 and a gap within its tolerance.  Carries the last
+    pass's multiplier `lam`, its Fenchel-Young `gap` and the target `eps`.
     """
 
     def __init__(self, message, lam=None, gap=None, eps=None):

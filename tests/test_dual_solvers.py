@@ -320,17 +320,18 @@ class TestBisection:
         st.floats(-6.0, -2.0),
         _LOG_SCALES,
     )
-    def test_affine_residual_certifies_in_three_passes(
+    def test_affine_residual_certifies_in_two_passes(
         self, case, seed, n, d, frac, log_eps, log_scale
     ):
         """Linear and quadratic witnesses have cbar = K / (rho' + lam)^2, so
-        under the indicator r = psi*'^(-1/2) - cbar^(-1/2) is affine in lam:
-        the passes at l and u and one secant past the root certify."""
+        under the indicator r = psi*'^(-1/2) - cbar^(-1/2) is affine in lam
+        with slope -sqrt(2 / m2): the pass at lam_hat and one Newton step on
+        that a-priori slope, past the root, certify."""
         f, mu, pen, _ = _solver_instance(case, seed, n, d, frac, 10.0**log_scale)
         eps = 10.0**log_eps
         rep = primal_dual_bisection(f, mu, pen, eps, 0.05, None)
         eps_alg, _, _ = _plain_bisection_budget(f, mu, pen, eps)
-        assert rep.oracle_calls <= 3
+        assert rep.oracle_calls <= 2
         assert 0.0 <= rep.gap <= eps_alg
 
     def test_double_well_step_stops_on_its_certificate(self):
@@ -347,82 +348,90 @@ class TestBisection:
         assert rep.oracle_calls <= 6
         assert rep.gap <= eps_alg
 
-    def test_illinois_halves_the_end_kept_twice(self, monkeypatch):
-        """r is affine in lam for linear and quadratic witnesses, not for the
-        double well: there the secant keeps l for two moves of u, and the
-        next one uses r(l)/2 (then steps past the root as every secant does)."""
-        passes = _spy_passes(monkeypatch)
-        mu = ParticleCloud(np.random.default_rng(3).normal(size=(8, 2)))
-        f, pen = double_well(), TrustRegionIndicator(0.1)
-        rep = primal_dual_bisection(f, mu, pen, 1e-6, 0.1, None)
-        (l, h_l, r_l), _, (_, h_1, _), (u, h_2, r_2), (lam, _, _) = passes[:5]
-        assert h_l > 0.0 >= h_1 and h_2 <= 0.0
-
-        def past_root(secant):
-            step = 1e-6 / (4.0 + l) * (secant - f.semiconvexity)
-            return secant + step / (4.0 * secant * pen.psi_star_deriv(secant))
-
-        half = 0.5 * r_l
-        halved = past_root(l + half * (u - l) / (half - r_2))
-        assert lam == pytest.approx(halved, rel=1e-12)
-        assert lam < past_root(l + r_l * (u - l) / (r_l - r_2))
-        assert rep.gap <= 1e-6 / (4.0 + l)
-
     @pytest.mark.parametrize(
         "shape, scale, frac, cap",
-        [((6, 2), 0.01, 0.5, "width"), ((8, 3), 1.0, 0.3, "passes")],
+        [((6, 2), 0.01, 0.5, 3), ((8, 3), 1.0, 0.3, 29)],
         ids=["width", "passes"],
     )
     def test_uncertified_search_stops_on_its_caps(
         self, monkeypatch, shape, scale, frac, cap
     ):
-        """The a-priori width sizes the pass cap but does not stop the search:
-        on the "width" case's tiny field it exceeds the whole interval, and
-        the search still runs on to its certificate.  No real instance is
-        known to reach the pass cap, so the "passes" case hides every
-        certificate and reports a cost falling like exp(-40 lam), whose steep
-        r makes Illinois crawl: the search stops two passes past plain
-        bisection's count.  Both return a point with h <= 0."""
-        if cap == "passes":
+        """The pass cap is three past plain bisection's count from the
+        a-priori bracket [lam_hat - L, lam_hat + rho + step] to the a-priori
+        width: 3 on the "width" case's tiny field, whose width exceeds the
+        bracket, and 29 on the "passes" case.  A cost falling like
+        exp(-40 lam) hides every certificate and puts the root at 2, below
+        the bracket.  The Newton step from lam_hat lands far below zero; it
+        is clamped into the bracket before its step past the root, so the
+        second pass sits one step above the left end (no division by
+        psi*'(lam) = 0).  Later passes leave that end for the root, all
+        above rho = 0, and the search raises GapNotCertified at its cap
+        instead of returning a report."""
 
-            def crawling(f, mu, pen, lam, eps_prox):
-                cbar = pen.psi_star_deriv(lam) * math.exp(-40.0 * (lam - 2.0))
-                return DualSolveReport(
-                    lambda_star=lam, dual_value=0.0, primal_value=0.0, gap=math.inf,
-                    oracle_calls=1, samples_drawn=mu.n, interval=(lam, lam),
-                    images=mu.points, cost=cbar,
-                )
+        def crawling(f, mu, pen, lam, eps_prox):
+            cbar = pen.psi_star_deriv(lam) * math.exp(-40.0 * (lam - 2.0))
+            return DualSolveReport(
+                lambda_star=lam, dual_value=0.0, primal_value=0.0, gap=math.inf,
+                oracle_calls=1, samples_drawn=mu.n, interval=(lam, lam),
+                images=mu.points, cost=cbar,
+            )
 
-            monkeypatch.setattr(dual_solvers, "_prox_pass", crawling)
+        monkeypatch.setattr(dual_solvers, "_prox_pass", crawling)
         passes = _spy_passes(monkeypatch)
         mu = ParticleCloud(scale * np.random.default_rng(0).normal(size=shape))
         m2 = float(np.mean(np.sum(mu.points**2, axis=1)))
         pen = TrustRegionIndicator(frac * math.sqrt(m2) / 2.0)
-        rep = primal_dual_bisection(quadratic(), mu, pen, 1e-5, 0.1, None)
-        eps_alg, width, plain = _plain_bisection_budget(quadratic(), mu, pen, 1e-5)
-        bracket = rep.lambda_star - max(lam for lam, h, _ in passes if h > 0.0)
-        assert rep.cost <= pen.psi_star_deriv(rep.lambda_star)
-        assert len(passes) == rep.oracle_calls
-        if cap == "width":
-            l0, u0 = rep.interval
-            assert u0 - l0 < width and rep.gap <= eps_alg
-        else:
-            assert rep.gap > eps_alg
-            assert bracket > width and rep.oracle_calls == plain + 2
+        with pytest.raises(GapNotCertified) as info:
+            primal_dual_bisection(quadratic(), mu, pen, 1e-5, 0.1, None)
+        eps_alg, width, _ = _plain_bisection_budget(quadratic(), mu, pen, 1e-5)
+        _, u = dual_interval(quadratic(), mu, pen, c=m2 / pen.cost_bound)
+        lam_hat = math.sqrt(m2) / pen.delta  # L = 1, rho = 0
+        step = eps_alg / (2.0 * pen.delta**2)
+        lo, hi = lam_hat - 1.0, lam_hat + step
+        width = max(width, math.ulp(u))
+        assert math.ceil(math.log2(max(hi - lo, width) / width)) + 3 == cap
+        assert len(passes) == cap
+        assert passes[0][0] == lam_hat
+        assert passes[1][0] == pytest.approx(lo + step, rel=1e-12)
+        assert all(0.0 < lam <= hi for lam, _, _ in passes)
+        assert passes[2][0] < lo
+        assert isinstance(info.value, WfwError)
+        assert info.value.lam == passes[-1][0]
+        assert info.value.gap == math.inf and info.value.eps == eps_alg
+
+    def test_root_below_the_a_priori_left_end_is_found(self, monkeypatch):
+        """On a unit-scale double-well cloud, partly outside the ball
+        ||x|| <= 2 where L = 11 holds, the slope bound behind the left end
+        lam_hat - L = 162.9 fails: the root sits near 143.3.  The Newton step
+        stays above that end; the secant through the first two passes
+        leaves it, and the search certifies below it in five passes."""
+        passes = _spy_passes(monkeypatch)
+        mu = ParticleCloud(np.random.default_rng(3).normal(size=(8, 2)))
+        f, pen = double_well(), TrustRegionIndicator(0.1)
+        rep = primal_dual_bisection(f, mu, pen, 1e-6, 0.1, None)
+        lo, _ = rep.interval
+        assert lo == pytest.approx(162.924, abs=1e-3)
+        assert passes[1][0] > lo > passes[2][0]
+        assert rep.lambda_star == pytest.approx(143.34, abs=1e-2)
+        assert rep.oracle_calls == 5
+        assert 0.0 <= rep.gap <= 1e-6 / (4.0 + 2.0)
 
     def test_dual_peaking_at_the_left_end_returns_it(self):
-        """A linear field weaker than the radius has h(l) < 0: the dual peaks
-        at l (its maximizer |a| / delta lies below the interval), so the
-        first pass is the answer."""
+        """A linear field weaker than the radius has its dual maximizer
+        |a| / delta = 0.625 below rho + 1 = 1, the left end of
+        `dual_interval`.  The a-priori bracket [lam_hat - L, lam_hat + rho]
+        (L = rho = 0), its right end stepped past the root, starts there:
+        the first pass, at lam_hat, lands on the root and certifies."""
         mu = ParticleCloud(np.random.default_rng(3).normal(size=(5, 2)))
         a = np.array([0.3, -0.4])
         rep = primal_dual_bisection(
             linear(a), mu, TrustRegionIndicator(0.8), 1e-3, 0.1, None
         )
-        assert rep.lambda_star == rep.interval[0] == 1.0
+        assert rep.lambda_star == pytest.approx(0.625, rel=1e-3)
+        assert rep.interval[0] == rep.lambda_star
         assert rep.oracle_calls == 1
-        assert rep.cost == pytest.approx(0.125)  # |a|^2 / (2 l^2)
-        assert rep.gap == pytest.approx(0.32 - 0.125)  # l (delta^2/2 - cost)
+        assert 0.0 <= rep.gap <= 1e-3 / 5.0  # eps_alg = eps / (4 + rho + 1)
+        assert rep.cost == pytest.approx(0.32)  # the whole radius, delta^2 / 2
 
     def test_stochastic_variant_stays_in_interval(self, monkeypatch):
         """The sampled search makes one full prox pass, at its answer."""
@@ -454,6 +463,33 @@ class TestBisection:
         _, slope_u0 = g_value_and_grad_fullbatch(f, mu, u0, _PROX_EPS)
         assert slope_l <= 0.5 * m2 + _PROX_EPS
         assert slope_u0 <= 0.25 * pen.psi_star_deriv(u0) + _PROX_EPS
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(*_INSTANCES)
+    def test_a_priori_bracket_holds_the_root(self, case, seed, n, d, frac):
+        """m2 / (2 (lam + L)^2) <= g'(lam) <= m2 / (2 (lam - rho)^2) where L
+        covers the cloud, so the full-batch search interval, found with no
+        prox pass, has h = g' - psi*' >= 0 at its left end (the crossing with
+        s = L) and h <= 0 at its right end (the crossing with s = -rho,
+        stepped past the root), up to the prox accuracy.  Under the
+        indicator the crossings are lam_hat - L and lam_hat + rho with
+        lam_hat = sqrt(m2) / delta, and the bracket is L + rho wide before
+        the step."""
+        f, mu, pen, m2 = _solver_instance(case, seed, n, d, frac)
+        rep = primal_dual_bisection(f, mu, pen, 1e-3, None, None)
+        lo, hi = rep.interval
+        assert lo <= rep.lambda_star <= hi
+        for lam, sign in ((lo, 1.0), (hi, -1.0)):
+            _, slope = g_value_and_grad_fullbatch(f, mu, lam, _PROX_EPS)
+            assert sign * (slope - pen.psi_star_deriv(lam)) >= -_PROX_EPS
+        if isinstance(pen, TrustRegionIndicator):
+            lam_hat = math.sqrt(m2) / pen.delta
+            assert lo == pytest.approx(lam_hat - f.smoothness, rel=1e-12)
+            # eps_alg (b - rho) / (4 b psi*'(b)) with b = lam_hat + rho
+            step = 1e-3 / (5.0 + f.semiconvexity) / (2.0 * pen.delta**2)
+            b = lam_hat + f.semiconvexity
+            assert b < hi <= b + step + 4.0 * math.ulp(hi)
 
 
 class TestSampledSlope:
@@ -692,7 +728,7 @@ class TestTrustRegion:
         _, rep = trust_region_step(f, mu, 0.1, 1e-3, 0.1, np.random.default_rng(0))
         [(rows, lam)] = bisection_rows
         assert rep.lambda_star == lam
-        assert counter["rows"] == rows == 408
+        assert counter["rows"] == rows == 144
 
     def test_misled_sampled_search_certifies_the_right_end(self, monkeypatch):
         """Sampled slopes that always read -1 drive the search down to l,
@@ -757,17 +793,28 @@ class TestTrustRegion:
             trust_region_step(double_well(), mu, 0.1, 1e-3, 0.1, np.random.default_rng(0))
         assert info.value.active == 2
 
-    @pytest.mark.parametrize("stochastic", [False, True])
-    def test_huge_mean_squared_gradient_raises_a_typed_error(self, stochastic):
+    @pytest.mark.parametrize(
+        "stochastic, error, active",
+        [(False, ProxNotCertified, 1), (True, NonFiniteIterate, 2)],
+        ids=["False", "True"],
+    )
+    def test_huge_mean_squared_gradient_raises_a_typed_error(
+        self, stochastic, error, active
+    ):
         """At 1e26 the double-well's m2 (1e156) is finite but its square in
-        the a-priori width is not: the prox at l diverges on the full-batch
-        path and the gradient fourth moment overflows on the sampled one,
-        each a NonFiniteIterate, not a raw OverflowError."""
+        the a-priori width is not.  The full-batch path's first pass, at
+        lam_hat = sqrt(m2) / delta = 7.07e78, cannot certify the far atom's
+        prox (ProxNotCertified), and the gradient fourth moment overflows on
+        the sampled path (NonFiniteIterate): typed errors, not a raw
+        OverflowError."""
         mu = ParticleCloud([[0.5, 0.0], [1e26, 0.0]])
         args = (0.5, 0.3, np.random.default_rng(0)) if stochastic else (1e-3, None, None)
-        with pytest.raises(NonFiniteIterate) as info:
+        with pytest.raises(error) as info:
             trust_region_step(double_well(), mu, 0.1, *args, stochastic=stochastic)
-        assert info.value.active == 2
+        assert isinstance(info.value, WfwError)
+        assert info.value.active == active
+        if not stochastic:
+            assert info.value.lam == pytest.approx(7.0711e78, rel=1e-4)
 
     def test_uncertified_prox_on_a_huge_coordinate_raises_a_typed_error(self, monkeypatch):
         """With a coordinate at 1e20 the sampled search's first pass, a
@@ -840,17 +887,20 @@ class TestTrustRegion:
 
     def test_diverging_prox_raises_a_typed_error(self):
         """A double-well cloud at scale 3, outside the region its smoothness
-        bound covers: the radius is admitted, the prox diverges, and the step
-        raises NonFiniteIterate with its context, not a numpy overflow
-        warning (an error under this suite)."""
-        rng = np.random.default_rng(0)
+        bound covers, at the admissible radius sqrt(m2) / (2 L): the first
+        pass, at lam_hat = 2 L = 22, diverges, and the step raises
+        NonFiniteIterate with its context, not a numpy overflow warning (an
+        error under this suite)."""
+        rng = np.random.default_rng(2)
         n = int(rng.integers(2, 9))
         rng.uniform(0.2, 0.5)  # keeps the draw of the atoms below
         assert n == 7
         mu = ParticleCloud(3.0 * rng.standard_normal((n, 2)))
+        f = double_well()
+        m2 = float(np.mean(np.sum(f.grad_many(mu.points) ** 2, axis=1)))
         with pytest.raises(NonFiniteIterate) as info:
-            trust_region_step(double_well(), mu, 0.3, 0.5, None, None)
-        assert info.value.lam > double_well().semiconvexity
+            trust_region_step(f, mu, math.sqrt(m2) / 22.0, 0.5, None, None)
+        assert info.value.lam == pytest.approx(22.0)
         assert info.value.step >= 1
         assert 1 <= info.value.active <= n
 

@@ -252,8 +252,9 @@ class TestRunFrankWolfe:
 
     def test_large_cloud_steps_on_its_exact_norm(self):
         """Above 4,096 atoms each step's s is the exact norm of the cloud
-        entering it, and the step evaluates 4n witness rows: the norm's n
-        rows are the ones the step's dual reuses."""
+        entering it, and the step evaluates 3n witness rows: the norm's n
+        rows are the ones the step's dual reuses, and each of its two prox
+        passes on this quadratic witness adds one gradient per row."""
         mu0 = _uniform_cloud(5000, 2, seed=0)
         cfg = self._cfg(1e-2, 3, delta1=0.5, delta2=0.5, seed=0)
         J = _interaction()
@@ -266,7 +267,7 @@ class TestRunFrankWolfe:
             assert s == mean_squared_gradient_norm(
                 mu, J.derivative_oracle(mu, cfg.eps_hat)
             )
-        assert list(trace.samples) == [20000] * 3
+        assert list(trace.samples) == [15000] * 3
 
     def _misdeclared_cfg(self):
         """Declares L = 0.001 for a witness of smoothness 1: the scheduled
