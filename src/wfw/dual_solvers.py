@@ -105,9 +105,8 @@ class DualSolveReport:
     `images` are the prox images of the atoms and `cost` their mean half
     squared displacement; the primal and dual values share them, and `gap`
     is their Fenchel-Young gap.  A solve's `oracle_calls` counts its prox
-    passes and sampled slopes, `samples_drawn` the atoms and samples they
-    read, and `interval` is its search interval; a lone pass reports 1,
-    its n atoms and (lam, lam).
+    passes and sampled slopes and `samples_drawn` the atoms and samples
+    they read; a lone pass reports 1 and its n atoms.
 
     Raises:
         WeakDualityViolated: the gap is below -1e-6.
@@ -119,7 +118,6 @@ class DualSolveReport:
     gap: float
     oracle_calls: int
     samples_drawn: int
-    interval: tuple
     images: np.ndarray = field(repr=False, compare=False)
     cost: float
 
@@ -149,8 +147,8 @@ class PushforwardSampler:
 
 
 def dual_interval(f, mu, penalty, c=None):
-    """Search interval [l, u] for the dual variable.  Public because
-    acceptance gates 5 and 7 build `mirror_ascent`'s interval with it.
+    """Dual interval [l, u], which sizes the bisection's tolerances; public
+    because acceptance gates 5 and 7 build `mirror_ascent`'s interval with it.
 
     l sits one unit above the semiconvexity; u = l + sqrt(2C) with C = 8 L^2
     by default (callers may pass the penalty-matched C they can certify).
@@ -231,22 +229,23 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
     """Bracketing search on the dual with a primal certificate at the returned point.
 
     Returns a full prox pass with h(lam) = g'(lam) - psi*'(lam) <= 0 and its
-    Fenchel-Young gap.  The full-batch path (every point a pass; the name is
-    historical) searches between the `_slope_crossing`s at s = L (or rho, if
-    larger) and s = -rho.  It passes first at the one at s = 0, then takes
-    a Newton step on r = psi*'^(-1/2) - cbar^(-1/2), which has h's sign,
-    with the slope -sqrt(2 / m2) that r has for linear and quadratic f under
-    the indicator, then secants on r through its last two passes.  Each
-    point is clamped into the bracket, whose left end holds only where L
-    covers the cloud and, after the Newton step, relaxes to the last pass
-    with h > 0 (or rho), and is stepped past the root by a gap of
-    eps_alg / 2, as the right end is; the midpoint replaces an undefined
-    one.  It stops at the first pass with h <= 0 and gap <= eps_alg, and
-    raises three passes past plain bisection's count to the width
-    eps_alg / B, B = max(psi* smoothness, 16 m2^2, 1e-12), or ulp(u) if
-    wider.  The sampled path bisects [l, u] of `dual_interval` to that
-    width, moving u on h < -eps_alg / max(lam - l, 1), and passes at u, or
-    at u0 if that pass is infeasible (misled samples): g'(u0) < psi*'(u0) / 4.
+    Fenchel-Young gap.  Both paths search (rho, hi], hi the `_slope_crossing`
+    at s = -rho stepped past the root by a gap of eps_alg / 2, where h <= 0
+    by rho-semiconvexity alone.  The full-batch path (every point a pass;
+    the name is historical) passes first at the crossing at s = 0, then
+    takes a Newton step on r = psi*'^(-1/2) - cbar^(-1/2), which has h's
+    sign, with the slope -sqrt(2 / m2) that r has for linear and quadratic f
+    under the indicator, kept above the crossing at s = L (which holds only
+    where L covers the cloud), then secants on r through its last two
+    passes, kept above the last pass with h > 0 (or rho).  Each point is
+    stepped past the root as hi is; the midpoint replaces an undefined one.
+    It stops at the first pass with h <= 0 and gap <= eps_alg.  The sampled
+    path bisects (rho, hi], moving its right end on h below the sampled
+    oracle's band -eps_alg / max(lam - rho, 1), and passes there, or at hi
+    if that pass is infeasible (misled samples).  N, one more than the
+    halvings from (rho, hi] to the width eps_alg / B, B = max(psi*
+    smoothness, 16 m2^2, 1e-12), or ulp(hi) if wider, splits delta_prob
+    over the sampled slopes; the full-batch search raises at N + 2 passes.
 
     Args:
         eps: target primal-dual gap; the internal tolerance is
@@ -270,12 +269,20 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
     m2 = mean_squared_gradient(mu, f)
     rho = f.semiconvexity
     reg = penalty.psi_star_deriv(rho + 1.0)
-    l0, u0 = l, u = _dual_interval(f, m2, penalty, c=m2 / reg if reg > 0 else None)
+    l, u = _dual_interval(f, m2, penalty, c=m2 / reg if reg > 0 else None)
     eps_alg = eps / (4.0 + l)
     eps_prox = eps_alg / (2.0 * max(u - l, 1.0))
-    # No bracket shrinks below ulp(u), and 16 m2^2 may be inf: floor the width there.
+
+    def past_root(lam):  # gap <= eps_alg / 2: |cbar'| <= 2 cbar / (lam - rho)
+        return lam + eps_alg * (lam - rho) / (4.0 * lam * penalty.psi_star_deriv(lam))
+
+    lo, lam, hi = (_slope_crossing(penalty, m2, s, u) for s in (f.smoothness, 0.0, -rho))
+    hi = past_root(hi)
+    # No bracket shrinks below ulp(hi), and 16 m2^2 may be inf: floor the width there.
     b = max(penalty.smoothness_on(l, u), 16.0 * m2 * m2, 1e-12)
-    width = max(eps_alg / b, math.ulp(u))
+    width = max(eps_alg / b, math.ulp(hi))
+    steps = math.ceil(math.log2(max(hi - rho, width) / width)) + 1
+    left, right = rho, hi  # the bracket that both searches narrow
     oracle_calls = samples = 0
 
     def full_pass(lam):
@@ -287,49 +294,40 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
         return rep, cbar - slope, r
 
     if stochastic:
-        steps = max(math.ceil(math.log2((u - l) / width)) + 1, 1)
         m4 = gradient_fourth_moment(f, mu)
-        while u - l > width:
-            lam = 0.5 * (l + u)
+        while right - left > width:
+            lam = 0.5 * (left + right)
             h, drawn = _slope(f, mu, lam, eps_alg, eps_prox, delta_prob / steps, rng, m4)
             oracle_calls, samples = oracle_calls + 1, samples + drawn
-            if h - penalty.psi_star_deriv(lam) < -eps_alg / max(lam - l0, 1.0):
-                u = lam
+            if h - penalty.psi_star_deriv(lam) < -eps_alg / max(lam - rho, 1.0):
+                right = lam
             else:
-                l = lam
-        rep = full_pass(u)[0]
+                left = lam
+        rep = full_pass(right)[0]
         if not math.isfinite(rep.primal_value):
-            # u0 - rho > sqrt(2 m2 / psi*'(l)) and g'(lam) <= m2 / (2 (lam - rho)^2)
-            rep = full_pass(u0)[0]
+            rep = full_pass(hi)[0]
     else:
-
-        def past_root(lam):  # gap <= eps_alg / 2: |cbar'| <= 2 cbar / (lam - rho)
-            return lam + eps_alg * (lam - rho) / (4.0 * lam * penalty.psi_star_deriv(lam))
-
-        lo, lam, hi = (_slope_crossing(penalty, m2, s, u) for s in (f.smoothness, 0.0, -rho))
-        l0, u0 = lo, hi = max(lo, rho), past_root(hi)
-        cap = math.ceil(math.log2(max(hi - lo, width) / width)) + 3
-        known, slope, last = rho, -math.sqrt(2.0 / m2), None
+        slope, last = -math.sqrt(2.0 / m2), None
         while True:
             rep, h, r = full_pass(lam)
             if h <= 0.0 and rep.gap <= eps_alg:
                 break
             if h > 0.0:
-                known = lam
+                left = lam
             else:
-                hi = lam
-            # known, the last pass with h > 0 (else rho), bounds the root
+                right = lam
+            # left, the last pass with h > 0 (else rho), bounds the root
             # below; lo does only where L covers the cloud, and only the
             # Newton step, on its a-priori slope, is kept above it.
-            floor = max(lo, known) if last is None else known
-            if last is not None:  # each pass lies inside (floor, hi): a new lam
+            floor = max(lo, left) if last is None else left
+            if last is not None:  # each pass lies inside (floor, right): a new lam
                 slope = (r - last[1]) / (lam - last[0])
             last = lam, r
             if slope < 0.0 and not math.isnan(r):
-                s = min(max(lam - r / slope, floor), hi)
+                s = min(max(lam - r / slope, floor), right)
                 lam = past_root(s) if s > rho else rho
-            lam = lam if floor < lam < hi else 0.5 * (floor + hi)
-            if oracle_calls == cap or not floor < lam < hi:
+            lam = lam if floor < lam < right else 0.5 * (floor + right)
+            if oracle_calls == steps + 2 or not floor < lam < right:
                 msg = f"full-batch search ends at lam = {rep.lambda_star}, gap {rep.gap}"
                 raise GapNotCertified(msg, lam=rep.lambda_star, gap=rep.gap, eps=eps_alg)
 
@@ -337,7 +335,7 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
     if stochastic and rep.gap > eps:
         msg = f"sampled search ends at lam = {rep.lambda_star} with gap {rep.gap} > {eps}"
         raise GapNotCertified(msg, lam=rep.lambda_star, gap=rep.gap, eps=eps)
-    return replace(rep, oracle_calls=oracle_calls, samples_drawn=samples, interval=(l0, u0))
+    return replace(rep, oracle_calls=oracle_calls, samples_drawn=samples)
 
 
 def _prox_pass(f, mu, penalty, lam, eps_prox):
@@ -356,7 +354,6 @@ def _prox_pass(f, mu, penalty, lam, eps_prox):
         gap=psi + psi_star - lam * cbar,
         oracle_calls=1,
         samples_drawn=mu.n,
-        interval=(lam, lam),
         images=y,
         cost=cbar,
     )

@@ -113,10 +113,10 @@ class InfeasiblePrimal(WfwError):
 class GapNotCertified(WfwError):
     """A dual search ended without a certified pass.
 
-    The sampled search's returned pass has a gap above eps; the full-batch
-    search spent its pass cap (or collapsed its bracket) without a pass
-    that has h <= 0 and a gap within its tolerance.  Carries the last
-    pass's multiplier `lam`, its Fenchel-Young `gap` and the target `eps`.
+    Both searches run on one bracket (rho, hi]: the sampled one returned a
+    pass with a gap above eps, or the full-batch one spent its pass cap (or
+    collapsed its bracket) without a pass with h <= 0 and a gap within its
+    tolerance.  Carries the last pass's `lam`, Fenchel-Young `gap` and `eps`.
     """
 
     def __init__(self, message, lam=None, gap=None, eps=None):

@@ -83,9 +83,10 @@ def agd_prox_batch(f, x, lam, eps):
     that steps iters times evaluates iters + 1 gradients (one when it never
     steps).
 
-    Row i's budget is max(ceil(4*kappa*log(12*kappa*||grad f(x_i)||/eps)), 0)
-    steps with kappa = sqrt((lam + L)/(lam - rho)).  A row with budget 0 is
-    returned at its center, which must itself certify.
+    Row i's budget is max(ceil(4*kappa*log(12*kappa*d_i/eps)), 0) steps with
+    kappa = sqrt((lam + L)/(lam - rho)) and d_i = ||grad f(x_i)|| / min(lam -
+    rho, 1), which bounds the row's distance to its prox.  A row with
+    budget 0 is returned at its center, which must itself certify.
 
     The loop runs on the active rows alone, in their original order; all
     of them have run the same count.  A row is written back when it leaves,
@@ -136,10 +137,11 @@ def agd_prox_batch(f, x, lam, eps):
         budget = np.zeros(n, dtype=np.int64)
         pos = gnorm0 > 0
         if np.any(pos):
-            raw = 4.0 * kappa * np.log(12.0 * kappa * gnorm0[pos] / eps)
+            raw = 4.0 * kappa * np.log(12.0 * kappa * gnorm0[pos] / (min(mu_sc, 1.0) * eps))
             budget[pos] = np.maximum(np.ceil(raw), 0.0).astype(np.int64)
         # At a center the residual is g0 and the distance 0, so the
-        # certificate reduces to d <= d_tol.
+        # certificate reduces to d <= d_tol; budget 0 gives d <= eps / 12,
+        # within d_tol unless eps > 36.
         missed = (budget == 0) & (gnorm0 / mu_sc > d_tol)
         if missed.any():
             _not_certified(lam, 0, np.count_nonzero(budget) + np.count_nonzero(missed))

@@ -1,10 +1,11 @@
 """Penalty, interval, bisection, mirror-ascent, and trust-region tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wfw import dual_solvers, moreau
@@ -48,6 +49,17 @@ def _plain_bisection_budget(f, mu, pen, eps):
     eps_alg = eps / (4.0 + l)
     width = eps_alg / max(pen.smoothness_on(l, u), 16.0 * m2**2, 1e-12)
     return eps_alg, width, max(math.ceil(math.log2((u - l) / width)), 0) + 2
+
+
+def _right_end(f, mu, pen, eps):
+    """Right end of the solvers' bracket (rho, hi]: the crossing c of
+    m2 / (2 (lam - rho)^2) with psi*'(lam), stepped past the root by
+    eps_alg (c - rho) / (4 c psi*'(c))."""
+    m2 = float(np.mean(np.sum(f.grad_many(mu.points) ** 2, axis=1)))
+    rho = f.semiconvexity
+    l, u = dual_interval(f, mu, pen, c=m2 / pen.psi_star_deriv(rho + 1.0))
+    c = dual_solvers._slope_crossing(pen, m2, -rho, u)
+    return c + eps / (4.0 + l) * (c - rho) / (4.0 * c * pen.psi_star_deriv(c))
 
 
 def _spy_passes(monkeypatch):
@@ -213,7 +225,7 @@ class TestBisection:
             )
             assert rep.gap >= 0.0
             assert rep.gap <= 1e-3 + 1e-9
-            assert rep.interval[0] <= rep.lambda_star <= rep.interval[1]
+            assert 0.0 < rep.lambda_star <= _right_end(quadratic(), mu, pen, 1e-3)
 
     @pytest.mark.parametrize(
         "eps, delta_prob, stochastic, says",
@@ -253,7 +265,6 @@ class TestBisection:
                 gap=-1.0,
                 oracle_calls=0,
                 samples_drawn=0,
-                interval=(1.0, 2.0),
                 images=np.zeros((1, 1)),
                 cost=0.0,
             )
@@ -291,7 +302,7 @@ class TestBisection:
         rep = primal_dual_bisection(quadratic(), mu, pen, 1e-3, 0.05, None)
         assert len(calls["agd_prox_batch"]) == rep.oracle_calls
         assert calls["g_value_and_grad_fullbatch"] == []
-        mirror_ascent(quadratic(), mu, pen, rep.interval, 7, None)
+        mirror_ascent(quadratic(), mu, pen, dual_interval(quadratic(), mu, pen), 7, None)
         assert len(calls["g_value_and_grad_fullbatch"]) == 7
 
     @settings(max_examples=60, deadline=None)
@@ -350,30 +361,29 @@ class TestBisection:
 
     @pytest.mark.parametrize(
         "shape, scale, frac, cap",
-        [((6, 2), 0.01, 0.5, 3), ((8, 3), 1.0, 0.3, 29)],
+        [((6, 2), 0.01, 0.5, 3), ((8, 3), 1.0, 0.3, 31)],
         ids=["width", "passes"],
     )
     def test_uncertified_search_stops_on_its_caps(
         self, monkeypatch, shape, scale, frac, cap
     ):
         """The pass cap is three past plain bisection's count from the
-        a-priori bracket [lam_hat - L, lam_hat + rho + step] to the a-priori
-        width: 3 on the "width" case's tiny field, whose width exceeds the
-        bracket, and 29 on the "passes" case.  A cost falling like
-        exp(-40 lam) hides every certificate and puts the root at 2, below
-        the bracket.  The Newton step from lam_hat lands far below zero; it
-        is clamped into the bracket before its step past the root, so the
-        second pass sits one step above the left end (no division by
-        psi*'(lam) = 0).  Later passes leave that end for the root, all
-        above rho = 0, and the search raises GapNotCertified at its cap
-        instead of returning a report."""
+        bracket (rho, lam_hat + rho + step] to the a-priori width: 3 on the
+        "width" case's tiny field, whose width exceeds the bracket, and 31
+        on the "passes" case.  A cost falling like exp(-40 lam) hides every
+        certificate and puts the root at 2, below lam_hat - L.  The Newton
+        step from lam_hat lands far below zero; it is clamped above
+        lam_hat - L before its step past the root, so the second pass sits
+        one step above that end (no division by psi*'(lam) = 0).  Later
+        passes leave that end for the root, all above rho = 0, and the
+        search raises GapNotCertified at its cap instead of returning a
+        report."""
 
         def crawling(f, mu, pen, lam, eps_prox):
             cbar = pen.psi_star_deriv(lam) * math.exp(-40.0 * (lam - 2.0))
             return DualSolveReport(
                 lambda_star=lam, dual_value=0.0, primal_value=0.0, gap=math.inf,
-                oracle_calls=1, samples_drawn=mu.n, interval=(lam, lam),
-                images=mu.points, cost=cbar,
+                oracle_calls=1, samples_drawn=mu.n, images=mu.points, cost=cbar,
             )
 
         monkeypatch.setattr(dual_solvers, "_prox_pass", crawling)
@@ -384,12 +394,11 @@ class TestBisection:
         with pytest.raises(GapNotCertified) as info:
             primal_dual_bisection(quadratic(), mu, pen, 1e-5, 0.1, None)
         eps_alg, width, _ = _plain_bisection_budget(quadratic(), mu, pen, 1e-5)
-        _, u = dual_interval(quadratic(), mu, pen, c=m2 / pen.cost_bound)
         lam_hat = math.sqrt(m2) / pen.delta  # L = 1, rho = 0
         step = eps_alg / (2.0 * pen.delta**2)
         lo, hi = lam_hat - 1.0, lam_hat + step
-        width = max(width, math.ulp(u))
-        assert math.ceil(math.log2(max(hi - lo, width) / width)) + 3 == cap
+        width = max(width, math.ulp(hi))
+        assert math.ceil(math.log2(max(hi, width) / width)) + 3 == cap
         assert len(passes) == cap
         assert passes[0][0] == lam_hat
         assert passes[1][0] == pytest.approx(lo + step, rel=1e-12)
@@ -409,7 +418,7 @@ class TestBisection:
         mu = ParticleCloud(np.random.default_rng(3).normal(size=(8, 2)))
         f, pen = double_well(), TrustRegionIndicator(0.1)
         rep = primal_dual_bisection(f, mu, pen, 1e-6, 0.1, None)
-        lo, _ = rep.interval
+        lo = math.sqrt(np.mean(np.sum(f.grad_many(mu.points) ** 2, axis=1))) / 0.1 - 11.0
         assert lo == pytest.approx(162.924, abs=1e-3)
         assert passes[1][0] > lo > passes[2][0]
         assert rep.lambda_star == pytest.approx(143.34, abs=1e-2)
@@ -419,22 +428,23 @@ class TestBisection:
     def test_dual_peaking_at_the_left_end_returns_it(self):
         """A linear field weaker than the radius has its dual maximizer
         |a| / delta = 0.625 below rho + 1 = 1, the left end of
-        `dual_interval`.  The a-priori bracket [lam_hat - L, lam_hat + rho]
-        (L = rho = 0), its right end stepped past the root, starts there:
-        the first pass, at lam_hat, lands on the root and certifies."""
+        `dual_interval`.  The bracket (rho, lam_hat + rho] (rho = 0), its
+        right end stepped past the root, holds it: the first pass, at
+        lam_hat = lam_hat - L (L = 0), lands on the root and certifies."""
         mu = ParticleCloud(np.random.default_rng(3).normal(size=(5, 2)))
         a = np.array([0.3, -0.4])
-        rep = primal_dual_bisection(
-            linear(a), mu, TrustRegionIndicator(0.8), 1e-3, 0.1, None
-        )
+        f = linear(a)
+        rep = primal_dual_bisection(f, mu, TrustRegionIndicator(0.8), 1e-3, 0.1, None)
         assert rep.lambda_star == pytest.approx(0.625, rel=1e-3)
-        assert rep.interval[0] == rep.lambda_star
+        m2 = float(np.mean(np.sum(f.grad_many(mu.points) ** 2, axis=1)))
+        assert rep.lambda_star == math.sqrt(m2) / 0.8
         assert rep.oracle_calls == 1
         assert 0.0 <= rep.gap <= 1e-3 / 5.0  # eps_alg = eps / (4 + rho + 1)
         assert rep.cost == pytest.approx(0.32)  # the whole radius, delta^2 / 2
 
     def test_stochastic_variant_stays_in_interval(self, monkeypatch):
-        """The sampled search makes one full prox pass, at its answer."""
+        """The sampled search makes one full prox pass, at its answer, which
+        lies in the bracket (rho, hi]."""
         passes = _spy_passes(monkeypatch)
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(8, 2)) * 0.45
@@ -444,7 +454,7 @@ class TestBisection:
         rep = primal_dual_bisection(
             quadratic(), mu, pen, 0.5, 0.3, np.random.default_rng(7), stochastic=True
         )
-        assert rep.interval[0] <= rep.lambda_star <= rep.interval[1]
+        assert 0.0 < rep.lambda_star <= _right_end(quadratic(), mu, pen, 0.5)
         assert rep.gap >= 0.0
         assert [lam for lam, _, _ in passes] == [rep.lambda_star]
 
@@ -452,43 +462,52 @@ class TestBisection:
     @given(*_INSTANCES)
     def test_slope_bounds_behind_the_interval(self, case, seed, n, d, frac):
         """g'(rho + 1) <= m2 / 2, so 4 g'(l)^2 never exceeds the width
-        bound's 16 m2^2 term; and g'(u0) <= psi*'(u0) / 4 at the right end
-        of the penalty-matched interval, since u0 - rho > sqrt(2 m2 / psi*'(l))
-        and g'(lam) <= m2 / (2 (lam - rho)^2): the sampled path's fallback
-        to u0 is feasible."""
+        bound's 16 m2^2 term; and a pass at the bracket's right end hi, at
+        the solver's prox accuracy, has h <= 0: the step of hi past the
+        crossing, where g'(lam) <= m2 / (2 (lam - rho)^2) = psi*'(lam), puts
+        g'(hi) below psi*'(hi) by more than that accuracy, so the sampled
+        path's fallback to hi lies inside the ball."""
         f, mu, pen, m2 = _solver_instance(case, seed, n, d, frac)
         l = f.semiconvexity + 1.0
-        _, u0 = dual_interval(f, mu, pen, c=m2 / pen.psi_star_deriv(l))
+        l, u = dual_interval(f, mu, pen, c=m2 / pen.psi_star_deriv(l))
         _, slope_l = g_value_and_grad_fullbatch(f, mu, l, _PROX_EPS)
-        _, slope_u0 = g_value_and_grad_fullbatch(f, mu, u0, _PROX_EPS)
         assert slope_l <= 0.5 * m2 + _PROX_EPS
-        assert slope_u0 <= 0.25 * pen.psi_star_deriv(u0) + _PROX_EPS
-
+        eps_prox = 1e-3 / (4.0 + l) / (2.0 * max(u - l, 1.0))
+        rep = dual_solvers._prox_pass(f, mu, pen, _right_end(f, mu, pen, 1e-3), eps_prox)
+        assert rep.cost <= pen.psi_star_deriv(rep.lambda_star)
 
     @settings(max_examples=60, deadline=None)
-    @given(*_INSTANCES)
-    def test_a_priori_bracket_holds_the_root(self, case, seed, n, d, frac):
+    @given(*_INSTANCES, st.booleans())
+    @example(("linear", "indicator"), 0, 6, 2, 5.0, False)
+    @example(("linear", "indicator"), 0, 6, 2, 5.0, True)
+    def test_a_priori_bracket_holds_the_root(self, case, seed, n, d, frac, stochastic):
         """m2 / (2 (lam + L)^2) <= g'(lam) <= m2 / (2 (lam - rho)^2) where L
-        covers the cloud, so the full-batch search interval, found with no
-        prox pass, has h = g' - psi*' >= 0 at its left end (the crossing with
-        s = L) and h <= 0 at its right end (the crossing with s = -rho,
-        stepped past the root), up to the prox accuracy.  Under the
-        indicator the crossings are lam_hat - L and lam_hat + rho with
-        lam_hat = sqrt(m2) / delta, and the bracket is L + rho wide before
-        the step."""
+        covers the cloud, so with no prox pass h = g' - psi*' is >= 0 at
+        the crossing with s = L and <= 0 at hi, the crossing with s = -rho
+        stepped past the root, up to the prox accuracy.  Both paths search
+        (rho, hi] and return a root in it with a gap within eps, also the
+        root 0.2 below rho + 1 of a linear field five times weaker than the
+        radius.  Under the indicator the crossings are lam_hat - L and
+        lam_hat + rho with lam_hat = sqrt(m2) / delta."""
         f, mu, pen, m2 = _solver_instance(case, seed, n, d, frac)
-        rep = primal_dual_bisection(f, mu, pen, 1e-3, None, None)
-        lo, hi = rep.interval
-        assert lo <= rep.lambda_star <= hi
+        rho = f.semiconvexity
+        _, u = dual_interval(f, mu, pen, c=m2 / pen.psi_star_deriv(rho + 1.0))
+        lo = dual_solvers._slope_crossing(pen, m2, f.smoothness, u)
+        hi = _right_end(f, mu, pen, 1e-3)
         for lam, sign in ((lo, 1.0), (hi, -1.0)):
             _, slope = g_value_and_grad_fullbatch(f, mu, lam, _PROX_EPS)
             assert sign * (slope - pen.psi_star_deriv(lam)) >= -_PROX_EPS
+        rep = primal_dual_bisection(
+            f, mu, pen, 1e-3, 0.3, np.random.default_rng(seed), stochastic=stochastic
+        )
+        assert rho < rep.lambda_star <= hi
+        assert -1e-12 * (1.0 + abs(rep.primal_value)) <= rep.gap <= 1e-3
         if isinstance(pen, TrustRegionIndicator):
             lam_hat = math.sqrt(m2) / pen.delta
             assert lo == pytest.approx(lam_hat - f.smoothness, rel=1e-12)
             # eps_alg (b - rho) / (4 b psi*'(b)) with b = lam_hat + rho
-            step = 1e-3 / (5.0 + f.semiconvexity) / (2.0 * pen.delta**2)
-            b = lam_hat + f.semiconvexity
+            step = 1e-3 / (5.0 + rho) / (2.0 * pen.delta**2)
+            b = lam_hat + rho
             assert b < hi <= b + step + 4.0 * math.ulp(hi)
 
 
@@ -649,6 +668,17 @@ class TestTrustRegion:
         )
         assert 0.0 <= rep.gap <= 1e-3
 
+    def test_field_weaker_than_the_radius_certifies_its_root(self):
+        """|a| = 1e-3 under delta = 0.25 puts the root |a| / delta = 0.004
+        within 1 of rho = 0.  The prox budget counts each row's distance
+        |a| / lam to its prox there, so the pass at the root certifies with
+        the whole radius used."""
+        mu = ParticleCloud(np.random.default_rng(0).normal(size=(5, 2)))
+        _, rep = trust_region_step(linear([1e-3, 0.0]), mu, 0.25, 0.5, None, None)
+        assert rep.lambda_star == pytest.approx(0.004, rel=1e-12)
+        assert 0.0 <= rep.gap <= 0.5 / 5.0
+        assert rep.cost == pytest.approx(0.5 * 0.25**2, rel=1e-12)
+
     def test_moved_cloud_is_within_radius_and_descends(self):
         rng = np.random.default_rng(9)
         pts = rng.normal(size=(12, 2))
@@ -731,9 +761,10 @@ class TestTrustRegion:
         assert counter["rows"] == rows == 144
 
     def test_misled_sampled_search_certifies_the_right_end(self, monkeypatch):
-        """Sampled slopes that always read -1 drive the search down to l,
-        whose pass leaves the ball; the step then certifies u0 = 11 instead,
-        where g'(u0) < psi*'(u0) / 4 keeps the images inside it."""
+        """Sampled slopes that always read -1 drive the search down to rho,
+        and its pass near there leaves the ball; the step then certifies the
+        bracket's right end hi = lam_hat + step = 5 + 3.51 instead, where
+        g'(hi) <= m2 / (2 hi^2) < psi*'(hi) keeps the images inside it."""
         monkeypatch.setattr(dual_solvers, "_slope", lambda f, mu, *rest: (-1.0, mu.n))
         mu = ParticleCloud(np.random.default_rng(2).normal(size=(8, 2)) * 0.45)
         m2 = float(np.mean(np.sum(mu.points**2, axis=1)))
@@ -741,7 +772,9 @@ class TestTrustRegion:
         sampler, rep = trust_region_step(
             quadratic(), mu, delta, 0.5, 0.3, np.random.default_rng(7), stochastic=True
         )
-        assert rep.lambda_star == rep.interval[1] == 11.0
+        hi = _right_end(quadratic(), mu, TrustRegionIndicator(delta), 0.5)
+        assert rep.lambda_star == hi
+        assert rep.lambda_star == pytest.approx(8.5064, abs=1e-4)
         assert rep.cost <= 0.5 * delta**2
         assert math.isfinite(rep.primal_value)
         dist, _ = wasserstein2_exact(mu, sampler.target_cloud())
@@ -818,7 +851,8 @@ class TestTrustRegion:
 
     def test_uncertified_prox_on_a_huge_coordinate_raises_a_typed_error(self, monkeypatch):
         """With a coordinate at 1e20 the sampled search's first pass, a
-        full-batch one at lam = 7.07e60, cannot certify the far atom's prox
+        full-batch one at lam = 3.54e60, the middle of (rho, lam_hat + rho],
+        cannot certify the far atom's prox
         (its residual is rounding noise on a 1e20 coordinate), and the step
         raises ProxNotCertified with lam, step and active, not a report."""
         passes = []
@@ -837,37 +871,50 @@ class TestTrustRegion:
             )
         assert isinstance(info.value, WfwError)
         assert passes == [info.value.lam]
-        assert info.value.lam == pytest.approx(7.0711e60, rel=1e-4)
+        assert info.value.lam == pytest.approx(3.5355e60, rel=1e-4)
         assert info.value.step >= 1
         assert info.value.active == 1
 
-    def test_uncertified_sampled_gap_raises_a_typed_error(self):
-        """A linear witness with |a| = 0.3 below delta = 1.5 has h(l) <= 0, so
-        the dual peaks at the left end l = 1.  The sampled interval (1, 1.4)
-        is already below its width, and the search returns the pass at 1.4,
-        whose exactly solved prox has gap lam (delta^2/2 - |a|^2/(2 lam^2))
-        = 1.54 against eps = 0.5: GapNotCertified with lam, gap and eps, not
-        a silent report."""
+    def test_weak_sampled_field_certifies_below_rho_plus_one(self):
+        """A linear witness with |a| = 0.3 below delta = 1.5 has its root
+        |a| / delta = 0.2 below rho + 1 = 1.  The bracket (0, 0.2 + step]
+        holds it and is already below the search's width, so the step
+        certifies its right end in one pass: lam = 0.2222, with gap
+        lam (delta^2/2 - |a|^2/(2 lam^2)) = 0.0475 within eps = 0.5."""
         a, delta = np.array([0.3, 0.0]), 1.5
+        mu = ParticleCloud(np.random.default_rng(0).normal(size=(6, 2)))
+        _, rep = trust_region_step(
+            linear(a), mu, delta, 0.5, 0.3, np.random.default_rng(0), stochastic=True
+        )
+        assert rep.oracle_calls == 1
+        assert rep.lambda_star == pytest.approx(0.2 + 0.1 / (4.0 * 1.125), rel=1e-12)
+        cost = float(a @ a) / (2.0 * rep.lambda_star**2)
+        assert rep.gap == pytest.approx(rep.lambda_star * (0.5 * delta**2 - cost), rel=1e-9)
+        assert rep.gap == pytest.approx(0.0475, abs=1e-4)
+
+    def test_uncertified_sampled_gap_raises_a_typed_error(self, monkeypatch):
+        """The sampled search checks its returned pass's gap against eps: a
+        pass read with gap 1.0 > eps = 0.5 (a patched prox pass) raises
+        GapNotCertified with lam, gap and eps, not a silent report."""
+        prox_pass = dual_solvers._prox_pass
+        monkeypatch.setattr(
+            dual_solvers, "_prox_pass", lambda *args: replace(prox_pass(*args), gap=1.0)
+        )
         mu = ParticleCloud(np.random.default_rng(0).normal(size=(6, 2)))
         with pytest.raises(GapNotCertified) as info:
             trust_region_step(
-                linear(a), mu, delta, 0.5, 0.3, np.random.default_rng(0), stochastic=True
+                linear([0.3, 0.0]), mu, 1.5, 0.5, 0.3, np.random.default_rng(0), stochastic=True
             )
         assert isinstance(info.value, WfwError)
-        lam = info.value.lam
-        assert info.value.eps == 0.5
-        assert lam == pytest.approx(1.4)
-        cost = float(a @ a) / (2.0 * lam**2)
-        assert info.value.gap == pytest.approx(lam * (0.5 * delta**2 - cost), rel=1e-12)
-        assert info.value.gap > 0.5
+        assert info.value.lam == pytest.approx(0.2222, abs=1e-4)
+        assert (info.value.gap, info.value.eps) == (1.0, 0.5)
 
     @pytest.mark.parametrize("scale", [10.0, 1e3])
     def test_sampled_bisection_stops_at_the_rounding_unit(self, monkeypatch, scale):
         """The a-priori width (2e-14 at 10, 2e-38 at 1e3) is below the
-        rounding unit of u (6714 and 7.1e9), where the bracket stops
-        shrinking: the sampled loop ends there, within the 53 halvings that
-        take u - l < u to ulp(u), each at a new lam."""
+        rounding unit of the bracket's right end hi (7001 and 7.07e9), where
+        the bracket stops shrinking: the sampled loop ends there, within the
+        53 halvings that take hi - rho < hi to ulp(hi), each at a new lam."""
         slopes = []
         sampled_slope = dual_solvers._slope
 

@@ -64,7 +64,7 @@ def _masked_prox_batch(f, x, lam, eps):
     budget = np.zeros(n, dtype=np.int64)
     pos = gnorm0 > 0
     if np.any(pos):
-        raw = 4.0 * kappa * np.log(12.0 * kappa * gnorm0[pos] / eps)
+        raw = 4.0 * kappa * np.log(12.0 * kappa * gnorm0[pos] / (min(mu_sc, 1.0) * eps))
         budget[pos] = np.maximum(np.ceil(raw), 0.0).astype(np.int64)
     assert np.all(gnorm0[budget == 0] / mu_sc <= 0.5 * math.sqrt(eps))
     y = x - step * g0
@@ -237,12 +237,24 @@ class TestCertificate:
         assert err.active == 1
 
     def test_uncertified_center_with_no_budget_raises_at_step_zero(self):
-        """Budget 0 (||grad f(x)|| <= eps/(12 kappa)) returns the center,
-        which must certify: with lam - rho = 1e-12 it does not."""
-        x = np.array([[0.0, 0.0], [1e-3, 0.0]])
+        """Budget 0 (||grad f(x)|| <= min(lam - rho, 1) eps/(12 kappa))
+        returns the center, which must certify: its distance to the prox is
+        at most eps / 12, within sqrt(eps) / 2 only for eps <= 36.  At
+        eps = 100 a center 8 from its prox does not certify."""
+        x = np.array([[0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ProxNotCertified) as info:
-            agd_prox_batch(linear([1e-3, 0.0]), x, 1e-12, 1.0)
+            agd_prox_batch(linear([8.0, 0.0]), x, 1.0, 100.0)
         assert (info.value.step, info.value.active) == (0, 2)
+
+    def test_center_near_the_semiconvexity_gets_a_budget(self):
+        """With lam - rho = 1e-12 the distance ||grad f(x)|| / (lam - rho)
+        to the prox is 1e9, which the budget's log term counts: the rows
+        step once, to the prox x - a / lam."""
+        x = np.array([[0.0, 0.0], [1e-3, 0.0]])
+        a = np.array([1e-3, 0.0])
+        y, _, iters, _ = agd_prox_batch(linear(a), x, 1e-12, 1.0)
+        np.testing.assert_array_equal(iters, [1, 1])
+        np.testing.assert_allclose(y, x - a / 1e-12, rtol=1e-12)
 
     def test_quadratic_returns_after_the_plain_first_step(self):
         """z1 = x - x/(1 + lam) is the quadratic's prox, so every row with a
