@@ -102,13 +102,14 @@ class TransportPlan:
         return float(np.sum(self.weights * d2))
 
 
+def row_sqnorm(a):
+    """Squared Euclidean norm of each row of a 2-D array, summed left to right."""
+    return np.add.reduce(a * a, axis=1)
+
+
 def sqdist_matrix(x, y):
     """Pairwise squared Euclidean distances, clipped to be exactly nonnegative."""
-    d2 = (
-        np.sum(x**2, axis=1)[:, None]
-        + np.sum(y**2, axis=1)[None, :]
-        - 2.0 * (x @ y.T)
-    )
+    d2 = row_sqnorm(x)[:, None] + row_sqnorm(y)[None, :] - 2.0 * (x @ y.T)
     return np.maximum(d2, 0.0)
 
 
@@ -178,7 +179,7 @@ def mean_squared_gradient(cloud, g):
     """(1/n) sum ||grad(x_i)||^2; NonFiniteIterate if it leaves the finite range."""
     with np.errstate(over="ignore", invalid="ignore"):
         grads = g.grad_many(cloud.points)
-        m2 = float(np.mean(np.sum(grads**2, axis=1)))
+        m2 = float(np.add.reduce(row_sqnorm(grads)) / cloud.n)
     if not math.isfinite(m2):
         raise NonFiniteIterate(
             f"squared gradient norm left the finite range on {cloud.n} atoms",

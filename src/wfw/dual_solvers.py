@@ -344,8 +344,8 @@ def _prox_pass(f, mu, penalty, lam, eps_prox):
     lam cbar (primal - dual would cancel the shared mean f(y) into roundoff
     of either sign)."""
     y, theta, _, _ = agd_prox_batch(f, mu.points, lam, eps_prox)
-    cbar = float(np.mean(theta))
-    fbar = float(np.mean(f.eval_many(y)))
+    cbar = float(np.add.reduce(theta) / mu.n)
+    fbar = float(np.add.reduce(f.eval_many(y)) / mu.n)
     psi, psi_star = penalty.psi(cbar), penalty.psi_star(lam)
     return DualSolveReport(
         lambda_star=lam,

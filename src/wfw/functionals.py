@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .cloud import CloudMemo, sqdist_matrix
+from .cloud import CloudMemo, row_sqnorm, sqdist_matrix
 from .errors import NonFiniteDual, SinkhornNotConverged
 from .moreau import SmoothObjective
 
@@ -92,7 +92,7 @@ class RandomFeatureKernel:
             raise ValueError("feature table must be (B, d) with B >= 1")
         self.table = table.copy()
         self.table.setflags(write=False)
-        self.grad_lipschitz = _TANH_CURV * float(np.mean(np.sum(table**2, axis=1)))
+        self.grad_lipschitz = _TANH_CURV * float(np.mean(row_sqnorm(table)))
         self._memo = CloudMemo(self._map)
         self._mean_memo = CloudMemo(self._mean)
 
@@ -394,13 +394,13 @@ class EntropicDeconv:
         # Logits of the softmax over the data atoms, less the ||z||^2 / (2 sigma2)
         # that ||z - y_j||^2 = ||z||^2 + ||y_j||^2 - 2 z . y_j puts in each one.
         yt = y.T / sigma2
-        c = (v - 0.5 * np.sum(y**2, axis=1)) / sigma2 - math.log(y.shape[0])
+        c = (v - 0.5 * row_sqnorm(y)) / sigma2 - math.log(y.shape[0])
 
         def eval_many(z):
             a = z @ yt
             a += c
             e, top = _softmax(a)
-            return 0.5 * np.sum(z**2, axis=1) - sigma2 * (np.log(e.sum(axis=1)) + top)
+            return 0.5 * row_sqnorm(z) - sigma2 * (np.log(e.sum(axis=1)) + top)
 
         def grad_many(z):
             a = z @ yt

@@ -21,6 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .cloud import row_sqnorm
 from .errors import KCapExceeded, LambdaTooSmall, NonFiniteIterate, ProxNotCertified
 
 #: Cap on the sample count a single supergradient query may draw.
@@ -83,10 +84,11 @@ def agd_prox_batch(f, x, lam, eps):
     that steps iters times evaluates iters + 1 gradients (one when it never
     steps).
 
-    Row i's budget is max(ceil(4*kappa*log(12*kappa*d_i/eps)), 0) steps with
-    kappa = sqrt((lam + L)/(lam - rho)) and d_i = ||grad f(x_i)|| / min(lam -
-    rho, 1), which bounds the row's distance to its prox.  A row with
-    budget 0 is returned at its center, which must itself certify.
+    Row i's budget is max(ceil(4 kappa (log(12 kappa) + log ||grad f(x_i)||
+    - log min(lam - rho, 1) - log eps)), 0) steps, kappa = sqrt((lam + L)/(lam
+    - rho)); ||grad f(x_i)|| / min(lam - rho, 1) bounds the row's distance to
+    its prox.  A row with budget 0 (as where grad f(x_i) = 0) is returned at
+    its center, which must itself certify.
 
     The loop runs on the active rows alone, in their original order; all
     of them have run the same count.  A row is written back when it leaves,
@@ -100,6 +102,7 @@ def agd_prox_batch(f, x, lam, eps):
 
     Raises:
         LambdaTooSmall: lam <= f.semiconvexity.
+        ValueError: eps is not positive.
         NonFiniteIterate: an iterate, or a gradient at one or at a center
             (step 0), left the finite range; carries lam, the step count and
             the rows still active.
@@ -111,6 +114,8 @@ def agd_prox_batch(f, x, lam, eps):
         raise LambdaTooSmall(
             f"lam = {lam} must exceed semiconvexity {f.semiconvexity}"
         )
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     mu_sc = lam - f.semiconvexity
@@ -118,82 +123,74 @@ def agd_prox_batch(f, x, lam, eps):
     kappa = math.sqrt(l_smooth / mu_sc)
     step = 1.0 / l_smooth
     momentum = (kappa - 1.0) / (kappa + 1.0)
-    y = x.copy()  # rows with budget 0 stay at x
     iters = np.zeros(n, dtype=np.int64)
     d_tol = 0.5 * math.sqrt(eps)
 
     # A diverging solve surfaces as NonFiniteIterate, not as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g0 = f.grad_many(x)
-        gnorm0 = np.sqrt(np.sum(g0**2, axis=1))
-        if not np.isfinite(gnorm0).all():
-            raise NonFiniteIterate(
-                f"gradient at the prox centers left the finite range at lam = {lam}",
-                lam=lam,
-                step=0,
-                active=n,
-            )
+        gnorm0 = np.sqrt(row_sqnorm(g0))
+        if n and not math.isfinite(gnorm0.max()):  # max keeps a NaN
+            _fail(lam, 0, n, NonFiniteIterate, "prox center gradient left the finite range")
 
-        budget = np.zeros(n, dtype=np.int64)
-        pos = gnorm0 > 0
-        if np.any(pos):
-            raw = 4.0 * kappa * np.log(12.0 * kappa * gnorm0[pos] / (min(mu_sc, 1.0) * eps))
-            budget[pos] = np.maximum(np.ceil(raw), 0.0).astype(np.int64)
-        # At a center the residual is g0 and the distance 0, so the
-        # certificate reduces to d <= d_tol; budget 0 gives d <= eps / 12,
-        # within d_tol unless eps > 36.
-        missed = (budget == 0) & (gnorm0 / mu_sc > d_tol)
-        if missed.any():
-            _not_certified(lam, 0, np.count_nonzero(budget) + np.count_nonzero(missed))
+        # A sum of finite logs (log 0 = -inf gives budget 0), so no overflow.
+        log_c = math.log(12.0 * kappa) - math.log(min(mu_sc, 1.0)) - math.log(eps)
+        budget = np.ceil(4.0 * kappa * (np.log(gnorm0) + log_c))
+        stepping = budget > 0
+        idx = np.flatnonzero(stepping)
+        if idx.size < n:
+            # A center certifies iff d = ||g0|| / (lam - rho) <= d_tol; budget 0
+            # gives d <= eps / 12, within d_tol unless eps > 36.
+            missed = np.count_nonzero(gnorm0[~stepping] / mu_sc > d_tol)
+            if missed:
+                _fail(lam, 0, idx.size + missed)
+            y = x.copy()  # rows with budget 0 stay at x
+            xa, ba, g0 = x[idx], budget[idx], g0[idx]
+        else:
+            y, xa, ba = np.empty_like(x), x, budget
 
         # Working set: row indices, centers, momentum points, iterates, budgets.
-        idx = np.flatnonzero(budget)
-        xa, ba = x[idx], budget[idx]
-        ya = za = xa - step * g0[idx]
-        k = 0
+        ya = za = xa - step * g0
+        k, b_min = 0, ba.min(initial=np.inf)  # b_min changes only when rows leave
         while idx.size:
             k += 1
             diff = ya - xa
             resid = f.grad_many(ya) + lam * diff
-            d = np.sqrt(np.sum(resid**2, axis=1)) / mu_sc
-            dist = np.sqrt(np.sum(diff**2, axis=1))
-            bound = d * (dist + 0.5 * d)
+            d = np.sqrt(row_sqnorm(resid)) / mu_sc
+            bound = d * (np.sqrt(row_sqnorm(diff)) + 0.5 * d)
             # Finite only if ya and its gradients are.
-            if not np.isfinite(bound).all():
-                raise NonFiniteIterate(
-                    f"prox iterate left the finite range at lam = {lam}, "
-                    f"step {k}, {idx.size} rows active",
-                    lam=lam,
-                    step=k,
-                    active=int(idx.size),
-                )
+            if not math.isfinite(bound.max()):
+                _fail(lam, k, idx.size, NonFiniteIterate, "prox iterate left the finite range")
             certified = (bound <= 0.5 * eps) & (d <= d_tol)
-            if certified.any():
+            done = np.count_nonzero(certified)
+            if done == idx.size:
+                y[idx] = ya
+                iters[idx] = k
+                break
+            if done:
                 out = idx[certified]
                 y[out] = ya[certified]
                 iters[out] = k
                 keep = ~certified
                 idx, xa, ya, za, ba = idx[keep], xa[keep], ya[keep], za[keep], ba[keep]
-                if not idx.size:
-                    break
-                resid = resid[keep]
-            if (ba <= k).any():
-                _not_certified(lam, k, idx.size)
+                resid, b_min = resid[keep], ba.min()
+            if b_min <= k:
+                _fail(lam, k, idx.size)
 
             z_new = ya - step * resid
+            dz = z_new - za
             # Restart where grad a(y) has a positive component along the step.
-            beta = np.where(np.sum(resid * (z_new - za), axis=1) > 0, 0.0, momentum)
-            ya = z_new + beta[:, None] * (z_new - za)
+            dot = np.add.reduce(resid * dz, axis=1, keepdims=True)
+            ya = z_new + np.where(dot > 0, 0.0, momentum) * dz
             za = z_new
 
-    theta = 0.5 * np.sum((y - x) ** 2, axis=1)
+    theta = 0.5 * row_sqnorm(y - x)
     return y, theta, iters, iters + 1
 
 
-def _not_certified(lam, step, active):
-    raise ProxNotCertified(
-        f"a prox row spent its budget uncertified at lam = {lam}, "
-        f"step {step}, {active} rows active",
+def _fail(lam, step, active, error=ProxNotCertified, what="a prox row spent its budget"):
+    raise error(
+        f"{what} at lam = {lam}, step {step}, {active} rows active",
         lam=lam,
         step=step,
         active=int(active),
@@ -205,7 +202,7 @@ def gradient_fourth_moment(f, mu):
     NonFiniteIterate if it leaves the finite range."""
     with np.errstate(over="ignore", invalid="ignore"):
         g = f.grad_many(mu.points)
-        m4 = float(np.mean(np.sum(g**2, axis=1) ** 2))
+        m4 = float(np.mean(row_sqnorm(g) ** 2))
     if not math.isfinite(m4):
         raise NonFiniteIterate(f"fourth moment overflowed on {mu.n} atoms", active=mu.n)
     return m4
@@ -216,15 +213,16 @@ def hp_sample_count(f, mu, lam, eps, delta, m4=None):
 
     Driven by the plug-in fourth moment m4 of the gradient over the cloud's
     atoms (one gradient pass when not given) and a Chebyshev bound at
-    confidence delta, accuracy eps.
+    confidence delta, accuracy eps; inf where it is past the float range.
     """
     gap = lam - f.semiconvexity
     if m4 is None:
         m4 = gradient_fourth_moment(f, mu)
     if m4 == 0.0:
         return 1
-    k = 64.0 * m4 / (gap**2 * min(gap**2, 1.0) * delta * eps**2)
-    return max(int(math.ceil(k)), 1)
+    den = gap**2 * min(gap**2, 1.0) * delta * eps**2  # may underflow to 0
+    k = 64.0 * m4 / den if den else math.inf
+    return max(math.ceil(k), 1) if k < math.inf else k
 
 
 def supergradient_hp(f, mu, lam, eps, delta, rng, m4=None):
@@ -269,5 +267,4 @@ def g_value_and_grad_fullbatch(f, mu, lam, eps):
     (mean f(y) + lam*theta, mean theta).
     """
     y, theta, _, _ = agd_prox_batch(f, mu.points, lam, eps)
-    fvals = f.eval_many(y)
-    return float(np.mean(fvals + lam * theta)), float(np.mean(theta))
+    return float(np.mean(f.eval_many(y) + lam * theta)), float(np.mean(theta))

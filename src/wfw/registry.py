@@ -8,13 +8,14 @@ in exactly one place.
 
 import numpy as np
 
+from .cloud import row_sqnorm
 from .moreau import SmoothObjective
 
 
 def quadratic():
     """v(x) = (1/2)||x||^2 — convex, gradient Lipschitz constant 1."""
     return SmoothObjective(
-        eval_many=lambda x: 0.5 * np.sum(x**2, axis=1),
+        eval_many=lambda x: 0.5 * row_sqnorm(x),
         grad_many=lambda x: x,
         smoothness=1.0,
         semiconvexity=0.0,
@@ -24,8 +25,8 @@ def quadratic():
 def double_well():
     """v(x) = (1/4)(||x||^2 - 1)^2 — semiconvexity 1; smoothness bound on ||x|| <= 2."""
     return SmoothObjective(
-        eval_many=lambda x: 0.25 * (np.sum(x**2, axis=1) - 1.0) ** 2,
-        grad_many=lambda x: (np.sum(x**2, axis=1) - 1.0)[:, None] * x,
+        eval_many=lambda x: 0.25 * (row_sqnorm(x) - 1.0) ** 2,
+        grad_many=lambda x: (row_sqnorm(x) - 1.0)[:, None] * x,
         smoothness=11.0,
         semiconvexity=1.0,
     )

@@ -23,6 +23,7 @@ from wfw.cloud import (
     load_csv,
     mean_squared_gradient,
     mean_squared_gradient_norm,
+    row_sqnorm,
     save_csv,
     wasserstein2_exact,
 )
@@ -192,6 +193,15 @@ class TestExactTransport:
         b = ParticleCloud(np.zeros((4, 1)))
         with pytest.raises(SizeCapExceeded):
             wasserstein2_exact(a, b, cap=10)
+
+
+def test_row_sqnorm_has_the_bits_of_the_sum_of_squares():
+    """numpy reduces each row left to right either way, so the one helper
+    gives np.sum(a**2, axis=1) bit for bit at every width."""
+    rng = np.random.default_rng(0)
+    for d in [*range(1, 17), 33, 100]:
+        a = rng.normal(size=(40, d)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(40, 1))
+        assert row_sqnorm(a).tobytes() == np.sum(a**2, axis=1).tobytes()
 
 
 class TestGradientNorm:

@@ -932,6 +932,20 @@ class TestTrustRegion:
         assert rep.oracle_calls == len(slopes) + 1
         assert np.diff(slopes).all()
 
+    @pytest.mark.parametrize("stochastic", [False, True])
+    def test_tiny_eps_raises_a_typed_error(self, stochastic):
+        """At eps = 1e-170 the sampled path's Chebyshev count is past the
+        float range (eps^2 underflows to 0), so each slope is an exact pass,
+        as on the full-batch path.  Rounding keeps either path's quadratic
+        prox from certifying at an accuracy below 1e-170, and both raise
+        ProxNotCertified, not ZeroDivisionError."""
+        mu = ParticleCloud(np.random.default_rng(0).normal(size=(12, 2)))
+        with pytest.raises(ProxNotCertified) as info:
+            trust_region_step(
+                quadratic(), mu, 0.3, 1e-170, 0.3, np.random.default_rng(1), stochastic=stochastic
+            )
+        assert info.value.step >= 1
+
     def test_diverging_prox_raises_a_typed_error(self):
         """A double-well cloud at scale 3, outside the region its smoothness
         bound covers, at the admissible radius sqrt(m2) / (2 L): the first

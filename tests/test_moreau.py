@@ -138,6 +138,15 @@ def _witness(kind, rng):
 
 _WITNESS_KINDS = ["quadratic", "double-well", "linear", "deconv", "mmd-features"]
 
+# (kind, seed, log10 scale of the centers, log10 (lam - rho), log10 eps)
+_PASS_DRAWS = (
+    st.sampled_from(_WITNESS_KINDS),
+    st.integers(0, 2**32 - 1),
+    st.floats(-1.0, 1.0),
+    st.floats(-1.0, 1.5),
+    st.floats(-12.0, -1.0),
+)
+
 
 class TestCompactedLoop:
     """`agd_prox_batch` against the masked reference loop, byte for byte."""
@@ -158,6 +167,54 @@ class TestCompactedLoop:
             assert np.count_nonzero(got[2] == 0) == 2
         if kind not in ("quadratic", "linear"):  # those two certify in one step
             assert len(set(got[2].tolist())) > 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(*_PASS_DRAWS)
+    def test_drawn_batches_match_the_masked_loop(self, kind, seed, log_scale, log_gap, log_eps):
+        """The check above on the batches, scales, weights and tolerances
+        `TestCertificate` draws: wherever the pass returns, its arrays and
+        its gradient queries match the masked loop's byte for byte (a draw
+        where it raises a typed error is skipped)."""
+        f, x, _ = _witness(kind, np.random.default_rng(seed))
+        x = x * 10**log_scale
+        lam, eps = f.semiconvexity + 10**log_gap, 10**log_eps
+        got_calls, want_calls = [], []
+        try:
+            got = agd_prox_batch(_recorded(f, got_calls), x, lam, eps)
+        except WfwError:
+            return
+        want = _masked_prox_batch(_recorded(f, want_calls), x, lam, eps)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert got_calls == want_calls
+
+    def test_rows_outlast_the_budget_of_a_row_that_left(self):
+        """A double-well center 2e-8 off the unit circle gets an 8-step
+        budget and certifies at step 1; the two far rows then step past 8.
+        The least budget of the rows still active is taken again when a row
+        leaves, so the pass returns them, as the masked loop does."""
+        f, lam, eps = double_well(), 2.0, 1e-6
+        x = np.array([[1.0 + 2e-8, 0.0], [1.4, -0.3], [0.3, 0.5]])
+        kappa = math.sqrt((lam + f.smoothness) / (lam - f.semiconvexity))
+        assert math.ceil(4.0 * kappa * math.log(12.0 * kappa * 4e-8 / eps)) == 8
+        got = agd_prox_batch(f, x, lam, eps)
+        assert got[2][0] == 1 and got[2][1:].min() > 8
+        for a, b in zip(got, _masked_prox_batch(f, x, lam, eps)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_empty_batch_returns_empty_arrays(self):
+        """No rows: one gradient query on the empty batch, and four empty
+        arrays of the usual dtypes and trailing shapes."""
+        calls = []
+        y, theta, iters, grad_evals = agd_prox_batch(
+            _recorded(quadratic(), calls), np.zeros((0, 2)), 1.0, 1e-3
+        )
+        assert (y.shape, theta.shape, iters.shape, grad_evals.shape) == ((0, 2), (0,), (0,), (0,))
+        assert (y.dtype, theta.dtype, iters.dtype, grad_evals.dtype) == (
+            np.float64, np.float64, np.int64, np.int64
+        )
+        assert [shape for shape, _ in calls] == [(0, 2)]
 
     def test_diverging_rows_raise_with_context(self):
         """Centers outside the double-well's smoothness region blow up; the
@@ -190,13 +247,7 @@ class TestCertificate:
     """Every row `agd_prox_batch` returns certifies; otherwise it raises."""
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.sampled_from(_WITNESS_KINDS),
-        st.integers(0, 2**32 - 1),
-        st.floats(-1.0, 1.0),
-        st.floats(-1.0, 1.5),
-        st.floats(-12.0, -1.0),
-    )
+    @given(*_PASS_DRAWS)
     def test_every_returned_row_certifies(self, kind, seed, log_scale, log_gap, log_eps):
         """Recomputed from the returned rows alone: the strong-convexity
         bound d = ||grad a(y)||/(lam - rho) gives d (dist + d/2) <= eps/2
@@ -235,6 +286,20 @@ class TestCertificate:
         assert err.lam == 1.2207e56
         assert err.step >= 1
         assert err.active == 1
+
+    def test_budget_past_the_float_range_stays_finite(self):
+        """At eps = 1e-300 the budget's ratio 12 kappa ||grad f(x)|| /
+        (min(lam - rho, 1) eps) is 1.2e361, past the float range (kappa is 1
+        in floating point at lam = 1.2207e56, ||grad f(x)|| is 1e60).  Its
+        log, taken as a sum of logs, is 831.4, so the row above that cannot
+        certify raises after ceil(4 * 831.4) = 3326 steps: neither at step
+        1 nor never."""
+        budget = math.ceil(4.0 * (math.log(12.0) + math.log(1e60) + 300.0 * math.log(10.0)))
+        assert budget == 3326
+        with pytest.raises(ProxNotCertified) as info:
+            agd_prox_batch(double_well(), np.array([[1e20, 0.0]]), 1.2207e56, 1e-300)
+        err = info.value
+        assert (err.lam, err.step, err.active) == (1.2207e56, budget, 1)
 
     def test_uncertified_center_with_no_budget_raises_at_step_zero(self):
         """Budget 0 (||grad f(x)|| <= min(lam - rho, 1) eps/(12 kappa))
@@ -300,6 +365,13 @@ class TestProxClosedForms:
         y, _, iters, _ = _prox_row(f, np.zeros(2), 2.0, 1e-10)
         np.testing.assert_allclose(y, np.zeros(2))
         assert iters == 0
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    def test_eps_not_positive_rejected(self, eps):
+        """The budget takes log eps: eps = 0 or NaN would give a row no
+        finite budget, or none at all, so it is rejected up front."""
+        with pytest.raises(ValueError, match="eps must be positive"):
+            _prox_row(double_well(), np.array([1.4, -0.3]), 3.0, eps)
 
     def test_lambda_at_or_below_semiconvexity_rejected(self):
         f = double_well()
@@ -438,6 +510,17 @@ class TestSupergradientSampling:
         f = quadratic()
         with pytest.raises(KCapExceeded) as exc:
             supergradient_hp(f, mu, 1.0, 1e-4, 0.01, rng)
+        assert exc.value.required > exc.value.cap
+
+    @pytest.mark.parametrize("eps", [1e-160, 1e-200])
+    def test_count_past_the_float_range_exceeds_the_cap(self, eps):
+        """At eps = 1e-160 the count overflows, at 1e-200 eps^2 underflows
+        to 0: either way it is inf, above any cap, and the query raises
+        KCapExceeded, not OverflowError or ZeroDivisionError."""
+        mu = ParticleCloud(np.random.default_rng(0).normal(size=(12, 2)))
+        assert hp_sample_count(quadratic(), mu, 2.0, eps, 0.1) == math.inf
+        with pytest.raises(KCapExceeded) as exc:
+            supergradient_hp(quadratic(), mu, 2.0, eps, 0.1, np.random.default_rng(0))
         assert exc.value.required > exc.value.cap
 
     def test_lambda_too_small(self):
