@@ -56,18 +56,19 @@ class CloudMemo:
     points) is remembered: it cannot change under the memo, and holding it
     keeps its identity from passing to another array.  Any other array may
     change between calls, so fn runs afresh on it and the entry is kept.
+    `entry` is the remembered value, None before the first.
     """
 
     def __init__(self, fn):
         self._fn = fn
-        self._key = self._value = None
+        self._key = self.entry = None
 
     def __call__(self, points):
         if points is self._key and not points.flags.writeable:
-            return self._value
+            return self.entry
         value = self._fn(points)
         if not points.flags.writeable and points.flags.owndata:
-            self._key, self._value = points, value
+            self._key, self.entry = points, value
         return value
 
 

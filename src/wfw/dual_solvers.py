@@ -240,9 +240,12 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
     passes, kept above the last pass with h > 0 (or rho).  Each point is
     stepped past the root as hi is; the midpoint replaces an undefined one.
     It stops at the first pass with h <= 0 and gap <= eps_alg.  The sampled
-    path bisects (rho, hi], moving its right end on h below the sampled
-    oracle's band -eps_alg / max(lam - rho, 1), and passes there, or at hi
-    if that pass is infeasible (misled samples).  N, one more than the
+    path runs only where the Chebyshev count at hi, the smallest on (rho,
+    hi], is below the n atoms; elsewhere every sampled slope would be an
+    exact pass, and the full-batch search runs.  It bisects (rho, hi],
+    moving its right end on h below the sampled oracle's band
+    -eps_alg / max(lam - rho, 1), and passes there, or at hi if that pass
+    is infeasible (misled samples).  N, one more than the
     halvings from (rho, hi] to the width eps_alg / B, B = max(psi*
     smoothness, 16 m2^2, 1e-12), or ulp(hi) if wider, splits delta_prob
     over the sampled slopes; the full-batch search raises at N + 2 passes.
@@ -293,8 +296,9 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
         r = slope**-0.5 - cbar**-0.5 if min(cbar, slope) > 0.0 else math.nan
         return rep, cbar - slope, r
 
-    if stochastic:
-        m4 = gradient_fourth_moment(f, mu)
+    m4 = gradient_fourth_moment(f, mu) if stochastic else None
+    sampled = stochastic and hp_sample_count(f, mu, hi, eps_alg, delta_prob / steps, m4) < mu.n
+    if sampled:
         while right - left > width:
             lam = 0.5 * (left + right)
             h, drawn = _slope(f, mu, lam, eps_alg, eps_prox, delta_prob / steps, rng, m4)
@@ -332,7 +336,7 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
                 raise GapNotCertified(msg, lam=rep.lambda_star, gap=rep.gap, eps=eps_alg)
 
     _check_feasible(penalty, rep)
-    if stochastic and rep.gap > eps:
+    if sampled and rep.gap > eps:
         msg = f"sampled search ends at lam = {rep.lambda_star} with gap {rep.gap} > {eps}"
         raise GapNotCertified(msg, lam=rep.lambda_star, gap=rep.gap, eps=eps)
     return replace(rep, oracle_calls=oracle_calls, samples_drawn=samples)

@@ -208,63 +208,62 @@ class MMDSquared:
         return eval_many, grad_many
 
 
-def _soft_c_transform(w, cost, s2):
-    """-s2 log mean_j exp((w_j - cost_ij) / s2) per row i: the exact u-update
-    given v (w = v), the v-update given u (w = u, cost transposed)."""
-    e, top = _softmax((w[None, :] - cost) / s2)
-    return -s2 * (np.log(e.sum(axis=1)) + top - math.log(w.shape[0]))
+def _coupling(v, cost, s2):
+    """(u, p, b, err) at v from one row softmax: the exact u-update, the
+    coupling (row sums 1/n), its column sums and L1 column-marginal error."""
+    n, m = cost.shape
+    e, top = _softmax((v[None, :] - cost) / s2)
+    rows = e.sum(axis=1)
+    u = -s2 * (np.log(rows) + top - math.log(m))
+    if not np.all(np.isfinite(u)):
+        raise NonFiniteDual("dual potentials left the finite range")
+    p = e / (n * rows[:, None])
+    b = p.sum(axis=0)
+    return u, p, b, float(np.sum(np.abs(b - 1.0 / m)))
 
 
 def _sinkhorn_sweeps(v, cost, s2, target, budget):
-    """Plain log-domain sweeps from v, two reductions each, until the L1
-    column-marginal error after the exact u-update is <= target or `budget`
-    sweeps are spent.  That error reads off the next v-update: the column
-    marginal is exp((v - v_next) / s2) / m.  Returns (v, err, sweeps)."""
+    """Plain log-domain sweeps from v, each a v-update (soft c-transform of
+    u) after `_coupling`, until the latter's error is <= target or `budget`
+    sweeps are spent.  Returns (v, its coupling, sweeps)."""
     sweeps = 0
     while True:
-        u = _soft_c_transform(v, cost, s2)
-        v_next = _soft_c_transform(u, cost.T, s2)
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v_next))):
-            raise NonFiniteDual("dual potentials left the finite range")
-        err = float(np.sum(np.abs(np.exp((v - v_next) / s2) - 1.0))) / v.shape[0]
-        if err <= target or sweeps == budget:
-            return v, err, sweeps
-        v, sweeps = v_next, sweeps + 1
+        c = _coupling(v, cost, s2)
+        if c[3] <= target or sweeps == budget:
+            return v, c, sweeps
+        e, top = _softmax((c[0][None, :] - cost.T) / s2)
+        v = -s2 * (np.log(e.sum(axis=1)) + top - math.log(cost.shape[0]))
+        sweeps += 1
 
 
-def _sinkhorn_newton(v, cost, s2, target):
-    """Newton steps on the semi-dual in v, from v until the column-marginal
-    error is <= target (Sinkhorn-Newton; Brauer, Clason, Lorenz & Wirth,
-    arXiv:1710.06635).
+def _sinkhorn_newton(v, c, cost, s2, target):
+    """Newton steps on the semi-dual in v, from v and its coupling c until
+    the column-marginal error is <= target (Sinkhorn-Newton; Brauer,
+    Clason, Lorenz & Wirth, arXiv:1710.06635).
 
     u is eliminated by an exact u-update, so the coupling P has row sums
     1/n.  The semi-dual's gradient is 1/m - b, b = P's column sums, and its
-    Hessian (diag(b) - n P^T P) / s2 is PSD with null space 1.  Conjugate
-    gradients solve for the step from `P @ d` and `P.T @ (.)` products
-    alone: no m x m buffer, and no LAPACK solve, whose bits can depend on
-    the BLAS build.  The step backtracks on the marginal error and never
-    moves a potential by more than 2 max(max cost, s2).  Returns
-    (v, err, steps); err > target means it stalled: no halving of the
-    step lowered the error, or 50 steps were spent.
+    Hessian (diag(b) - n P^T P) / s2 is PSD with null space 1.  Each step
+    builds that m x m matrix with one BLAS product; conjugate gradients then
+    take one matvec per iteration, and no LAPACK solve makes the bits depend
+    on the BLAS build.  The step backtracks on the marginal error and never
+    moves a potential by more than 2 max(max cost, s2).  Returns (v, its
+    coupling, steps); an error above target means it stalled: no halving of
+    the step lowered the error, or 50 steps were spent.
     """
     n, m = cost.shape
     reach = 2.0 * max(float(cost.max()), s2)
-
-    def coupling(v):
-        e, _ = _softmax((v[None, :] - cost) / s2)
-        p = e / (n * e.sum(axis=1, keepdims=True))
-        b = p.sum(axis=0)
-        return p, b, float(np.sum(np.abs(b - 1.0 / m)))
-
-    p, b, err = coupling(v)
+    _, p, b, err = c
     steps = 0
     while err > target and steps < 50:
+        h = -n * (p.T @ p)
+        h.flat[:: m + 1] += b
         r = 1.0 / m - b
         r -= np.mean(r)
         d, q, rr = np.zeros(m), r.copy(), float(r @ r)
         stop = err**3 * rr  # inexact Newton: |residual| <= err^1.5 |gradient|
         for _ in range(m):
-            hq = b * q - n * (p.T @ (p @ q))
+            hq = h @ q
             qhq = float(q @ hq)
             # curvature below the operator's rounding: q is numerically null
             if not qhq > 1e-14 * float(b.max()) * float(q @ q):
@@ -282,63 +281,63 @@ def _sinkhorn_newton(v, cost, s2, target):
             break
         t = min(1.0, reach / span)
         for _ in range(30):
-            trial = coupling(v + t * d)
-            if trial[2] < err:
+            trial = _coupling(v + t * d, cost, s2)
+            if trial[3] < err:
                 break
             t *= 0.5
         else:
             break
         v = v + t * d
-        p, b, err = trial
+        _, p, b, err = c = trial
         steps += 1
-    return v, err, steps
+    return v, c, steps
 
 
-def _sinkhorn_potentials(x, y, sigma2, tol):
+def _sinkhorn_potentials(x, y, sigma2, tol, v0=None):
     """Entropic transport potentials between uniform clouds, as (u, v,
     marginal_error, iterations), gauged to mean(u) == mean(v).
 
     u is the exact u-update of v, so the coupling they define has row sums
     1/n and total mass 1.  The error, <= tol, is the L1 column-marginal
-    error; `iterations` counts sweeps plus Newton steps.  (a) Plain sweeps
-    run to 1e-2, then (b) Newton steps to tol.  If either stalls, (c) both
-    rerun over an eps ladder from max(max cost, sigma2), divided by 4 per
-    stage, each stage to 1e-3 and sigma2 itself to tol (Schmitzer,
-    arXiv:1610.06519).  Plain sweeps, up to `_SINKHORN_MAX_ITER` iterations
-    in all, are the last fallback.
+    error; `iterations` counts sweeps plus Newton steps.  From v0 (or 0),
+    (a) plain sweeps run to 1e-2, then (b) Newton steps to tol.  If either
+    stalls, (c) both rerun from 0 over an eps ladder from max(max cost,
+    sigma2), divided by 4 per stage, each stage to 1e-3 and sigma2 itself
+    to tol (Schmitzer, arXiv:1610.06519).  Plain sweeps, up to
+    `_SINKHORN_MAX_ITER` iterations in all, are the last fallback.
 
     Raises:
         SinkhornNotConverged: the fallback ran out of iterations.
-        NonFiniteDual: a sweep left the finite range.
+        NonFiniteDual: an iterate left the finite range.
     """
     cost = 0.5 * sqdist_matrix(x, y)
     iterations = 0
 
     def stage(v, s2, target):
         nonlocal iterations
-        v, err, sweeps = _sinkhorn_sweeps(v, cost, s2, max(target, 1e-2), 100)
-        v, err, steps = _sinkhorn_newton(v, cost, s2, target)
+        v, c, sweeps = _sinkhorn_sweeps(v, cost, s2, max(target, 1e-2), 100)
+        v, c, steps = _sinkhorn_newton(v, c, cost, s2, target)
         iterations += sweeps + steps
-        return v, err
+        return v, c
 
-    v, err = stage(np.zeros(y.shape[0]), sigma2, tol)
-    if err > tol:
+    v, c = stage(np.zeros(y.shape[0]) if v0 is None else v0, sigma2, tol)
+    if c[3] > tol:
         v, s2 = np.zeros(y.shape[0]), max(float(cost.max()), sigma2)
         while s2 > sigma2:
             v, _ = stage(v, s2, 1e-3)
             s2 /= 4.0
-        v, err = stage(v, sigma2, tol)
-    if err > tol:
+        v, c = stage(v, sigma2, tol)
+    if c[3] > tol:
         budget = max(_SINKHORN_MAX_ITER - iterations, 0)
-        v, err, sweeps = _sinkhorn_sweeps(v, cost, sigma2, tol, budget)
+        v, c, sweeps = _sinkhorn_sweeps(v, cost, sigma2, tol, budget)
         iterations += sweeps
+    u, err = c[0], c[3]
     if err > tol:
         raise SinkhornNotConverged(
             f"marginal error {err} after {iterations} iterations (tol {tol})",
             marginal_error=err,
             iterations=iterations,
         )
-    u = _soft_c_transform(v, cost, sigma2)
     shift = 0.5 * (float(np.mean(v)) - float(np.mean(u)))
     return u + shift, v - shift, err, iterations
 
@@ -357,10 +356,11 @@ class EntropicDeconv:
     soft c-transform of v, through the same row softmax as the solve.
 
     One Sinkhorn solve serves each cloud: `value` and `derivative_oracle`
-    on the same `ParticleCloud` share it through a `CloudMemo`, and any
-    other array is solved afresh every time.  Every actual solve appends
-    its final marginal error to `marginal_error_log` for auditing, so the
-    log holds one entry per solve.
+    on the same `ParticleCloud` share it through a `CloudMemo`; any other
+    array is solved afresh.  Each solve starts from the memo entry's v, so
+    value(mu) is the dual at marginal error <= tol, which a fresh
+    functional matches only to within that tolerance.  Each solve appends
+    its marginal error to `marginal_error_log`.
     """
 
     def __init__(self, sigma2, data, tol=1e-9):
@@ -374,13 +374,13 @@ class EntropicDeconv:
         # Softmax weights always sit on the data atoms, so the weighted
         # covariance never exceeds (diam/2)^2 in any direction: a global
         # semiconvexity bound for the witness.
-        d2 = sqdist_matrix(data.points, data.points)
-        diam2 = float(np.max(d2))
+        diam2 = float(np.max(sqdist_matrix(data.points, data.points)))
         self._rho = max(0.0, diam2 / (4.0 * self.sigma2) - 1.0)
 
     def _sinkhorn(self, points):
-        """(u, v) for the cloud at `points`, logging the marginal error."""
-        u, v, err, _ = _sinkhorn_potentials(points, self.data.points, self.sigma2, self.tol)
+        """(u, v) for `points`, seeded with the memo entry's v; logs the error."""
+        seed = None if self._solve.entry is None else self._solve.entry[1]
+        u, v, err, _ = _sinkhorn_potentials(points, self.data.points, self.sigma2, self.tol, seed)
         self.marginal_error_log.append(err)
         return u, v
 

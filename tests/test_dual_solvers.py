@@ -62,6 +62,15 @@ def _right_end(f, mu, pen, eps):
     return c + eps / (4.0 + l) * (c - rho) / (4.0 * c * pen.psi_star_deriv(c))
 
 
+def _sampled_instance():
+    """(f, mu, delta, eps) whose trust-region step takes the sampled search:
+    a quadratic on 64 atoms, where the Chebyshev count at the bracket's
+    right end is 10 draws, below the 64 atoms of an exact pass."""
+    mu = ParticleCloud(np.random.default_rng(2).normal(size=(64, 2)) * 0.45)
+    m2 = float(np.mean(np.sum(mu.points**2, axis=1)))
+    return quadratic(), mu, 0.4 * math.sqrt(m2) / 2.0, 2.0
+
+
 def _spy_passes(monkeypatch):
     """(lam, h(lam), r(lam)) of every certifying prox pass, in evaluation
     order: h = cbar - psi*'(lam) and r = psi*'(lam)^(-1/2) - cbar^(-1/2)."""
@@ -528,14 +537,11 @@ class TestSampledSlope:
 
     def test_bisections_compute_it_once(self, monkeypatch):
         calls = self._spy(monkeypatch)
-        rng = np.random.default_rng(2)
-        mu = ParticleCloud(rng.normal(size=(8, 2)) * 0.45)
-        m2 = float(np.mean(np.sum(mu.points**2, axis=1)))
-        pen = TrustRegionIndicator(0.4 * math.sqrt(m2) / 2.0)
-        rep = primal_dual_bisection(
-            quadratic(), mu, pen, 0.5, 0.3, np.random.default_rng(7), stochastic=True
-        )
-        assert rep.oracle_calls > 2 and calls == [8]
+        f, mu, delta, eps = _sampled_instance()
+        pen = TrustRegionIndicator(delta)
+        rep = primal_dual_bisection(f, mu, pen, eps, 0.3, np.random.default_rng(7), stochastic=True)
+        assert rep.oracle_calls > 2 and rep.samples_drawn < rep.oracle_calls * mu.n
+        assert calls == [64]
 
     def test_mirror_ascent_shares_it_with_its_step_size(self, monkeypatch):
         calls = self._spy(monkeypatch)
@@ -763,18 +769,16 @@ class TestTrustRegion:
     def test_misled_sampled_search_certifies_the_right_end(self, monkeypatch):
         """Sampled slopes that always read -1 drive the search down to rho,
         and its pass near there leaves the ball; the step then certifies the
-        bracket's right end hi = lam_hat + step = 5 + 3.51 instead, where
+        bracket's right end hi = lam_hat + step = 5 + 13.26 instead, where
         g'(hi) <= m2 / (2 hi^2) < psi*'(hi) keeps the images inside it."""
         monkeypatch.setattr(dual_solvers, "_slope", lambda f, mu, *rest: (-1.0, mu.n))
-        mu = ParticleCloud(np.random.default_rng(2).normal(size=(8, 2)) * 0.45)
-        m2 = float(np.mean(np.sum(mu.points**2, axis=1)))
-        delta = 0.4 * math.sqrt(m2) / 2.0
+        f, mu, delta, eps = _sampled_instance()
         sampler, rep = trust_region_step(
-            quadratic(), mu, delta, 0.5, 0.3, np.random.default_rng(7), stochastic=True
+            f, mu, delta, eps, 0.3, np.random.default_rng(7), stochastic=True
         )
-        hi = _right_end(quadratic(), mu, TrustRegionIndicator(delta), 0.5)
+        hi = _right_end(f, mu, TrustRegionIndicator(delta), eps)
         assert rep.lambda_star == hi
-        assert rep.lambda_star == pytest.approx(8.5064, abs=1e-4)
+        assert rep.lambda_star == pytest.approx(18.2571, abs=1e-4)
         assert rep.cost <= 0.5 * delta**2
         assert math.isfinite(rep.primal_value)
         dist, _ = wasserstein2_exact(mu, sampler.target_cloud())
@@ -850,11 +854,12 @@ class TestTrustRegion:
             assert info.value.lam == pytest.approx(7.0711e78, rel=1e-4)
 
     def test_uncertified_prox_on_a_huge_coordinate_raises_a_typed_error(self, monkeypatch):
-        """With a coordinate at 1e20 the sampled search's first pass, a
-        full-batch one at lam = 3.54e60, the middle of (rho, lam_hat + rho],
-        cannot certify the far atom's prox
-        (its residual is rounding noise on a 1e20 coordinate), and the step
-        raises ProxNotCertified with lam, step and active, not a report."""
+        """With a coordinate at 1e20 a sampled slope would need more draws
+        than the 2 atoms, so the step runs the full-batch search.  Its first
+        pass, at lam_hat = sqrt(m2) / delta = 7.07e60, cannot certify the far
+        atom's prox (its residual is rounding noise on a 1e20 coordinate),
+        and the step raises ProxNotCertified with lam, step and active, not
+        a report."""
         passes = []
         prox = dual_solvers.agd_prox_batch
 
@@ -871,50 +876,72 @@ class TestTrustRegion:
             )
         assert isinstance(info.value, WfwError)
         assert passes == [info.value.lam]
-        assert info.value.lam == pytest.approx(3.5355e60, rel=1e-4)
+        assert info.value.lam == pytest.approx(7.0711e60, rel=1e-4)
         assert info.value.step >= 1
         assert info.value.active == 1
 
     def test_weak_sampled_field_certifies_below_rho_plus_one(self):
         """A linear witness with |a| = 0.3 below delta = 1.5 has its root
-        |a| / delta = 0.2 below rho + 1 = 1.  The bracket (0, 0.2 + step]
-        holds it and is already below the search's width, so the step
-        certifies its right end in one pass: lam = 0.2222, with gap
-        lam (delta^2/2 - |a|^2/(2 lam^2)) = 0.0475 within eps = 0.5."""
+        |a| / delta = 0.2 below rho + 1 = 1.  Inside the bracket (0, 0.2 +
+        step] a sampled slope needs more draws than the 6 atoms, so the step
+        runs the full-batch search, whose first pass, at lam_hat = |a| /
+        delta, is that root: one pass of 6 rows, with gap
+        lam (delta^2/2 - |a|^2/(2 lam^2)) at rounding level, within eps = 0.5."""
         a, delta = np.array([0.3, 0.0]), 1.5
         mu = ParticleCloud(np.random.default_rng(0).normal(size=(6, 2)))
         _, rep = trust_region_step(
             linear(a), mu, delta, 0.5, 0.3, np.random.default_rng(0), stochastic=True
         )
-        assert rep.oracle_calls == 1
-        assert rep.lambda_star == pytest.approx(0.2 + 0.1 / (4.0 * 1.125), rel=1e-12)
+        assert (rep.oracle_calls, rep.samples_drawn) == (1, 6)
+        assert rep.lambda_star == pytest.approx(0.2, rel=1e-12)
         cost = float(a @ a) / (2.0 * rep.lambda_star**2)
-        assert rep.gap == pytest.approx(rep.lambda_star * (0.5 * delta**2 - cost), rel=1e-9)
-        assert rep.gap == pytest.approx(0.0475, abs=1e-4)
+        assert rep.gap == pytest.approx(rep.lambda_star * (0.5 * delta**2 - cost), abs=1e-15)
+        assert 0.0 <= rep.gap <= 1e-12
 
     def test_uncertified_sampled_gap_raises_a_typed_error(self, monkeypatch):
         """The sampled search checks its returned pass's gap against eps: a
-        pass read with gap 1.0 > eps = 0.5 (a patched prox pass) raises
-        GapNotCertified with lam, gap and eps, not a silent report."""
+        pass read with gap 3.0 > eps = 2.0 (a patched prox pass) raises
+        GapNotCertified with lam, gap and eps, not a silent report.  The
+        gap steers no sampled bisection, so lam is the unpatched step's."""
+        f, mu, delta, eps = _sampled_instance()
+        step = (f, mu, delta, eps, 0.3)
+        _, rep = trust_region_step(*step, np.random.default_rng(0), stochastic=True)
         prox_pass = dual_solvers._prox_pass
         monkeypatch.setattr(
-            dual_solvers, "_prox_pass", lambda *args: replace(prox_pass(*args), gap=1.0)
+            dual_solvers, "_prox_pass", lambda *args: replace(prox_pass(*args), gap=3.0)
         )
-        mu = ParticleCloud(np.random.default_rng(0).normal(size=(6, 2)))
         with pytest.raises(GapNotCertified) as info:
-            trust_region_step(
-                linear([0.3, 0.0]), mu, 1.5, 0.5, 0.3, np.random.default_rng(0), stochastic=True
-            )
+            trust_region_step(*step, np.random.default_rng(0), stochastic=True)
         assert isinstance(info.value, WfwError)
-        assert info.value.lam == pytest.approx(0.2222, abs=1e-4)
-        assert (info.value.gap, info.value.eps) == (1.0, 0.5)
+        assert rep.samples_drawn < rep.oracle_calls * mu.n
+        assert info.value.lam == rep.lambda_star
+        assert (info.value.gap, info.value.eps) == (3.0, 2.0)
+
+    def test_sampled_step_with_counts_above_n_is_the_full_batch_step(self):
+        """The sampled count K falls as lam grows.  On 12 atoms at eps 0.1
+        it exceeds 12 even at the bracket's right end, so every sampled
+        slope would be an exact pass: the sampled step is the full-batch
+        step, 2 passes and 24 rows, where bisecting with exact slopes took
+        14 passes (168 rows) for a gap of 0.020 against 0.0075."""
+        mu = ParticleCloud(np.random.default_rng(0).normal(size=(12, 2)))
+        steps = [
+            trust_region_step(
+                quadratic(), mu, 0.3, 0.1, 0.3, np.random.default_rng(1), stochastic=stochastic
+            )[1]
+            for stochastic in (True, False)
+        ]
+        assert (steps[0].oracle_calls, steps[0].samples_drawn) == (2, 24)
+        assert steps[0] == steps[1]
+        assert steps[0].gap == pytest.approx(0.0075, abs=1e-4)
 
     @pytest.mark.parametrize("scale", [10.0, 1e3])
     def test_sampled_bisection_stops_at_the_rounding_unit(self, monkeypatch, scale):
-        """The a-priori width (2e-14 at 10, 2e-38 at 1e3) is below the
-        rounding unit of the bracket's right end hi (7001 and 7.07e9), where
-        the bracket stops shrinking: the sampled loop ends there, within the
-        53 halvings that take hi - rho < hi to ulp(hi), each at a new lam."""
+        """A linear field of norm `scale` on 3 atoms, at radius 1e-6: one
+        draw per slope is enough, and the a-priori width (6.3e-7 at 10,
+        6.3e-15 at 1e3) is below the rounding unit of the bracket's right
+        end hi (5.0e10 and 5.1e10, ulp 7.6e-6), where the bracket stops
+        shrinking.  The sampled loop ends there, within the 53 halvings
+        that take hi - rho < hi to ulp(hi), each at a new lam."""
         slopes = []
         sampled_slope = dual_solvers._slope
 
@@ -924,12 +951,13 @@ class TestTrustRegion:
             return sampled_slope(*args)
 
         monkeypatch.setattr(dual_solvers, "_slope", spy)
-        mu = ParticleCloud([[0.5, 0.0], [scale, 0.0]])
+        mu = ParticleCloud([[0.5, 0.0], [-0.5, 0.0], [0.0, 0.5]])
         _, rep = trust_region_step(
-            double_well(), mu, 0.1, 0.5, 0.3, np.random.default_rng(0), stochastic=True
+            linear([scale, 0.0]), mu, 1e-6, 0.5, 0.3, np.random.default_rng(0), stochastic=True
         )
-        assert len(slopes) <= 53
+        assert 1 <= len(slopes) <= 53
         assert rep.oracle_calls == len(slopes) + 1
+        assert rep.samples_drawn == len(slopes) + mu.n
         assert np.diff(slopes).all()
 
     @pytest.mark.parametrize("stochastic", [False, True])

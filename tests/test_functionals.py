@@ -528,14 +528,19 @@ class TestSinkhornStalls:
         _assert_batch_rows_equal_per_point_forms("deconv", 36644787, 1)
 
     def test_spent_budget_raises_a_typed_error(self, monkeypatch):
-        """The example input below needs 143 ladder iterations and 83
-        fallback sweeps; capped at 200 in all, the fallback stops 26 sweeps
-        short and the solve reports its error and iteration count."""
+        """Draw 208 of the 3-d family (n = m = 8, sigma2 = 0.176, cost /
+        sigma2 up to 398) needs 119 ladder iterations, and the fallback
+        sweeps stall near 4e-9; capped at 200 in all, the fallback stops
+        after 81 sweeps and the solve reports its error and iteration
+        count."""
         monkeypatch.setattr(functionals, "_SINKHORN_MAX_ITER", 200)
-        rng = np.random.default_rng(374837)
-        scale, sigma2 = 10.0**0.3828882354073191, 10.0**-0.6875
-        x = scale * rng.normal(size=(7, 2))
-        y = scale * (rng.normal(size=(7, 2)) + 0.3)
+        rng = np.random.default_rng(208)
+        n, m, d = rng.integers(1, 9), rng.integers(1, 9), rng.integers(1, 4)
+        sigma2 = 10 ** rng.uniform(-2, 4)
+        scale = 10 ** rng.uniform(-0.5, 1)
+        x = scale * rng.normal(size=(n, d))
+        y = scale * rng.normal(size=(m, d))
+        assert (n, m, d) == (8, 8, 3)
         with pytest.raises(SinkhornNotConverged) as info:
             _sinkhorn_potentials(x, y, sigma2, 1e-9)
         assert info.value.marginal_error > 1e-9
@@ -553,8 +558,9 @@ class TestSinkhornStalls:
     def test_converges_down_to_small_sigma2(self, seed, n, m, log_scale, log_sigma2):
         """Clouds scaled by 10^U(-0.5, 0.5) at sigma2 in [1e-2, 1], where cost /
         sigma2 reaches the thousands and whole columns underflow.  The example
-        is the one input known to need the plain-sweep fallback: the eps
-        ladder stops at 2.58e-9 and 83 sweeps finish it."""
+        needed 83 plain fallback sweeps while Newton steps applied their
+        Hessian matrix-free; with it assembled, the eps ladder alone reaches
+        2.3e-10 in 151 iterations."""
         rng = np.random.default_rng(seed)
         scale, sigma2 = 10.0**log_scale, 10.0**log_sigma2
         x = scale * rng.normal(size=(n, 2))
@@ -562,6 +568,19 @@ class TestSinkhornStalls:
         u, v, err, _ = _sinkhorn_potentials(x, y, sigma2, 1e-9)
         assert err <= 1e-9
         assert max(_marginal_errors(x, y, sigma2, u, v)) <= 2e-9
+
+
+def _agreement_bound(J, mu):
+    """How far apart two solves that each meet J.tol may put J.value(mu).
+
+    The semi-dual F(v) = mean(u(v)) + mean(v) is concave, with gradient
+    1/m - b: its L1 norm is the marginal error, and its entries sum to 0.
+    A solve at error <= tol therefore lies below the optimum by at most
+    tol * osc(v* - v) / 2, and potentials that are soft c-transforms
+    oscillate by at most the largest cost.  Either solve is within
+    tol * max cost of the optimum, so the two are within that of each other.
+    """
+    return J.tol * 0.5 * float(sqdist_matrix(mu.points, J.data.points).max())
 
 
 class TestEntropicDeconv:
@@ -579,8 +598,78 @@ class TestEntropicDeconv:
         J.derivative_oracle(nu, 1e-9)
         J.value(nu)
         assert len(J.marginal_error_log) == 2
-        # a fresh functional, solving each call from scratch, gives the same bits
-        assert EntropicDeconv(0.25, data).value(nu) == J.value(nu)
+        # nu's solve was seeded with mu's v; a fresh functional solves from v = 0
+        fresh = EntropicDeconv(0.25, data).value(nu)
+        assert abs(fresh - J.value(nu)) <= _agreement_bound(J, nu)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        m=st.integers(1, 8),
+        log_scale=st.floats(-0.5, 0.5),
+        log_sigma2=st.floats(-2.0, 0.0),
+        log_move=st.floats(-3.0, 0.5),
+    )
+    def test_warm_started_and_fresh_functionals_agree(
+        self, seed, n, m, log_scale, log_sigma2, log_move
+    ):
+        """The draws of `test_converges_down_to_small_sigma2`, with the cloud
+        moved by 10^U(-3, 0.5) of its scale: the value from a solve seeded
+        with the first cloud's v and one from v = 0 both meet tol and agree
+        within `_agreement_bound`."""
+        rng = np.random.default_rng(seed)
+        scale, sigma2 = 10.0**log_scale, 10.0**log_sigma2
+        mu = ParticleCloud(scale * rng.normal(size=(n, 2)))
+        data = ParticleCloud(scale * (rng.normal(size=(m, 2)) + 0.3))
+        nu = ParticleCloud(mu.points + 10.0**log_move * scale * rng.normal(size=(n, 2)))
+        J, fresh = EntropicDeconv(sigma2, data), EntropicDeconv(sigma2, data)
+        J.value(mu)
+        warm = J.value(nu)
+        assert abs(warm - fresh.value(nu)) <= _agreement_bound(J, nu)
+        assert max(J.marginal_error_log + fresh.marginal_error_log) <= J.tol
+
+    @pytest.mark.parametrize("seed, sigma2", [(0, 0.25), (1, 0.25), (2, 0.05), (3, 1.0)])
+    def test_seed_at_the_solution_costs_at_most_one_newton_step(
+        self, monkeypatch, seed, sigma2
+    ):
+        """Seeded with its own converged v (gauged, so its coupling is the
+        same), a solve makes no sweep and at most one Newton step."""
+        sweeps = []
+        real = functionals._sinkhorn_sweeps
+
+        def spy(*args):
+            out = real(*args)
+            sweeps.append(out[2])
+            return out
+
+        monkeypatch.setattr(functionals, "_sinkhorn_sweeps", spy)
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=(50, 2)), rng.normal(size=(50, 2))
+        _, v, _, _ = _sinkhorn_potentials(x, y, sigma2, 1e-9)
+        sweeps.clear()
+        _, _, err, iterations = _sinkhorn_potentials(x, y, sigma2, 1e-9, v)
+        assert sweeps == [0]
+        assert iterations <= 1 and err <= 1e-9
+
+    def test_gate_ten_run_spends_at_most_fifty_iterations(self, monkeypatch, tmp_path):
+        """At the gate-10 defaults (seed 0) each solve is seeded with the v of
+        the cloud before: the run's 21 solves, one per step and one for the
+        returned cloud, take 46 sweeps and Newton steps in all, where solves
+        from v = 0 took 133."""
+        iterations = []
+        real = functionals._sinkhorn_potentials
+
+        def spy(*args):
+            out = real(*args)
+            iterations.append(out[3])
+            return out
+
+        monkeypatch.setattr(functionals, "_sinkhorn_potentials", spy)
+        cfg = ExperimentConfig(experiment="deconv", seed=0, out=str(tmp_path / "d.csv"))
+        _, _, J = experiments.run_deconv(cfg)
+        assert len(J.marginal_error_log) == len(iterations) == 21
+        assert sum(iterations) <= 50
 
     @pytest.mark.parametrize("read_only_view", [False, True])
     def test_changeable_points_are_solved_afresh(self, read_only_view):
