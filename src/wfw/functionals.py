@@ -208,18 +208,23 @@ class MMDSquared:
         return eval_many, grad_many
 
 
+def _soft_c_transform(w, cost, s2):
+    """(-s2 log mean_j exp((w_j - cost_ij) / s2) per row i, the softmax's e,
+    its row sums): the u-update of v, or with cost.T the v-update of u."""
+    e, top = _softmax((w[None, :] - cost) / s2)
+    rows = e.sum(axis=1)
+    return -s2 * (np.log(rows) + top - math.log(w.shape[0])), e, rows
+
+
 def _coupling(v, cost, s2):
     """(u, p, b, err) at v from one row softmax: the exact u-update, the
     coupling (row sums 1/n), its column sums and L1 column-marginal error."""
-    n, m = cost.shape
-    e, top = _softmax((v[None, :] - cost) / s2)
-    rows = e.sum(axis=1)
-    u = -s2 * (np.log(rows) + top - math.log(m))
+    u, e, rows = _soft_c_transform(v, cost, s2)
     if not np.all(np.isfinite(u)):
         raise NonFiniteDual("dual potentials left the finite range")
-    p = e / (n * rows[:, None])
+    p = e / (e.shape[0] * rows[:, None])
     b = p.sum(axis=0)
-    return u, p, b, float(np.sum(np.abs(b - 1.0 / m)))
+    return u, p, b, float(np.sum(np.abs(b - 1.0 / b.shape[0])))
 
 
 def _sinkhorn_sweeps(v, cost, s2, target, budget):
@@ -231,9 +236,7 @@ def _sinkhorn_sweeps(v, cost, s2, target, budget):
         c = _coupling(v, cost, s2)
         if c[3] <= target or sweeps == budget:
             return v, c, sweeps
-        e, top = _softmax((c[0][None, :] - cost.T) / s2)
-        v = -s2 * (np.log(e.sum(axis=1)) + top - math.log(cost.shape[0]))
-        sweeps += 1
+        v, sweeps = _soft_c_transform(c[0], cost.T, s2)[0], sweeps + 1
 
 
 def _sinkhorn_newton(v, c, cost, s2, target):
@@ -243,27 +246,25 @@ def _sinkhorn_newton(v, c, cost, s2, target):
 
     u is eliminated by an exact u-update, so the coupling P has row sums
     1/n.  The semi-dual's gradient is 1/m - b, b = P's column sums, and its
-    Hessian (diag(b) - n P^T P) / s2 is PSD with null space 1.  Each step
-    builds that m x m matrix with one BLAS product; conjugate gradients then
-    take one matvec per iteration, and no LAPACK solve makes the bits depend
-    on the BLAS build.  The step backtracks on the marginal error and never
-    moves a potential by more than 2 max(max cost, s2).  Returns (v, its
-    coupling, steps); an error above target means it stalled: no halving of
-    the step lowered the error, or 50 steps were spent.
+    Hessian (diag(b) - n P^T P) / s2 is PSD with null space 1.  Conjugate
+    gradients apply it as b q - n P^T (P q), O(n m) per iteration: no m x m
+    matrix (slower from ~200 atoms) and no LAPACK solve (BLAS-dependent
+    bits).  The step backtracks on the marginal error and never moves a
+    potential by more than 2 max(max cost, s2).  Returns (v, its coupling,
+    steps); an error above target means it stalled: no halving of the step
+    lowered the error, or 50 steps were spent.
     """
     n, m = cost.shape
     reach = 2.0 * max(float(cost.max()), s2)
     _, p, b, err = c
     steps = 0
     while err > target and steps < 50:
-        h = -n * (p.T @ p)
-        h.flat[:: m + 1] += b
         r = 1.0 / m - b
         r -= np.mean(r)
         d, q, rr = np.zeros(m), r.copy(), float(r @ r)
         stop = err**3 * rr  # inexact Newton: |residual| <= err^1.5 |gradient|
         for _ in range(m):
-            hq = h @ q
+            hq = b * q - n * (p.T @ (p @ q))
             qhq = float(q @ hq)
             # curvature below the operator's rounding: q is numerically null
             if not qhq > 1e-14 * float(b.max()) * float(q @ q):
@@ -358,9 +359,8 @@ class EntropicDeconv:
     One Sinkhorn solve serves each cloud: `value` and `derivative_oracle`
     on the same `ParticleCloud` share it through a `CloudMemo`; any other
     array is solved afresh.  Each solve starts from the memo entry's v, so
-    value(mu) is the dual at marginal error <= tol, which a fresh
-    functional matches only to within that tolerance.  Each solve appends
-    its marginal error to `marginal_error_log`.
+    a fresh functional's value(mu) agrees only to within the tolerance.
+    Each solve appends its marginal error to `marginal_error_log`.
     """
 
     def __init__(self, sigma2, data, tol=1e-9):

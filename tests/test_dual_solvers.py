@@ -71,6 +71,20 @@ def _sampled_instance():
     return quadratic(), mu, 0.4 * math.sqrt(m2) / 2.0, 2.0
 
 
+def _spy_slopes(monkeypatch):
+    """(lam, samples drawn) of every slope the sampled search asks for."""
+    slopes = []
+    sampled_slope = dual_solvers._slope
+
+    def spy(*args):
+        h, drawn = sampled_slope(*args)
+        slopes.append((args[2], drawn))
+        return h, drawn
+
+    monkeypatch.setattr(dual_solvers, "_slope", spy)
+    return slopes
+
+
 def _spy_passes(monkeypatch):
     """(lam, h(lam), r(lam)) of every certifying prox pass, in evaluation
     order: h = cbar - psi*'(lam) and r = psi*'(lam)^(-1/2) - cbar^(-1/2)."""
@@ -493,10 +507,12 @@ class TestBisection:
         """m2 / (2 (lam + L)^2) <= g'(lam) <= m2 / (2 (lam - rho)^2) where L
         covers the cloud, so with no prox pass h = g' - psi*' is >= 0 at
         the crossing with s = L and <= 0 at hi, the crossing with s = -rho
-        stepped past the root, up to the prox accuracy.  Both paths search
-        (rho, hi] and return a root in it with a gap within eps, also the
-        root 0.2 below rho + 1 of a linear field five times weaker than the
-        radius.  Under the indicator the crossings are lam_hat - L and
+        stepped past the root, up to the prox accuracy.  The search returns
+        a root in (rho, hi] with a gap within eps, also the root 0.2 below
+        rho + 1 of a linear field five times weaker than the radius.  On
+        these clouds of at most 8 atoms at eps = 1e-3 a sampled slope needs
+        more draws than the atoms, so the sampled step is the full-batch
+        step.  Under the indicator the crossings are lam_hat - L and
         lam_hat + rho with lam_hat = sqrt(m2) / delta."""
         f, mu, pen, m2 = _solver_instance(case, seed, n, d, frac)
         rho = f.semiconvexity
@@ -506,9 +522,10 @@ class TestBisection:
         for lam, sign in ((lo, 1.0), (hi, -1.0)):
             _, slope = g_value_and_grad_fullbatch(f, mu, lam, _PROX_EPS)
             assert sign * (slope - pen.psi_star_deriv(lam)) >= -_PROX_EPS
-        rep = primal_dual_bisection(
-            f, mu, pen, 1e-3, 0.3, np.random.default_rng(seed), stochastic=stochastic
-        )
+        rep = primal_dual_bisection(f, mu, pen, 1e-3, 0.3, np.random.default_rng(seed))
+        if stochastic:
+            rng = np.random.default_rng(seed)
+            assert primal_dual_bisection(f, mu, pen, 1e-3, 0.3, rng, stochastic=True) == rep
         assert rho < rep.lambda_star <= hi
         assert -1e-12 * (1.0 + abs(rep.primal_value)) <= rep.gap <= 1e-3
         if isinstance(pen, TrustRegionIndicator):
@@ -880,7 +897,27 @@ class TestTrustRegion:
         assert info.value.step >= 1
         assert info.value.active == 1
 
-    def test_weak_sampled_field_certifies_below_rho_plus_one(self):
+    def test_weak_sampled_field_certifies_below_rho_plus_one(self, monkeypatch):
+        """A linear witness with |a| = 0.3 under the power penalty alpha =
+        0.5 on 200 atoms has its root (0.46) below rho + 1 = 1.  At eps = 3
+        a sampled slope needs fewer draws than the atoms all over the
+        bracket (0, hi], so the sampled loop bisects it, with the band
+        -eps_alg / max(lam - rho, 1), and certifies below rho + 1, where a
+        search of [rho + 1, u0] cannot reach."""
+        slopes = _spy_slopes(monkeypatch)
+        f, pen, eps = linear([0.3, 0.0]), PowerPenalty(0.5), 3.0
+        mu = ParticleCloud(np.random.default_rng(0).normal(size=(200, 2)))
+        rep = primal_dual_bisection(f, mu, pen, eps, 0.3, np.random.default_rng(0), stochastic=True)
+        assert slopes and all(drawn < mu.n for _, drawn in slopes)
+        assert rep.oracle_calls == len(slopes) + 1
+        assert rep.samples_drawn < rep.oracle_calls * mu.n
+        assert f.semiconvexity < rep.lambda_star < f.semiconvexity + 1.0
+        assert rep.lambda_star <= _right_end(f, mu, pen, eps)
+        assert 0.0 <= rep.gap <= eps
+        root = primal_dual_bisection(f, mu, pen, eps, 0.3, None).lambda_star
+        assert root == pytest.approx(0.46, abs=0.01)
+
+    def test_weak_field_with_counts_above_n_takes_the_full_batch_step(self):
         """A linear witness with |a| = 0.3 below delta = 1.5 has its root
         |a| / delta = 0.2 below rho + 1 = 1.  Inside the bracket (0, 0.2 +
         step] a sampled slope needs more draws than the 6 atoms, so the step

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from wfw.cloud import ParticleCloud, mean_squared_gradient_norm, wasserstein2_exact
+from wfw.cloud import (
+    ParticleCloud,
+    mean_squared_gradient_norm,
+    sqdist_matrix,
+    wasserstein2_exact,
+)
 from wfw.experiments import ExperimentConfig, read_trace, run_deconv
 from wfw.frank_wolfe import (
     FWConfig,
@@ -208,11 +213,15 @@ class TestRunFrankWolfe:
 
     def test_final_objective_is_that_of_the_returned_cloud(self, tmp_path):
         """The trace's last J was measured before the last step: on deconv
-        seed 0 it reads 0.5382559, against 0.5379641 for the returned cloud."""
+        seed 0 it reads 0.5382559, against 0.5379641 for the returned cloud.
+        The run's last solve was seeded with the previous cloud's v and a
+        fresh functional's starts from v = 0; both meet tol, so they agree
+        within tol * max cost (`test_functionals._agreement_bound`)."""
         cfg = ExperimentConfig(experiment="deconv", seed=0, out=str(tmp_path / "d.csv"))
         mu, trace, J = run_deconv(cfg)
         fresh = EntropicDeconv(J.sigma2, J.data, tol=J.tol)
-        assert trace.final_objective == fresh.value(mu)
+        bound = J.tol * 0.5 * float(sqdist_matrix(mu.points, J.data.points).max())
+        assert abs(trace.final_objective - fresh.value(mu)) <= bound
         assert trace.final_objective == pytest.approx(0.5379641, abs=1e-7)
         assert trace.objective[-1] == pytest.approx(0.5382559, abs=1e-7)
 
