@@ -225,24 +225,43 @@ def _slope_crossing(penalty, m2, s, u):
     return hi
 
 
-def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False):
+def _secular(penalty, lam, cbar):
+    """r = psi*'(lam)^(-1/2) - cbar^(-1/2), which has h's sign; nan where
+    cbar or psi*'(lam) is 0."""
+    slope = penalty.psi_star_deriv(lam)
+    return slope**-0.5 - cbar**-0.5 if min(cbar, slope) > 0.0 else math.nan
+
+
+def root_estimate(penalty, m2, lam, cbar):
+    """The root that a pass at lam with mean cost cbar predicts: where r
+    crosses zero along the slope -sqrt(2 / m2) that r has for linear and
+    quadratic f under the indicator.  Under the indicator, as a ratio to
+    lam_hat = sqrt(m2) / delta, it is lam delta / sqrt(m2) + 1 - delta /
+    sqrt(2 cbar).  Nan where `_secular` is."""
+    return lam - _secular(penalty, lam, cbar) / -math.sqrt(2.0 / m2)
+
+
+def primal_dual_bisection(
+    f, mu, penalty, eps, delta_prob, rng, stochastic=False, root_hint=None
+):
     """Bracketing search on the dual with a primal certificate at the returned point.
 
     Returns a full prox pass with h(lam) = g'(lam) - psi*'(lam) <= 0 and its
     Fenchel-Young gap.  Both paths search (rho, hi], hi the `_slope_crossing`
     at s = -rho stepped past the root by a gap of eps_alg / 2, where h <= 0
     by rho-semiconvexity alone.  The full-batch path (every point a pass;
-    the name is historical) passes first at the crossing at s = 0, then
-    takes a Newton step on r = psi*'^(-1/2) - cbar^(-1/2), which has h's
-    sign, with the slope -sqrt(2 / m2) that r has for linear and quadratic f
-    under the indicator, kept above the crossing at s = L (which holds only
-    where L covers the cloud), then secants on r through its last two
-    passes, kept above the last pass with h > 0 (or rho).  Each point is
-    stepped past the root as hi is; the midpoint replaces an undefined one.
-    It stops at the first pass with h <= 0 and gap <= eps_alg.  The sampled
-    path runs only where the Chebyshev count at hi, the smallest on (rho,
-    hi], is below the n atoms; elsewhere every sampled slope would be an
-    exact pass, and the full-batch search runs.  It bisects (rho, hi],
+    the name is historical) passes first at the crossing at s = 0, or at
+    `root_hint` stepped past the root where that point lies in (rho, hi).
+    It then takes a Newton step on r = psi*'^(-1/2) - cbar^(-1/2), which
+    has h's sign, to its `root_estimate`, kept above the crossing at s = L
+    (which holds only where L covers the cloud), then secants on r through
+    its last two passes, kept above the last pass with h > 0 (or rho).
+    Each point is stepped past the root as hi is; the midpoint replaces an
+    undefined one.  It stops at the first pass with h <= 0 and gap <=
+    eps_alg.  The sampled path runs only where the Chebyshev count at hi,
+    the smallest on (rho, hi], is below the n atoms; elsewhere every
+    sampled slope would be an exact pass, and the full-batch search runs.
+    It bisects (rho, hi],
     moving its right end on h below the sampled oracle's band
     -eps_alg / max(lam - rho, 1), and passes there, or at hi if that pass
     is infeasible (misled samples).  N, one more than the
@@ -257,6 +276,10 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
             stochastic oracle calls; unused on the deterministic path).
         stochastic: use the sampled supergradient oracle instead of the
             full-batch one.
+        root_hint: predicted root for the full-batch path's first pass.
+            None, or a hint stepped past the root to no point of (rho, hi)
+            (nan, inf, <= rho, >= hi), leaves that pass at the crossing,
+            and so every bit of the search.  The sampled path ignores it.
 
     Raises:
         ValueError: eps outside (0, inf); sampled path: delta_prob outside (0, 1).
@@ -277,7 +300,8 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
     eps_prox = eps_alg / (2.0 * max(u - l, 1.0))
 
     def past_root(lam):  # gap <= eps_alg / 2: |cbar'| <= 2 cbar / (lam - rho)
-        return lam + eps_alg * (lam - rho) / (4.0 * lam * penalty.psi_star_deriv(lam))
+        den = 4.0 * lam * penalty.psi_star_deriv(lam)  # 0 where psi*' underflows
+        return lam + eps_alg * (lam - rho) / den if den > 0.0 else math.inf
 
     lo, lam, hi = (_slope_crossing(penalty, m2, s, u) for s in (f.smoothness, 0.0, -rho))
     hi = past_root(hi)
@@ -292,9 +316,8 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
         nonlocal oracle_calls, samples
         oracle_calls, samples = oracle_calls + 1, samples + mu.n
         rep = _prox_pass(f, mu, penalty, lam, eps_prox)
-        cbar, slope = rep.cost, penalty.psi_star_deriv(lam)
-        r = slope**-0.5 - cbar**-0.5 if min(cbar, slope) > 0.0 else math.nan
-        return rep, cbar - slope, r
+        cbar = rep.cost
+        return rep, cbar - penalty.psi_star_deriv(lam), _secular(penalty, lam, cbar)
 
     m4 = gradient_fourth_moment(f, mu) if stochastic else None
     sampled = stochastic and hp_sample_count(f, mu, hi, eps_alg, delta_prob / steps, m4) < mu.n
@@ -311,7 +334,9 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
         if not math.isfinite(rep.primal_value):
             rep = full_pass(hi)[0]
     else:
-        slope, last = -math.sqrt(2.0 / m2), None
+        guess = math.nan if root_hint is None else past_root(root_hint)
+        lam = guess if rho < guess < hi else lam
+        last = None
         while True:
             rep, h, r = full_pass(lam)
             if h <= 0.0 and rep.gap <= eps_alg:
@@ -324,11 +349,14 @@ def primal_dual_bisection(f, mu, penalty, eps, delta_prob, rng, stochastic=False
             # below; lo does only where L covers the cloud, and only the
             # Newton step, on its a-priori slope, is kept above it.
             floor = max(lo, left) if last is None else left
-            if last is not None:  # each pass lies inside (floor, right): a new lam
+            if last is None:
+                s = root_estimate(penalty, m2, lam, rep.cost)
+            else:  # each pass lies inside (floor, right): a new lam
                 slope = (r - last[1]) / (lam - last[0])
+                s = lam - r / slope if slope < 0.0 else math.nan
             last = lam, r
-            if slope < 0.0 and not math.isnan(r):
-                s = min(max(lam - r / slope, floor), right)
+            if not math.isnan(s):
+                s = min(max(s, floor), right)
                 lam = past_root(s) if s > rho else rho
             lam = lam if floor < lam < right else 0.5 * (floor + right)
             if oracle_calls == steps + 2 or not floor < lam < right:
@@ -443,14 +471,16 @@ def mirror_ascent(
     return float(np.mean(lams)), {"lambda": lams}
 
 
-def trust_region_step(f, mu, delta, eps, gamma, rng, stochastic=False):
+def trust_region_step(f, mu, delta, eps, gamma, rng, stochastic=False, root_hint=None):
     """Approximately minimize E_nu[f] over clouds within transport distance delta of mu.
 
     Solves the indicator-penalized dual by `primal_dual_bisection` and moves
     the atoms to the images of its certifying prox pass, which that search
     checks lies in the ball; no pass runs after the search.  The radius
     is admitted by the solver's own interval check, so the gradient field
-    is evaluated over the atoms once per step.
+    is evaluated over the atoms once per step.  `root_hint` goes to the
+    search: a predicted dual root, where a good one saves the full-batch
+    search its second pass.
 
     Returns:
         (sampler, report): the sampler couples each atom to its prox image;
@@ -466,7 +496,7 @@ def trust_region_step(f, mu, delta, eps, gamma, rng, stochastic=False):
     penalty = TrustRegionIndicator(delta)
     try:
         rep = primal_dual_bisection(
-            f, mu, penalty, eps, gamma, rng, stochastic=stochastic
+            f, mu, penalty, eps, gamma, rng, stochastic=stochastic, root_hint=root_hint
         )
     except RegularizationTooWeak as exc:
         bound = exc.max_admissible

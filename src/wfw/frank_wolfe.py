@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .cloud import CloudMemo, ParticleCloud, mean_squared_gradient_norm
-from .dual_solvers import trust_region_step
+from .dual_solvers import TrustRegionIndicator, root_estimate, trust_region_step
 from .errors import DeltaTooLarge
 
 
@@ -182,6 +182,15 @@ def run_frank_wolfe(J, mu0, cfg, chained=False, on_iterate=None):
     replaced, in the step and the trace, by the admissible bound the error
     carries; a zero bound is re-raised.
 
+    Each step hints its dual search with a predicted root.  A step keeps
+    the `root_estimate` of its certifying pass as a ratio q to lam_hat =
+    s / delta; the next step's hint is (2 q(k) - q(k-1)) s / delta, the
+    last two ratios extrapolated linearly (q(k) alone after one step, nan,
+    which is no hint, on the first step or after a non-finite estimate),
+    at the delta of the attempt, so a retry rescales it.  The estimate
+    rather than the certified lam is fed back: a first pass that certifies
+    returns its own point, which would stop tracking the root's drift.
+
     Args:
         chained: resample the iterate through its prox lineage instead of
             keeping the one-image-per-atom materialization; the only use
@@ -192,6 +201,7 @@ def run_frank_wolfe(J, mu0, cfg, chained=False, on_iterate=None):
     mu = mu0
     rng = np.random.default_rng(cfg.seed)
     trace = FWTrace()
+    ratios = []  # the last two steps' root estimates over s / delta
 
     for i in range(1, cfg.k_max + 1):
         t0 = time.perf_counter()
@@ -207,13 +217,22 @@ def run_frank_wolfe(J, mu0, cfg, chained=False, on_iterate=None):
         converged = s <= cfg.r
 
         if not converged:
+            # The next root over lam_hat = s / delta (a lone ratio held); nan is no hint.
+            q = 2.0 * ratios[-1] - ratios[0] if ratios else math.nan
             try:
-                sampler, _ = trust_region_step(model, mu, delta, zeta, None, None)
+                sampler, rep = trust_region_step(
+                    model, mu, delta, zeta, None, None, root_hint=q * (s / delta)
+                )
             except DeltaTooLarge as exc:
                 if not exc.admissible:
                     raise
                 delta, zeta = exc.admissible, exc.admissible * cfg.eps_tilde
-                sampler, _ = trust_region_step(model, mu, delta, zeta, None, None)
+                sampler, rep = trust_region_step(
+                    model, mu, delta, zeta, None, None, root_hint=q * (s / delta)
+                )
+            est = root_estimate(TrustRegionIndicator(delta), s * s, rep.lambda_star, rep.cost)
+            ratio = est / (s / delta)  # nan where cbar = 0
+            ratios = ratios[-1:] + [ratio] if math.isfinite(ratio) else []
             if chained:
                 idx = rng.integers(0, sampler.images.shape[0], size=mu0.n)
                 mu = ParticleCloud(sampler.images[idx])

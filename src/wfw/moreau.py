@@ -27,6 +27,12 @@ from .errors import KCapExceeded, LambdaTooSmall, NonFiniteIterate, ProxNotCerti
 #: Cap on the sample count a single supergradient query may draw.
 K_CAP = 10**6
 
+#: Cap on a prox row's step budget.  The budget grows like sqrt((lam + L) /
+#: (lam - rho)), so a lam just above rho asks for more steps than can run
+#: (1e16 at lam = 1e-28 on a softplus); the test suite and the benchmark
+#: workloads stay below 3,400.
+BUDGET_CAP = 10**6
+
 
 @dataclass(frozen=True)
 class SmoothObjective:
@@ -88,7 +94,8 @@ def agd_prox_batch(f, x, lam, eps):
     - log min(lam - rho, 1) - log eps)), 0) steps, kappa = sqrt((lam + L)/(lam
     - rho)); ||grad f(x_i)|| / min(lam - rho, 1) bounds the row's distance to
     its prox.  A row with budget 0 (as where grad f(x_i) = 0) is returned at
-    its center, which must itself certify.
+    its center, which must itself certify.  No row may be given more than
+    `BUDGET_CAP` steps.
 
     The loop runs on the active rows alone, in their original order; all
     of them have run the same count.  A row is written back when it leaves,
@@ -107,8 +114,9 @@ def agd_prox_batch(f, x, lam, eps):
             (step 0), left the finite range; carries lam, the step count and
             the rows still active.
         ProxNotCertified: a row spent its budget without certifying (f is
-            not L-smooth where the row went, or rounding hides the prox);
-            carries lam, the step count and the rows still active.
+            not L-smooth where the row went, or rounding hides the prox),
+            or, at step 0, a row's budget exceeds `BUDGET_CAP`; carries
+            lam, the step count and the rows still active.
     """
     if lam <= f.semiconvexity:
         raise LambdaTooSmall(
@@ -148,6 +156,8 @@ def agd_prox_batch(f, x, lam, eps):
             xa, ba, g0 = x[idx], budget[idx], g0[idx]
         else:
             y, xa, ba = np.empty_like(x), x, budget
+        if ba.max(initial=0.0) > BUDGET_CAP:
+            _fail(lam, 0, idx.size, what=f"a prox row's budget exceeds {BUDGET_CAP} steps")
 
         # Working set: row indices, centers, momentum points, iterates, budgets.
         ya = za = xa - step * g0

@@ -286,7 +286,7 @@ class TestFinalObjective:
         J = PotentialInteraction(quadratic())
         mu = load_csv(final)
         assert s == mean_squared_gradient_norm(mu, J.derivative_oracle(mu, 1.0))
-        assert s == 0.3970294117954794
+        assert s == 0.3970294117954793
         assert s != read_trace(tmp_path / "t.csv")["s"][-1]
 
     def test_deconv_prints_objective_of_final_cloud(self, tmp_path, capsys):

@@ -19,6 +19,7 @@ from wfw.dual_solvers import (
     mirror_ascent_envelope,
     primal_dual_bisection,
     primal_dual_gap,
+    root_estimate,
     trust_region_step,
 )
 from wfw.errors import (
@@ -537,6 +538,84 @@ class TestBisection:
             assert b < hi <= b + step + 4.0 * math.ulp(hi)
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        *_INSTANCES,
+        st.floats(-6.0, -2.0),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_hint_inside_the_bracket_certifies_or_raises_typed(
+        self, case, seed, n, d, frac, log_eps, t
+    ):
+        """A hint anywhere in (rho, hi) moves only the first pass: the
+        search still returns a pass with h <= 0, a gap within eps_alg and a
+        feasible cost, or raises a typed error (a hint near rho can ask a
+        prox row for more steps than `moreau.BUDGET_CAP`)."""
+        f, mu, pen, _ = _solver_instance(case, seed, n, d, frac)
+        eps, rho = 10.0**log_eps, f.semiconvexity
+        hint = rho + t * (_right_end(f, mu, pen, eps) - rho)
+        try:
+            rep = primal_dual_bisection(f, mu, pen, eps, 0.05, None, root_hint=hint)
+        except WfwError:
+            return
+        assert rep.cost <= pen.psi_star_deriv(rep.lambda_star)
+        assert rep.gap <= eps / (5.0 + rho)
+        dual_solvers._check_feasible(pen, rep)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        *_INSTANCES,
+        st.floats(-6.0, -2.0),
+        st.sampled_from(["nan", "inf", "-inf", "rho", "below", "hi", "above"]),
+    )
+    def test_hint_outside_the_bracket_changes_no_bit(
+        self, case, seed, n, d, frac, log_eps, where
+    ):
+        """A hint that is not a number in (rho, hi) is no hint: the search
+        passes first at lam_hat and returns the hint-less report, images
+        and all, or raises the same error."""
+        f, mu, pen, _ = _solver_instance(case, seed, n, d, frac)
+        eps, rho = 10.0**log_eps, f.semiconvexity
+        hi = _right_end(f, mu, pen, eps)
+        hint = {
+            "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+            "rho": rho, "below": rho - 1.0, "hi": hi, "above": 2.0 * hi,
+        }[where]
+
+        def outcome(**hint):
+            try:
+                return primal_dual_bisection(f, mu, pen, eps, 0.05, None, **hint)
+            except WfwError as exc:
+                return type(exc)
+
+        base, hinted = outcome(), outcome(root_hint=hint)
+        assert hinted == base
+        if isinstance(base, DualSolveReport):
+            np.testing.assert_array_equal(hinted.images, base.images)
+
+    @settings(max_examples=40, deadline=None)
+    @given(*_INSTANCES[1:], st.floats(-6.0, -2.0), _LOG_SCALES)
+    def test_root_estimate_of_a_quadratic_certifies_in_one_pass(
+        self, seed, n, d, frac, log_eps, log_scale
+    ):
+        """Under the indicator a quadratic's r is affine in lam with slope
+        -sqrt(2 / m2), so the root its certifying pass estimates is the
+        root, and a search hinted with it certifies at its first pass.  As
+        a ratio to lam_hat the estimate is lam delta / sqrt(m2) + 1 - delta
+        / sqrt(2 cbar)."""
+        case = ("quadratic", "indicator")
+        f, mu, pen, m2 = _solver_instance(case, seed, n, d, frac, 10.0**log_scale)
+        eps = 10.0**log_eps
+        rep = primal_dual_bisection(f, mu, pen, eps, 0.05, None)
+        est = root_estimate(pen, m2, rep.lambda_star, rep.cost)
+        lam_hat = math.sqrt(m2) / pen.delta
+        ratio = rep.lambda_star / lam_hat + 1.0 - pen.delta / math.sqrt(2.0 * rep.cost)
+        assert est / lam_hat == pytest.approx(ratio, rel=1e-12)
+        again = primal_dual_bisection(f, mu, pen, eps, 0.05, None, root_hint=est)
+        assert again.oracle_calls == 1
+        assert 0.0 <= again.gap <= eps / 5.0
+
+
 class TestSampledSlope:
     """The sampled oracle's fourth moment depends on (f, mu) only, so a
     solve computes it once, however many sampled slopes it asks for."""
@@ -782,6 +861,20 @@ class TestTrustRegion:
         [(rows, lam)] = bisection_rows
         assert rep.lambda_star == lam
         assert counter["rows"] == rows == 144
+
+    def test_sampled_search_ignores_the_hint(self):
+        """The hint moves only the full-batch path's first pass: a sampled
+        step hinted at its own answer draws and returns the same bits."""
+        f, mu, delta, eps = _sampled_instance()
+
+        def step(**hint):
+            rng = np.random.default_rng(7)
+            return trust_region_step(f, mu, delta, eps, 0.3, rng, stochastic=True, **hint)[1]
+
+        base = step()
+        hinted = step(root_hint=base.lambda_star)
+        assert hinted == base and base.oracle_calls > 1
+        np.testing.assert_array_equal(hinted.images, base.images)
 
     def test_misled_sampled_search_certifies_the_right_end(self, monkeypatch):
         """Sampled slopes that always read -1 drive the search down to rho,

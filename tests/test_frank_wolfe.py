@@ -1,16 +1,20 @@
 """Outer-loop schedule, gradient-norm estimator, and trace tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from wfw import frank_wolfe
 from wfw.cloud import (
     ParticleCloud,
+    mean_squared_gradient,
     mean_squared_gradient_norm,
     sqdist_matrix,
     wasserstein2_exact,
 )
+from wfw.dual_solvers import TrustRegionIndicator, root_estimate, trust_region_step
 from wfw.experiments import ExperimentConfig, read_trace, run_deconv
 from wfw.frank_wolfe import (
     FWConfig,
@@ -261,9 +265,11 @@ class TestRunFrankWolfe:
 
     def test_large_cloud_steps_on_its_exact_norm(self):
         """Above 4,096 atoms each step's s is the exact norm of the cloud
-        entering it, and the step evaluates 3n witness rows: the norm's n
-        rows are the ones the step's dual reuses, and each of its two prox
-        passes on this quadratic witness adds one gradient per row."""
+        entering it.  The norm's n rows are the ones the step's dual
+        reuses, and each prox pass on this quadratic witness adds one
+        gradient per row: 3n rows for the first step's two passes, 2n for
+        the later steps, whose first pass sits at the root the earlier
+        steps predict."""
         mu0 = _uniform_cloud(5000, 2, seed=0)
         cfg = self._cfg(1e-2, 3, delta1=0.5, delta2=0.5, seed=0)
         J = _interaction()
@@ -276,7 +282,71 @@ class TestRunFrankWolfe:
             assert s == mean_squared_gradient_norm(
                 mu, J.derivative_oracle(mu, cfg.eps_hat)
             )
-        assert list(trace.samples) == [15000] * 3
+        assert list(trace.samples) == [15000, 10000, 10000]
+
+    def test_gate_8_steps_after_the_second_make_one_pass(self):
+        """On the gate-8 config a step reads n = 50 witness rows for s and
+        n per prox pass.  The first step passes twice; from the third on,
+        the root predicted from the two steps before certifies at the
+        first pass on every step but at most one."""
+        mu0 = _uniform_cloud(50, 2, seed=42)
+        cfg = self._cfg(
+            2.0 * 0.01 / math.sqrt(6.0),
+            110,
+            tau=math.sqrt(6.0),
+            big_t=0.5,
+            delta1=0.0055,
+            delta2=0.0055,
+            seed=42,
+        )
+        _, trace = run_frank_wolfe(_interaction(), mu0, cfg)
+        rows = list(trace.samples)
+        assert len(rows) == 110 and rows[0] == 150
+        assert set(rows[2:]) <= {100, 150} and rows[2:].count(150) <= 1
+        assert sum(rows) == 11050
+
+    def test_hint_extrapolates_the_root_ratios_of_the_last_two_steps(self, monkeypatch):
+        """Step k's hint over s / delta is 2 q(k-1) - q(k-2), q the root
+        estimate of a step's certifying pass over s / delta (held when
+        only one is known; nan, no hint, on the first step).  A radius
+        rejected by the admissible bound keeps the ratio: the retry's hint
+        is it times s over the admitted delta."""
+        calls = []
+
+        def spy(f, mu, delta, *args, root_hint=None):
+            calls.append((math.sqrt(mean_squared_gradient(mu, f)), delta, root_hint))
+            sampler, rep = trust_region_step(f, mu, delta, *args, root_hint=root_hint)
+            calls[-1] += (rep,)
+            return sampler, rep
+
+        monkeypatch.setattr(frank_wolfe, "trust_region_step", spy)
+        cfg = replace(self._misdeclared_cfg(), k_max=4)
+        run_frank_wolfe(_interaction(), _uniform_cloud(), cfg)
+        rejected, steps = calls[0::2], calls[1::2]
+        assert len(steps) == 4 and all(len(c) == 3 for c in rejected)
+        q = [
+            root_estimate(TrustRegionIndicator(delta), s * s, rep.lambda_star, rep.cost)
+            / (s / delta)
+            for s, delta, _, rep in steps
+        ]
+        want = [math.nan, q[0], 2.0 * q[1] - q[0], 2.0 * q[2] - q[1]]
+        for (s, d0, h0), (_, d1, h1, _), ratio in zip(rejected, steps, want):
+            assert d1 == s / 2.0 < d0
+            np.testing.assert_array_equal([h0, h1], [ratio * (s / d0), ratio * (s / d1)])
+
+    def test_a_step_without_displacement_gives_no_hint(self, monkeypatch):
+        """A certifying pass with cbar = 0 estimates no root: the next step
+        runs without a hint (nan) and the one after holds that step's ratio."""
+        hints = []
+
+        def spy(f, mu, delta, *args, root_hint=None):
+            hints.append(root_hint)
+            sampler, rep = trust_region_step(f, mu, delta, *args, root_hint=root_hint)
+            return sampler, replace(rep, cost=0.0) if len(hints) == 2 else rep
+
+        monkeypatch.setattr(frank_wolfe, "trust_region_step", spy)
+        run_frank_wolfe(_interaction(), _uniform_cloud(), self._cfg(1e-4, 5))
+        assert [math.isnan(h) for h in hints] == [True, False, True, False, False]
 
     def _misdeclared_cfg(self):
         """Declares L = 0.001 for a witness of smoothness 1: the scheduled

@@ -18,6 +18,7 @@ from wfw.errors import (
 from wfw.frank_wolfe import counted_model
 from wfw.functionals import EntropicDeconv, MMDSquared, RandomFeatureKernel
 from wfw.moreau import (
+    BUDGET_CAP,
     SmoothObjective,
     agd_prox_batch,
     g_value_and_grad_fullbatch,
@@ -300,6 +301,35 @@ class TestCertificate:
             agd_prox_batch(double_well(), np.array([[1e20, 0.0]]), 1.2207e56, 1e-300)
         err = info.value
         assert (err.lam, err.step, err.active) == (1.2207e56, budget, 1)
+
+    def test_budget_above_the_cap_raises_before_step_one(self):
+        """A softplus in x0 (rho = 0, L = 1/4, no minimizer) at lam = 1e-28
+        gives the row at (0, 0) a budget of about 8e15 steps, hours of
+        stepping: it raises at step 0, after the one gradient at the center.
+        The witness stops a loop that steps on after its third call."""
+        calls = []
+
+        def grad_many(x):
+            calls.append(x.shape[0])
+            if len(calls) > 3:
+                raise RuntimeError("the prox row kept stepping")
+            g = np.zeros_like(x)
+            g[:, 0] = 0.5 * (1.0 + np.tanh(0.5 * x[:, 0]))
+            return g
+
+        f = SmoothObjective(
+            eval_many=lambda x: np.logaddexp(0.0, x[:, 0]),
+            grad_many=grad_many,
+            smoothness=0.25,
+            semiconvexity=0.0,
+        )
+        x = np.zeros((1, 2))
+        assert _iteration_ceiling(f, x[0], 1e-28, 1e-3) > 1e15 > BUDGET_CAP
+        calls.clear()
+        with pytest.raises(ProxNotCertified) as info:
+            agd_prox_batch(f, x, 1e-28, 1e-3)
+        assert (info.value.lam, info.value.step, info.value.active) == (1e-28, 0, 1)
+        assert calls == [1]
 
     def test_uncertified_center_with_no_budget_raises_at_step_zero(self):
         """Budget 0 (||grad f(x)|| <= min(lam - rho, 1) eps/(12 kappa))
