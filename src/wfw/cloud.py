@@ -34,7 +34,7 @@ class ParticleCloud:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError("cloud needs an (n, d) array with n >= 1 and d >= 1")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise ValueError("cloud coordinates must be finite")
         pts = pts.copy()
         pts.setflags(write=False)
@@ -176,11 +176,20 @@ def _lp_transport(d2, n, m):
     return w, float(np.sum(w * d2))
 
 
+def _sqnorms_and_mean(g):
+    sq = row_sqnorm(g)
+    return sq, float(np.add.reduce(sq) / g.shape[0])
+
+
+#: (squared row norms, their mean) of a gradient array: one entry serves a
+#: step's norm pass, its dual's m2 and its prox's budgets on the atoms.
+gradient_sqnorms = CloudMemo(_sqnorms_and_mean)
+
+
 def mean_squared_gradient(cloud, g):
     """(1/n) sum ||grad(x_i)||^2; NonFiniteIterate if it leaves the finite range."""
     with np.errstate(over="ignore", invalid="ignore"):
-        grads = g.grad_many(cloud.points)
-        m2 = float(np.add.reduce(row_sqnorm(grads)) / cloud.n)
+        m2 = gradient_sqnorms(g.grad_many(cloud.points))[1]
     if not math.isfinite(m2):
         raise NonFiniteIterate(
             f"squared gradient norm left the finite range on {cloud.n} atoms",

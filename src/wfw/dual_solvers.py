@@ -12,8 +12,9 @@ specialization (psi an indicator of [0, delta^2/2]) is the inner step of
 the outer Frank-Wolfe loop.
 """
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .errors import (
     InfeasiblePrimal,
     IntervalEmpty,
     LambdaTooSmall,
+    RadiusOutOfRange,
     RegularizationTooWeak,
     WeakDualityViolated,
 )
@@ -43,13 +45,21 @@ class TrustRegionIndicator:
     (delta^2/2) * max(lam, 0) is its exact conjugate, so every
     Fenchel-Young gap psi(x) + psi*(lam) - lam x is >= 0.  Constraining the
     transported cost to delta^2/2 constrains the transport distance to delta.
+
+    Raises:
+        ValueError: delta is not positive.
+        RadiusOutOfRange: delta^2 / 2 overflows.
     """
 
     def __init__(self, delta):
         if not delta > 0:
             raise ValueError(f"delta must be positive, got {delta}")
         self.delta = float(delta)
-        self.cost_bound = 0.5 * self.delta**2
+        try:
+            self.cost_bound = 0.5 * self.delta**2
+        except OverflowError:
+            msg = f"delta = {self.delta}: delta^2 / 2 overflows"
+            raise RadiusOutOfRange(msg, delta=self.delta) from None
 
     def psi(self, x):
         return 0.0 if x <= self.cost_bound else math.inf
@@ -63,6 +73,10 @@ class TrustRegionIndicator:
 
     def smoothness_on(self, l, u):
         return 0.0  # affine on lam > 0
+
+
+#: The last radius's indicator, shared by a step and the loop's root estimate.
+indicator = functools.lru_cache(maxsize=1)(TrustRegionIndicator)
 
 
 class PowerPenalty:
@@ -261,13 +275,15 @@ def primal_dual_bisection(
     eps_alg.  The sampled path runs only where the Chebyshev count at hi,
     the smallest on (rho, hi], is below the n atoms; elsewhere every
     sampled slope would be an exact pass, and the full-batch search runs.
-    It bisects (rho, hi],
-    moving its right end on h below the sampled oracle's band
-    -eps_alg / max(lam - rho, 1), and passes there, or at hi if that pass
-    is infeasible (misled samples).  N, one more than the
+    It bisects (rho, hi], moving its right end on h below the sampled
+    oracle's band -eps_alg / max(lam - rho, 1), and passes there, or at hi
+    if that pass is infeasible (misled samples).  N, one more than the
     halvings from (rho, hi] to the width eps_alg / B, B = max(psi*
     smoothness, 16 m2^2, 1e-12), or ulp(hi) if wider, splits delta_prob
     over the sampled slopes; the full-batch search raises at N + 2 passes.
+    m2 = E||grad f||^2 comes from `gradient_sqnorms`, as a step's norm pass
+    left it; the report returned is the certifying pass's, with the
+    search's running counts.
 
     Args:
         eps: target primal-dual gap; the internal tolerance is
@@ -284,6 +300,8 @@ def primal_dual_bisection(
     Raises:
         ValueError: eps outside (0, inf); sampled path: delta_prob outside (0, 1).
         RegularizationTooWeak, IntervalEmpty: as `dual_interval`.
+        RadiusOutOfRange: hi or the bisection width is not finite, as
+            where psi*' underflows (carries delta, if any, and lam_hat).
         InfeasiblePrimal: the returned pass lies where psi is infinite.
         GapNotCertified: the full-batch search reaches its cap or a collapsed
             bracket; the sampled path returns a pass with gap above eps.
@@ -308,6 +326,10 @@ def primal_dual_bisection(
     # No bracket shrinks below ulp(hi), and 16 m2^2 may be inf: floor the width there.
     b = max(penalty.smoothness_on(l, u), 16.0 * m2 * m2, 1e-12)
     width = max(eps_alg / b, math.ulp(hi))
+    if not (hi < math.inf and width < math.inf):  # psi*' underflows past lam_hat
+        delta = getattr(penalty, "delta", None)
+        msg = f"dual bracket (rho, {hi}] at delta = {delta}, lam_hat = {lam} is not finite"
+        raise RadiusOutOfRange(msg, delta=delta, lam_hat=lam)
     steps = math.ceil(math.log2(max(hi - rho, width) / width)) + 1
     left, right = rho, hi  # the bracket that both searches narrow
     oracle_calls = samples = 0
@@ -315,9 +337,8 @@ def primal_dual_bisection(
     def full_pass(lam):
         nonlocal oracle_calls, samples
         oracle_calls, samples = oracle_calls + 1, samples + mu.n
-        rep = _prox_pass(f, mu, penalty, lam, eps_prox)
-        cbar = rep.cost
-        return rep, cbar - penalty.psi_star_deriv(lam), _secular(penalty, lam, cbar)
+        rep = _prox_pass(f, mu, penalty, lam, eps_prox, oracle_calls, samples)
+        return rep, rep.cost - penalty.psi_star_deriv(lam), _secular(penalty, lam, rep.cost)
 
     m4 = gradient_fourth_moment(f, mu) if stochastic else None
     sampled = stochastic and hp_sample_count(f, mu, hi, eps_alg, delta_prob / steps, m4) < mu.n
@@ -367,14 +388,14 @@ def primal_dual_bisection(
     if sampled and rep.gap > eps:
         msg = f"sampled search ends at lam = {rep.lambda_star} with gap {rep.gap} > {eps}"
         raise GapNotCertified(msg, lam=rep.lambda_star, gap=rep.gap, eps=eps)
-    return replace(rep, oracle_calls=oracle_calls, samples_drawn=samples)
+    return rep
 
 
-def _prox_pass(f, mu, penalty, lam, eps_prox):
+def _prox_pass(f, mu, penalty, lam, eps_prox, oracle_calls=1, samples_drawn=None):
     """Report of one prox pass at lam: primal and dual values sharing its
     images, and their gap in its Fenchel-Young form psi(cbar) + psi*(lam) -
     lam cbar (primal - dual would cancel the shared mean f(y) into roundoff
-    of either sign)."""
+    of either sign).  It carries the given counts (a lone pass's by default)."""
     y, theta, _, _ = agd_prox_batch(f, mu.points, lam, eps_prox)
     cbar = float(np.add.reduce(theta) / mu.n)
     fbar = float(np.add.reduce(f.eval_many(y)) / mu.n)
@@ -384,8 +405,8 @@ def _prox_pass(f, mu, penalty, lam, eps_prox):
         dual_value=fbar + lam * cbar - psi_star,
         primal_value=fbar + psi,
         gap=psi + psi_star - lam * cbar,
-        oracle_calls=1,
-        samples_drawn=mu.n,
+        oracle_calls=oracle_calls,
+        samples_drawn=mu.n if samples_drawn is None else samples_drawn,
         images=y,
         cost=cbar,
     )
@@ -493,7 +514,7 @@ def trust_region_step(f, mu, delta, eps, gamma, rng, stochastic=False, root_hint
         ValueError, InfeasiblePrimal, GapNotCertified: as
             `primal_dual_bisection`, gamma being its delta_prob.
     """
-    penalty = TrustRegionIndicator(delta)
+    penalty = indicator(delta)
     try:
         rep = primal_dual_bisection(
             f, mu, penalty, eps, gamma, rng, stochastic=stochastic, root_hint=root_hint

@@ -101,6 +101,17 @@ class DeltaTooLarge(WfwError):
         self.admissible = admissible
 
 
+class RadiusOutOfRange(WfwError):
+    """A trust-region radius past the float range of its dual: delta^2 / 2
+    overflows, or psi*' underflows so that the dual bracket has no finite
+    right end.  Carries `delta` and, from the bracket, `lam_hat`."""
+
+    def __init__(self, message, delta=None, lam_hat=None):
+        super().__init__(message)
+        self.delta = delta
+        self.lam_hat = lam_hat
+
+
 class InfeasiblePrimal(WfwError):
     """The transported cost lands where the penalty is infinite."""
 

@@ -13,14 +13,15 @@ from the target accuracy via `FWConfig.from_schedule`.
 import math
 import time
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .cloud import CloudMemo, ParticleCloud, mean_squared_gradient_norm
-from .dual_solvers import TrustRegionIndicator, root_estimate, trust_region_step
+from .dual_solvers import indicator, root_estimate, trust_region_step
 from .errors import DeltaTooLarge
+from .moreau import SmoothObjective
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,8 @@ class FWTrace:
 
 def counted_model(model, counter):
     """Wrap a witness model so gradient-row evaluations accumulate in counter["rows"];
-    a cloud's own atoms are evaluated once (`CloudMemo`), shared read-only."""
+    a cloud's own atoms are evaluated once (`CloudMemo`), shared read-only.
+    The wrapper is a `SmoothObjective` with the model's other fields."""
 
     def grad_many(x):
         counter["rows"] += x.shape[0]
@@ -162,7 +164,8 @@ def counted_model(model, counter):
             g.setflags(write=False)
         return g
 
-    return replace(model, grad_many=CloudMemo(grad_many))
+    kept = (model.smoothness, model.semiconvexity, model.eval, model.grad)
+    return SmoothObjective(model.eval_many, CloudMemo(grad_many), *kept)
 
 
 def estimate_gradient_norm(phi, mu):
@@ -230,7 +233,7 @@ def run_frank_wolfe(J, mu0, cfg, chained=False, on_iterate=None):
                 sampler, rep = trust_region_step(
                     model, mu, delta, zeta, None, None, root_hint=q * (s / delta)
                 )
-            est = root_estimate(TrustRegionIndicator(delta), s * s, rep.lambda_star, rep.cost)
+            est = root_estimate(indicator(delta), s * s, rep.lambda_star, rep.cost)
             ratio = est / (s / delta)  # nan where cbar = 0
             ratios = ratios[-1:] + [ratio] if math.isfinite(ratio) else []
             if chained:

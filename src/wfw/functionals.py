@@ -442,7 +442,7 @@ class PotentialInteraction:
 
     def value(self, mu):
         x = mu.points
-        total = float(np.mean(self.v.eval_many(x)))
+        total = float(np.add.reduce(self.v.eval_many(x)) / mu.n)
         if self.w is not None:
             total += float(np.mean(_pairwise(self.w.eval_many, x, x)))
         return total

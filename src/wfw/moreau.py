@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cloud import row_sqnorm
+from .cloud import gradient_sqnorms, row_sqnorm
 from .errors import KCapExceeded, LambdaTooSmall, NonFiniteIterate, ProxNotCertified
 
 #: Cap on the sample count a single supergradient query may draw.
@@ -102,7 +102,9 @@ def agd_prox_batch(f, x, lam, eps):
     and the working set shrinks only on steps where some row leaves, so
     each witness call sees the rows, order and shape that a masked loop
     over the full batch would pass it.  Arrays handed to the witness are
-    never written to, since a witness may return its argument.
+    never written to, since a witness may return its argument.  theta is
+    the certificate's (1/2)||y - x||^2 as a row leaves (0 if it never
+    steps); budgets read ||grad f(x_i)||^2 from `gradient_sqnorms`.
 
     Returns:
         (y, theta, iters, grad_evals) with shapes ((n,d), (n,), (n,), (n,)).
@@ -131,13 +133,13 @@ def agd_prox_batch(f, x, lam, eps):
     kappa = math.sqrt(l_smooth / mu_sc)
     step = 1.0 / l_smooth
     momentum = (kappa - 1.0) / (kappa + 1.0)
-    iters = np.zeros(n, dtype=np.int64)
+    iters, theta = np.zeros(n, dtype=np.int64), np.zeros(n)
     d_tol = 0.5 * math.sqrt(eps)
 
     # A diverging solve surfaces as NonFiniteIterate, not as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g0 = f.grad_many(x)
-        gnorm0 = np.sqrt(row_sqnorm(g0))
+        gnorm0 = np.sqrt(gradient_sqnorms(g0)[0])
         if n and not math.isfinite(gnorm0.max()):  # max keeps a NaN
             _fail(lam, 0, n, NonFiniteIterate, "prox center gradient left the finite range")
 
@@ -145,7 +147,7 @@ def agd_prox_batch(f, x, lam, eps):
         log_c = math.log(12.0 * kappa) - math.log(min(mu_sc, 1.0)) - math.log(eps)
         budget = np.ceil(4.0 * kappa * (np.log(gnorm0) + log_c))
         stepping = budget > 0
-        idx = np.flatnonzero(stepping)
+        idx = stepping.nonzero()[0]
         if idx.size < n:
             # A center certifies iff d = ||g0|| / (lam - rho) <= d_tol; budget 0
             # gives d <= eps / 12, within d_tol unless eps > 36.
@@ -167,20 +169,23 @@ def agd_prox_batch(f, x, lam, eps):
             diff = ya - xa
             resid = f.grad_many(ya) + lam * diff
             d = np.sqrt(row_sqnorm(resid)) / mu_sc
-            bound = d * (np.sqrt(row_sqnorm(diff)) + 0.5 * d)
+            sq = row_sqnorm(diff)
+            bound = d * (np.sqrt(sq) + 0.5 * d)
             # Finite only if ya and its gradients are.
             if not math.isfinite(bound.max()):
                 _fail(lam, k, idx.size, NonFiniteIterate, "prox iterate left the finite range")
             certified = (bound <= 0.5 * eps) & (d <= d_tol)
             done = np.count_nonzero(certified)
+            if done == idx.size == n:  # every row stepped and leaves now
+                y, theta = ya, 0.5 * sq
+                iters.fill(k)
+                break
             if done == idx.size:
-                y[idx] = ya
-                iters[idx] = k
+                y[idx], theta[idx], iters[idx] = ya, 0.5 * sq, k
                 break
             if done:
                 out = idx[certified]
-                y[out] = ya[certified]
-                iters[out] = k
+                y[out], theta[out], iters[out] = ya[certified], 0.5 * sq[certified], k
                 keep = ~certified
                 idx, xa, ya, za, ba = idx[keep], xa[keep], ya[keep], za[keep], ba[keep]
                 resid, b_min = resid[keep], ba.min()
@@ -194,7 +199,6 @@ def agd_prox_batch(f, x, lam, eps):
             ya = z_new + np.where(dot > 0, 0.0, momentum) * dz
             za = z_new
 
-    theta = 0.5 * row_sqnorm(y - x)
     return y, theta, iters, iters + 1
 
 
@@ -212,7 +216,7 @@ def gradient_fourth_moment(f, mu):
     NonFiniteIterate if it leaves the finite range."""
     with np.errstate(over="ignore", invalid="ignore"):
         g = f.grad_many(mu.points)
-        m4 = float(np.mean(row_sqnorm(g) ** 2))
+        m4 = float(np.mean(gradient_sqnorms(g)[0] ** 2))
     if not math.isfinite(m4):
         raise NonFiniteIterate(f"fourth moment overflowed on {mu.n} atoms", active=mu.n)
     return m4

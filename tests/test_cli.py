@@ -328,6 +328,32 @@ class TestTrustRegionCommand:
         assert int(fields["samples_drawn"]) >= 10
         assert load_csv(moved).n == 10
 
+    @pytest.mark.parametrize(
+        "atoms, flags, named",
+        [
+            (1, ["--delta", "1e300", "--eps", "0.1"], "delta = 1e+300"),
+            (3, ["--delta", "1e-300", "--eps", "1e-300"], "lam_hat = 1.41"),
+            (
+                3,
+                ["--objective", "double-well", "--delta", "1e-200", "--eps", "1e-10"],
+                "lam_hat = 1.41",
+            ),
+        ],
+        ids=["square-overflows", "slope-underflows", "double-well-slope-underflows"],
+    )
+    def test_radius_past_the_float_range_is_a_typed_error(
+        self, tmp_path, capsys, atoms, flags, named
+    ):
+        """One atom at the origin with delta = 1e300 (delta^2 overflows), or
+        three at (1, 1) with delta^2 / 2 underflowing: exit 1 with the typed
+        error's message, not a traceback or a raw ValueError."""
+        cloud = tmp_path / "cloud.csv"
+        save_csv(ParticleCloud([[0.0, 0.0]] if atoms == 1 else [[1.0, 1.0]] * 3), cloud)
+        code = main(["trust-region", "--seed", "0", "--cloud", str(cloud)] + flags)
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
 
 class TestDeconvRunner:
     def test_snapshots_follow_the_period(self, tmp_path):

@@ -30,6 +30,7 @@ from wfw.errors import (
     LambdaTooSmall,
     NonFiniteIterate,
     ProxNotCertified,
+    RadiusOutOfRange,
     RegularizationTooWeak,
     WeakDualityViolated,
     WfwError,
@@ -92,8 +93,8 @@ def _spy_passes(monkeypatch):
     passes = []
     prox_pass = dual_solvers._prox_pass
 
-    def spy(f, mu, pen, lam, eps_prox):
-        rep = prox_pass(f, mu, pen, lam, eps_prox)
+    def spy(f, mu, pen, lam, eps_prox, *counts):
+        rep = prox_pass(f, mu, pen, lam, eps_prox, *counts)
         slope = pen.psi_star_deriv(lam)
         passes.append((lam, rep.cost - slope, slope**-0.5 - rep.cost**-0.5))
         return rep
@@ -165,6 +166,14 @@ class TestPenalties:
         assert math.isinf(pen.psi(0.09))
         assert pen.psi_star(3.0) == pytest.approx(0.08 * 3.0)
         assert pen.psi_star(-1.0) == 0.0
+
+    def test_indicator_whose_bound_overflows_raises_a_typed_error(self):
+        """delta = 1e300: delta^2 / 2 is past the float range, and the
+        indicator raises RadiusOutOfRange with delta, not OverflowError."""
+        with pytest.raises(RadiusOutOfRange) as info:
+            TrustRegionIndicator(1e300)
+        assert isinstance(info.value, WfwError)
+        assert info.value.delta == 1e300 and info.value.lam_hat is None
 
     def test_power_rejects_a_nonpositive_exponent(self):
         with pytest.raises(ValueError, match="alpha must be positive"):
@@ -403,7 +412,7 @@ class TestBisection:
         search raises GapNotCertified at its cap instead of returning a
         report."""
 
-        def crawling(f, mu, pen, lam, eps_prox):
+        def crawling(f, mu, pen, lam, eps_prox, *counts):
             cbar = pen.psi_star_deriv(lam) * math.exp(-40.0 * (lam - 2.0))
             return DualSolveReport(
                 lambda_star=lam, dual_value=0.0, primal_value=0.0, gap=math.inf,
@@ -1103,6 +1112,22 @@ class TestTrustRegion:
                 quadratic(), mu, 0.3, 1e-170, 0.3, np.random.default_rng(1), stochastic=stochastic
             )
         assert info.value.step >= 1
+
+    @pytest.mark.parametrize(
+        "kind, delta, eps", [("quadratic", 1e-300, 1e-300), ("double-well", 1e-200, 1e-10)]
+    )
+    def test_slope_underflowing_on_the_bracket_raises_a_typed_error(self, kind, delta, eps):
+        """Three atoms at (1, 1), where both fields are (1, 1): m2 = 2 and
+        psi*' = delta^2 / 2 underflows to 0, so the bracket's right end,
+        stepped past lam_hat = sqrt(2) / delta, is inf.  The search raises
+        RadiusOutOfRange with delta and lam_hat before it sizes its
+        bisection, not a raw ValueError from ceil(nan)."""
+        mu = ParticleCloud([[1.0, 1.0]] * 3)
+        f = quadratic() if kind == "quadratic" else double_well()
+        with pytest.raises(RadiusOutOfRange) as info:
+            trust_region_step(f, mu, delta, eps, 0.1, None)
+        assert info.value.delta == delta
+        assert info.value.lam_hat == math.sqrt(2.0) / delta
 
     def test_diverging_prox_raises_a_typed_error(self):
         """A double-well cloud at scale 3, outside the region its smoothness

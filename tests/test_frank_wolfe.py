@@ -1,12 +1,13 @@
 """Outer-loop schedule, gradient-norm estimator, and trace tests."""
 
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wfw import frank_wolfe
+from wfw import cloud, frank_wolfe
 from wfw.cloud import (
     ParticleCloud,
     mean_squared_gradient,
@@ -25,7 +26,7 @@ from wfw.frank_wolfe import (
 )
 from wfw.functionals import EntropicDeconv, PotentialInteraction
 from wfw.moreau import SmoothObjective
-from wfw.registry import linear, make_objective, make_pair, quadratic
+from wfw.registry import double_well, linear, make_objective, make_pair, quadratic
 
 
 def _interaction():
@@ -134,6 +135,13 @@ class TestCountedModel:
             s = estimate_gradient_norm(phi, mu)
             assert counter["rows"] == n
             assert s == mean_squared_gradient_norm(mu, quadratic())
+
+    def test_wrapper_keeps_the_model_fields(self):
+        f = double_well()
+        phi = counted_model(f, {"rows": 0})
+        assert isinstance(phi, SmoothObjective) and phi.grad_many is not f.grad_many
+        kept = ("eval_many", "smoothness", "semiconvexity", "eval", "grad")
+        assert all(getattr(phi, name) is getattr(f, name) for name in kept)
 
     def test_a_cloud_is_evaluated_once_and_shared_read_only(self):
         """A repeat over a cloud's own points is a memo hit: it counts no rows
@@ -284,12 +292,7 @@ class TestRunFrankWolfe:
             )
         assert list(trace.samples) == [15000, 10000, 10000]
 
-    def test_gate_8_steps_after_the_second_make_one_pass(self):
-        """On the gate-8 config a step reads n = 50 witness rows for s and
-        n per prox pass.  The first step passes twice; from the third on,
-        the root predicted from the two steps before certifies at the
-        first pass on every step but at most one."""
-        mu0 = _uniform_cloud(50, 2, seed=42)
+    def _gate_8_run(self):
         cfg = self._cfg(
             2.0 * 0.01 / math.sqrt(6.0),
             110,
@@ -299,11 +302,46 @@ class TestRunFrankWolfe:
             delta2=0.0055,
             seed=42,
         )
-        _, trace = run_frank_wolfe(_interaction(), mu0, cfg)
-        rows = list(trace.samples)
+        return run_frank_wolfe(_interaction(), _uniform_cloud(50, 2, seed=42), cfg)[1]
+
+    def test_gate_8_steps_after_the_second_make_one_pass(self):
+        """On the gate-8 config a step reads n = 50 witness rows for s and
+        n per prox pass.  The first step passes twice; from the third on,
+        the root predicted from the two steps before certifies at the
+        first pass on every step but at most one."""
+        rows = list(self._gate_8_run().samples)
         assert len(rows) == 110 and rows[0] == 150
         assert set(rows[2:]) <= {100, 150} and rows[2:].count(150) <= 1
         assert sum(rows) == 11050
+
+    def test_a_step_squares_the_gradient_rows_of_its_atoms_once(self, monkeypatch):
+        """The norm pass, the dual's m2 and the first prox pass's budgets
+        share one `gradient_sqnorms` entry: the squared row norms of the
+        atoms' gradient are taken once per step."""
+        shapes = []
+        square = cloud.row_sqnorm
+
+        def spy(a):
+            shapes.append(a.shape)
+            return square(a)
+
+        monkeypatch.setattr(cloud, "row_sqnorm", spy)
+        _, trace = run_frank_wolfe(_interaction(), _uniform_cloud(), self._cfg(1e-6, 3))
+        assert len(trace) == 3 and shapes == [(50, 2)] * 3
+
+    def test_gate_8_trace_replays_its_recorded_cells(self, tmp_path):
+        """The gate-8 trace, every cell but the wall clock, hashes to the
+        recorded run's bytes, with its final objective and 11,050 witness
+        rows: a leaner step may move no bit of the loop's output."""
+        trace = self._gate_8_run()
+        trace.to_csv(tmp_path / "trace.csv")
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        cells = "".join(line.rsplit(",", 1)[0] + "\n" for line in lines).encode()
+        assert hashlib.sha256(cells).hexdigest() == (
+            "5b865bdaf3f898429a8c12cf52f2989071ea30b354232418e34a86816bb09183"
+        )
+        assert trace.final_objective == 0.013802145488181159
+        assert sum(trace.samples) == 11050
 
     def test_hint_extrapolates_the_root_ratios_of_the_last_two_steps(self, monkeypatch):
         """Step k's hint over s / delta is 2 q(k-1) - q(k-2), q the root

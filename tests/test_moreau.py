@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wfw.cloud import ParticleCloud
+from wfw.cloud import ParticleCloud, row_sqnorm
 from wfw.errors import (
     KCapExceeded,
     LambdaTooSmall,
@@ -267,6 +267,36 @@ class TestCertificate:
         assert np.all(d <= 0.5 * math.sqrt(eps))
         np.testing.assert_array_equal(theta, 0.5 * np.sum((y - x) ** 2, axis=1))
         np.testing.assert_array_equal(grad_evals, iters + 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["quadratic", "double-well", "linear"]),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.integers(1, 12),
+        st.floats(-1.0, 1.5),
+        st.floats(-12.0, -1.0),
+    )
+    def test_theta_is_half_the_squared_displacement_bit_for_bit(
+        self, kind, seed, n, d, log_gap, log_eps
+    ):
+        """theta, taken from each row's certificate as it leaves, is
+        0.5 * row_sqnorm(y - x) over the returned batch, bit for bit: on a
+        cloud's read-only atoms through a counted model (whose squared
+        gradient norms come from the shared memo) and on a writeable copy."""
+        rng = np.random.default_rng(seed)
+        mu = ParticleCloud(rng.normal(size=(n, d)) * rng.uniform(0.05, 1.5, size=(n, 1)))
+        if kind == "linear":
+            f = linear(rng.normal(size=d))
+        else:
+            f = quadratic() if kind == "quadratic" else double_well()
+        lam, eps = f.semiconvexity + 10**log_gap, 10**log_eps
+        for model, x in ((counted_model(f, {"rows": 0}), mu.points), (f, mu.points.copy())):
+            try:
+                y, theta, _, _ = agd_prox_batch(model, x, lam, eps)
+            except WfwError:
+                return
+            assert theta.tobytes() == (0.5 * row_sqnorm(y - x)).tobytes()
 
     def test_row_outside_the_smoothness_region_raises(self):
         """A double-well center at (-1.10, 5.43), far outside the ball

@@ -61,3 +61,11 @@ def test_patched_name_is_looked_up_where_it_is_patched(module, attr):
 def test_functional_methods_are_defined_on_the_class(cls):
     assert callable(vars(cls).get("value"))
     assert callable(vars(cls).get("derivative_oracle"))
+
+
+def test_outer_loop_keeps_its_step_index_in_i():
+    """`perfbench/run.py` tags each kernel sample with the outer step it
+    fell in by reading the local `i` of `run_frank_wolfe`'s frame.  Without
+    it no sample is charged to a step, and `hostspeed.scaled_steps`
+    subtracts no sampling time from any step's wall clock."""
+    assert "i" in frank_wolfe.run_frank_wolfe.__code__.co_varnames
