@@ -181,8 +181,8 @@ def _sqnorms_and_mean(g):
     return sq, float(np.add.reduce(sq) / g.shape[0])
 
 
-#: (squared row norms, their mean) of a gradient array: one entry serves a
-#: step's norm pass, its dual's m2 and its prox's budgets on the atoms.
+#: (squared row norms, their mean) of the gradient at a cloud's atoms, taken
+#: once per step for its norm pass, its dual's m2 and its prox budgets.
 gradient_sqnorms = CloudMemo(_sqnorms_and_mean)
 
 

@@ -12,7 +12,6 @@ specialization (psi an indicator of [0, delta^2/2]) is the inner step of
 the outer Frank-Wolfe loop.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -73,10 +72,6 @@ class TrustRegionIndicator:
 
     def smoothness_on(self, l, u):
         return 0.0  # affine on lam > 0
-
-
-#: The last radius's indicator, shared by a step and the loop's root estimate.
-indicator = functools.lru_cache(maxsize=1)(TrustRegionIndicator)
 
 
 class PowerPenalty:
@@ -281,9 +276,8 @@ def primal_dual_bisection(
     halvings from (rho, hi] to the width eps_alg / B, B = max(psi*
     smoothness, 16 m2^2, 1e-12), or ulp(hi) if wider, splits delta_prob
     over the sampled slopes; the full-batch search raises at N + 2 passes.
-    m2 = E||grad f||^2 comes from `gradient_sqnorms`, as a step's norm pass
-    left it; the report returned is the certifying pass's, with the
-    search's running counts.
+    m2 = E||grad f||^2 reads the step's `gradient_sqnorms`; the certifying
+    pass's report, carrying the search's running counts, is returned.
 
     Args:
         eps: target primal-dual gap; the internal tolerance is
@@ -514,7 +508,7 @@ def trust_region_step(f, mu, delta, eps, gamma, rng, stochastic=False, root_hint
         ValueError, InfeasiblePrimal, GapNotCertified: as
             `primal_dual_bisection`, gamma being its delta_prob.
     """
-    penalty = indicator(delta)
+    penalty = TrustRegionIndicator(delta)
     try:
         rep = primal_dual_bisection(
             f, mu, penalty, eps, gamma, rng, stochastic=stochastic, root_hint=root_hint

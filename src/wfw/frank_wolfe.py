@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .cloud import CloudMemo, ParticleCloud, mean_squared_gradient_norm
-from .dual_solvers import indicator, root_estimate, trust_region_step
+from .dual_solvers import TrustRegionIndicator, root_estimate, trust_region_step
 from .errors import DeltaTooLarge
 from .moreau import SmoothObjective
 
@@ -155,7 +155,7 @@ class FWTrace:
 def counted_model(model, counter):
     """Wrap a witness model so gradient-row evaluations accumulate in counter["rows"];
     a cloud's own atoms are evaluated once (`CloudMemo`), shared read-only.
-    The wrapper is a `SmoothObjective` with the model's other fields."""
+    The wrapper is a `SmoothObjective` with every other field of the model."""
 
     def grad_many(x):
         counter["rows"] += x.shape[0]
@@ -164,8 +164,7 @@ def counted_model(model, counter):
             g.setflags(write=False)
         return g
 
-    kept = (model.smoothness, model.semiconvexity, model.eval, model.grad)
-    return SmoothObjective(model.eval_many, CloudMemo(grad_many), *kept)
+    return SmoothObjective(**{**vars(model), "grad_many": CloudMemo(grad_many)})
 
 
 def estimate_gradient_norm(phi, mu):
@@ -233,7 +232,7 @@ def run_frank_wolfe(J, mu0, cfg, chained=False, on_iterate=None):
                 sampler, rep = trust_region_step(
                     model, mu, delta, zeta, None, None, root_hint=q * (s / delta)
                 )
-            est = root_estimate(indicator(delta), s * s, rep.lambda_star, rep.cost)
+            est = root_estimate(TrustRegionIndicator(delta), s * s, rep.lambda_star, rep.cost)
             ratio = est / (s / delta)  # nan where cbar = 0
             ratios = ratios[-1:] + [ratio] if math.isfinite(ratio) else []
             if chained:

@@ -147,7 +147,7 @@ def agd_prox_batch(f, x, lam, eps):
         log_c = math.log(12.0 * kappa) - math.log(min(mu_sc, 1.0)) - math.log(eps)
         budget = np.ceil(4.0 * kappa * (np.log(gnorm0) + log_c))
         stepping = budget > 0
-        idx = stepping.nonzero()[0]
+        idx = stepping.nonzero()[0]  # np.flatnonzero adds a Python call per pass
         if idx.size < n:
             # A center certifies iff d = ||g0|| / (lam - rho) <= d_tol; budget 0
             # gives d <= eps / 12, within d_tol unless eps > 36.
@@ -176,7 +176,7 @@ def agd_prox_batch(f, x, lam, eps):
                 _fail(lam, k, idx.size, NonFiniteIterate, "prox iterate left the finite range")
             certified = (bound <= 0.5 * eps) & (d <= d_tol)
             done = np.count_nonzero(certified)
-            if done == idx.size == n:  # every row stepped and leaves now
+            if done == idx.size == n:  # all n rows leave at once: no scatter
                 y, theta = ya, 0.5 * sq
                 iters.fill(k)
                 break

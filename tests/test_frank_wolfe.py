@@ -2,12 +2,12 @@
 
 import hashlib
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from wfw import cloud, frank_wolfe
+from wfw import cloud, frank_wolfe, moreau
 from wfw.cloud import (
     ParticleCloud,
     mean_squared_gradient,
@@ -140,7 +140,7 @@ class TestCountedModel:
         f = double_well()
         phi = counted_model(f, {"rows": 0})
         assert isinstance(phi, SmoothObjective) and phi.grad_many is not f.grad_many
-        kept = ("eval_many", "smoothness", "semiconvexity", "eval", "grad")
+        kept = [field.name for field in fields(SmoothObjective) if field.name != "grad_many"]
         assert all(getattr(phi, name) is getattr(f, name) for name in kept)
 
     def test_a_cloud_is_evaluated_once_and_shared_read_only(self):
@@ -317,17 +317,24 @@ class TestRunFrankWolfe:
     def test_a_step_squares_the_gradient_rows_of_its_atoms_once(self, monkeypatch):
         """The norm pass, the dual's m2 and the first prox pass's budgets
         share one `gradient_sqnorms` entry: the squared row norms of the
-        atoms' gradient are taken once per step."""
-        shapes = []
+        atoms' gradient are taken once per step, and the prox squares only
+        its own fresh residuals and displacements, never the read-only
+        centre gradient."""
+        calls = []
         square = cloud.row_sqnorm
 
-        def spy(a):
-            shapes.append(a.shape)
-            return square(a)
+        def spy(where):
+            def counted(a):
+                calls.append((where, a.shape, a.flags.writeable))
+                return square(a)
 
-        monkeypatch.setattr(cloud, "row_sqnorm", spy)
+            return counted
+
+        for module in (cloud, moreau):
+            monkeypatch.setattr(module, "row_sqnorm", spy(module.__name__))
         _, trace = run_frank_wolfe(_interaction(), _uniform_cloud(), self._cfg(1e-6, 3))
-        assert len(trace) == 3 and shapes == [(50, 2)] * 3
+        assert len(trace) == 3 and len(calls) > 3
+        assert [c for c in calls if not c[2]] == [("wfw.cloud", (50, 2), False)] * 3
 
     def test_gate_8_trace_replays_its_recorded_cells(self, tmp_path):
         """The gate-8 trace, every cell but the wall clock, hashes to the
