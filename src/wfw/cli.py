@@ -141,21 +141,14 @@ def cmd_fw(args):
 
 
 def cmd_trust_region(args):
-    if args.seed is None:
-        raise ValueError("a seed is mandatory; wall-clock seeding is not allowed")
     _require_file(args.cloud)
     mu = load_csv(args.cloud)
-    f = make_objective(args.objective)
-    rng = np.random.default_rng(args.seed)
-    sampler, report = trust_region_step(
-        f, mu, args.delta, args.eps, args.gamma, rng, stochastic=args.stochastic
-    )
+    sampler, report = trust_region_step(make_objective(args.objective), mu, args.delta, args.eps)
     print(f"lambda={report.lambda_star:.17g}")
     print(f"dual={report.dual_value:.17g}")
     print(f"primal={report.primal_value:.17g}")
     print(f"gap={report.gap:.17g}")
     print(f"oracle_calls={report.oracle_calls}")
-    print(f"samples_drawn={report.samples_drawn}")
     if args.out is not None:
         save_csv(sampler.target_cloud(), args.out)
         print(f"moved cloud written to {args.out}")
@@ -212,12 +205,9 @@ def build_parser():
 
     p = sub.add_parser("trust-region", help="one trust-region step on a cloud")
     _objective_flags(p)
-    p.add_argument("--seed", type=int)
     p.add_argument("--cloud", required=True, help="input cloud CSV")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--gamma", type=float, default=0.1)
-    p.add_argument("--stochastic", action="store_true")
     p.add_argument("--out", help="write moved cloud CSV")
     p.set_defaults(func=cmd_trust_region)
 

@@ -113,9 +113,8 @@ class DualSolveReport:
 
     `images` are the prox images of the atoms and `cost` their mean half
     squared displacement; the primal and dual values share them, and `gap`
-    is their Fenchel-Young gap.  A solve's `oracle_calls` counts its prox
-    passes and sampled slopes and `samples_drawn` the atoms and samples
-    they read; a lone pass reports 1 and its n atoms.
+    is their Fenchel-Young gap.  `oracle_calls` counts a solve's prox
+    passes; a lone pass reports 1.
 
     Raises:
         WeakDualityViolated: the gap is below -1e-6.
@@ -126,7 +125,6 @@ class DualSolveReport:
     primal_value: float
     gap: float
     oracle_calls: int
-    samples_drawn: int
     images: np.ndarray = field(repr=False, compare=False)
     cost: float
 
@@ -201,15 +199,14 @@ def _dual_interval(f, m2, penalty, c=None):
 
 
 def _slope(f, mu, lam, eps, eps_prox, delta, rng, m4):
-    """(estimate of g'(lam), samples drawn): sampled at accuracy eps and
+    """`mirror_ascent`'s estimate of g'(lam): sampled at accuracy eps and
     confidence delta given the cloud's gradient fourth moment m4 (computed
-    once per solve) while its count K is below the n atoms, else one exact
-    full-batch prox pass at accuracy eps_prox, charged n samples."""
+    once per run) while its count K is below the n atoms, else one exact
+    full-batch prox pass at accuracy eps_prox."""
     k = None if m4 is None else hp_sample_count(f, mu, lam, eps, delta, m4=m4)
     if k is not None and k < mu.n:
-        return supergradient_hp(f, mu, lam, eps, delta, rng, m4=m4), k
-    _, slope = g_value_and_grad_fullbatch(f, mu, lam, eps_prox)
-    return slope, mu.n
+        return supergradient_hp(f, mu, lam, eps, delta, rng, m4=m4)
+    return g_value_and_grad_fullbatch(f, mu, lam, eps_prox)[1]
 
 
 def _slope_crossing(penalty, m2, s, u):
@@ -250,60 +247,44 @@ def root_estimate(penalty, m2, lam, cbar):
     return lam - _secular(penalty, lam, cbar) / -math.sqrt(2.0 / m2)
 
 
-def primal_dual_bisection(
-    f, mu, penalty, eps, delta_prob, rng, stochastic=False, root_hint=None
-):
+def primal_dual_bisection(f, mu, penalty, eps, root_hint=None):
     """Bracketing search on the dual with a primal certificate at the returned point.
 
     Returns a full prox pass with h(lam) = g'(lam) - psi*'(lam) <= 0 and its
-    Fenchel-Young gap.  Both paths search (rho, hi], hi the `_slope_crossing`
-    at s = -rho stepped past the root by a gap of eps_alg / 2, where h <= 0
-    by rho-semiconvexity alone.  The full-batch path (every point a pass;
-    the name is historical) passes first at the crossing at s = 0, or at
-    `root_hint` stepped past the root where that point lies in (rho, hi).
-    It then takes a Newton step on r = psi*'^(-1/2) - cbar^(-1/2), which
-    has h's sign, to its `root_estimate`, kept above the crossing at s = L
-    (which holds only where L covers the cloud), then secants on r through
-    its last two passes, kept above the last pass with h > 0 (or rho).
-    Each point is stepped past the root as hi is; the midpoint replaces an
-    undefined one.  It stops at the first pass with h <= 0 and gap <=
-    eps_alg.  The sampled path runs only where the Chebyshev count at hi,
-    the smallest on (rho, hi], is below the n atoms; elsewhere every
-    sampled slope would be an exact pass, and the full-batch search runs.
-    It bisects (rho, hi], moving its right end on h below the sampled
-    oracle's band -eps_alg / max(lam - rho, 1), and passes there, or at hi
-    if that pass is infeasible (misled samples).  N, one more than the
-    halvings from (rho, hi] to the width eps_alg / B, B = max(psi*
-    smoothness, 16 m2^2, 1e-12), or ulp(hi) if wider, splits delta_prob
-    over the sampled slopes; the full-batch search raises at N + 2 passes.
-    m2 = E||grad f||^2 reads the step's `gradient_sqnorms`; the certifying
-    pass's report, carrying the search's running counts, is returned.
+    Fenchel-Young gap.  It searches (rho, hi], hi the `_slope_crossing` at
+    s = -rho stepped past the root by a gap of eps_alg / 2, where h <= 0 by
+    rho-semiconvexity alone.  Every point is a prox pass.  The first is at
+    the crossing at s = 0, or at `root_hint` stepped past the root where
+    that point lies in (rho, hi).  The second is a Newton step on r =
+    psi*'^(-1/2) - cbar^(-1/2), which has h's sign, to its `root_estimate`,
+    kept above the crossing at s = L (which holds only where L covers the
+    cloud); later ones take secants on r through its last two passes, kept
+    above the last pass with h > 0 (or rho).  Each point is stepped past
+    the root as hi is; the midpoint replaces an undefined one.  It stops at
+    the first pass with h <= 0 and gap <= eps_alg, and raises at N + 2
+    passes, N one more than the halvings from (rho, hi] to the width
+    eps_alg / B, B = max(psi* smoothness, 16 m2^2, 1e-12), or ulp(hi) if
+    wider.  m2 = E||grad f||^2 reads the step's `gradient_sqnorms`; the
+    certifying pass's report, carrying the search's pass count, is returned.
 
     Args:
         eps: target primal-dual gap; the internal tolerance is
             eps_alg = eps/(4 + l), l = rho + 1.
-        delta_prob: total failure probability budget (split across the
-            stochastic oracle calls; unused on the deterministic path).
-        stochastic: use the sampled supergradient oracle instead of the
-            full-batch one.
-        root_hint: predicted root for the full-batch path's first pass.
-            None, or a hint stepped past the root to no point of (rho, hi)
-            (nan, inf, <= rho, >= hi), leaves that pass at the crossing,
-            and so every bit of the search.  The sampled path ignores it.
+        root_hint: predicted root for the first pass.  None, or a hint
+            stepped past the root to no point of (rho, hi) (nan, inf,
+            <= rho, >= hi), leaves that pass at the crossing, and so every
+            bit of the search.
 
     Raises:
-        ValueError: eps outside (0, inf); sampled path: delta_prob outside (0, 1).
+        ValueError: eps outside (0, inf).
         RegularizationTooWeak, IntervalEmpty: as `dual_interval`.
         RadiusOutOfRange: hi or the bisection width is not finite, as
             where psi*' underflows (carries delta, if any, and lam_hat).
         InfeasiblePrimal: the returned pass lies where psi is infinite.
-        GapNotCertified: the full-batch search reaches its cap or a collapsed
-            bracket; the sampled path returns a pass with gap above eps.
+        GapNotCertified: the search reaches its cap or a collapsed bracket.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    if stochastic and (delta_prob is None or not 0.0 < delta_prob < 1.0):
-        raise ValueError(f"delta_prob must lie in (0, 1), got {delta_prob}")
     m2 = mean_squared_gradient(mu, f)
     rho = f.semiconvexity
     reg = penalty.psi_star_deriv(rho + 1.0)
@@ -325,71 +306,48 @@ def primal_dual_bisection(
         msg = f"dual bracket (rho, {hi}] at delta = {delta}, lam_hat = {lam} is not finite"
         raise RadiusOutOfRange(msg, delta=delta, lam_hat=lam)
     steps = math.ceil(math.log2(max(hi - rho, width) / width)) + 1
-    left, right = rho, hi  # the bracket that both searches narrow
-    oracle_calls = samples = 0
-
-    def full_pass(lam):
-        nonlocal oracle_calls, samples
-        oracle_calls, samples = oracle_calls + 1, samples + mu.n
-        rep = _prox_pass(f, mu, penalty, lam, eps_prox, oracle_calls, samples)
-        return rep, rep.cost - penalty.psi_star_deriv(lam), _secular(penalty, lam, rep.cost)
-
-    m4 = gradient_fourth_moment(f, mu) if stochastic else None
-    sampled = stochastic and hp_sample_count(f, mu, hi, eps_alg, delta_prob / steps, m4) < mu.n
-    if sampled:
-        while right - left > width:
-            lam = 0.5 * (left + right)
-            h, drawn = _slope(f, mu, lam, eps_alg, eps_prox, delta_prob / steps, rng, m4)
-            oracle_calls, samples = oracle_calls + 1, samples + drawn
-            if h - penalty.psi_star_deriv(lam) < -eps_alg / max(lam - rho, 1.0):
-                right = lam
-            else:
-                left = lam
-        rep = full_pass(right)[0]
-        if not math.isfinite(rep.primal_value):
-            rep = full_pass(hi)[0]
-    else:
-        guess = math.nan if root_hint is None else past_root(root_hint)
-        lam = guess if rho < guess < hi else lam
-        last = None
-        while True:
-            rep, h, r = full_pass(lam)
-            if h <= 0.0 and rep.gap <= eps_alg:
-                break
-            if h > 0.0:
-                left = lam
-            else:
-                right = lam
-            # left, the last pass with h > 0 (else rho), bounds the root
-            # below; lo does only where L covers the cloud, and only the
-            # Newton step, on its a-priori slope, is kept above it.
-            floor = max(lo, left) if last is None else left
-            if last is None:
-                s = root_estimate(penalty, m2, lam, rep.cost)
-            else:  # each pass lies inside (floor, right): a new lam
-                slope = (r - last[1]) / (lam - last[0])
-                s = lam - r / slope if slope < 0.0 else math.nan
-            last = lam, r
-            if not math.isnan(s):
-                s = min(max(s, floor), right)
-                lam = past_root(s) if s > rho else rho
-            lam = lam if floor < lam < right else 0.5 * (floor + right)
-            if oracle_calls == steps + 2 or not floor < lam < right:
-                msg = f"full-batch search ends at lam = {rep.lambda_star}, gap {rep.gap}"
-                raise GapNotCertified(msg, lam=rep.lambda_star, gap=rep.gap, eps=eps_alg)
+    guess = math.nan if root_hint is None else past_root(root_hint)
+    lam = guess if rho < guess < hi else lam
+    left, right = rho, hi
+    last = None
+    oracle_calls = 0
+    while True:
+        oracle_calls += 1
+        rep = _prox_pass(f, mu, penalty, lam, eps_prox, oracle_calls)
+        h, r = rep.cost - penalty.psi_star_deriv(lam), _secular(penalty, lam, rep.cost)
+        if h <= 0.0 and rep.gap <= eps_alg:
+            break
+        if h > 0.0:
+            left = lam
+        else:
+            right = lam
+        # left, the last pass with h > 0 (else rho), bounds the root
+        # below; lo does only where L covers the cloud, and only the
+        # Newton step, on its a-priori slope, is kept above it.
+        floor = max(lo, left) if last is None else left
+        if last is None:
+            s = root_estimate(penalty, m2, lam, rep.cost)
+        else:  # each pass lies inside (floor, right): a new lam
+            slope = (r - last[1]) / (lam - last[0])
+            s = lam - r / slope if slope < 0.0 else math.nan
+        last = lam, r
+        if not math.isnan(s):
+            s = min(max(s, floor), right)
+            lam = past_root(s) if s > rho else rho
+        lam = lam if floor < lam < right else 0.5 * (floor + right)
+        if oracle_calls == steps + 2 or not floor < lam < right:
+            msg = f"full-batch search ends at lam = {rep.lambda_star}, gap {rep.gap}"
+            raise GapNotCertified(msg, lam=rep.lambda_star, gap=rep.gap, eps=eps_alg)
 
     _check_feasible(penalty, rep)
-    if sampled and rep.gap > eps:
-        msg = f"sampled search ends at lam = {rep.lambda_star} with gap {rep.gap} > {eps}"
-        raise GapNotCertified(msg, lam=rep.lambda_star, gap=rep.gap, eps=eps)
     return rep
 
 
-def _prox_pass(f, mu, penalty, lam, eps_prox, oracle_calls=1, samples_drawn=None):
+def _prox_pass(f, mu, penalty, lam, eps_prox, oracle_calls=1):
     """Report of one prox pass at lam: primal and dual values sharing its
     images, and their gap in its Fenchel-Young form psi(cbar) + psi*(lam) -
     lam cbar (primal - dual would cancel the shared mean f(y) into roundoff
-    of either sign).  It carries the given counts (a lone pass's by default)."""
+    of either sign).  It carries the given pass count (a lone pass's by default)."""
     y, theta, _, _ = agd_prox_batch(f, mu.points, lam, eps_prox)
     cbar = float(np.add.reduce(theta) / mu.n)
     fbar = float(np.add.reduce(f.eval_many(y)) / mu.n)
@@ -400,7 +358,6 @@ def _prox_pass(f, mu, penalty, lam, eps_prox, oracle_calls=1, samples_drawn=None
         primal_value=fbar + psi,
         gap=psi + psi_star - lam * cbar,
         oracle_calls=oracle_calls,
-        samples_drawn=mu.n if samples_drawn is None else samples_drawn,
         images=y,
         cost=cbar,
     )
@@ -479,14 +436,12 @@ def mirror_ascent(
         if oracle is not None:
             est = float(oracle(lam))
         else:
-            est, _ = _slope(
-                f, mu, lam, eps_oracle, 1e-9, delta_prob / k, rng, sampled_m4
-            )
+            est = _slope(f, mu, lam, eps_oracle, 1e-9, delta_prob / k, rng, sampled_m4)
         lam = min(max(lam + step * (est - penalty.psi_star_deriv(lam)), l), u)
     return float(np.mean(lams)), {"lambda": lams}
 
 
-def trust_region_step(f, mu, delta, eps, gamma, rng, stochastic=False, root_hint=None):
+def trust_region_step(f, mu, delta, eps, root_hint=None):
     """Approximately minimize E_nu[f] over clouds within transport distance delta of mu.
 
     Solves the indicator-penalized dual by `primal_dual_bisection` and moves
@@ -494,8 +449,8 @@ def trust_region_step(f, mu, delta, eps, gamma, rng, stochastic=False, root_hint
     checks lies in the ball; no pass runs after the search.  The radius
     is admitted by the solver's own interval check, so the gradient field
     is evaluated over the atoms once per step.  `root_hint` goes to the
-    search: a predicted dual root, where a good one saves the full-batch
-    search its second pass.
+    search: a predicted dual root, where a good one saves it its second
+    pass.
 
     Returns:
         (sampler, report): the sampler couples each atom to its prox image;
@@ -506,13 +461,11 @@ def trust_region_step(f, mu, delta, eps, gamma, rng, stochastic=False, root_hint
             ||grad f||_{L2(mu)} / (2 L) (up to a 1e-12 relative slack on
             delta^2), or a zero gradient field (admissible 0.0).
         ValueError, InfeasiblePrimal, GapNotCertified: as
-            `primal_dual_bisection`, gamma being its delta_prob.
+            `primal_dual_bisection`.
     """
     penalty = TrustRegionIndicator(delta)
     try:
-        rep = primal_dual_bisection(
-            f, mu, penalty, eps, gamma, rng, stochastic=stochastic, root_hint=root_hint
-        )
+        rep = primal_dual_bisection(f, mu, penalty, eps, root_hint=root_hint)
     except RegularizationTooWeak as exc:
         bound = exc.max_admissible
         raise DeltaTooLarge(

@@ -222,16 +222,12 @@ def run_frank_wolfe(J, mu0, cfg, chained=False, on_iterate=None):
             # The next root over lam_hat = s / delta (a lone ratio held); nan is no hint.
             q = 2.0 * ratios[-1] - ratios[0] if ratios else math.nan
             try:
-                sampler, rep = trust_region_step(
-                    model, mu, delta, zeta, None, None, root_hint=q * (s / delta)
-                )
+                sampler, rep = trust_region_step(model, mu, delta, zeta, root_hint=q * (s / delta))
             except DeltaTooLarge as exc:
                 if not exc.admissible:
                     raise
                 delta, zeta = exc.admissible, exc.admissible * cfg.eps_tilde
-                sampler, rep = trust_region_step(
-                    model, mu, delta, zeta, None, None, root_hint=q * (s / delta)
-                )
+                sampler, rep = trust_region_step(model, mu, delta, zeta, root_hint=q * (s / delta))
             est = root_estimate(TrustRegionIndicator(delta), s * s, rep.lambda_star, rep.cost)
             ratio = est / (s / delta)  # nan where cbar = 0
             ratios = ratios[-1:] + [ratio] if math.isfinite(ratio) else []

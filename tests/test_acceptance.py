@@ -152,9 +152,7 @@ def test_trust_region_linear_closed_form_suite():
         delta = (0.1 + 0.4 * float(rng.uniform())) * na
         mu = ParticleCloud(pts)
 
-        _, rep = trust_region_step(
-            linear(a), mu, delta, 1e-3, 0.05, np.random.default_rng(1000 + inst)
-        )
+        _, rep = trust_region_step(linear(a), mu, delta, 1e-3)
         lam_star = na / delta
         v_star = float(np.mean(pts @ a)) - delta * na
         assert abs(rep.lambda_star - lam_star) <= 0.01 * lam_star
@@ -198,9 +196,7 @@ def test_every_dual_value_respects_weak_duality():
             TrustRegionIndicator(0.4 * math.sqrt(12.0) / 2.0),
         ):
             p_min = _feasible_primal_minimum(m2, pen)
-            rep = primal_dual_bisection(
-                f, mu, pen, 1e-4, 0.05, np.random.default_rng(inst * 7 + 1)
-            )
+            rep = primal_dual_bisection(f, mu, pen, 1e-4)
             assert rep.dual_value <= p_min + 1e-6
             iv = dual_interval(f, mu, pen, c=8.0)
             lam_bar, _ = mirror_ascent(
@@ -209,15 +205,14 @@ def test_every_dual_value_respects_weak_duality():
             gval, _ = g_value_and_grad_fullbatch(f, mu, lam_bar, 1e-10)
             assert gval - pen.psi_star(lam_bar) <= p_min + 1e-6
 
-        # stochastic solvers on a small-moment cloud (E||x||^2 = 0.2)
+        # a coarse search and sampled mirror ascent on a small-moment cloud
+        # (E||x||^2 = 0.2)
         pts = base * math.sqrt(0.2 / m2b)
         mu = ParticleCloud(pts)
         m2 = float(np.mean(np.sum(pts**2, axis=1)))
         pen = TrustRegionIndicator(0.4 * math.sqrt(0.2) / 2.0)
         p_min = _feasible_primal_minimum(m2, pen)
-        rep = primal_dual_bisection(
-            f, mu, pen, 0.5, 0.3, np.random.default_rng(inst * 7 + 3), stochastic=True
-        )
+        rep = primal_dual_bisection(f, mu, pen, 0.5)
         assert rep.dual_value <= p_min + 1e-6
         iv = dual_interval(f, mu, pen, c=8.0)
         lam_bar, _ = mirror_ascent(

@@ -1,5 +1,8 @@
 """The package's public surface: what `wfw.__all__` names, and what it no longer has."""
 
+import dataclasses
+import inspect
+
 import pytest
 
 import wfw
@@ -32,3 +35,22 @@ def test_all_resolves_once_and_deleted_names_are_gone():
             exec(f"from wfw import {name}", {})
         for module in (frank_wolfe, functionals, moreau, registry):
             assert not hasattr(module, name)
+
+
+def test_trust_region_search_takes_no_sampling_arguments():
+    """One full-batch search: no failure probability, generator or
+    sampled-path switch, since the search draws nothing."""
+    signatures = {
+        name: str(inspect.signature(getattr(wfw, name)))
+        for name in ("trust_region_step", "primal_dual_bisection")
+    }
+    assert signatures == {
+        "trust_region_step": "(f, mu, delta, eps, root_hint=None)",
+        "primal_dual_bisection": "(f, mu, penalty, eps, root_hint=None)",
+    }
+
+
+def test_dual_solve_report_carries_no_sample_count():
+    """`oracle_calls` times the atom count was all `samples_drawn` could say."""
+    names = [field.name for field in dataclasses.fields(wfw.DualSolveReport)]
+    assert "samples_drawn" not in names and "oracle_calls" in names
