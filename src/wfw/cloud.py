@@ -40,6 +40,16 @@ class ParticleCloud:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
+    @classmethod
+    def adopt(cls, points):
+        """A cloud on `points` itself, made read-only, neither checked nor
+        copied: only for a finite (n, d) float64 array that owns its data
+        and that nothing writes to after, such as a step's prox images."""
+        points.setflags(write=False)
+        cloud = object.__new__(cls)
+        object.__setattr__(cloud, "points", points)
+        return cloud
+
     @property
     def n(self):
         return self.points.shape[0]
@@ -53,22 +63,27 @@ class CloudMemo:
     """fn(points), computed once per cloud: a one-entry memo keyed on array identity.
 
     Only a read-only array that owns its data (every `ParticleCloud`'s
-    points) is remembered: it cannot change under the memo, and holding it
-    keeps its identity from passing to another array.  Any other array may
-    change between calls, so fn runs afresh on it and the entry is kept.
-    `entry` is the remembered value, None before the first.
+    points) is remembered (`keeps`): it cannot change under the memo, and
+    holding it keeps its identity from passing to another array.  Any other
+    array may change between calls, so fn runs afresh on it and the entry
+    is kept.
     """
 
     def __init__(self, fn):
         self._fn = fn
-        self._key = self.entry = None
+        self._key = self._value = None
+
+    @staticmethod
+    def keeps(points):
+        """Whether fn(points), once computed, becomes the remembered entry."""
+        return not points.flags.writeable and points.flags.owndata
 
     def __call__(self, points):
         if points is self._key and not points.flags.writeable:
-            return self.entry
+            return self._value
         value = self._fn(points)
-        if not points.flags.writeable and points.flags.owndata:
-            self._key, self.entry = points, value
+        if self.keeps(points):
+            self._key, self._value = points, value
         return value
 
 

@@ -144,13 +144,16 @@ class PushforwardSampler:
     """Coupling (x, m(x)) of a cloud with its prox images at a fixed lam.
 
     `images[i]` is the prox of atom i of the stepped cloud, so
-    `target_cloud` materializes the second marginal of the coupling.
+    `target_cloud` materializes the second marginal of the coupling: a
+    cloud on the images themselves, made read-only, with no re-check and
+    no copy, since `agd_prox_batch` returns only rows whose certificate
+    bound is finite.
     """
 
     images: np.ndarray
 
     def target_cloud(self):
-        return ParticleCloud(self.images)
+        return ParticleCloud.adopt(self.images)
 
 
 def dual_interval(f, mu, penalty, c=None):

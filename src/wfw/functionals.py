@@ -249,7 +249,10 @@ def _sinkhorn_newton(v, c, cost, s2, target):
     Hessian (diag(b) - n P^T P) / s2 is PSD with null space 1.  Conjugate
     gradients apply it as b q - n P^T (P q), O(n m) per iteration: no m x m
     matrix (slower from ~200 atoms) and no LAPACK solve (BLAS-dependent
-    bits).  The step backtracks on the marginal error and never moves a
+    bits).  They may take 2 m iterations: m suffice in exact arithmetic,
+    but on a near-permutation coupling (Hessian condition ~1e5) rounding
+    can need more, and a direction cut at m need not lower the error.
+    The step backtracks on the marginal error and never moves a
     potential by more than 2 max(max cost, s2).  Returns (v, its coupling,
     steps); an error above target means it stalled: no halving of the step
     lowered the error, or 50 steps were spent.
@@ -263,11 +266,12 @@ def _sinkhorn_newton(v, c, cost, s2, target):
         r -= np.mean(r)
         d, q, rr = np.zeros(m), r.copy(), float(r @ r)
         stop = err**3 * rr  # inexact Newton: |residual| <= err^1.5 |gradient|
-        for _ in range(m):
-            hq = b * q - n * (p.T @ (p @ q))
+        pt, floor = p.T, 1e-14 * float(b.max())
+        for _ in range(2 * m):
+            hq = b * q - n * (pt @ (p @ q))
             qhq = float(q @ hq)
             # curvature below the operator's rounding: q is numerically null
-            if not qhq > 1e-14 * float(b.max()) * float(q @ q):
+            if not qhq > floor * float(q @ q):
                 break
             a = rr / qhq
             d += a * q
@@ -358,9 +362,10 @@ class EntropicDeconv:
 
     One Sinkhorn solve serves each cloud: `value` and `derivative_oracle`
     on the same `ParticleCloud` share it through a `CloudMemo`; any other
-    array is solved afresh.  Each solve starts from the memo entry's v, so
-    a fresh functional's value(mu) agrees only to within the tolerance.
-    Each solve appends its marginal error to `marginal_error_log`.
+    array is solved afresh, from v = 0.  Each solve the memo keeps starts
+    from the v of the last two it kept, extrapolated linearly, so a fresh
+    functional's value(mu) agrees only to within the tolerance.  Each
+    solve appends its marginal error to `marginal_error_log`.
     """
 
     def __init__(self, sigma2, data, tol=1e-9):
@@ -371,6 +376,7 @@ class EntropicDeconv:
         self.tol = float(tol)
         self.marginal_error_log = []
         self._solve = CloudMemo(self._sinkhorn)
+        self._last_v = []  # v of the last two solves the memo kept, oldest first
         # Softmax weights always sit on the data atoms, so the weighted
         # covariance never exceeds (diam/2)^2 in any direction: a global
         # semiconvexity bound for the witness.
@@ -378,10 +384,18 @@ class EntropicDeconv:
         self._rho = max(0.0, diam2 / (4.0 * self.sigma2) - 1.0)
 
     def _sinkhorn(self, points):
-        """(u, v) for `points`, seeded with the memo entry's v; logs the error."""
-        seed = None if self._solve.entry is None else self._solve.entry[1]
+        """(u, v) for `points`; logs the error.  A solve that the memo keeps
+        is seeded with 2 v(k) - v(k-1), the v of the last two kept solves
+        extrapolated linearly (v(k) alone after one, v = 0 before any), and
+        becomes v(k).  Any other solve starts from v = 0 and leaves the two
+        alone."""
+        kept, last = CloudMemo.keeps(points), self._last_v
+        # With one v held, 2 v - v is v exactly.
+        seed = 2.0 * last[-1] - last[0] if kept and last else None
         u, v, err, _ = _sinkhorn_potentials(points, self.data.points, self.sigma2, self.tol, seed)
         self.marginal_error_log.append(err)
+        if kept:
+            self._last_v = last[-1:] + [v]
         return u, v
 
     def value(self, mu):

@@ -437,7 +437,7 @@ def test_kernel_matching_reduces_validation_discrepancy(kernel_matching_run):
 def deconvolution_runs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("deconv")
     start = time.perf_counter()
-    objectives, marginal_peaks, traces = [], [], {}
+    objectives, marginal_peaks, traces, rows = [], [], {}, []
     for seed in range(10):
         cfg = ExperimentConfig(
             experiment="deconv", seed=seed, out=str(tmp / f"d{seed}.csv")
@@ -446,10 +446,12 @@ def deconvolution_runs(tmp_path_factory):
         objectives.append(trace.objective)
         marginal_peaks.append(max(J.marginal_error_log))
         traces[seed] = _strip_wall((tmp / f"d{seed}.csv").read_text())
+        rows.append(sum(trace.samples))
     return {
         "objectives": objectives,
         "marginal_peaks": marginal_peaks,
         "traces": traces,
+        "rows": rows,
         "elapsed": time.perf_counter() - start,
     }
 
@@ -461,6 +463,15 @@ def test_deconvolution_objective_decreases_with_tight_marginals(deconvolution_ru
     averaged = np.mean(np.array(objectives), axis=0)
     assert np.all(np.diff(averaged) <= 1e-12)
     assert max(deconvolution_runs["marginal_peaks"]) <= 1e-6
+
+
+def test_deconvolution_witness_rows_per_seed(deconvolution_runs):
+    """A faster Sinkhorn solve moves the potentials only within its
+    tolerance and no prox work: each seed's witness-gradient rows (the
+    trace's samples) keep their count."""
+    assert deconvolution_runs["rows"] == [
+        7750, 7699, 7583, 7743, 7655, 7726, 7767, 7680, 7676, 7671
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -749,6 +749,19 @@ class TestTrustRegion:
         assert sampler.images.shape == mu.points.shape
         np.testing.assert_array_equal(sampler.target_cloud().points, sampler.images)
 
+    @pytest.mark.parametrize(
+        "objective", [linear(np.array([1.0, 0.0])), quadratic(), double_well()]
+    )
+    def test_target_cloud_is_built_on_the_report_images(self, objective):
+        """The next cloud holds the certifying pass's images themselves, frozen
+        and owning their data, so every per-cloud memo keeps them."""
+        mu = ParticleCloud(np.random.default_rng(14).normal(size=(9, 2)))
+        sampler, rep = trust_region_step(objective, mu, 0.15, 1e-3)
+        nu = sampler.target_cloud()
+        assert nu.points is rep.images and nu.points is sampler.images
+        assert not nu.points.flags.writeable and nu.points.flags.owndata
+        assert nu.points.dtype == np.float64 and nu.points.shape == mu.points.shape
+
     def test_step_reuses_the_certifying_prox_pass(self, monkeypatch):
         """A step evaluates exactly the gradient rows of its own bisection,
         whose interval check also admits the radius."""

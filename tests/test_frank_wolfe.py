@@ -226,9 +226,10 @@ class TestRunFrankWolfe:
     def test_final_objective_is_that_of_the_returned_cloud(self, tmp_path):
         """The trace's last J was measured before the last step: on deconv
         seed 0 it reads 0.5382559, against 0.5379641 for the returned cloud.
-        The run's last solve was seeded with the previous cloud's v and a
-        fresh functional's starts from v = 0; both meet tol, so they agree
-        within tol * max cost (`test_functionals._agreement_bound`)."""
+        The run's last solve was seeded with the v of the two clouds before,
+        extrapolated linearly, and a fresh functional's starts from v = 0;
+        both meet tol, so they agree within tol * max cost
+        (`test_functionals._agreement_bound`)."""
         cfg = ExperimentConfig(experiment="deconv", seed=0, out=str(tmp_path / "d.csv"))
         mu, trace, J = run_deconv(cfg)
         fresh = EntropicDeconv(J.sigma2, J.data, tol=J.tol)

@@ -511,6 +511,16 @@ class TestSinkhornSweep:
         )
 
 
+def _three_d_draw(seed):
+    """(x, y, sigma2) of the 3-d family: 1-8 atoms a side, d <= 3, clouds
+    scaled by 10^U(-0.5, 1), sigma2 = 10^U(-2, 4)."""
+    rng = np.random.default_rng(seed)
+    n, m, d = rng.integers(1, 9), rng.integers(1, 9), rng.integers(1, 4)
+    sigma2 = 10 ** rng.uniform(-2, 4)
+    scale = 10 ** rng.uniform(-0.5, 1)
+    return scale * rng.normal(size=(n, d)), scale * rng.normal(size=(m, d)), sigma2
+
+
 class TestSinkhornStalls:
     """Inputs on which 20,000 plain sweeps stopped short of the tolerance."""
 
@@ -529,22 +539,42 @@ class TestSinkhornStalls:
 
     def test_spent_budget_raises_a_typed_error(self, monkeypatch):
         """Draw 208 of the 3-d family (n = m = 8, sigma2 = 0.176, cost /
-        sigma2 up to 398) needs 109 ladder iterations, and the fallback
-        sweeps stall near 1.5e-7; capped at 200 in all, the fallback stops
-        after 91 sweeps and the solve reports its error and iteration
-        count."""
+        sigma2 up to 398), on which plain sweeps stall near 4e-7.  No known
+        input still needs the fallback, so Newton is made to stall at once:
+        the ladder's sweeps take 92 iterations and, capped at 200 in all,
+        the fallback stops after 108 sweeps and the solve reports its error
+        and iteration count."""
         monkeypatch.setattr(functionals, "_SINKHORN_MAX_ITER", 200)
-        rng = np.random.default_rng(208)
-        n, m, d = rng.integers(1, 9), rng.integers(1, 9), rng.integers(1, 4)
-        sigma2 = 10 ** rng.uniform(-2, 4)
-        scale = 10 ** rng.uniform(-0.5, 1)
-        x = scale * rng.normal(size=(n, d))
-        y = scale * rng.normal(size=(m, d))
-        assert (n, m, d) == (8, 8, 3)
+        monkeypatch.setattr(functionals, "_sinkhorn_newton", lambda v, c, *_: (v, c, 0))
+        x, y, sigma2 = _three_d_draw(208)
+        assert x.shape == (8, 3) and y.shape == (8, 3)
         with pytest.raises(SinkhornNotConverged) as info:
             _sinkhorn_potentials(x, y, sigma2, 1e-9)
         assert info.value.marginal_error > 1e-9
         assert info.value.iterations == 200
+
+    @pytest.mark.parametrize(
+        "family, seed", [("3-d", 208), ("2-d moved", 183), ("2-d moved", 2678)]
+    )
+    def test_newton_finishes_without_the_fallback(self, monkeypatch, family, seed):
+        """The draws whose Newton stage stalled when its conjugate gradient
+        stopped at m iterations (README, "Cost of the deconvolution
+        oracle"): with a zero fallback budget each still meets tol.  The
+        2-d draws are solved, then moved by 0.1 scale and solved from the
+        first v."""
+        monkeypatch.setattr(functionals, "_SINKHORN_MAX_ITER", 0)
+        if family == "3-d":
+            x, y, sigma2 = _three_d_draw(seed)
+            assert _sinkhorn_potentials(x, y, sigma2, 1e-9)[2] <= 1e-9
+            return
+        rng = np.random.default_rng(seed)
+        n, m = rng.integers(1, 9), rng.integers(1, 9)
+        scale, sigma2 = 10 ** rng.uniform(-0.5, 0.5), 10 ** rng.uniform(-2, 0)
+        x = scale * rng.normal(size=(n, 2))
+        y = scale * (rng.normal(size=(m, 2)) + 0.3)
+        _, v, _, _ = _sinkhorn_potentials(x, y, sigma2, 1e-9)
+        moved = x + 0.1 * scale * rng.normal(size=x.shape)
+        assert _sinkhorn_potentials(moved, y, sigma2, 1e-9, v)[2] <= 1e-9
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -555,11 +585,14 @@ class TestSinkhornStalls:
         log_sigma2=st.floats(-2.0, 0.0),
     )
     @example(seed=374837, n=7, m=7, log_scale=0.3828882354073191, log_sigma2=-0.6875)
+    @example(seed=165, n=8, m=8, log_scale=-0.23046875, log_sigma2=-2.0)
     def test_converges_down_to_small_sigma2(self, seed, n, m, log_scale, log_sigma2):
         """Clouds scaled by 10^U(-0.5, 0.5) at sigma2 in [1e-2, 1], where cost /
-        sigma2 reaches the thousands and whole columns underflow.  The example
-        is the one input known to need the plain-sweep fallback: the eps
-        ladder stops at 2.58e-9 and 83 sweeps finish it."""
+        sigma2 reaches the thousands and whole columns underflow.  Both
+        examples once needed the plain-sweep fallback: with the conjugate
+        gradient stopped at m iterations, 374837's ladder stopped at 2.58e-9
+        and 83 sweeps finished it, and 165's Newton stage stalled at 1.1e-6
+        and 19,875 sweeps ended at 1.7e-7, short of tol."""
         rng = np.random.default_rng(seed)
         scale, sigma2 = 10.0**log_scale, 10.0**log_sigma2
         x = scale * rng.normal(size=(n, 2))
@@ -651,11 +684,14 @@ class TestEntropicDeconv:
         assert sweeps == [0]
         assert iterations <= 1 and err <= 1e-9
 
-    def test_gate_ten_run_spends_at_most_fifty_iterations(self, monkeypatch, tmp_path):
+    def test_gate_ten_run_spends_at_most_thirty_iterations(self, monkeypatch, tmp_path):
         """At the gate-10 defaults (seed 0) each solve is seeded with the v of
-        the cloud before: the run's 21 solves, one per step and one for the
-        returned cloud, take 46 sweeps and Newton steps in all, where solves
-        from v = 0 took 133."""
+        the last two clouds extrapolated linearly (the cloud before's alone
+        for the second): the run's 21 solves, one per step and one for the
+        returned cloud, take 27 sweeps and Newton steps in all ([6, 2, then
+        1 each]), where a seed at the cloud before's v took 46 and solves
+        from v = 0 took 133.  Every solve from the third on takes exactly
+        one Newton step."""
         iterations = []
         real = functionals._sinkhorn_potentials
 
@@ -668,7 +704,41 @@ class TestEntropicDeconv:
         cfg = ExperimentConfig(experiment="deconv", seed=0, out=str(tmp_path / "d.csv"))
         _, _, J = experiments.run_deconv(cfg)
         assert len(J.marginal_error_log) == len(iterations) == 21
-        assert sum(iterations) <= 50
+        assert sum(iterations) <= 30
+        assert iterations[2:] == [1] * 19
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 8), min_size=3, max_size=6),
+        m=st.integers(1, 8),
+        log_sigma2=st.floats(-2.0, 0.0),
+        gap=st.integers(1, 5),
+    )
+    def test_extrapolated_seeds_off_any_trajectory(self, seed, sizes, m, log_sigma2, gap):
+        """Unrelated clouds in a row, so 2 v(k) - v(k-1) may seed a solve far
+        from its solution, with a writeable array between two of them.
+        Every solve meets tol and agrees with a fresh functional's within
+        `_agreement_bound`.  The writeable array's solve neither reads nor
+        changes the two-solve history: it equals a fresh functional's bit
+        for bit, and every cloud's value equals that of a twin functional
+        fed the clouds alone."""
+        rng = np.random.default_rng(seed)
+        sigma2 = 10.0**log_sigma2
+        data = ParticleCloud(rng.normal(size=(m, 2)) + 0.3)
+        clouds = [ParticleCloud(rng.normal(size=(n, 2))) for n in sizes]
+        loose = SimpleNamespace(points=rng.normal(size=(int(rng.integers(1, 9)), 2)))
+        at = min(gap, len(clouds) - 1)  # the writeable array goes before clouds[at]
+        J, twin = EntropicDeconv(sigma2, data), EntropicDeconv(sigma2, data)
+        for k, mu in enumerate(clouds):
+            if k == at:
+                assert J.value(loose) == EntropicDeconv(sigma2, data).value(loose)
+            value = J.value(mu)
+            assert value == twin.value(mu)
+            fresh = EntropicDeconv(sigma2, data).value(mu)
+            assert abs(value - fresh) <= _agreement_bound(J, mu)
+        assert len(J.marginal_error_log) == len(clouds) + 1
+        assert max(J.marginal_error_log) <= J.tol
 
     @pytest.mark.parametrize("read_only_view", [False, True])
     def test_changeable_points_are_solved_afresh(self, read_only_view):
