@@ -28,8 +28,6 @@ from .frank_wolfe import (
 )
 from .functionals import (
     EntropicDeconv,
-    GaussianKernel,
-    InverseMultiquadricKernel,
     MMDSquared,
     PotentialInteraction,
     RandomFeatureKernel,
@@ -48,8 +46,6 @@ __all__ = [
     "EntropicDeconv",
     "FWConfig",
     "FWTrace",
-    "GaussianKernel",
-    "InverseMultiquadricKernel",
     "MMDSquared",
     "ParticleCloud",
     "PotentialInteraction",

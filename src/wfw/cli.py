@@ -129,7 +129,7 @@ def cmd_fw(args):
         k_max=args.k_max,
         seed=args.seed,
     )
-    mu, trace = run_frank_wolfe(J, mu0, cfg, chained=args.chained)
+    mu, trace = run_frank_wolfe(J, mu0, cfg)
     trace.to_csv(args.out)
     if args.final_out is not None:
         save_csv(mu, args.final_out)
@@ -198,7 +198,6 @@ def build_parser():
     p.add_argument("--big-t", dest="big_t", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--init", help="initial cloud CSV (default: seeded uniform)")
-    p.add_argument("--chained", action="store_true", help="resample through lineage")
     p.add_argument("--out", default="fw_trace.csv")
     p.add_argument("--final-out", dest="final_out", help="write final cloud CSV")
     p.set_defaults(func=cmd_fw)

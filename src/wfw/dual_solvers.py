@@ -282,7 +282,8 @@ def primal_dual_bisection(f, mu, penalty, eps, root_hint=None):
         ValueError: eps outside (0, inf).
         RegularizationTooWeak, IntervalEmpty: as `dual_interval`.
         RadiusOutOfRange: hi or the bisection width is not finite, as
-            where psi*' underflows (carries delta, if any, and lam_hat).
+            where psi*' underflows (carries delta, if any, and lam_hat),
+            or the prox tolerance underflows to 0 (carries delta and eps).
         InfeasiblePrimal: the returned pass lies where psi is infinite.
         GapNotCertified: the search reaches its cap or a collapsed bracket.
     """
@@ -294,6 +295,10 @@ def primal_dual_bisection(f, mu, penalty, eps, root_hint=None):
     l, u = _dual_interval(f, m2, penalty, c=m2 / reg if reg > 0 else None)
     eps_alg = eps / (4.0 + l)
     eps_prox = eps_alg / (2.0 * max(u - l, 1.0))
+    delta = getattr(penalty, "delta", None)
+    if not eps_prox > 0.0:  # a tiny eps over a bracket as wide as 1 / delta
+        msg = f"prox tolerance underflows to 0 at delta = {delta}, eps = {eps} on ({l}, {u})"
+        raise RadiusOutOfRange(msg, delta=delta, eps=eps)
 
     def past_root(lam):  # gap <= eps_alg / 2: |cbar'| <= 2 cbar / (lam - rho)
         den = 4.0 * lam * penalty.psi_star_deriv(lam)  # 0 where psi*' underflows
@@ -305,7 +310,6 @@ def primal_dual_bisection(f, mu, penalty, eps, root_hint=None):
     b = max(penalty.smoothness_on(l, u), 16.0 * m2 * m2, 1e-12)
     width = max(eps_alg / b, math.ulp(hi))
     if not (hi < math.inf and width < math.inf):  # psi*' underflows past lam_hat
-        delta = getattr(penalty, "delta", None)
         msg = f"dual bracket (rho, {hi}] at delta = {delta}, lam_hat = {lam} is not finite"
         raise RadiusOutOfRange(msg, delta=delta, lam_hat=lam)
     steps = math.ceil(math.log2(max(hi - rho, width) / width)) + 1

@@ -103,13 +103,16 @@ class DeltaTooLarge(WfwError):
 
 class RadiusOutOfRange(WfwError):
     """A trust-region radius past the float range of its dual: delta^2 / 2
-    overflows, or psi*' underflows so that the dual bracket has no finite
-    right end.  Carries `delta` and, from the bracket, `lam_hat`."""
+    overflows, psi*' underflows so that the dual bracket has no finite
+    right end, or the bracket is so wide that the prox tolerance, eps over
+    its width, underflows to 0.  Carries `delta` and, from the bracket,
+    `lam_hat`, or, from the tolerance, `eps`."""
 
-    def __init__(self, message, delta=None, lam_hat=None):
+    def __init__(self, message, delta=None, lam_hat=None, eps=None):
         super().__init__(message)
         self.delta = delta
         self.lam_hat = lam_hat
+        self.eps = eps
 
 
 class InfeasiblePrimal(WfwError):
@@ -122,12 +125,10 @@ class InfeasiblePrimal(WfwError):
 
 
 class GapNotCertified(WfwError):
-    """A dual search ended without a certified pass.
-
-    Both searches run on one bracket (rho, hi]: the sampled one returned a
-    pass with a gap above eps, or the full-batch one spent its pass cap (or
-    collapsed its bracket) without a pass with h <= 0 and a gap within its
-    tolerance.  Carries the last pass's `lam`, Fenchel-Young `gap` and `eps`.
+    """The dual search ended without a certified pass: on its bracket
+    (rho, hi] it spent its pass cap, or collapsed the bracket, without a
+    pass with h <= 0 and a gap within its tolerance.  Carries the last
+    pass's `lam`, Fenchel-Young `gap` and the tolerance `eps`.
     """
 
     def __init__(self, message, lam=None, gap=None, eps=None):

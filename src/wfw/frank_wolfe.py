@@ -16,9 +16,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
-from .cloud import CloudMemo, ParticleCloud, mean_squared_gradient_norm
+from .cloud import CloudMemo, mean_squared_gradient_norm
 from .dual_solvers import TrustRegionIndicator, root_estimate, trust_region_step
 from .errors import DeltaTooLarge
 from .moreau import SmoothObjective
@@ -173,7 +171,7 @@ def estimate_gradient_norm(phi, mu):
     return mean_squared_gradient_norm(mu, phi)
 
 
-def run_frank_wolfe(J, mu0, cfg, chained=False, on_iterate=None):
+def run_frank_wolfe(J, mu0, cfg, on_iterate=None):
     """Run the outer loop; returns (final cloud, trace), the trace carrying
     the final cloud's objective in `final_objective`.
 
@@ -194,14 +192,10 @@ def run_frank_wolfe(J, mu0, cfg, chained=False, on_iterate=None):
     returns its own point, which would stop tracking the root's drift.
 
     Args:
-        chained: resample the iterate through its prox lineage instead of
-            keeping the one-image-per-atom materialization; the only use
-            of the run's rng, seeded with cfg.seed.
         on_iterate: optional callback invoked as on_iterate(i, cloud) after
             each recorded iteration with the post-step cloud.
     """
     mu = mu0
-    rng = np.random.default_rng(cfg.seed)
     trace = FWTrace()
     ratios = []  # the last two steps' root estimates over s / delta
 
@@ -231,11 +225,7 @@ def run_frank_wolfe(J, mu0, cfg, chained=False, on_iterate=None):
             est = root_estimate(TrustRegionIndicator(delta), s * s, rep.lambda_star, rep.cost)
             ratio = est / (s / delta)  # nan where cbar = 0
             ratios = ratios[-1:] + [ratio] if math.isfinite(ratio) else []
-            if chained:
-                idx = rng.integers(0, sampler.images.shape[0], size=mu0.n)
-                mu = ParticleCloud(sampler.images[idx])
-            else:
-                mu = sampler.target_cloud()
+            mu = sampler.target_cloud()
 
         wall = (time.perf_counter() - t0) * 1000.0
         trace.append(i, obj, s, delta, zeta, counter["rows"], wall)

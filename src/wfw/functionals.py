@@ -31,60 +31,16 @@ def _softmax(a):
     return a, top
 
 
-class GaussianKernel:
-    """k(x, y) = exp(-||x-y||^2 / (2 sigma^2)); gradient Lipschitz bound 1/sigma^2."""
-
-    name = "gaussian"
-
-    def __init__(self, sigma):
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
-        self.sigma = float(sigma)
-        self.grad_lipschitz = 1.0 / self.sigma**2
-
-    def gram(self, a, b):
-        return np.exp(-sqdist_matrix(a, b) / (2.0 * self.sigma**2))
-
-    def mean_grad(self, a, z):
-        """Rows: (1/|a|) sum_i grad_z k(a_i, z_row)."""
-        k = self.gram(z, a)
-        return -(z * k.mean(axis=1, keepdims=True) - (k @ a) / a.shape[0]) / self.sigma**2
-
-
-class InverseMultiquadricKernel:
-    """k(x, y) = (c^2 + ||x-y||^2)^(-beta); gradient Lipschitz bound 6 beta / c^(2 beta + 2)."""
-
-    name = "imq"
-
-    def __init__(self, c, beta):
-        if c <= 0 or beta <= 0:
-            raise ValueError("c and beta must be positive")
-        self.c = float(c)
-        self.beta = float(beta)
-        self.grad_lipschitz = 6.0 * self.beta / self.c ** (2.0 * self.beta + 2.0)
-
-    def gram(self, a, b):
-        return (self.c**2 + sqdist_matrix(a, b)) ** (-self.beta)
-
-    def mean_grad(self, a, z):
-        g1 = (self.c**2 + sqdist_matrix(z, a)) ** (-self.beta - 1.0)
-        return -2.0 * self.beta * (
-            z * g1.mean(axis=1, keepdims=True) - (g1 @ a) / a.shape[0]
-        )
-
-
 class RandomFeatureKernel:
     """Feature-map kernel k(x, y) = (1/B) sum_b tanh(t_b . x) tanh(t_b . y).
 
-    `table` holds the B frozen feature directions t_b as rows; the Gram
-    matrix is a Gram of feature vectors, hence positive semidefinite by
+    `table` holds the B frozen feature directions t_b as rows; k is an
+    inner product of feature vectors, hence positive semidefinite by
     construction.  The gradient Lipschitz bound uses the peak curvature of
     tanh and the mean squared row norm of the table.  A cloud's feature map
     and its mean embedding are each computed once and shared by every
     caller (`CloudMemo`).
     """
-
-    name = "random-feature"
 
     def __init__(self, table):
         table = np.asarray(table, dtype=np.float64)
@@ -118,94 +74,46 @@ class RandomFeatureKernel:
         """Rows: grad_z of phi(z) . w, for a weight vector w of length B."""
         return ((1.0 - self.features(z) ** 2) * w) @ self.table
 
-    def gram(self, a, b):
-        return self.features(a) @ self.features(b).T / self.table.shape[0]
-
-    def mean_grad(self, a, z):
-        return self.feature_grad(z, self.mean_embedding(a)) / self.table.shape[0]
-
 
 class MMDSquared:
-    """Squared maximum mean discrepancy to a fixed target cloud.
+    """Squared maximum mean discrepancy to a fixed target cloud, under a
+    `RandomFeatureKernel`.
 
     value(mu) is the V-statistic E_mm k + E_tt k - 2 E_mt k; the witness of
     `derivative_oracle` is twice the difference of mean kernel embeddings,
     the factor matching the first-order expansion of the V-statistic under
     particle displacement.
 
-    Under `RandomFeatureKernel`, k(x, y) = phi(x) . phi(y) / B is linear in
-    feature space, so both are computed there: value(mu) is
-    ||mean phi(x) - mean phi(y)||^2 / B and the witness is phi(z) . w with
-    w = (2/B) (mean phi(x) - mean phi(y)).  That costs one feature map
-    and one mean embedding per cloud, shared by every functional on the
-    same kernel, and no Gram matrix; the target's mean embedding is
-    computed once, here.  Other kernels use the Gram forms.
+    k(x, y) = phi(x) . phi(y) / B is linear in feature space, so both are
+    computed there: value(mu) is ||mean phi(x) - mean phi(y)||^2 / B and
+    the witness is phi(z) . w with w = (2/B) (mean phi(x) - mean phi(y)).
+    That costs one feature map and one mean embedding per cloud, shared by
+    every functional on the same kernel, and no Gram matrix; the target's
+    mean embedding is computed once, here.
     """
 
     def __init__(self, kernel, target):
         self.kernel = kernel
         self.target = target
-        y = target.points
-        if isinstance(kernel, RandomFeatureKernel):
-            self._target_embedding = kernel.mean_embedding(y)
-            self._value, self._witness = self._feature_value, self._feature_witness
-        else:
-            self._target_mean = float(np.mean(kernel.gram(y, y)))
-            self._value, self._witness = self._gram_value, self._gram_witness
+        self._target_embedding = kernel.mean_embedding(target.points)
 
     def value(self, mu):
-        return self._value(mu.points)
+        gap = self._embedding_gap(mu.points)
+        return float(gap @ gap) / self.kernel.table.shape[0]
 
     def derivative_oracle(self, mu, eps):
-        eval_many, grad_many = self._witness(mu.points)
-        lips = 4.0 * self.kernel.grad_lipschitz
+        kernel = self.kernel
+        w = (2.0 / kernel.table.shape[0]) * self._embedding_gap(mu.points)
+        lips = 4.0 * kernel.grad_lipschitz
         return SmoothObjective(
-            eval_many=eval_many,
-            grad_many=grad_many,
+            eval_many=lambda z: kernel.features(z) @ w,
+            grad_many=lambda z: kernel.feature_grad(z, w),
             smoothness=lips,
             semiconvexity=lips,
         )
 
-    def _gram_value(self, x):
-        y = self.target.points
-        return float(
-            np.mean(self.kernel.gram(x, x))
-            + self._target_mean
-            - 2.0 * np.mean(self.kernel.gram(x, y))
-        )
-
-    def _gram_witness(self, x):
-        kernel = self.kernel
-        y = self.target.points
-
-        def eval_many(z):
-            return 2.0 * (
-                kernel.gram(z, x).mean(axis=1) - kernel.gram(z, y).mean(axis=1)
-            )
-
-        def grad_many(z):
-            return 2.0 * (kernel.mean_grad(x, z) - kernel.mean_grad(y, z))
-
-        return eval_many, grad_many
-
     def _embedding_gap(self, x):
         return self.kernel.mean_embedding(x) - self._target_embedding
-
-    def _feature_value(self, x):
-        gap = self._embedding_gap(x)
-        return float(gap @ gap) / self.kernel.table.shape[0]
-
-    def _feature_witness(self, x):
-        kernel = self.kernel
-        w = (2.0 / kernel.table.shape[0]) * self._embedding_gap(x)
-
-        def eval_many(z):
-            return kernel.features(z) @ w
-
-        def grad_many(z):
-            return kernel.feature_grad(z, w)
-
-        return eval_many, grad_many
 
 
 def _soft_c_transform(w, cost, s2):

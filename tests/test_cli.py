@@ -326,15 +326,23 @@ class TestTrustRegionCommand:
                 ["--objective", "double-well", "--delta", "1e-200", "--eps", "1e-10"],
                 "lam_hat = 1.41",
             ),
+            (3, ["--delta", "1e-150", "--eps", "1e-280"], "delta = 1e-150, eps = 1e-280"),
         ],
-        ids=["square-overflows", "slope-underflows", "double-well-slope-underflows"],
+        ids=[
+            "square-overflows",
+            "slope-underflows",
+            "double-well-slope-underflows",
+            "prox-tolerance-underflows",
+        ],
     )
     def test_radius_past_the_float_range_is_a_typed_error(
         self, tmp_path, capsys, atoms, flags, named
     ):
         """One atom at the origin with delta = 1e300 (delta^2 overflows), or
-        three at (1, 1) with delta^2 / 2 underflowing: exit 1 with the typed
-        error's message, not a traceback or a raw ValueError."""
+        three at (1, 1) with delta^2 / 2 underflowing, or with a tolerance
+        that underflows to 0 over the dual bracket of width ~ 1 / delta:
+        exit 1 with the typed error's message, not a traceback or a raw
+        ValueError."""
         cloud = tmp_path / "cloud.csv"
         save_csv(ParticleCloud([[0.0, 0.0]] if atoms == 1 else [[1.0, 1.0]] * 3), cloud)
         code = main(["trust-region", "--cloud", str(cloud)] + flags)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wfw import dual_solvers, moreau
 from wfw.cloud import ParticleCloud, wasserstein2_exact
@@ -671,6 +672,36 @@ class TestMirrorAscent:
 
 
 class TestTrustRegion:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["quadratic", "double-well", "linear"]),
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 5), st.integers(1, 3)),
+            elements=st.floats(-2.0, 2.0),
+        ),
+        arrays(np.float64, 3, elements=st.floats(-3.0, 3.0)),
+        st.floats(-300.0, 300.0),
+        st.floats(-300.0, 300.0),
+    )
+    @example("quadratic", np.ones((3, 2)), np.zeros(3), -150.0, -280.0)
+    def test_step_returns_a_feasible_report_or_a_typed_error(
+        self, kind, atoms, a, log_delta, log_eps
+    ):
+        """Over radii and tolerances across the float range, a step returns
+        a report inside the ball with a nonnegative gap (to roundoff), or
+        raises a `WfwError`; a raw error or a RuntimeWarning fails.  At
+        delta = 1e-150 and eps = 1e-280 the prox tolerance, eps over a
+        bracket of width ~ 1 / delta, underflows to 0."""
+        fields = {"quadratic": quadratic, "double-well": double_well}
+        f = fields[kind]() if kind in fields else linear(a[: atoms.shape[1]])
+        delta = 10.0**log_delta
+        try:
+            _, rep = trust_region_step(f, ParticleCloud(atoms), delta, 10.0**log_eps)
+        except WfwError:
+            return
+        assert rep.cost <= 0.5 * delta**2 and rep.gap >= -1e-6
+
     def test_linear_closed_form(self):
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(10, 3))

@@ -264,14 +264,6 @@ class TestRunFrankWolfe:
         assert t1.s == t2.s
         assert t1.samples == t2.samples
 
-    def test_chained_resampling_keeps_cloud_size(self):
-        mu0 = _uniform_cloud(30, 2)
-        mu, trace = run_frank_wolfe(
-            _interaction(), mu0, self._cfg(1e-4, 5), chained=True
-        )
-        assert mu.n == mu0.n and mu.dim == mu0.dim
-        assert len(trace) == 5
-
     def test_large_cloud_steps_on_its_exact_norm(self):
         """Above 4,096 atoms each step's s is the exact norm of the cloud
         entering it.  The norm's n rows are the ones the step's dual

@@ -16,8 +16,6 @@ from wfw.errors import NonFiniteDual, SinkhornNotConverged
 from wfw.experiments import ExperimentConfig, run_mmd_flow
 from wfw.functionals import (
     EntropicDeconv,
-    GaussianKernel,
-    InverseMultiquadricKernel,
     MMDSquared,
     PotentialInteraction,
     RandomFeatureKernel,
@@ -26,57 +24,64 @@ from wfw.functionals import (
 from wfw.registry import OBJECTIVES, make_objective, make_pair, quadratic
 
 
-def _kernels():
-    table = 0.5 * np.random.default_rng(0).standard_normal((16, 2))
-    return [
-        GaussianKernel(0.8),
-        InverseMultiquadricKernel(1.2, 0.5),
-        RandomFeatureKernel(table),
-    ]
+def _kernel():
+    return RandomFeatureKernel(0.5 * np.random.default_rng(0).standard_normal((16, 2)))
+
+
+_KERNEL = pytest.mark.parametrize("kernel", [_kernel()], ids=["random-feature"])
+
+
+def _gram(kernel, a, b):
+    """The reference Gram matrix K = phi(a) phi(b)^T / B."""
+    return kernel.features(a) @ kernel.features(b).T / kernel.table.shape[0]
+
+
+def _mean_grad(kernel, a, z):
+    """Rows: (1/|a|) sum_i grad_z k(a_i, z_row), the feature gradient
+    against the mean of phi(a) / B."""
+    return kernel.feature_grad(z, kernel.features(a).mean(axis=0)) / kernel.table.shape[0]
 
 
 def _k(kernel, x, y):
-    """k(x, y) for two points, through the batch Gram matrix."""
-    return float(kernel.gram(x[None, :], y[None, :])[0, 0])
+    """k(x, y) for two points, through the reference Gram matrix."""
+    return float(_gram(kernel, x[None, :], y[None, :])[0, 0])
 
 
 def _grad_k(kernel, x, y):
-    """grad_x k(x, y) for two points, through the batch mean gradient."""
-    return kernel.mean_grad(y[None, :], x[None, :])[0]
+    """grad_x k(x, y) for two points, through the reference mean gradient."""
+    return _mean_grad(kernel, y[None, :], x[None, :])[0]
 
 
 class TestKernels:
     @pytest.mark.parametrize(
         "build, says",
         [
-            (lambda: GaussianKernel(0.0), "sigma must be positive"),
-            (lambda: InverseMultiquadricKernel(0.0, 1.0), "c and beta must be positive"),
             (lambda: RandomFeatureKernel(np.ones(3)), "feature table must be"),
             (lambda: EntropicDeconv(0.0, ParticleCloud(np.zeros((2, 2)))), "sigma2"),
         ],
-        ids=["gaussian", "imq", "random-feature", "deconv"],
+        ids=["random-feature", "deconv"],
     )
     def test_rejects_bad_parameters(self, build, says):
         with pytest.raises(ValueError, match=says):
             build()
 
-    @pytest.mark.parametrize("kernel", _kernels(), ids=lambda k: k.name)
+    @_KERNEL
     def test_symmetry(self, kernel):
         rng = np.random.default_rng(1)
         for _ in range(10):
             x, y = rng.normal(size=(2, 2))
             assert _k(kernel, x, y) == pytest.approx(_k(kernel, y, x), rel=1e-12)
 
-    @pytest.mark.parametrize("kernel", _kernels(), ids=lambda k: k.name)
+    @_KERNEL
     def test_gram_psd(self, kernel):
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(12, 2))
-        gram = kernel.gram(pts, pts)
+        gram = _gram(kernel, pts, pts)
         np.testing.assert_allclose(gram, gram.T, atol=1e-12)
         eigs = np.linalg.eigvalsh(gram)
         assert eigs.min() >= -1e-9
 
-    @pytest.mark.parametrize("kernel", _kernels(), ids=lambda k: k.name)
+    @_KERNEL
     def test_grad_matches_finite_differences(self, kernel):
         rng = np.random.default_rng(3)
         x, y = rng.normal(size=(2, 2))
@@ -88,7 +93,7 @@ class TestKernels:
             fd = (_k(kernel, x + e, y) - _k(kernel, x - e, y)) / (2 * h)
             assert g[i] == pytest.approx(fd, abs=1e-5)
 
-    @pytest.mark.parametrize("kernel", _kernels(), ids=lambda k: k.name)
+    @_KERNEL
     def test_grad_lipschitz_bound_on_samples(self, kernel):
         """|grad_x k(x,y) - grad_x k(x',y)| <= L |x-x'| on random pairs."""
         rng = np.random.default_rng(4)
@@ -98,12 +103,6 @@ class TestKernels:
             x2 = x1 + 0.05 * rng.normal(size=2)
             lhs = np.linalg.norm(_grad_k(kernel, x1, y) - _grad_k(kernel, x2, y))
             assert lhs <= kernel.grad_lipschitz * np.linalg.norm(x1 - x2) * (1 + 1e-6)
-
-    def test_gaussian_peak_and_scale(self):
-        k = GaussianKernel(2.0)
-        x = np.array([1.0, 1.0])
-        assert _k(k, x, x) == pytest.approx(1.0)
-        assert k.grad_lipschitz == pytest.approx(1.0 / 4.0)
 
     def test_random_feature_matches_feature_dot(self):
         table = 0.4 * np.random.default_rng(5).standard_normal((8, 3))
@@ -118,21 +117,21 @@ class TestMMDSquared:
         rng = np.random.default_rng(7)
         X = ParticleCloud(rng.normal(size=(6, 2)))
         Y = ParticleCloud(rng.normal(size=(5, 2)))
-        k = GaussianKernel(1.0)
+        k = _kernel()
         J = MMDSquared(k, Y)
-        kxx = k.gram(X.points, X.points).mean()
-        kyy = k.gram(Y.points, Y.points).mean()
-        kxy = k.gram(X.points, Y.points).mean()
+        kxx = _gram(k, X.points, X.points).mean()
+        kyy = _gram(k, Y.points, Y.points).mean()
+        kxy = _gram(k, X.points, Y.points).mean()
         assert J.value(X) == pytest.approx(kxx + kyy - 2 * kxy, rel=1e-12)
 
     def test_zero_at_target(self):
         rng = np.random.default_rng(8)
         Y = ParticleCloud(rng.normal(size=(7, 2)))
-        J = MMDSquared(GaussianKernel(1.0), Y)
+        J = MMDSquared(_kernel(), Y)
         assert J.value(Y) == pytest.approx(0.0, abs=1e-12)
         assert J.value(ParticleCloud(Y.points + 1.0)) > 0.0
 
-    @pytest.mark.parametrize("kernel", _kernels(), ids=lambda k: k.name)
+    @_KERNEL
     def test_first_order_expansion(self, kernel):
         """J(mu_t) - J(mu) - t <witness grads, V> vanishes like t^2."""
         rng = np.random.default_rng(9)
@@ -152,7 +151,7 @@ class TestMMDSquared:
         assert rems[0] < 1e-2
 
     def test_oracle_constants(self):
-        k = GaussianKernel(1.5)
+        k = _kernel()
         J = MMDSquared(k, ParticleCloud(np.zeros((3, 2))))
         model = J.derivative_oracle(ParticleCloud(np.ones((4, 2))), 1e-6)
         assert model.smoothness == pytest.approx(4.0 * k.grad_lipschitz)
@@ -161,18 +160,18 @@ class TestMMDSquared:
 
 def _gram_mmd(kernel, x, y):
     """Reference MMD^2 and witness through Gram matrices: the V-statistic
-    and the mean-gradient forms, in the order `MMDSquared` evaluates them
-    for kernels without a feature map."""
-    target_mean = float(np.mean(kernel.gram(y, y)))
+    and the mean-gradient forms."""
     value = float(
-        np.mean(kernel.gram(x, x)) + target_mean - 2.0 * np.mean(kernel.gram(x, y))
+        np.mean(_gram(kernel, x, x))
+        + np.mean(_gram(kernel, y, y))
+        - 2.0 * np.mean(_gram(kernel, x, y))
     )
 
     def eval_many(z):
-        return 2.0 * (kernel.gram(z, x).mean(axis=1) - kernel.gram(z, y).mean(axis=1))
+        return 2.0 * (_gram(kernel, z, x).mean(axis=1) - _gram(kernel, z, y).mean(axis=1))
 
     def grad_many(z):
-        return 2.0 * (kernel.mean_grad(x, z) - kernel.mean_grad(y, z))
+        return 2.0 * (_mean_grad(kernel, x, z) - _mean_grad(kernel, y, z))
 
     return value, eval_many, grad_many
 
@@ -218,30 +217,10 @@ class TestMMDFeatureSpace:
             model.grad_many(z), ref_grad(z), rtol=1e-12, atol=1e-14 * grad_scale
         )
 
-    @pytest.mark.parametrize(
-        "kernel",
-        [GaussianKernel(0.8), InverseMultiquadricKernel(1.2, 0.5)],
-        ids=lambda k: k.name,
-    )
-    @settings(max_examples=20, deadline=None)
-    @given(clouds=_clouds)
-    def test_gram_kernels_keep_their_bits(self, kernel, clouds):
-        seed, n, m, d = clouds
-        rng = np.random.default_rng(seed)
-        x, y = rng.normal(size=(n, d)), rng.normal(size=(m, d)) + 0.5
-        z = rng.normal(size=(5, d))
-        J = MMDSquared(kernel, ParticleCloud(y))
-        model = J.derivative_oracle(ParticleCloud(x), 1e-9)
-        ref_value, ref_eval, ref_grad = _gram_mmd(kernel, x, y)
-        assert J.value(ParticleCloud(x)) == ref_value
-        assert np.array_equal(model.eval_many(z), ref_eval(z))
-        assert np.array_equal(model.grad_many(z), ref_grad(z))
-
-    def test_random_feature_oracle_builds_no_gram(self, monkeypatch):
-        def no_gram(self, a, b):
-            raise AssertionError("random-feature MMD built a Gram matrix")
-
-        monkeypatch.setattr(RandomFeatureKernel, "gram", no_gram)
+    def test_random_feature_oracle_builds_no_gram(self):
+        """The kernel has no Gram form: value and witness go through the
+        feature map alone."""
+        assert not hasattr(RandomFeatureKernel, "gram")
         rng = np.random.default_rng(12)
         kernel = RandomFeatureKernel(0.4 * rng.standard_normal((16, 3)))
         J = MMDSquared(kernel, ParticleCloud(rng.normal(size=(9, 3))))
@@ -257,17 +236,14 @@ class TestMMDFeatureSpace:
     ):
         """A baseline step maps its n atoms through tanh once: J and J_val of
         the moved cloud, and the next step's witness embedding and gradient
-        at the atoms, share one map.  The start cloud adds one more.  No
-        Gram matrix is built.  The spy counts the rows tanh actually maps."""
+        at the atoms, share one map.  The start cloud adds one more.  The
+        spy counts the rows tanh actually maps."""
         feature_rows = {"total": 0, "baseline": 0}
         tanh = np.tanh
 
         def counted_tanh(x):
             feature_rows["total"] += x.shape[0]
             return tanh(x)
-
-        def no_gram(self, a, b):
-            raise AssertionError("random-feature MMD built a Gram matrix")
 
         flow = experiments.mmd_gradient_flow
 
@@ -278,7 +254,6 @@ class TestMMDFeatureSpace:
             return result
 
         monkeypatch.setattr(np, "tanh", counted_tanh)
-        monkeypatch.setattr(RandomFeatureKernel, "gram", no_gram)
         monkeypatch.setattr(experiments, "mmd_gradient_flow", counted_flow)
         n = 6
         cfg = ExperimentConfig(
@@ -937,8 +912,7 @@ def _witness(kind, rng):
     mu = ParticleCloud(rng.normal(size=(int(rng.integers(1, 7)), 2)))
     target = ParticleCloud(rng.normal(size=(5, 2)) + 0.3)
     if kind.startswith("mmd-"):
-        kernel = {k.name: k for k in _kernels()}[kind[4:]]
-        return MMDSquared(kernel, target).derivative_oracle(mu, 1e-9)
+        return MMDSquared(_kernel(), target).derivative_oracle(mu, 1e-9)
     if kind == "deconv":
         return EntropicDeconv(0.3, target).derivative_oracle(mu, 1e-9)
     pair = make_pair(kind[5:])
@@ -947,7 +921,7 @@ def _witness(kind, rng):
     )
 
 
-_WITNESS_KINDS = [f"mmd-{k.name}" for k in _kernels()] + ["deconv"] + [
+_WITNESS_KINDS = ["mmd-random-feature", "deconv"] + [
     f"pair-{name}" for name in sorted(OBJECTIVES)
 ]
 

@@ -11,7 +11,8 @@ from wfw import frank_wolfe, functionals, moreau, registry
 # Deleted with their tests: no gate, CLI command, experiment runner or
 # benchmark reached them.  The pair-potential class and its builders went
 # when pair terms became even `SmoothObjective`s of x - y; the one-row prox
-# and its result type went beside `agd_prox_batch`, which takes one row.
+# and its result type went beside `agd_prox_batch`, which takes one row;
+# the Gram kernels went when MMD kept only its feature-space arithmetic.
 _DELETED = (
     "geodesic_point",
     "make_kernel",
@@ -24,6 +25,8 @@ _DELETED = (
     "pair_zero",
     "agd_prox",
     "ProxResult",
+    "GaussianKernel",
+    "InverseMultiquadricKernel",
 )
 
 
@@ -48,6 +51,11 @@ def test_trust_region_search_takes_no_sampling_arguments():
         "trust_region_step": "(f, mu, delta, eps, root_hint=None)",
         "primal_dual_bisection": "(f, mu, penalty, eps, root_hint=None)",
     }
+
+
+def test_outer_loop_keeps_one_iterate():
+    """The moved cloud is the step's image of each atom; no flag resamples it."""
+    assert str(inspect.signature(wfw.run_frank_wolfe)) == "(J, mu0, cfg, on_iterate=None)"
 
 
 def test_dual_solve_report_carries_no_sample_count():
