@@ -3,7 +3,6 @@
 from . import errors
 from .cloud import (
     ParticleCloud,
-    TransportPlan,
     load_csv,
     mean_squared_gradient_norm,
     save_csv,
@@ -53,7 +52,6 @@ __all__ = [
     "PushforwardSampler",
     "RandomFeatureKernel",
     "SmoothObjective",
-    "TransportPlan",
     "TrustRegionIndicator",
     "dual_interval",
     "errors",

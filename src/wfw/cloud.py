@@ -12,10 +12,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteIterate, SizeCapExceeded
 
-#: Hard cap on n*m for the exact transport solvers.
+#: Hard cap on n*n for the exact transport solve.
 EXACT_OT_CAP = 10**6
-
-_MARGINAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -87,37 +85,6 @@ class CloudMemo:
         return value
 
 
-@dataclass(frozen=True)
-class TransportPlan:
-    """Coupling between two clouds: nonnegative n-by-m weights with uniform marginals."""
-
-    weights: np.ndarray
-    source: ParticleCloud
-    target: ParticleCloud
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        n, m = self.source.n, self.target.n
-        if w.shape != (n, m):
-            raise ValueError(f"plan shape {w.shape} != ({n}, {m})")
-        if np.any(w < -_MARGINAL_TOL):
-            raise ValueError("plan has negative entries")
-        row_err = np.max(np.abs(w.sum(axis=1) - 1.0 / n))
-        col_err = np.max(np.abs(w.sum(axis=0) - 1.0 / m))
-        if row_err > _MARGINAL_TOL or col_err > _MARGINAL_TOL:
-            raise ValueError(
-                f"marginals off by (rows {row_err:.2e}, cols {col_err:.2e})"
-            )
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    def cost(self):
-        """Sum_ij w_ij ||x_i - y_j||^2 (squared-displacement transport cost)."""
-        d2 = sqdist_matrix(self.source.points, self.target.points)
-        return float(np.sum(self.weights * d2))
-
-
 def row_sqnorm(a):
     """Squared Euclidean norm of each row of a 2-D array, summed left to right."""
     return np.add.reduce(a * a, axis=1)
@@ -129,66 +96,38 @@ def sqdist_matrix(x, y):
     return np.maximum(d2, 0.0)
 
 
-def wasserstein2_exact(a, b, cap=EXACT_OT_CAP):
-    """Exact 2-Wasserstein distance between two clouds.
+def wasserstein2_exact(a, b):
+    """Exact 2-Wasserstein distance between two clouds of n atoms each.
 
-    Uses an exact assignment solve when the clouds have equal size (the
-    optimal plan is then a permutation) and a dense LP otherwise.  This is a
-    test oracle, not a hot path: n*m is capped.
-
-    Args:
-        a, b: ParticleCloud with matching dimension.
-        cap: maximum allowed n*m for the dense solve.
+    Between uniform clouds of equal size an optimal plan is a permutation,
+    found by an exact assignment solve.  This is a test oracle, not a hot
+    path: n*n is capped at EXACT_OT_CAP.
 
     Returns:
-        (distance, plan): the distance is sqrt of the minimal coupling cost.
+        (distance, perm): the distance is sqrt of the minimal mean squared
+        displacement, attained by sending a's atom i to b's atom perm[i].
 
     Raises:
-        DimensionMismatch: ambient dimensions differ.
-        SizeCapExceeded: n*m above the cap; caller must subsample.
+        DimensionMismatch: ambient dimensions or atom counts differ.
+        SizeCapExceeded: n*n above EXACT_OT_CAP; caller must subsample.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dim {a.dim} vs {b.dim}")
-    n, m = a.n, b.n
-    if n * m > cap:
+    if a.points.shape != b.points.shape:
+        raise DimensionMismatch(f"clouds of shape {a.points.shape} vs {b.points.shape}")
+    n = a.n
+    if n * n > EXACT_OT_CAP:
         raise SizeCapExceeded(
-            f"exact OT needs {n * m} entries (cap {cap})", required=n * m, cap=cap
+            f"exact OT needs {n * n} entries (cap {EXACT_OT_CAP})",
+            required=n * n,
+            cap=EXACT_OT_CAP,
         )
+    # scipy.optimize loads on first use: only this oracle needs it, and at
+    # import it would add ~22 MB and ~0.23 s to every `import wfw`.
+    from scipy.optimize import linear_sum_assignment
+
     d2 = sqdist_matrix(a.points, b.points)
-    if n == m:
-        # scipy.optimize loads on first use: only this oracle needs it, and
-        # at import it would add ~22 MB and ~0.23 s to every `import wfw`.
-        from scipy.optimize import linear_sum_assignment
-
-        rows, cols = linear_sum_assignment(d2)
-        w = np.zeros((n, m))
-        w[rows, cols] = 1.0 / n
-        cost = float(d2[rows, cols].sum() / n)
-    else:
-        w, cost = _lp_transport(d2, n, m)
-    plan = TransportPlan(w, a, b)
-    return math.sqrt(max(cost, 0.0)), plan
-
-
-def _lp_transport(d2, n, m):
-    # Equality-constrained LP over vec(w); marginal constraints are
-    # rank-deficient by one, so drop the last column constraint.
-    # Sparse, so memory grows with the 2nm nonzeros, not (n+m-1) * nm.
-    from scipy import sparse
-    from scipy.optimize import linprog
-
-    c = d2.ravel()
-    a_rows = sparse.kron(sparse.eye(n), np.ones((1, m)))
-    a_cols = sparse.kron(np.ones((1, n)), sparse.eye(m - 1, m))
-    a_eq = sparse.vstack([a_rows, a_cols], format="csc")
-    b_eq = np.concatenate([np.full(n, 1.0 / n), np.full(m - 1, 1.0 / m)])
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    w = np.maximum(res.x.reshape(n, m), 0.0)
-    # Rescale marginals exactly to kill solver roundoff before validation.
-    w *= (1.0 / n) / np.maximum(w.sum(axis=1, keepdims=True), 1e-300)
-    return w, float(np.sum(w * d2))
+    rows, cols = linear_sum_assignment(d2)
+    cost = float(d2[rows, cols].sum() / n)
+    return math.sqrt(max(cost, 0.0)), cols
 
 
 def _sqnorms_and_mean(g):

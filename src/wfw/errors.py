@@ -11,7 +11,8 @@ class WfwError(Exception):
 
 
 class DimensionMismatch(WfwError):
-    """Two clouds (or a cloud and a gradient field) disagree on ambient dimension."""
+    """Two clouds (or a cloud and a gradient field) disagree on ambient
+    dimension, or two clouds that must pair atom for atom on atom count."""
 
 
 class SizeCapExceeded(WfwError):

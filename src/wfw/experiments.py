@@ -51,6 +51,9 @@ class ExperimentConfig:
             raise ValueError("a seed is mandatory; wall-clock seeding is not allowed")
         if self.particles < 1 or self.dim < 1:
             raise ValueError("particles and dim must be positive")
+        step = self.baseline_step
+        if step is not None and not 0 < step < math.inf:
+            raise ValueError(f"baseline_step must lie in (0, inf), got {step}")
 
     @classmethod
     def from_mapping(cls, mapping):
@@ -174,6 +177,13 @@ def run_mmd_flow(cfg):
     J_val = MMDSquared(kernel, held_out)
     smoothness = J.derivative_oracle(student0, 1.0).smoothness
     fw_cfg = _unit_schedule(cfg, smoothness)
+    step = cfg.baseline_step
+    if step is None:
+        if smoothness == 0:
+            raise ValueError(
+                "the kernel's smoothness is 0: give the Euler baseline a --baseline-step"
+            )
+        step = 0.05 / smoothness
 
     fw_rows = []
 
@@ -189,9 +199,6 @@ def run_mmd_flow(cfg):
     header = ("grad_evals", "J", "val")
     _write_rows(cfg.out, header, fw_rows)
 
-    step = cfg.baseline_step
-    if step is None:
-        step = 0.05 / smoothness
     budget = int(cumulative[-1]) if len(cumulative) else n * cfg.k_max
     base_mu, base_rows = mmd_gradient_flow(
         J, student0, step, budget, val_fn=J_val.value

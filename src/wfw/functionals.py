@@ -282,6 +282,8 @@ class EntropicDeconv:
         self.sigma2 = float(sigma2)
         self.data = data
         self.tol = float(tol)
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must lie in (0, inf), got {tol}")
         self.marginal_error_log = []
         self._solve = CloudMemo(self._sinkhorn)
         self._last_v = []  # v of the last two solves the memo kept, oldest first

@@ -119,13 +119,34 @@ _BAD_INPUTS = {
         "delta1 must be",
     ),
     "dim-zero": (["fw", "--seed", "0", "--dim", "0"], EXIT_ERROR, "d >= 1"),
+    "feature-scale-zero": (
+        ["mmd-flow", "--seed", "0", "--feature-scale", "0", "--k-max", "3"],
+        EXIT_ERROR,
+        "--baseline-step",
+    ),
+    "baseline-step-negative": (
+        ["mmd-flow", "--seed", "0", "--baseline-step", "-1", "--k-max", "3"],
+        EXIT_ERROR,
+        "baseline_step must lie in (0, inf), got -1",
+    ),
+    "sinkhorn-tol-nan": (
+        ["deconv", "--seed", "0", "--sinkhorn-tol", "nan", "--k-max", "1"],
+        EXIT_ERROR,
+        "tol must lie in (0, inf), got nan",
+    ),
+    "sinkhorn-tol-zero": (
+        ["deconv", "--seed", "0", "--sinkhorn-tol", "0", "--k-max", "1"],
+        EXIT_ERROR,
+        "tol must lie in (0, inf), got 0",
+    ),
 }
 
 
 class TestBadInputs:
     @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
-    def test_exit_code_and_message(self, case, tmp_path, capsys):
+    def test_exit_code_and_message(self, case, tmp_path, capsys, monkeypatch):
         argv, expected, says = _BAD_INPUTS[case]
+        monkeypatch.chdir(tmp_path)  # mmd-flow's baseline CSV defaults to the cwd
         cloud, out = _cloud_csv(tmp_path), tmp_path / "out.csv"
         argv = [str(cloud) if a == "{cloud}" else a for a in argv]
         code = main(argv + ["--out", str(out)])

@@ -9,17 +9,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-
-# `wfw.cloud` loads scipy.optimize on first use.  Loading it here keeps that
-# one-time import out of the tracemalloc window below, which bounds the LP's
-# own allocations.
-import scipy.optimize  # noqa: F401
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfw.cloud import (
+    EXACT_OT_CAP,
     ParticleCloud,
-    TransportPlan,
     load_csv,
     mean_squared_gradient,
     mean_squared_gradient_norm,
@@ -88,35 +83,6 @@ class TestParticleCloud:
         np.testing.assert_allclose(back.points, cloud.points, rtol=0, atol=0)
 
 
-class TestTransportPlan:
-    def test_rejects_bad_marginals(self):
-        a = ParticleCloud(np.zeros((2, 1)))
-        b = ParticleCloud(np.ones((2, 1)))
-        weights = np.array([[0.5, 0.0], [0.0, 0.4]])
-        with pytest.raises(ValueError):
-            TransportPlan(weights, a, b)
-
-    @pytest.mark.parametrize(
-        "weights, says",
-        [
-            ([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]], "plan shape"),
-            ([[0.6, -0.1], [-0.1, 0.6]], "negative entries"),
-        ],
-        ids=["shape", "negative"],
-    )
-    def test_rejects_bad_shape_or_sign(self, weights, says):
-        a = ParticleCloud(np.zeros((2, 1)))
-        b = ParticleCloud(np.ones((2, 1)))
-        with pytest.raises(ValueError, match=says):
-            TransportPlan(np.array(weights), a, b)
-
-    def test_cost_of_identity_coupling(self):
-        a = ParticleCloud(np.array([[0.0], [1.0]]))
-        b = ParticleCloud(np.array([[0.0], [2.0]]))
-        plan = TransportPlan(np.diag([0.5, 0.5]), a, b)
-        assert plan.cost() == pytest.approx(0.5)
-
-
 class TestExactTransport:
     def test_matches_permutation_enumeration(self):
         rng = np.random.default_rng(0)
@@ -125,35 +91,10 @@ class TestExactTransport:
             d = int(rng.integers(1, 4))
             a = ParticleCloud(rng.normal(size=(n, d)))
             b = ParticleCloud(rng.normal(size=(n, d)))
-            dist, plan = wasserstein2_exact(a, b)
+            dist, perm = wasserstein2_exact(a, b)
             assert dist == pytest.approx(_brute_force_w2(a, b), abs=1e-9)
-            assert plan.cost() == pytest.approx(dist**2, abs=1e-12)
-
-    def test_unequal_sizes_against_lp_structure(self):
-        rng = np.random.default_rng(1)
-        a = ParticleCloud(rng.normal(size=(4, 2)))
-        b = ParticleCloud(rng.normal(size=(6, 2)))
-        dist, plan = wasserstein2_exact(a, b)
-        assert plan.weights.shape == (4, 6)
-        np.testing.assert_allclose(plan.weights.sum(axis=1), 1 / 4, atol=1e-9)
-        np.testing.assert_allclose(plan.weights.sum(axis=0), 1 / 6, atol=1e-9)
-        assert dist >= 0.0
-
-    def test_unequal_sizes_never_hold_a_dense_constraint_matrix(self):
-        """Peak memory of the LP path stays below the (n+m-1) x nm float
-        matrix a dense build of its marginal constraints would take."""
-        rng = np.random.default_rng(3)
-        n, m = 60, 59
-        a = ParticleCloud(rng.normal(size=(n, 2)))
-        b = ParticleCloud(rng.normal(size=(m, 2)))
-        tracemalloc.start()
-        try:
-            dist, _ = wasserstein2_exact(a, b)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert dist > 0.0
-        assert peak < (n + m - 1) * n * m * 8
+            cost = float(np.mean(row_sqnorm(a.points - b.points[perm])))
+            assert cost == pytest.approx(dist**2, abs=1e-12)
 
     def test_identity(self):
         cloud = ParticleCloud(np.arange(8.0).reshape(4, 2))
@@ -188,11 +129,25 @@ class TestExactTransport:
         with pytest.raises(DimensionMismatch):
             wasserstein2_exact(a, b)
 
+    def test_unequal_atom_counts(self):
+        a = ParticleCloud(np.zeros((3, 2)))
+        b = ParticleCloud(np.zeros((4, 2)))
+        with pytest.raises(DimensionMismatch, match=r"\(3, 2\) vs \(4, 2\)"):
+            wasserstein2_exact(a, b)
+
     def test_size_cap(self):
-        a = ParticleCloud(np.zeros((3, 1)))
-        b = ParticleCloud(np.zeros((4, 1)))
-        with pytest.raises(SizeCapExceeded):
-            wasserstein2_exact(a, b, cap=10)
+        """1,001 atoms need 1,002,001 > EXACT_OT_CAP entries: refused before
+        any n x n array is built."""
+        a = ParticleCloud(np.zeros((1001, 1)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapExceeded) as info:
+                wasserstein2_exact(a, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.n * a.n * 8
+        assert (info.value.required, info.value.cap) == (1001**2, EXACT_OT_CAP)
 
 
 def test_row_sqnorm_has_the_bits_of_the_sum_of_squares():

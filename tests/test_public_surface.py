@@ -6,13 +6,14 @@ import inspect
 import pytest
 
 import wfw
-from wfw import frank_wolfe, functionals, moreau, registry
+from wfw import cloud, frank_wolfe, functionals, moreau, registry
 
 # Deleted with their tests: no gate, CLI command, experiment runner or
 # benchmark reached them.  The pair-potential class and its builders went
 # when pair terms became even `SmoothObjective`s of x - y; the one-row prox
 # and its result type went beside `agd_prox_batch`, which takes one row;
-# the Gram kernels went when MMD kept only its feature-space arithmetic.
+# the Gram kernels went when MMD kept only its feature-space arithmetic; the
+# transport plan class went with the LP for clouds of unequal size.
 _DELETED = (
     "geodesic_point",
     "make_kernel",
@@ -27,6 +28,7 @@ _DELETED = (
     "ProxResult",
     "GaussianKernel",
     "InverseMultiquadricKernel",
+    "TransportPlan",
 )
 
 
@@ -36,7 +38,7 @@ def test_all_resolves_once_and_deleted_names_are_gone():
     for name in _DELETED:
         with pytest.raises(ImportError):
             exec(f"from wfw import {name}", {})
-        for module in (frank_wolfe, functionals, moreau, registry):
+        for module in (cloud, frank_wolfe, functionals, moreau, registry):
             assert not hasattr(module, name)
 
 
@@ -51,6 +53,11 @@ def test_trust_region_search_takes_no_sampling_arguments():
         "trust_region_step": "(f, mu, delta, eps, root_hint=None)",
         "primal_dual_bisection": "(f, mu, penalty, eps, root_hint=None)",
     }
+
+
+def test_exact_transport_takes_two_clouds():
+    """Equal-size clouds only, capped at EXACT_OT_CAP: no cap argument."""
+    assert str(inspect.signature(wfw.wasserstein2_exact)) == "(a, b)"
 
 
 def test_outer_loop_keeps_one_iterate():
