@@ -84,8 +84,8 @@ class PowerPenalty:
     cost_bound = math.inf  # psi is finite on the whole cost axis
 
     def __init__(self, alpha):
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not alpha > 0:
+            raise ValueError(f"alpha must be positive, got {alpha}")
         self.alpha = float(alpha)
 
     def psi(self, x):
@@ -168,7 +168,7 @@ def dual_interval(f, mu, penalty, c=None):
     Raises:
         RegularizationTooWeak: the slope check fails (for the trust-region
             indicator the message reports the maximal admissible delta).
-        IntervalEmpty: u <= l.
+        IntervalEmpty: u <= l, or u is NaN.
     """
     return _dual_interval(f, mean_squared_gradient(mu, f), penalty, c)
 
@@ -196,7 +196,7 @@ def _dual_interval(f, m2, penalty, c=None):
     if c is None:
         c = 8.0 * lsm * lsm
     u = l + math.sqrt(2.0 * c)
-    if u <= l:
+    if not u > l:
         raise IntervalEmpty(f"dual interval ({l}, {u}) is empty")
     return l, u
 
@@ -415,11 +415,11 @@ def mirror_ascent(
         (lambda_bar, trace) with the trace array "lambda" of the iterates.
 
     Raises:
-        IntervalEmpty: the interval has u <= l.
+        IntervalEmpty: the interval has u <= l, or an end that is NaN.
         LambdaTooSmall: f is given and l does not exceed its semiconvexity.
     """
     l, u = interval
-    if u <= l:
+    if not u > l:
         raise IntervalEmpty(f"interval ({l}, {u}) is empty")
     if k < 1:
         raise ValueError("k must be >= 1")

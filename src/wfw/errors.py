@@ -3,11 +3,25 @@
 Every error carries enough context to act on (offending sizes, caps,
 admissible bounds) so callers can degrade gracefully instead of parsing
 messages.
+
+A class declares the context it carries as class attributes that default
+to None (`required = cap = None`); `WfwError(message, **context)` sets
+the names passed and rejects, with `TypeError`, any name that no class
+between the raised one and `WfwError` declares.
 """
 
 
 class WfwError(Exception):
     """Base class for all package errors."""
+
+    def __init__(self, message, **context):
+        super().__init__(message)
+        mro = type(self).__mro__
+        owners = mro[: mro.index(WfwError)]
+        for name, value in context.items():
+            if not any(name in vars(cls) for cls in owners):
+                raise TypeError(f"{type(self).__name__} carries no context {name!r}")
+            setattr(self, name, value)
 
 
 class DimensionMismatch(WfwError):
@@ -18,19 +32,15 @@ class DimensionMismatch(WfwError):
 class SizeCapExceeded(WfwError):
     """An exact/dense path was asked to build something above its configured cap."""
 
-    def __init__(self, message, required=None, cap=None):
-        super().__init__(message)
-        self.required = required
-        self.cap = cap
+    required = cap = None
 
 
 class SinkhornNotConverged(WfwError):
-    """A Sinkhorn solve ran out of iterations before tol; carries the last marginal error."""
+    """A Sinkhorn solve's last stage, at sigma2 itself, stalled above tol;
+    carries its `marginal_error` and the `iterations` (sweeps plus Newton
+    steps) the solve spent."""
 
-    def __init__(self, message, marginal_error=None, iterations=None):
-        super().__init__(message)
-        self.marginal_error = marginal_error
-        self.iterations = iterations
+    marginal_error = iterations = None
 
 
 class NonFiniteDual(WfwError):
@@ -48,11 +58,7 @@ class NonFiniteIterate(WfwError):
     happened, and the number of rows still `active` then.
     """
 
-    def __init__(self, message, lam=None, step=None, active=None):
-        super().__init__(message)
-        self.lam = lam
-        self.step = step
-        self.active = active
+    lam = step = active = None
 
 
 class ProxNotCertified(WfwError):
@@ -62,20 +68,13 @@ class ProxNotCertified(WfwError):
     ran out, and the number of rows still `active` then.
     """
 
-    def __init__(self, message, lam=None, step=None, active=None):
-        super().__init__(message)
-        self.lam = lam
-        self.step = step
-        self.active = active
+    lam = step = active = None
 
 
 class KCapExceeded(WfwError):
     """The concentration-driven sample count exceeds the configured cap."""
 
-    def __init__(self, message, required=None, cap=None):
-        super().__init__(message)
-        self.required = required
-        self.cap = cap
+    required = cap = None
 
 
 class RegularizationTooWeak(WfwError):
@@ -85,21 +84,17 @@ class RegularizationTooWeak(WfwError):
     admissible bound, which is reported in `max_admissible`.
     """
 
-    def __init__(self, message, max_admissible=None):
-        super().__init__(message)
-        self.max_admissible = max_admissible
+    max_admissible = None
 
 
 class IntervalEmpty(WfwError):
-    """Dual search interval has u <= l."""
+    """Dual search interval has u <= l, or an end that is NaN."""
 
 
 class DeltaTooLarge(WfwError):
     """Trust-region radius above the admissible curvature bound; bound attached."""
 
-    def __init__(self, message, admissible=None):
-        super().__init__(message)
-        self.admissible = admissible
+    admissible = None
 
 
 class RadiusOutOfRange(WfwError):
@@ -109,20 +104,13 @@ class RadiusOutOfRange(WfwError):
     its width, underflows to 0.  Carries `delta` and, from the bracket,
     `lam_hat`, or, from the tolerance, `eps`."""
 
-    def __init__(self, message, delta=None, lam_hat=None, eps=None):
-        super().__init__(message)
-        self.delta = delta
-        self.lam_hat = lam_hat
-        self.eps = eps
+    delta = lam_hat = eps = None
 
 
 class InfeasiblePrimal(WfwError):
     """The transported cost lands where the penalty is infinite."""
 
-    def __init__(self, message, cost=None, bound=None):
-        super().__init__(message)
-        self.cost = cost
-        self.bound = bound
+    cost = bound = None
 
 
 class GapNotCertified(WfwError):
@@ -132,11 +120,7 @@ class GapNotCertified(WfwError):
     pass's `lam`, Fenchel-Young `gap` and the tolerance `eps`.
     """
 
-    def __init__(self, message, lam=None, gap=None, eps=None):
-        super().__init__(message)
-        self.lam = lam
-        self.gap = gap
-        self.eps = eps
+    lam = gap = eps = None
 
 
 class WeakDualityViolated(WfwError):
@@ -146,11 +130,7 @@ class WeakDualityViolated(WfwError):
     scale against which the absolute tolerance was applied.
     """
 
-    def __init__(self, message, gap=None, primal=None, dual=None):
-        super().__init__(message)
-        self.gap = gap
-        self.primal = primal
-        self.dual = dual
+    gap = primal = dual = None
 
 
 class MissingColumn(WfwError):

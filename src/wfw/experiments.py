@@ -51,6 +51,10 @@ class ExperimentConfig:
             raise ValueError("a seed is mandatory; wall-clock seeding is not allowed")
         if self.particles < 1 or self.dim < 1:
             raise ValueError("particles and dim must be positive")
+        if not 0 < self.sigma2 < math.inf:
+            raise ValueError(f"sigma2 must lie in (0, inf), got {self.sigma2}")
+        if not math.isfinite(self.feature_scale):
+            raise ValueError(f"feature_scale must be finite, got {self.feature_scale}")
         step = self.baseline_step
         if step is not None and not 0 < step < math.inf:
             raise ValueError(f"baseline_step must lie in (0, inf), got {step}")

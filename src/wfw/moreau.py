@@ -58,10 +58,10 @@ class SmoothObjective:
     grad: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.semiconvexity < 0:
-            raise ValueError("semiconvexity must be >= 0")
-        if self.smoothness < self.semiconvexity:
-            raise ValueError("smoothness bound below semiconvexity")
+        if not self.semiconvexity >= 0:
+            raise ValueError(f"semiconvexity must be >= 0, got {self.semiconvexity}")
+        if not self.smoothness >= self.semiconvexity:
+            raise ValueError(f"smoothness bound {self.smoothness} below semiconvexity")
         eval_many, grad_many = self.eval_many, self.grad_many
         if self.eval is None:
             object.__setattr__(self, "eval", lambda x: float(eval_many(_as_row(x))[0]))

@@ -139,6 +139,26 @@ _BAD_INPUTS = {
         EXIT_ERROR,
         "tol must lie in (0, inf), got 0",
     ),
+    "sigma2-negative": (
+        ["deconv", "--seed", "0", "--k-max", "1", "--sigma2", "-1"],
+        EXIT_ERROR,
+        "sigma2 must lie in (0, inf), got -1.0",
+    ),
+    "sigma2-nan": (
+        ["deconv", "--seed", "0", "--k-max", "1", "--sigma2", "nan"],
+        EXIT_ERROR,
+        "sigma2 must lie in (0, inf), got nan",
+    ),
+    "sigma2-inf": (
+        ["deconv", "--seed", "0", "--k-max", "1", "--sigma2", "inf"],
+        EXIT_ERROR,
+        "sigma2 must lie in (0, inf), got inf",
+    ),
+    "feature-scale-nan": (
+        ["mmd-flow", "--seed", "0", "--feature-scale", "nan", "--k-max", "1"],
+        EXIT_ERROR,
+        "feature_scale must be finite, got nan",
+    ),
 }
 
 

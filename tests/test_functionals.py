@@ -515,29 +515,26 @@ class TestSinkhornStalls:
     def test_spent_budget_raises_a_typed_error(self, monkeypatch):
         """Draw 208 of the 3-d family (n = m = 8, sigma2 = 0.176, cost /
         sigma2 up to 398), on which plain sweeps stall near 4e-7.  No known
-        input still needs the fallback, so Newton is made to stall at once:
-        the ladder's sweeps take 92 iterations and, capped at 200 in all,
-        the fallback stops after 108 sweeps and the solve reports its error
-        and iteration count."""
-        monkeypatch.setattr(functionals, "_SINKHORN_MAX_ITER", 200)
+        input makes the Newton stage stall, so it is made to stall at once:
+        the first stage and the ladder take 92 sweeps in all, each stage's
+        sweeps stopping at 1e-2, and the last stage at sigma2 ends there, so
+        the solve reports that error and its iteration count."""
         monkeypatch.setattr(functionals, "_sinkhorn_newton", lambda v, c, *_: (v, c, 0))
         x, y, sigma2 = _three_d_draw(208)
         assert x.shape == (8, 3) and y.shape == (8, 3)
         with pytest.raises(SinkhornNotConverged) as info:
             _sinkhorn_potentials(x, y, sigma2, 1e-9)
-        assert info.value.marginal_error > 1e-9
-        assert info.value.iterations == 200
+        assert 1e-9 < info.value.marginal_error <= 1e-2
+        assert info.value.iterations == 92
 
     @pytest.mark.parametrize(
         "family, seed", [("3-d", 208), ("2-d moved", 183), ("2-d moved", 2678)]
     )
-    def test_newton_finishes_without_the_fallback(self, monkeypatch, family, seed):
+    def test_newton_meets_tol_on_the_draws_that_once_stalled(self, family, seed):
         """The draws whose Newton stage stalled when its conjugate gradient
         stopped at m iterations (README, "Cost of the deconvolution
-        oracle"): with a zero fallback budget each still meets tol.  The
-        2-d draws are solved, then moved by 0.1 scale and solved from the
-        first v."""
-        monkeypatch.setattr(functionals, "_SINKHORN_MAX_ITER", 0)
+        oracle") each meet tol.  The 2-d draws are solved, then moved by 0.1
+        scale and solved from the first v."""
         if family == "3-d":
             x, y, sigma2 = _three_d_draw(seed)
             assert _sinkhorn_potentials(x, y, sigma2, 1e-9)[2] <= 1e-9

@@ -1,12 +1,15 @@
-"""The package's public surface: what `wfw.__all__` names, and what it no longer has."""
+"""The package's public surface: what `wfw.__all__` names, what it no longer
+has, what context its typed errors carry and which parameters it refuses."""
 
 import dataclasses
 import inspect
+import math
 
+import numpy as np
 import pytest
 
 import wfw
-from wfw import cloud, frank_wolfe, functionals, moreau, registry
+from wfw import cloud, errors, frank_wolfe, functionals, moreau, registry
 
 # Deleted with their tests: no gate, CLI command, experiment runner or
 # benchmark reached them.  The pair-potential class and its builders went
@@ -69,3 +72,89 @@ def test_dual_solve_report_carries_no_sample_count():
     """`oracle_calls` times the atom count was all `samples_drawn` could say."""
     names = [field.name for field in dataclasses.fields(wfw.DualSolveReport)]
     assert "samples_drawn" not in names and "oracle_calls" in names
+
+
+# Each typed error and the context names it declares, in declaration order.
+_CONTEXT = {
+    errors.DimensionMismatch: (),
+    errors.SizeCapExceeded: ("required", "cap"),
+    errors.SinkhornNotConverged: ("marginal_error", "iterations"),
+    errors.NonFiniteDual: (),
+    errors.LambdaTooSmall: (),
+    errors.NonFiniteIterate: ("lam", "step", "active"),
+    errors.ProxNotCertified: ("lam", "step", "active"),
+    errors.KCapExceeded: ("required", "cap"),
+    errors.RegularizationTooWeak: ("max_admissible",),
+    errors.IntervalEmpty: (),
+    errors.DeltaTooLarge: ("admissible",),
+    errors.RadiusOutOfRange: ("delta", "lam_hat", "eps"),
+    errors.InfeasiblePrimal: ("cost", "bound"),
+    errors.GapNotCertified: ("lam", "gap", "eps"),
+    errors.WeakDualityViolated: ("gap", "primal", "dual"),
+    errors.MissingColumn: (),
+}
+
+
+def test_every_typed_error_is_listed():
+    assert set(errors.WfwError.__subclasses__()) == set(_CONTEXT)
+
+
+@pytest.mark.parametrize("cls", list(_CONTEXT), ids=lambda cls: cls.__name__)
+def test_typed_error_takes_only_its_declared_context(cls):
+    """One constructor: declared names default to None, passed ones are
+    set, and a name the class does not declare, even one another class
+    declares, is a TypeError."""
+    names = _CONTEXT[cls]
+    bare = cls("message")
+    assert str(bare) == "message" and bare.args == ("message",)
+    assert [getattr(bare, name) for name in names] == [None] * len(names)
+    full = cls("message", **{name: i for i, name in enumerate(names)})
+    assert [getattr(full, name) for name in names] == list(range(len(names)))
+    for stray in ("undeclared", "lam" if "cap" in names else "cap"):
+        with pytest.raises(TypeError, match=f"{cls.__name__} carries no context {stray!r}"):
+            cls("message", **{stray: 1})
+
+
+def _smooth(smoothness, semiconvexity):
+    return wfw.SmoothObjective(
+        eval_many=lambda z: np.zeros(z.shape[0]),
+        grad_many=np.zeros_like,
+        smoothness=smoothness,
+        semiconvexity=semiconvexity,
+    )
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: wfw.PowerPenalty(math.nan), ValueError),
+        (lambda: wfw.EntropicDeconv(math.nan, wfw.ParticleCloud(np.ones((2, 2)))), ValueError),
+        (lambda: _smooth(1.0, math.nan), ValueError),
+        (lambda: _smooth(math.nan, 0.0), ValueError),
+        (
+            lambda: wfw.mirror_ascent(
+                registry.quadratic(),
+                wfw.ParticleCloud(np.ones((3, 2))),
+                wfw.TrustRegionIndicator(0.5),
+                (math.nan, math.nan),
+                5,
+                None,
+            ),
+            errors.IntervalEmpty,
+        ),
+        (
+            lambda: wfw.dual_interval(
+                registry.quadratic(),
+                wfw.ParticleCloud(np.ones((3, 2))),
+                wfw.TrustRegionIndicator(0.5),
+                c=math.nan,
+            ),
+            errors.IntervalEmpty,
+        ),
+    ],
+    ids=["alpha", "sigma2", "semiconvexity", "smoothness", "interval", "dual-interval-c"],
+)
+def test_nan_parameters_are_refused(build, error):
+    """Each check reads `not x > bound`, so NaN fails it and is named."""
+    with pytest.raises(error, match="nan"):
+        build()
