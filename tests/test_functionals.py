@@ -530,11 +530,12 @@ class TestSinkhornStalls:
     @pytest.mark.parametrize(
         "family, seed", [("3-d", 208), ("2-d moved", 183), ("2-d moved", 2678)]
     )
-    def test_newton_meets_tol_on_the_draws_that_once_stalled(self, family, seed):
+    def test_newton_finishes_without_the_fallback(self, family, seed):
         """The draws whose Newton stage stalled when its conjugate gradient
         stopped at m iterations (README, "Cost of the deconvolution
-        oracle") each meet tol.  The 2-d draws are solved, then moved by 0.1
-        scale and solved from the first v."""
+        oracle") each meet tol, with no plain-sweep fallback left to finish
+        them.  The 2-d draws are solved, then moved by 0.1 scale and solved
+        from the first v."""
         if family == "3-d":
             x, y, sigma2 = _three_d_draw(seed)
             assert _sinkhorn_potentials(x, y, sigma2, 1e-9)[2] <= 1e-9
