@@ -111,10 +111,10 @@ class PowerPenalty:
 class DualSolveReport:
     """One certifying prox pass at `lambda_star`, as a dual solve returns it.
 
-    `images` are the prox images of the atoms and `cost` their mean half
-    squared displacement; the primal and dual values share them, and `gap`
-    is their Fenchel-Young gap.  `oracle_calls` counts a solve's prox
-    passes; a lone pass reports 1.
+    `images` are the prox images of the atoms, read-only, and `cost` their
+    mean half squared displacement; the primal and dual values share them,
+    and `gap` is their Fenchel-Young gap.  `oracle_calls` counts a solve's
+    prox passes; a lone pass reports 1.
 
     Raises:
         WeakDualityViolated: the gap is below -1e-6.
@@ -354,8 +354,13 @@ def _prox_pass(f, mu, penalty, lam, eps_prox, oracle_calls=1):
     """Report of one prox pass at lam: primal and dual values sharing its
     images, and their gap in its Fenchel-Young form psi(cbar) + psi*(lam) -
     lam cbar (primal - dual would cancel the shared mean f(y) into roundoff
-    of either sign).  It carries the given pass count (a lone pass's by default)."""
+    of either sign).  It carries the given pass count (a lone pass's by default).
+
+    The images are made read-only before f sees them, so a witness that
+    remembers per-cloud work (`CloudMemo`) keeps it for the cloud adopted
+    on them."""
     y, theta, _, _ = agd_prox_batch(f, mu.points, lam, eps_prox)
+    y.setflags(write=False)
     cbar = float(np.add.reduce(theta) / mu.n)
     fbar = float(np.add.reduce(f.eval_many(y)) / mu.n)
     psi, psi_star = penalty.psi(cbar), penalty.psi_star(lam)

@@ -53,8 +53,10 @@ class ExperimentConfig:
             raise ValueError("particles and dim must be positive")
         if not 0 < self.sigma2 < math.inf:
             raise ValueError(f"sigma2 must lie in (0, inf), got {self.sigma2}")
-        if not math.isfinite(self.feature_scale):
-            raise ValueError(f"feature_scale must be finite, got {self.feature_scale}")
+        for name in ("feature_scale", "shift"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         step = self.baseline_step
         if step is not None and not 0 < step < math.inf:
             raise ValueError(f"baseline_step must lie in (0, inf), got {step}")
@@ -167,9 +169,19 @@ def run_mmd_flow(cfg):
     """
     rng = np.random.default_rng(cfg.seed)
     n, d = cfg.particles, cfg.dim
-    kernel = RandomFeatureKernel(
-        cfg.feature_scale * rng.standard_normal((cfg.features, d))
-    )
+    with np.errstate(over="ignore"):  # an overflowing table is refused below
+        kernel = RandomFeatureKernel(
+            cfg.feature_scale * rng.standard_normal((cfg.features, d))
+        )
+    # The schedule and the Euler step take the global bound on every
+    # witness's curvature; each step's own bound is at most this one, so
+    # a radius of s / (4 L) stays within the step's admissible s / (2 L_k).
+    smoothness = 4.0 * kernel.grad_lipschitz
+    if not math.isfinite(smoothness):
+        raise ValueError(
+            f"feature_scale = {cfg.feature_scale} overflows the squared row norms"
+            " of the feature table"
+        )
 
     teacher = ParticleCloud(rng.standard_normal((n, d)))
     held_out = ParticleCloud(rng.standard_normal((n, d)))
@@ -179,7 +191,6 @@ def run_mmd_flow(cfg):
 
     J = MMDSquared(kernel, teacher)
     J_val = MMDSquared(kernel, held_out)
-    smoothness = J.derivative_oracle(student0, 1.0).smoothness
     fw_cfg = _unit_schedule(cfg, smoothness)
     step = cfg.baseline_step
     if step is None:

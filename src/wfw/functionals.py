@@ -34,9 +34,9 @@ class RandomFeatureKernel:
     `table` holds the B frozen feature directions t_b as rows; k is an
     inner product of feature vectors, hence positive semidefinite by
     construction.  The gradient Lipschitz bound uses the peak curvature of
-    tanh and the mean squared row norm of the table.  A cloud's feature map
-    and its mean embedding are each computed once and shared by every
-    caller (`CloudMemo`).
+    tanh and the mean of `row_sqnorms`, the squared row norms ||t_b||^2
+    (read-only).  A cloud's feature map and its mean embedding are each
+    computed once and shared by every caller (`CloudMemo`).
     """
 
     def __init__(self, table):
@@ -45,7 +45,9 @@ class RandomFeatureKernel:
             raise ValueError("feature table must be (B, d) with B >= 1")
         self.table = table.copy()
         self.table.setflags(write=False)
-        self.grad_lipschitz = _TANH_CURV * float(np.mean(row_sqnorm(table)))
+        self.row_sqnorms = row_sqnorm(self.table)
+        self.row_sqnorms.setflags(write=False)
+        self.grad_lipschitz = _TANH_CURV * float(np.mean(self.row_sqnorms))
         self._memo = CloudMemo(self._map)
         self._mean_memo = CloudMemo(self._mean)
 
@@ -87,6 +89,13 @@ class MMDSquared:
     That costs one feature map and one mean embedding per cloud, shared by
     every functional on the same kernel, and no Gram matrix; the target's
     mean embedding is computed once, here.
+
+    The witness's smoothness and semiconvexity are both the curvature
+    bound at its own weights, _TANH_CURV * sum_b |w_b| ||t_b||^2: its
+    Hessian is sum_b w_b tanh''(t_b . z) t_b t_b^T, and |tanh''| <=
+    _TANH_CURV.  Each |w_b| <= 4/B, as tanh lies in [-1, 1], so the bound
+    never exceeds the global 4 * kernel.grad_lipschitz, and it is 0 where
+    the embeddings coincide.
     """
 
     def __init__(self, kernel, target):
@@ -101,12 +110,12 @@ class MMDSquared:
     def derivative_oracle(self, mu, eps):
         kernel = self.kernel
         w = (2.0 / kernel.table.shape[0]) * self._embedding_gap(mu.points)
-        lips = 4.0 * kernel.grad_lipschitz
+        curv = _TANH_CURV * float(np.abs(w) @ kernel.row_sqnorms)
         return SmoothObjective(
             eval_many=lambda z: kernel.features(z) @ w,
             grad_many=lambda z: kernel.feature_grad(z, w),
-            smoothness=lips,
-            semiconvexity=lips,
+            smoothness=curv,
+            semiconvexity=curv,
         )
 
     def _embedding_gap(self, x):

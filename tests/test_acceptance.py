@@ -429,6 +429,18 @@ def test_kernel_matching_reduces_validation_discrepancy(kernel_matching_run):
     assert all(b - a <= base_slack for a, b in zip(base_obj, base_obj[1:]))
 
 
+def test_kernel_matching_work_counts(kernel_matching_run):
+    """Each witness's own curvature bound sizes its prox rows, while the
+    schedule keeps the kernel's global bound: 143 steps, 45,040
+    witness-gradient rows (the trace's samples) and, on those rows'
+    budget, 451 Euler baseline steps."""
+    result = kernel_matching_run["result"]
+    trace = result["trace"]
+    assert (len(trace), trace.status) == (143, "converged")
+    assert sum(trace.samples) == 45040
+    assert len(result["baseline_rows"]) == 451
+
+
 # ---------------------------------------------------------------------------
 # gate 10: deconvolution objective decreases with tight transport marginals
 

@@ -124,6 +124,16 @@ _BAD_INPUTS = {
         EXIT_ERROR,
         "--baseline-step",
     ),
+    "feature-scale-overflow": (
+        ["mmd-flow", "--seed", "0", "--feature-scale", "1e300", "--k-max", "1"],
+        EXIT_ERROR,
+        "feature_scale = 1e+300 overflows",
+    ),
+    "shift-nan": (
+        ["mmd-flow", "--seed", "0", "--shift", "nan", "--k-max", "1"],
+        EXIT_ERROR,
+        "shift must be finite, got nan",
+    ),
     "baseline-step-negative": (
         ["mmd-flow", "--seed", "0", "--baseline-step", "-1", "--k-max", "3"],
         EXIT_ERROR,

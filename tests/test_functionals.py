@@ -11,7 +11,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
 from wfw import experiments, functionals
-from wfw.cloud import ParticleCloud, sqdist_matrix
+from wfw.cloud import ParticleCloud, mean_squared_gradient_norm, sqdist_matrix
+from wfw.dual_solvers import trust_region_step
 from wfw.errors import NonFiniteDual, SinkhornNotConverged
 from wfw.experiments import ExperimentConfig, run_mmd_flow
 from wfw.functionals import (
@@ -112,6 +113,14 @@ class TestKernels:
         assert _k(k, x, y) == pytest.approx(expected, rel=1e-12)
 
 
+_clouds = st.tuples(
+    st.integers(0, 2**32 - 1),  # seed
+    st.integers(1, 12),  # n
+    st.integers(1, 12),  # m
+    st.integers(1, 4),  # d
+)
+
+
 class TestMMDSquared:
     def test_value_is_v_statistic(self):
         rng = np.random.default_rng(7)
@@ -151,11 +160,53 @@ class TestMMDSquared:
         assert rems[0] < 1e-2
 
     def test_oracle_constants(self):
+        """Both constants are the curvature bound at the witness's own
+        weights w = (2/B) (mean phi(x) - mean phi(y)): 0.7699 sum_b |w_b|
+        ||t_b||^2, here with phi(0) = 0 for the target at the origin."""
         k = _kernel()
         J = MMDSquared(k, ParticleCloud(np.zeros((3, 2))))
         model = J.derivative_oracle(ParticleCloud(np.ones((4, 2))), 1e-6)
-        assert model.smoothness == pytest.approx(4.0 * k.grad_lipschitz)
-        assert model.semiconvexity == pytest.approx(4.0 * k.grad_lipschitz)
+        table = k.table
+        w = (2.0 / table.shape[0]) * np.tanh(table.sum(axis=1))
+        expected = 0.7699 * float(np.sum(np.abs(w) * np.sum(table**2, axis=1)))
+        assert model.smoothness == pytest.approx(expected, rel=1e-12)
+        assert model.semiconvexity == model.smoothness
+        assert model.smoothness < 4.0 * k.grad_lipschitz
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        clouds=_clouds,
+        features=st.integers(1, 24),
+        scale=st.floats(0.05, 3.0),
+        shift=st.floats(-2.0, 2.0),
+    )
+    def test_oracle_constants_bound_the_witness_curvature(
+        self, clouds, features, scale, shift
+    ):
+        """Central-difference ratios |grad(z + h v) - grad(z - h v)| / 2h
+        stay within the witness's smoothness, which stays within the global
+        4 * grad_lipschitz; both constants are 0 at the target itself."""
+        seed, n, m, d = clouds
+        rng = np.random.default_rng(seed)
+        kernel = RandomFeatureKernel(scale * rng.standard_normal((features, d)))
+        target = ParticleCloud(rng.normal(size=(m, d)))
+        J = MMDSquared(kernel, target)
+        model = J.derivative_oracle(ParticleCloud(rng.normal(size=(n, d)) + shift), 1e-9)
+        lips = model.smoothness
+        assert model.semiconvexity == lips
+        # The two sides sum the row norms in different orders: a few ulps.
+        assert lips <= 4.0 * kernel.grad_lipschitz * (1.0 + 1e-12)
+
+        z = 2.0 * rng.normal(size=(16, d))
+        v = rng.normal(size=(16, d))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        h = 1e-4
+        diff = model.grad_many(z + h * v) - model.grad_many(z - h * v)
+        ratios = np.linalg.norm(diff, axis=1) / (2.0 * h)
+        assert np.all(ratios <= lips * (1.0 + 1e-6))
+
+        at_target = J.derivative_oracle(ParticleCloud(target.points), 1e-9)
+        assert at_target.smoothness == at_target.semiconvexity == 0.0
 
 
 def _gram_mmd(kernel, x, y):
@@ -174,14 +225,6 @@ def _gram_mmd(kernel, x, y):
         return 2.0 * (_mean_grad(kernel, x, z) - _mean_grad(kernel, y, z))
 
     return value, eval_many, grad_many
-
-
-_clouds = st.tuples(
-    st.integers(0, 2**32 - 1),  # seed
-    st.integers(1, 12),  # n
-    st.integers(1, 12),  # m
-    st.integers(1, 4),  # d
-)
 
 
 class TestMMDFeatureSpace:
@@ -271,6 +314,43 @@ class TestMMDFeatureSpace:
         steps = len(result["baseline_rows"])
         assert steps > 0
         assert feature_rows["baseline"] == n * (steps + 1)
+
+    def test_next_step_maps_the_prox_images_zero_times(self, monkeypatch):
+        """A step's certifying prox pass evaluates the witness on its
+        images, read-only, so the kernel keeps their feature map: the cloud
+        adopted on them, its values and the next witness's embedding and
+        gradient at its atoms map nothing, with the bits of a fresh map."""
+        rng = np.random.default_rng(22)
+        table = 0.5 * rng.standard_normal((12, 3))
+        kernel = RandomFeatureKernel(table)
+        teacher = ParticleCloud(rng.normal(size=(9, 3)))
+        J = MMDSquared(kernel, teacher)
+        J_val = MMDSquared(kernel, ParticleCloud(rng.normal(size=(9, 3))))
+        mu = ParticleCloud(rng.normal(size=(7, 3)) + 1.0)
+        model = J.derivative_oracle(mu, 1e-9)
+        s = mean_squared_gradient_norm(mu, model)
+        sampler, rep = trust_region_step(model, mu, 0.25 * s / model.smoothness, 1e-6)
+        assert not rep.images.flags.writeable
+
+        maps = []
+        feature_map = RandomFeatureKernel._map
+
+        def counted(self, x):
+            maps.append(x.shape[0])
+            return feature_map(self, x)
+
+        monkeypatch.setattr(RandomFeatureKernel, "_map", counted)
+        nu = sampler.target_cloud()
+        value, val = J.value(nu), J_val.value(nu)
+        grad = J.derivative_oracle(nu, 1e-9).grad_many(nu.points)
+        assert maps == []
+
+        fresh = RandomFeatureKernel(table)
+        points = nu.points.copy()
+        assert value == MMDSquared(fresh, teacher).value(ParticleCloud(points))
+        assert val == MMDSquared(fresh, J_val.target).value(ParticleCloud(points))
+        fresh_model = MMDSquared(fresh, teacher).derivative_oracle(ParticleCloud(points), 1e-9)
+        assert np.array_equal(grad, fresh_model.grad_many(points))
 
     def test_mean_embedding_is_taken_once_per_cloud(self, monkeypatch):
         """J.value, J_val.value and J.derivative_oracle on one cloud, under a
