@@ -76,6 +76,10 @@ class CloudMemo:
         """Whether fn(points), once computed, becomes the remembered entry."""
         return not points.flags.writeable and points.flags.owndata
 
+    def get(self, points):
+        """The remembered fn(points), or None where a call would compute it."""
+        return self._value if points is self._key and not points.flags.writeable else None
+
     def __call__(self, points):
         if points is self._key and not points.flags.writeable:
             return self._value
@@ -141,9 +145,18 @@ gradient_sqnorms = CloudMemo(_sqnorms_and_mean)
 
 
 def mean_squared_gradient(cloud, g):
-    """(1/n) sum ||grad(x_i)||^2; NonFiniteIterate if it leaves the finite range."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        m2 = gradient_sqnorms(g.grad_many(cloud.points))[1]
+    """(1/n) sum ||grad(x_i)||^2; NonFiniteIterate if it leaves the finite range.
+
+    Where a memoized gradient (as `counted_model`'s) and `gradient_sqnorms`
+    both hold the cloud, as on a step's second call, nothing is computed,
+    so no np.errstate is entered."""
+    grad_many = g.grad_many
+    grads = grad_many.get(cloud.points) if isinstance(grad_many, CloudMemo) else None
+    sq = None if grads is None else gradient_sqnorms.get(grads)
+    if sq is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = gradient_sqnorms(grad_many(cloud.points))
+    m2 = sq[1]
     if not math.isfinite(m2):
         raise NonFiniteIterate(
             f"squared gradient norm left the finite range on {cloud.n} atoms",

@@ -215,9 +215,11 @@ def _slope(f, mu, lam, eps, eps_prox, delta, rng, m4):
 def _slope_crossing(penalty, m2, s, u):
     """The lam in (max(-s, 0), u] where m2 / (2 (lam + s)^2) = psi*'(lam).
 
-    As ||grad f|| / (lam + L) <= ||x - prox(x)|| <= ||grad f|| / (lam - rho),
-    m2 / (2 (lam + L)^2) <= g'(lam) <= m2 / (2 (lam - rho)^2) with m2 =
-    E||grad f||^2: h = g' - psi*' is >= 0 at the crossing for s = L and <= 0
+    With y = prox(x), grad f(x) = (lam I + H)(x - y), H the mean Hessian of
+    f on [y, x], whose spectrum lies in [-rho, c] (c the semiconcavity).
+    So ||grad f|| / (lam + c) <= ||x - prox(x)|| <= ||grad f|| / (lam - rho),
+    and m2 / (2 (lam + c)^2) <= g'(lam) <= m2 / (2 (lam - rho)^2) with m2 =
+    E||grad f||^2: h = g' - psi*' is >= 0 at the crossing for s = c and <= 0
     at the one for s = -rho.  The left side falls and psi*' does not, so the
     crossing is unique: sqrt(m2) / delta - s under the indicator, found by
     bisection otherwise, below u = rho + 1 + sqrt(2 m2 / psi*'(rho + 1)).
@@ -260,14 +262,14 @@ def primal_dual_bisection(f, mu, penalty, eps, root_hint=None):
     the crossing at s = 0, or at `root_hint` stepped past the root where
     that point lies in (rho, hi).  The second is a Newton step on r =
     psi*'^(-1/2) - cbar^(-1/2), which has h's sign, to its `root_estimate`,
-    kept above the crossing at s = L (which holds only where L covers the
-    cloud); later ones take secants on r through its last two passes, kept
-    above the last pass with h > 0 (or rho).  Each point is stepped past
-    the root as hi is; the midpoint replaces an undefined one.  It stops at
-    the first pass with h <= 0 and gap <= eps_alg, and raises at N + 2
-    passes, N one more than the halvings from (rho, hi] to the width
-    eps_alg / B, B = max(psi* smoothness, 16 m2^2, 1e-12), or ulp(hi) if
-    wider.  m2 = E||grad f||^2 reads the step's `gradient_sqnorms`; the
+    kept above the crossing at s = c, the semiconcavity (which holds only
+    where c covers the cloud); later ones take secants on r through its
+    last two passes, kept above the last pass with h > 0 (or rho).  Each
+    point is stepped past the root as hi is; the midpoint replaces an
+    undefined one.  It stops at the first pass with h <= 0 and gap <=
+    eps_alg, and raises at N + 2 passes, N one more than the halvings from
+    (rho, hi] to the width eps_alg / B, B = max(psi* smoothness, 16 m2^2,
+    1e-12), or ulp(hi) if wider.  m2 = E||grad f||^2 reads the step's `gradient_sqnorms`; the
     certifying pass's report, carrying the search's pass count, is returned.
 
     Args:
@@ -304,7 +306,7 @@ def primal_dual_bisection(f, mu, penalty, eps, root_hint=None):
         den = 4.0 * lam * penalty.psi_star_deriv(lam)  # 0 where psi*' underflows
         return lam + eps_alg * (lam - rho) / den if den > 0.0 else math.inf
 
-    lo, lam, hi = (_slope_crossing(penalty, m2, s, u) for s in (f.smoothness, 0.0, -rho))
+    lo, lam, hi = (_slope_crossing(penalty, m2, s, u) for s in (f.semiconcavity, 0.0, -rho))
     hi = past_root(hi)
     # No bracket shrinks below ulp(hi), and 16 m2^2 may be inf: floor the width there.
     b = max(penalty.smoothness_on(l, u), 16.0 * m2 * m2, 1e-12)
@@ -329,7 +331,7 @@ def primal_dual_bisection(f, mu, penalty, eps, root_hint=None):
         else:
             right = lam
         # left, the last pass with h > 0 (else rho), bounds the root
-        # below; lo does only where L covers the cloud, and only the
+        # below; lo does only where c covers the cloud, and only the
         # Newton step, on its a-priori slope, is kept above it.
         floor = max(lo, left) if last is None else left
         if last is None:

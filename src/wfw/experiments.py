@@ -51,6 +51,8 @@ class ExperimentConfig:
             raise ValueError("a seed is mandatory; wall-clock seeding is not allowed")
         if self.particles < 1 or self.dim < 1:
             raise ValueError("particles and dim must be positive")
+        if self.features < 1:
+            raise ValueError(f"features must be positive, got {self.features}")
         if not 0 < self.sigma2 < math.inf:
             raise ValueError(f"sigma2 must lie in (0, inf), got {self.sigma2}")
         for name in ("feature_scale", "shift"):
@@ -170,13 +172,15 @@ def run_mmd_flow(cfg):
     rng = np.random.default_rng(cfg.seed)
     n, d = cfg.particles, cfg.dim
     with np.errstate(over="ignore"):  # an overflowing table is refused below
-        kernel = RandomFeatureKernel(
-            cfg.feature_scale * rng.standard_normal((cfg.features, d))
-        )
+        table = cfg.feature_scale * rng.standard_normal((cfg.features, d))
     # The schedule and the Euler step take the global bound on every
     # witness's curvature; each step's own bound is at most this one, so
     # a radius of s / (4 L) stays within the step's admissible s / (2 L_k).
-    smoothness = 4.0 * kernel.grad_lipschitz
+    try:  # features and dim are >= 1, so the kernel refuses only its bound
+        kernel = RandomFeatureKernel(table)
+        smoothness = 4.0 * kernel.grad_lipschitz
+    except ValueError:
+        smoothness = math.inf
     if not math.isfinite(smoothness):
         raise ValueError(
             f"feature_scale = {cfg.feature_scale} overflows the squared row norms"

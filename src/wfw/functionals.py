@@ -37,6 +37,11 @@ class RandomFeatureKernel:
     tanh and the mean of `row_sqnorms`, the squared row norms ||t_b||^2
     (read-only).  A cloud's feature map and its mean embedding are each
     computed once and shared by every caller (`CloudMemo`).
+
+    Raises:
+        ValueError: the table is not (B, d) with B >= 1, or the bound is
+            not finite (an entry is, or a squared row norm or their sum
+            overflows); no numpy warning is printed first.
     """
 
     def __init__(self, table):
@@ -45,9 +50,13 @@ class RandomFeatureKernel:
             raise ValueError("feature table must be (B, d) with B >= 1")
         self.table = table.copy()
         self.table.setflags(write=False)
-        self.row_sqnorms = row_sqnorm(self.table)
+        with np.errstate(over="ignore"):
+            self.row_sqnorms = row_sqnorm(self.table)
+            mean_sq = float(np.mean(self.row_sqnorms))
+        if not math.isfinite(mean_sq):
+            raise ValueError(f"table: the mean of its squared row norms is {mean_sq}, not finite")
         self.row_sqnorms.setflags(write=False)
-        self.grad_lipschitz = _TANH_CURV * float(np.mean(self.row_sqnorms))
+        self.grad_lipschitz = _TANH_CURV * mean_sq
         self._memo = CloudMemo(self._map)
         self._mean_memo = CloudMemo(self._mean)
 
@@ -269,7 +278,10 @@ class EntropicDeconv:
         phi(z) = -sigma2 * log( (1/m) sum_j exp((v_j - ||z - y_j||^2 / 2) / sigma2) ),
 
     whose gradient is z minus the softmax-weighted data mean.  It is the
-    soft c-transform of v, through the same row softmax as the solve.
+    soft c-transform of v, through the same row softmax as the solve.  Its
+    Hessian is I - Cov/sigma2, Cov the softmax-weighted covariance of the
+    data atoms: it bends up by at most 1 (the semiconcavity) and down by at
+    most rho = max(0, diam^2 / (4 sigma2) - 1), and L = max(1, rho).
 
     One Sinkhorn solve serves each cloud: `value` and `derivative_oracle`
     on the same `ParticleCloud` share it through a `CloudMemo`; any other
@@ -341,6 +353,7 @@ class EntropicDeconv:
             grad_many=grad_many,
             smoothness=max(1.0, rho),
             semiconvexity=rho,
+            semiconcavity=1.0,
         )
 
 
@@ -360,7 +373,8 @@ class PotentialInteraction:
     the pair term W both `SmoothObjective`s.  W must be even, W(-x) = W(x):
     then the witness phi(z) = v(z) + (2/n) sum_j W(z - x_j) is the exact
     first variation (eps is ignored and repeated oracle calls are
-    identical).  Every pair term goes through `_pairwise`.
+    identical), and each of its three curvature constants is v's plus
+    twice W's.  Every pair term goes through `_pairwise`.
     """
 
     def __init__(self, v, w=None):
@@ -388,4 +402,5 @@ class PotentialInteraction:
             grad_many=witness(v.grad_many, w.grad_many),
             smoothness=v.smoothness + 2.0 * w.smoothness,
             semiconvexity=v.semiconvexity + 2.0 * w.semiconvexity,
+            semiconcavity=v.semiconcavity + 2.0 * w.semiconcavity,
         )

@@ -27,7 +27,7 @@ from .errors import KCapExceeded, LambdaTooSmall, NonFiniteIterate, ProxNotCerti
 #: Cap on the sample count a single supergradient query may draw.
 K_CAP = 10**6
 
-#: Cap on a prox row's step budget.  The budget grows like sqrt((lam + L) /
+#: Cap on a prox row's step budget.  The budget grows like sqrt((lam + c) /
 #: (lam - rho)), so a lam just above rho asks for more steps than can run
 #: (1e16 at lam = 1e-28 on a softplus); the test suite and the benchmark
 #: workloads stay below 3,400.
@@ -38,6 +38,11 @@ BUDGET_CAP = 10**6
 class SmoothObjective:
     """A pointwise objective given by its batch forms, with smoothness metadata.
 
+    The two curvature bounds are one-sided: -rho I <= grad^2 f <= c I,
+    rho the semiconvexity and c the semiconcavity, and L bounds both
+    sides.  The prox solve needs only rho and c; the outer schedule and
+    the dual interval take L.
+
     Args:
         eval_many: (n, d) array -> (n,) array of values.
         grad_many: (n, d) array -> (n, d) array of gradients; must be
@@ -45,6 +50,8 @@ class SmoothObjective:
         smoothness: gradient Lipschitz bound L.
         semiconvexity: minimal rho >= 0 such that f + (rho/2)||. - x0||^2
             is convex for every center x0.
+        semiconcavity: c in [-rho, L] such that f - (c/2)||. - x0||^2 is
+            concave for every center x0; L when omitted.
         eval, grad: per-point forms x -> float and x -> (d,) array, filled
             in from the batch forms when omitted.  The library only ever
             calls the batch forms; these serve callers that probe one point.
@@ -54,6 +61,7 @@ class SmoothObjective:
     grad_many: Callable
     smoothness: float
     semiconvexity: float
+    semiconcavity: Optional[float] = None
     eval: Optional[Callable] = None
     grad: Optional[Callable] = None
 
@@ -62,6 +70,13 @@ class SmoothObjective:
             raise ValueError(f"semiconvexity must be >= 0, got {self.semiconvexity}")
         if not self.smoothness >= self.semiconvexity:
             raise ValueError(f"smoothness bound {self.smoothness} below semiconvexity")
+        if self.semiconcavity is None:
+            object.__setattr__(self, "semiconcavity", self.smoothness)
+        elif not -self.semiconvexity <= self.semiconcavity <= self.smoothness:
+            raise ValueError(
+                f"semiconcavity must lie in [-semiconvexity, smoothness] = "
+                f"[{-self.semiconvexity}, {self.smoothness}], got {self.semiconcavity}"
+            )
         eval_many, grad_many = self.eval_many, self.grad_many
         if self.eval is None:
             object.__setattr__(self, "eval", lambda x: float(eval_many(_as_row(x))[0]))
@@ -81,21 +96,23 @@ def agd_prox_batch(f, x, lam, eps):
     convex, so ||y - prox(x)|| <= ||grad a(y)||/(lam - rho) certifies a
     point y: a row is returned at the first point where theta = (1/2)||y -
     x||^2 is provably within eps (and y within sqrt(eps)/2) of the true
-    prox.  Step 1 is a plain gradient step from the center, which finishes
-    a quadratic in one step.  Later steps run constant-momentum AGD from
-    there and evaluate one gradient each, at the momentum point y: it serves
-    both the certificate at y and the step y - grad a(y)/(lam + L).  Where
-    grad a(y) points along the step just taken, the row's momentum is zeroed
-    for the next step (gradient restart).  With the gradient at x, a row
-    that steps iters times evaluates iters + 1 gradients (one when it never
-    steps).
+    prox.  Its Hessian lies in [lam - rho, lam + c] (c the semiconcavity),
+    so a is (lam + c)-smooth: only the upper side of f's curvature sizes
+    the step, the momentum and the budget.  Step 1 is a plain gradient
+    step from the center, which finishes a quadratic in one step.  Later
+    steps run constant-momentum AGD from there and evaluate one gradient
+    each, at the momentum point y: it serves both the certificate at y and
+    the step y - grad a(y)/(lam + c).  Where grad a(y) points along the
+    step just taken, the row's momentum is zeroed for the next step
+    (gradient restart).  With the gradient at x, a row that steps iters
+    times evaluates iters + 1 gradients (one when it never steps).
 
     Row i's budget is max(ceil(4 kappa (log(12 kappa) + log ||grad f(x_i)||
-    - log min(lam - rho, 1) - log eps)), 0) steps, kappa = sqrt((lam + L)/(lam
-    - rho)); ||grad f(x_i)|| / min(lam - rho, 1) bounds the row's distance to
-    its prox.  A row with budget 0 (as where grad f(x_i) = 0) is returned at
-    its center, which must itself certify.  No row may be given more than
-    `BUDGET_CAP` steps.
+    - log min(lam - rho, 1) - log eps)), 0) steps, kappa = sqrt((lam + c)/(lam
+    - rho)), the square root of a's condition number; ||grad f(x_i)|| /
+    min(lam - rho, 1) bounds the row's distance to its prox.  A row with
+    budget 0 (as where grad f(x_i) = 0) is returned at its center, which
+    must itself certify.  No row may be given more than `BUDGET_CAP` steps.
 
     The loop runs on the active rows alone, in their original order; all
     of them have run the same count.  A row is written back when it leaves,
@@ -115,10 +132,11 @@ def agd_prox_batch(f, x, lam, eps):
         NonFiniteIterate: an iterate, or a gradient at one or at a center
             (step 0), left the finite range; carries lam, the step count and
             the rows still active.
-        ProxNotCertified: a row spent its budget without certifying (f is
-            not L-smooth where the row went, or rounding hides the prox),
-            or, at step 0, a row's budget exceeds `BUDGET_CAP`; carries
-            lam, the step count and the rows still active.
+        ProxNotCertified: a row spent its budget without certifying (f's
+            curvature leaves [-rho, c] where the row went, or rounding
+            hides the prox), or, at step 0, a row's budget exceeds
+            `BUDGET_CAP`; carries lam, the step count and the rows still
+            active.
     """
     if lam <= f.semiconvexity:
         raise LambdaTooSmall(
@@ -129,7 +147,7 @@ def agd_prox_batch(f, x, lam, eps):
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     mu_sc = lam - f.semiconvexity
-    l_smooth = lam + f.smoothness
+    l_smooth = lam + f.semiconcavity
     kappa = math.sqrt(l_smooth / mu_sc)
     step = 1.0 / l_smooth
     momentum = (kappa - 1.0) / (kappa + 1.0)

@@ -129,6 +129,11 @@ _BAD_INPUTS = {
         EXIT_ERROR,
         "feature_scale = 1e+300 overflows",
     ),
+    "features-zero": (
+        ["mmd-flow", "--seed", "0", "--features", "0", "--k-max", "1"],
+        EXIT_ERROR,
+        "features must be positive, got 0",
+    ),
     "shift-nan": (
         ["mmd-flow", "--seed", "0", "--shift", "nan", "--k-max", "1"],
         EXIT_ERROR,

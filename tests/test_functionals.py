@@ -22,6 +22,7 @@ from wfw.functionals import (
     RandomFeatureKernel,
     _sinkhorn_potentials,
 )
+from wfw.moreau import SmoothObjective
 from wfw.registry import OBJECTIVES, make_objective, make_pair, quadratic
 
 
@@ -65,6 +66,18 @@ class TestKernels:
     def test_rejects_bad_parameters(self, build, says):
         with pytest.raises(ValueError, match=says):
             build()
+
+    @pytest.mark.parametrize(
+        "table",
+        [[[1e200, 0.0], [0.5, 0.5]], [[1.3e154, 0.0], [0.0, 1.3e154]]],
+        ids=["row-norm", "mean"],
+    )
+    def test_rejects_a_table_whose_squared_row_norms_overflow(self, table):
+        """A squared row norm (1e400) or the sum of two (3.4e308) past the
+        float range leaves no finite bound: the kernel refuses the table by
+        name, with no numpy RuntimeWarning (an error under this suite)."""
+        with pytest.raises(ValueError, match="^table: .* inf, not finite"):
+            RandomFeatureKernel(np.array(table))
 
     @_KERNEL
     def test_symmetry(self, kernel):
@@ -860,6 +873,34 @@ class TestEntropicDeconv:
             ) / h**2
             assert -model.semiconvexity - 1e-3 <= second <= model.smoothness + 1e-3
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sigma2=st.floats(0.05, 1.0),
+        log_scale=st.floats(-0.5, 0.5),
+    )
+    def test_witness_bends_up_by_at_most_one(self, seed, sigma2, log_scale):
+        """The witness's Hessian is I - Cov / sigma2 with Cov the softmax
+        covariance of the data, so it bends up by at most c = 1 and down by
+        at most rho.  Second differences along random directions, at points
+        out to twice the data's scale and at the potentials v of a real
+        solve, stay in [-rho, c] up to 1e-3."""
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        data = ParticleCloud(scale * rng.normal(size=(8, 2)))
+        mu = ParticleCloud(scale * (rng.normal(size=(6, 2)) + 0.5))
+        model = EntropicDeconv(sigma2, data).derivative_oracle(mu, 1e-9)
+        assert model.semiconcavity == 1.0
+        z = 2.0 * scale * rng.normal(size=(20, 2))
+        d = rng.normal(size=(20, 2))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        h = 1e-4
+        second = (
+            model.eval_many(z + h * d) - 2.0 * model.eval_many(z) + model.eval_many(z - h * d)
+        ) / h**2
+        assert np.all(second >= -model.semiconvexity - 1e-3)
+        assert np.all(second <= model.semiconcavity + 1e-3)
+
     def test_large_sigma_flattens_derivative(self):
         rng = np.random.default_rng(16)
         data = ParticleCloud(rng.normal(size=(8, 2)))
@@ -983,6 +1024,24 @@ class TestPotentialInteraction:
         assert model.smoothness == pytest.approx(
             quadratic().smoothness + 2 * quadratic().smoothness
         )
+
+    def test_semiconcavity_sums_as_the_other_constants(self):
+        """The witness's Hessian is v's plus (2/n) sum_j W's, so each of its
+        three constants is v's plus twice W's, c included."""
+        q = quadratic()
+
+        def loose(smoothness, semiconvexity, semiconcavity):
+            return SmoothObjective(
+                eval_many=q.eval_many,
+                grad_many=q.grad_many,
+                smoothness=smoothness,
+                semiconvexity=semiconvexity,
+                semiconcavity=semiconcavity,
+            )
+
+        J = PotentialInteraction(loose(3.0, 0.5, 1.0), loose(2.0, 0.25, 1.5))
+        model = J.derivative_oracle(ParticleCloud(np.zeros((2, 2))), 1e-9)
+        assert (model.smoothness, model.semiconvexity, model.semiconcavity) == (7.0, 1.0, 4.0)
 
 
 def _witness(kind, rng):

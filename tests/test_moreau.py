@@ -37,7 +37,7 @@ def _prox_row(f, x, lam, eps):
 
 def _iteration_ceiling(f, x, lam, eps):
     """Worst-case budget the solver must respect."""
-    kappa = math.sqrt((lam + f.smoothness) / (lam - f.semiconvexity))
+    kappa = math.sqrt((lam + f.semiconcavity) / (lam - f.semiconvexity))
     gnorm = float(np.linalg.norm(f.grad(np.asarray(x, dtype=float))))
     if gnorm == 0.0:
         return 0
@@ -51,12 +51,13 @@ def _masked_prox_batch(f, x, lam, eps):
     `agd_prox_batch` keeps a compacted working set instead and must match
     this bit for bit.  Step 1 is the gradient step from the center; each
     later step certifies its momentum point or steps from it, restarting
-    the momentum where the gradient points along the step.
+    the momentum where the gradient points along the step.  The prox
+    objective's curvature lies in [lam - rho, lam + c].
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     mu_sc = lam - f.semiconvexity
-    l_smooth = lam + f.smoothness
+    l_smooth = lam + f.semiconcavity
     kappa = math.sqrt(l_smooth / mu_sc)
     step = 1.0 / l_smooth
     momentum = (kappa - 1.0) / (kappa + 1.0)
@@ -109,6 +110,7 @@ def _recorded(f, calls):
         grad_many=grad_many,
         smoothness=f.smoothness,
         semiconvexity=f.semiconvexity,
+        semiconcavity=f.semiconcavity,
     )
 
 
@@ -168,6 +170,27 @@ class TestCompactedLoop:
             assert np.count_nonzero(got[2] == 0) == 2
         if kind not in ("quadratic", "linear"):  # those two certify in one step
             assert len(set(got[2].tolist())) > 2
+        if kind == "deconv":  # steps sized by c = 1, not by L = rho
+            assert f.semiconcavity == 1.0 < f.smoothness
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-10])
+    def test_deconv_images_lie_within_the_certified_distance(self, eps):
+        """The deconvolution witness's prox, stepped by its upward curvature
+        c = 1 < L, lands within sqrt(eps)/2 of a reference prox: plain
+        gradient steps of 1/(lam + L), the two-sided bound, run until the
+        strong-convexity distance bound is below sqrt(1e-14)/2."""
+        f, x, lam = _witness("deconv", np.random.default_rng(6))
+        assert f.semiconcavity < f.smoothness
+        y, _, _, _ = agd_prox_batch(f, x, lam, eps)
+        ref, mu_sc = x.copy(), lam - f.semiconvexity
+        for _ in range(100_000):
+            resid = f.grad_many(ref) + lam * (ref - x)
+            if np.sqrt(row_sqnorm(resid)).max() / mu_sc <= 0.5e-7:
+                break
+            ref -= resid / (lam + f.smoothness)
+        else:
+            pytest.fail("the reference prox did not converge")
+        assert np.sqrt(row_sqnorm(y - ref)).max() <= 0.5 * math.sqrt(eps)
 
     @settings(max_examples=60, deadline=None)
     @given(*_PASS_DRAWS)
@@ -197,7 +220,7 @@ class TestCompactedLoop:
         leaves, so the pass returns them, as the masked loop does."""
         f, lam, eps = double_well(), 2.0, 1e-6
         x = np.array([[1.0 + 2e-8, 0.0], [1.4, -0.3], [0.3, 0.5]])
-        kappa = math.sqrt((lam + f.smoothness) / (lam - f.semiconvexity))
+        kappa = math.sqrt((lam + f.semiconcavity) / (lam - f.semiconvexity))
         assert math.ceil(4.0 * kappa * math.log(12.0 * kappa * 4e-8 / eps)) == 8
         got = agd_prox_batch(f, x, lam, eps)
         assert got[2][0] == 1 and got[2][1:].min() > 8
@@ -622,6 +645,31 @@ class TestSmoothObjective:
                 smoothness=0.5,
                 semiconvexity=1.0,
             )
+
+    @pytest.mark.parametrize(
+        "semiconcavity, says",
+        [(math.nan, "nan"), (1.5, "1.5"), (-0.75, "-0.75"), (math.inf, "inf")],
+        ids=["nan", "above-smoothness", "below-minus-semiconvexity", "inf"],
+    )
+    def test_refuses_semiconcavity_outside_its_range(self, semiconcavity, says):
+        """c must lie in [-rho, L] = [-0.5, 1]: a NaN, a c above L or below
+        -rho is refused by name."""
+        with pytest.raises(ValueError, match=f"semiconcavity must lie in .* got {says}$"):
+            SmoothObjective(
+                eval_many=lambda y: np.zeros(y.shape[0]),
+                grad_many=np.zeros_like,
+                smoothness=1.0,
+                semiconvexity=0.5,
+                semiconcavity=semiconcavity,
+            )
+
+    def test_semiconcavity_defaults_to_smoothness(self):
+        """c defaults to L; both ends of [-rho, L] are admitted."""
+        kw = dict(eval_many=lambda y: np.zeros(y.shape[0]), grad_many=np.zeros_like)
+        assert SmoothObjective(**kw, smoothness=1.0, semiconvexity=0.5).semiconcavity == 1.0
+        for c in (-0.5, 1.0):
+            f = SmoothObjective(**kw, smoothness=1.0, semiconvexity=0.5, semiconcavity=c)
+            assert f.semiconcavity == c
 
     def test_rejects_negative_semiconvexity(self):
         with pytest.raises(ValueError, match="semiconvexity must be >= 0"):
