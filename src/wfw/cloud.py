@@ -76,6 +76,12 @@ class CloudMemo:
         """Whether fn(points), once computed, becomes the remembered entry."""
         return not points.flags.writeable and points.flags.owndata
 
+    def seed(self, points, value):
+        """Remember `value` as fn(points), where the memo keeps `points`;
+        fn is then never called on them.  Any other array is left out."""
+        if self.keeps(points):
+            self._key, self._value = points, value
+
     def get(self, points):
         """The remembered fn(points), or None where a call would compute it."""
         return self._value if points is self._key and not points.flags.writeable else None

@@ -306,7 +306,7 @@ def primal_dual_bisection(f, mu, penalty, eps, root_hint=None):
         den = 4.0 * lam * penalty.psi_star_deriv(lam)  # 0 where psi*' underflows
         return lam + eps_alg * (lam - rho) / den if den > 0.0 else math.inf
 
-    lo, lam, hi = (_slope_crossing(penalty, m2, s, u) for s in (f.semiconcavity, 0.0, -rho))
+    lam, hi = (_slope_crossing(penalty, m2, s, u) for s in (0.0, -rho))
     hi = past_root(hi)
     # No bracket shrinks below ulp(hi), and 16 m2^2 may be inf: floor the width there.
     b = max(penalty.smoothness_on(l, u), 16.0 * m2 * m2, 1e-12)
@@ -331,10 +331,12 @@ def primal_dual_bisection(f, mu, penalty, eps, root_hint=None):
         else:
             right = lam
         # left, the last pass with h > 0 (else rho), bounds the root
-        # below; lo does only where c covers the cloud, and only the
-        # Newton step, on its a-priori slope, is kept above it.
-        floor = max(lo, left) if last is None else left
+        # below; the crossing at s = c does only where c covers the cloud,
+        # and only the Newton step, on its a-priori slope, is kept above
+        # it, so only a second pass computes it.
+        floor = left
         if last is None:
+            floor = max(_slope_crossing(penalty, m2, f.semiconcavity, u), left)
             s = root_estimate(penalty, m2, lam, rep.cost)
         else:  # each pass lies inside (floor, right): a new lam
             slope = (r - last[1]) / (lam - last[0])

@@ -116,10 +116,12 @@ class FWTrace:
     compact arrays, 8 bytes an entry ("q" for iters and samples, else "d").
 
     Row i's J is the objective of the cloud entering step i, and its delta
-    and zeta are the radius and tolerance that step used; `final_objective`
-    is J of the cloud the loop returns, which no row holds after a step
-    (None until the loop has run).  `status` is "converged" or
-    "budget-exhausted".
+    and zeta are the radius and tolerance that step used.  Its samples are
+    the gradient rows the witness evaluated in that step (`counted_model`),
+    so rows the model handed over (`atom_gradients`) are not among them.
+    `final_objective` is J of the cloud the loop returns, which no row
+    holds after a step (None until the loop has run).  `status` is
+    "converged" or "budget-exhausted".
     """
 
     iters: array = _column("q")
@@ -151,9 +153,11 @@ class FWTrace:
 
 
 def counted_model(model, counter):
-    """Wrap a witness model so gradient-row evaluations accumulate in counter["rows"];
-    a cloud's own atoms are evaluated once (`CloudMemo`), shared read-only.
-    The wrapper is a `SmoothObjective` with every other field of the model."""
+    """Wrap a witness model so gradient rows the witness evaluates accumulate
+    in counter["rows"]; a cloud's own atoms are evaluated once (`CloudMemo`),
+    shared read-only.  The model's `atom_gradients` seed that memo, so the
+    rows they hold are neither evaluated nor counted.  The wrapper is a
+    `SmoothObjective` with every other field of the model."""
 
     def grad_many(x):
         counter["rows"] += x.shape[0]
@@ -162,7 +166,10 @@ def counted_model(model, counter):
             g.setflags(write=False)
         return g
 
-    return SmoothObjective(**{**vars(model), "grad_many": CloudMemo(grad_many)})
+    memo = CloudMemo(grad_many)
+    if model.atom_gradients is not None:
+        memo.seed(*model.atom_gradients)
+    return SmoothObjective(**{**vars(model), "grad_many": memo})
 
 
 def estimate_gradient_norm(phi, mu):

@@ -11,11 +11,23 @@ import math
 import numpy as np
 
 from .cloud import CloudMemo, row_sqnorm, sqdist_matrix
-from .errors import NonFiniteDual, SinkhornNotConverged
+from .errors import NonFiniteDual, SinkhornNotConverged, SizeCapExceeded
 from .moreau import SmoothObjective
 
 # Peak of |tanh''|, slightly rounded up: 4 / (3 * sqrt(3)).
 _TANH_CURV = 0.7699
+
+#: Cap on n*m (cloud atoms times data atoms) and on m*m for `EntropicDeconv`.
+#: A solve holds about five float64 n x m arrays at once (the cost, the
+#: current coupling, and a trial step's logits and coupling), 41-42 bytes
+#: an entry under tracemalloc, and the data's diameter pass 16-24 bytes an
+#: m*m entry: the cap bounds the peak near 42 MB, and admits n = m = 1,000.
+SINKHORN_CAP = 10**6
+
+# How many kept solves' v a seed extrapolates through: polynomial
+# extrapolation through h of them sums coefficient magnitudes to 2^h - 1,
+# so past four it amplifies the solves' own error more than it gains.
+_SEED_SOLVES = 4
 
 
 def _softmax(a):
@@ -175,6 +187,13 @@ def _sinkhorn_newton(v, c, cost, s2, target):
     bits).  They may take 2 m iterations: m suffice in exact arithmetic,
     but on a near-permutation coupling (Hessian condition ~1e5) rounding
     can need more, and a direction cut at m need not lower the error.
+    The conjugate gradient has two exits.  Its residual r is the step's
+    first-order prediction of the next 1/m - b, so it stops once ||r||^2 <=
+    (target / 2)^2 / m, which bounds that prediction's L1 norm, the next
+    marginal error to first order, by target / 2; and, as inexact Newton
+    (Eisenstat & Walker, 1996), once ||r|| <= err^1.5 ||1/m - b||, which
+    keeps the loose solves of a far start cheap.  Whichever comes first
+    ends it: the first keeps a close start from solving past its target.
     The step backtracks on the marginal error and never moves a
     potential by more than 2 max(max cost, s2).  Returns (v, its coupling,
     steps); an error above target means it stalled: no halving of the step
@@ -188,7 +207,7 @@ def _sinkhorn_newton(v, c, cost, s2, target):
         r = 1.0 / m - b
         r -= np.mean(r)
         d, q, rr = np.zeros(m), r.copy(), float(r @ r)
-        stop = err**3 * rr  # inexact Newton: |residual| <= err^1.5 |gradient|
+        stop = max(err**3 * rr, 0.25 * target * target / m)
         pt, floor = p.T, 1e-14 * float(b.max())
         for _ in range(2 * m):
             hq = b * q - n * (pt @ (p @ q))
@@ -239,6 +258,12 @@ def _sinkhorn_potentials(x, y, sigma2, tol, v0=None):
             above tol.
         NonFiniteDual: an iterate left the finite range.
     """
+    return _entropic_solve(x, y, sigma2, tol, v0)[:4]
+
+
+def _entropic_solve(x, y, sigma2, tol, v0=None):
+    """`_sinkhorn_potentials`, plus the coupling P of the returned
+    potentials (row sums 1/n) as a fifth entry."""
     cost = 0.5 * sqdist_matrix(x, y)
     iterations = 0
 
@@ -264,7 +289,7 @@ def _sinkhorn_potentials(x, y, sigma2, tol, v0=None):
             iterations=iterations,
         )
     shift = 0.5 * (float(np.mean(v)) - float(np.mean(u)))
-    return u + shift, v - shift, err, iterations
+    return u + shift, v - shift, err, iterations, c[1]
 
 
 class EntropicDeconv:
@@ -286,9 +311,21 @@ class EntropicDeconv:
     One Sinkhorn solve serves each cloud: `value` and `derivative_oracle`
     on the same `ParticleCloud` share it through a `CloudMemo`; any other
     array is solved afresh, from v = 0.  Each solve the memo keeps starts
-    from the v of the last two it kept, extrapolated linearly, so a fresh
-    functional's value(mu) agrees only to within the tolerance.  Each
-    solve appends its marginal error to `marginal_error_log`.
+    from the v of up to the last four it kept, extrapolated by the
+    polynomial through them, so a fresh functional's value(mu) agrees only
+    to within the tolerance.  Each solve appends its marginal error to
+    `marginal_error_log`.
+
+    The solve's coupling P also gives the witness gradient at the cloud's
+    own atoms: row i of n P is the witness softmax at x_i, so grad phi(x_i)
+    = x_i - n (P y)_i, equal to `grad_many` at x_i up to rounding.  For a
+    cloud the memo keeps, `derivative_oracle` hands these rows over as the
+    model's `atom_gradients`, so no witness row need be evaluated there.
+
+    Raises:
+        SizeCapExceeded: m * m (the data's diameter pass, here) or n * m (a
+            solve on n atoms) exceeds `SINKHORN_CAP`, before the array is
+            allocated.
     """
 
     def __init__(self, sigma2, data, tol=1e-9):
@@ -301,7 +338,9 @@ class EntropicDeconv:
             raise ValueError(f"tol must lie in (0, inf), got {tol}")
         self.marginal_error_log = []
         self._solve = CloudMemo(self._sinkhorn)
-        self._last_v = []  # v of the last two solves the memo kept, oldest first
+        self._last_v = []  # v of the last solves the memo kept, oldest first
+        m = data.points.shape[0]
+        _check_size("the data's diameter", m, m)
         # Softmax weights always sit on the data atoms, so the weighted
         # covariance never exceeds (diam/2)^2 in any direction: a global
         # semiconvexity bound for the witness.
@@ -309,26 +348,36 @@ class EntropicDeconv:
         self._rho = max(0.0, diam2 / (4.0 * self.sigma2) - 1.0)
 
     def _sinkhorn(self, points):
-        """(u, v) for `points`; logs the error.  A solve that the memo keeps
-        is seeded with 2 v(k) - v(k-1), the v of the last two kept solves
-        extrapolated linearly (v(k) alone after one, v = 0 before any), and
-        becomes v(k).  Any other solve starts from v = 0 and leaves the two
-        alone."""
+        """(u, v, atom gradients) for `points`; logs the error.  A solve
+        that the memo keeps is seeded by extrapolating the v of the last h
+        <= 4 kept solves, sum_j (-1)^j C(h, j + 1) v(k - j) (v(k) itself
+        after one, v = 0 before any), becomes v(k), and returns the witness
+        gradient at `points`, read-only.  Any other solve starts from v = 0,
+        leaves the history alone and returns no gradients (None)."""
+        y = self.data.points
+        _check_size("a solve", points.shape[0], y.shape[0])
         kept, last = CloudMemo.keeps(points), self._last_v
-        # With one v held, 2 v - v is v exactly.
-        seed = 2.0 * last[-1] - last[0] if kept and last else None
-        u, v, err, _ = _sinkhorn_potentials(points, self.data.points, self.sigma2, self.tol, seed)
+        seed = None
+        if kept and last:
+            h = len(last)
+            seed = h * last[-1]  # v(k) itself when h = 1
+            for j in range(1, h):
+                seed += (-1) ** j * math.comb(h, j + 1) * last[-1 - j]
+        u, v, err, _, p = _entropic_solve(points, y, self.sigma2, self.tol, seed)
         self.marginal_error_log.append(err)
-        if kept:
-            self._last_v = last[-1:] + [v]
-        return u, v
+        if not kept:
+            return u, v, None
+        self._last_v = (last + [v])[-_SEED_SOLVES:]
+        grads = points - points.shape[0] * (p @ y)
+        grads.setflags(write=False)
+        return u, v, grads
 
     def value(self, mu):
-        u, v = self._solve(mu.points)
+        u, v, _ = self._solve(mu.points)
         return float(np.mean(u) + np.mean(v))
 
     def derivative_oracle(self, mu, eps):
-        _, v = self._solve(mu.points)
+        _, v, grads = self._solve(mu.points)
         y, sigma2 = self.data.points, self.sigma2
         # Logits of the softmax over the data atoms, less the ||z||^2 / (2 sigma2)
         # that ||z - y_j||^2 = ||z||^2 + ||y_j||^2 - 2 z . y_j puts in each one.
@@ -354,6 +403,17 @@ class EntropicDeconv:
             smoothness=max(1.0, rho),
             semiconvexity=rho,
             semiconcavity=1.0,
+            atom_gradients=None if grads is None else (mu.points, grads),
+        )
+
+
+def _check_size(what, rows, cols):
+    """SizeCapExceeded where a rows x cols array would exceed SINKHORN_CAP."""
+    if rows * cols > SINKHORN_CAP:
+        raise SizeCapExceeded(
+            f"{what} needs a {rows} x {cols} array (cap {SINKHORN_CAP} entries)",
+            required=rows * cols,
+            cap=SINKHORN_CAP,
         )
 
 

@@ -55,6 +55,12 @@ class SmoothObjective:
         eval, grad: per-point forms x -> float and x -> (d,) array, filled
             in from the batch forms when omitted.  The library only ever
             calls the batch forms; these serve callers that probe one point.
+        atom_gradients: optional (points, gradients), a read-only array of
+            points and grad_many's rows there, already computed by whoever
+            built the model (as `EntropicDeconv` does from its transport
+            coupling at the cloud's atoms).  They are data, not a wrapped
+            call: a wrapper that memoizes per cloud (`counted_model`) may
+            start from them instead of evaluating those rows.
     """
 
     eval_many: Callable
@@ -64,6 +70,7 @@ class SmoothObjective:
     semiconcavity: Optional[float] = None
     eval: Optional[Callable] = None
     grad: Optional[Callable] = None
+    atom_gradients: Optional[tuple] = None
 
     def __post_init__(self):
         if not self.semiconvexity >= 0:

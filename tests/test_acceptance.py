@@ -481,9 +481,11 @@ def test_deconvolution_witness_rows_per_seed(deconvolution_runs):
     """Each seed's witness-gradient rows (the trace's samples), pinned: a
     faster Sinkhorn solve moves the potentials only within its tolerance
     and no prox work.  The prox steps are sized by the witness's upward
-    curvature c = 1, not by L = max(1, rho)."""
+    curvature c = 1, not by L = max(1, rho).  The gradient at the cloud's
+    own atoms comes from each solve's coupling and is not counted: 20
+    steps of 50 atoms, 1,000 rows a run below the witness's count."""
     assert deconvolution_runs["rows"] == [
-        5134, 5045, 5124, 5154, 5057, 5069, 5113, 5003, 5106, 5050
+        4134, 4045, 4124, 4154, 4057, 4069, 4113, 4003, 4106, 4050
     ]
 
 

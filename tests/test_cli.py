@@ -164,6 +164,11 @@ _BAD_INPUTS = {
         EXIT_ERROR,
         "sigma2 must lie in (0, inf), got nan",
     ),
+    "particles-above-the-sinkhorn-cap": (
+        ["deconv", "--seed", "0", "--k-max", "1", "--particles", "1001"],
+        EXIT_ERROR,
+        "1001 x 1001 array (cap 1000000 entries)",
+    ),
     "sigma2-inf": (
         ["deconv", "--seed", "0", "--k-max", "1", "--sigma2", "inf"],
         EXIT_ERROR,

@@ -554,6 +554,39 @@ class TestBisection:
         assert again.oracle_calls == 1
         assert 0.0 <= again.gap <= eps / 5.0
 
+    def test_crossing_at_c_is_computed_only_for_a_second_pass(self, monkeypatch):
+        """The crossing at s = c bounds only the Newton step of a second
+        pass.  A search whose first pass certifies (hinted with the root of
+        a quadratic) computes the crossings at s = 0 and s = -rho alone;
+        one that takes a second pass (unhinted on a double well) adds s = c
+        after its first pass."""
+        crossings, passes = [], []
+        real_crossing, real_pass = dual_solvers._slope_crossing, dual_solvers._prox_pass
+
+        def crossing(penalty, m2, s, u):
+            crossings.append(s)
+            return real_crossing(penalty, m2, s, u)
+
+        def prox_pass(*args):
+            passes.append(len(crossings))
+            return real_pass(*args)
+
+        monkeypatch.setattr(dual_solvers, "_slope_crossing", crossing)
+        monkeypatch.setattr(dual_solvers, "_prox_pass", prox_pass)
+        f, mu, pen, m2 = _solver_instance(("quadratic", "indicator"), 7, 6, 2, 0.5)
+        rep = primal_dual_bisection(f, mu, pen, 1e-4)
+        est = root_estimate(pen, m2, rep.lambda_star, rep.cost)
+        crossings.clear()
+        passes.clear()
+        assert primal_dual_bisection(f, mu, pen, 1e-4, root_hint=est).oracle_calls == 1
+        assert crossings == [0.0, -f.semiconvexity] and passes == [2]
+        f, mu, pen, _ = _solver_instance(("double-well", "indicator"), 7, 6, 2, 0.5)
+        crossings.clear()
+        passes.clear()
+        assert primal_dual_bisection(f, mu, pen, 1e-4).oracle_calls >= 2
+        assert crossings == [0.0, -f.semiconvexity, f.semiconcavity]
+        assert passes[:2] == [2, 3]
+
 
 class TestSampledSlope:
     """The sampled oracle's fourth moment depends on (f, mu) only, so a

@@ -158,6 +158,26 @@ class TestCountedModel:
         np.testing.assert_array_equal(fresh, first)
         assert counter["rows"] == 18
 
+    def test_atom_gradients_seed_the_memo_of_a_kept_cloud_only(self):
+        """Rows a model hands over for a cloud's own points are returned as
+        they are and count nothing; a writeable copy is evaluated and
+        counted.  Rows handed over for a writeable array are never used:
+        it may change before the call."""
+        mu = _uniform_cloud(9, 2, seed=4)
+        f = linear(np.array([0.5, -1.0]))
+        given = np.zeros((9, 2))
+        given.setflags(write=False)
+        counter = {"rows": 0}
+        phi = counted_model(replace(f, atom_gradients=(mu.points, given)), counter)
+        assert phi.grad_many(mu.points) is given
+        assert counter["rows"] == 0
+        np.testing.assert_array_equal(phi.grad_many(mu.points.copy()), f.grad_many(mu.points))
+        assert counter["rows"] == 9
+        loose = mu.points.copy()
+        phi = counted_model(replace(f, atom_gradients=(loose, given)), counter)
+        np.testing.assert_array_equal(phi.grad_many(loose), f.grad_many(loose))
+        assert counter["rows"] == 18
+
 
 class _AuditedFunctional:
     """Counts witness-gradient rows independently of the loop's own counter."""
@@ -226,8 +246,8 @@ class TestRunFrankWolfe:
     def test_final_objective_is_that_of_the_returned_cloud(self, tmp_path):
         """The trace's last J was measured before the last step: on deconv
         seed 0 it reads 0.5382559, against 0.5379641 for the returned cloud.
-        The run's last solve was seeded with the v of the two clouds before,
-        extrapolated linearly, and a fresh functional's starts from v = 0;
+        The run's last solve was seeded with the v of the four clouds
+        before, extrapolated, and a fresh functional's starts from v = 0;
         both meet tol, so they agree within tol * max cost
         (`test_functionals._agreement_bound`)."""
         cfg = ExperimentConfig(experiment="deconv", seed=0, out=str(tmp_path / "d.csv"))

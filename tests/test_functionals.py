@@ -1,6 +1,8 @@
 """Kernel, MMD, entropic-smoothing, and potential-energy tests."""
 
+import dataclasses
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,9 +15,10 @@ from scipy.special import logsumexp
 from wfw import experiments, functionals
 from wfw.cloud import ParticleCloud, mean_squared_gradient_norm, sqdist_matrix
 from wfw.dual_solvers import trust_region_step
-from wfw.errors import NonFiniteDual, SinkhornNotConverged
+from wfw.errors import NonFiniteDual, SinkhornNotConverged, SizeCapExceeded
 from wfw.experiments import ExperimentConfig, run_mmd_flow
 from wfw.functionals import (
+    SINKHORN_CAP,
     EntropicDeconv,
     MMDSquared,
     PotentialInteraction,
@@ -668,6 +671,44 @@ class TestSinkhornStalls:
         assert max(_marginal_errors(x, y, sigma2, u, v)) <= 2e-9
 
 
+def _raises_with_peak(error, fn):
+    """(the `error` fn() must raise, tracemalloc's peak bytes over the call)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error) as info:
+            fn()
+        return info.value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSinkhornCap:
+    """n * m and m * m above SINKHORN_CAP raise before any such array exists."""
+
+    def test_cap_admits_a_thousand_atoms_a_side(self):
+        assert 1000 * 1000 <= SINKHORN_CAP
+
+    def test_data_above_the_cap_raise_before_the_diameter_pass(self):
+        m = math.isqrt(SINKHORN_CAP) + 1
+        data = ParticleCloud(np.random.default_rng(22).normal(size=(m, 2)))
+        exc, peak = _raises_with_peak(SizeCapExceeded, lambda: EntropicDeconv(0.25, data))
+        assert (exc.required, exc.cap) == (m * m, SINKHORN_CAP)
+        assert peak < 8 * m * m / 100
+
+    @pytest.mark.parametrize("call", ["value", "derivative_oracle"])
+    def test_solve_above_the_cap_raises_before_the_cost_matrix(self, call):
+        rng = np.random.default_rng(23)
+        m = 10
+        n = SINKHORN_CAP // m + 1
+        J = EntropicDeconv(0.25, ParticleCloud(rng.normal(size=(m, 2))))
+        mu = ParticleCloud(rng.normal(size=(n, 2)))
+        solve = J.value if call == "value" else lambda mu: J.derivative_oracle(mu, 1e-9)
+        exc, peak = _raises_with_peak(SizeCapExceeded, lambda: solve(mu))
+        assert (exc.required, exc.cap) == (n * m, SINKHORN_CAP)
+        assert peak < 8 * n * m / 100
+        assert J.marginal_error_log == []
+
+
 def _agreement_bound(J, mu):
     """How far apart two solves that each meet J.tol may put J.value(mu).
 
@@ -751,22 +792,22 @@ class TestEntropicDeconv:
         assert iterations <= 1 and err <= 1e-9
 
     def test_gate_ten_run_spends_at_most_thirty_iterations(self, monkeypatch, tmp_path):
-        """At the gate-10 defaults (seed 0) each solve is seeded with the v of
-        the last two clouds extrapolated linearly (the cloud before's alone
-        for the second): the run's 21 solves, one per step and one for the
-        returned cloud, take 27 sweeps and Newton steps in all ([6, 2, then
-        1 each]), where a seed at the cloud before's v took 46 and solves
-        from v = 0 took 133.  Every solve from the third on takes exactly
-        one Newton step."""
+        """At the gate-10 defaults (seed 0) each solve is seeded by the
+        polynomial through the v of up to the last four clouds (the cloud
+        before's alone for the second): the run's 21 solves, one per step and
+        one for the returned cloud, take 27 sweeps and Newton steps in all
+        ([6, 2, then 1 each]), where a seed at the cloud before's v took 46
+        and solves from v = 0 took 133.  Every solve from the third on takes
+        exactly one Newton step."""
         iterations = []
-        real = functionals._sinkhorn_potentials
+        real = functionals._entropic_solve
 
         def spy(*args):
             out = real(*args)
             iterations.append(out[3])
             return out
 
-        monkeypatch.setattr(functionals, "_sinkhorn_potentials", spy)
+        monkeypatch.setattr(functionals, "_entropic_solve", spy)
         cfg = ExperimentConfig(experiment="deconv", seed=0, out=str(tmp_path / "d.csv"))
         _, _, J = experiments.run_deconv(cfg)
         assert len(J.marginal_error_log) == len(iterations) == 21
@@ -776,19 +817,19 @@ class TestEntropicDeconv:
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        sizes=st.lists(st.integers(1, 8), min_size=3, max_size=6),
+        sizes=st.lists(st.integers(1, 8), min_size=5, max_size=8),
         m=st.integers(1, 8),
         log_sigma2=st.floats(-2.0, 0.0),
-        gap=st.integers(1, 5),
+        gap=st.integers(1, 7),
     )
     def test_extrapolated_seeds_off_any_trajectory(self, seed, sizes, m, log_sigma2, gap):
-        """Unrelated clouds in a row, so 2 v(k) - v(k-1) may seed a solve far
-        from its solution, with a writeable array between two of them.
-        Every solve meets tol and agrees with a fresh functional's within
-        `_agreement_bound`.  The writeable array's solve neither reads nor
-        changes the two-solve history: it equals a fresh functional's bit
-        for bit, and every cloud's value equals that of a twin functional
-        fed the clouds alone."""
+        """Unrelated clouds in a row, so the extrapolated seed, through up
+        to four earlier solves' v, may start a solve far from its solution,
+        with a writeable array between two of them.  Every solve meets tol
+        and agrees with a fresh functional's within `_agreement_bound`.  The
+        writeable array's solve neither reads nor changes the history: it
+        equals a fresh functional's bit for bit, and every cloud's value
+        equals that of a twin functional fed the clouds alone."""
         rng = np.random.default_rng(seed)
         sigma2 = 10.0**log_sigma2
         data = ParticleCloud(rng.normal(size=(m, 2)) + 0.3)
@@ -805,6 +846,60 @@ class TestEntropicDeconv:
             assert abs(value - fresh) <= _agreement_bound(J, mu)
         assert len(J.marginal_error_log) == len(clouds) + 1
         assert max(J.marginal_error_log) <= J.tol
+
+    def test_seed_history_holds_four_solves(self, monkeypatch):
+        """The history holds the v of at most four kept solves, the newest
+        last; a one-solve history seeds with that v bit for bit, and each
+        later seed is the polynomial through the history, 2 v(k) - v(k-1)
+        up to 4 v(k) - 6 v(k-1) + 4 v(k-2) - v(k-3)."""
+        seeds, held = [], []
+        real = functionals._entropic_solve
+
+        def spy(x, y, sigma2, tol, v0=None):
+            seeds.append(None if v0 is None else v0.copy())
+            out = real(x, y, sigma2, tol, v0)
+            held.append(out[1])
+            return out
+
+        monkeypatch.setattr(functionals, "_entropic_solve", spy)
+        rng = np.random.default_rng(21)
+        J = EntropicDeconv(0.25, ParticleCloud(rng.normal(size=(6, 2))))
+        points = rng.normal(size=(5, 2))
+        for k in range(7):
+            J.value(ParticleCloud(points + 0.05 * k))
+            assert len(J._last_v) == min(k + 1, 4)
+            assert all(a is b for a, b in zip(J._last_v, held[-4:]))
+        assert seeds[0] is None
+        assert seeds[1].tobytes() == held[0].tobytes()
+        weights = {2: (2, -1), 3: (3, -3, 1), 4: (4, -6, 4, -1)}
+        for k in range(2, 7):
+            w = weights[min(k, 4)]
+            want = sum(c * v for c, v in zip(w, reversed(held[k - len(w) : k])))
+            np.testing.assert_allclose(seeds[k], want, rtol=0, atol=1e-12)
+
+    def test_gate_ten_steps_evaluate_no_witness_row_at_the_atoms(self, monkeypatch, tmp_path):
+        """Each step's norm pass and prox centre take the atoms' gradient
+        from the solve's coupling: no witness call of a gate-10 run (seed 0)
+        is on the cloud's own points, and the rows the witness does
+        evaluate are the trace's samples."""
+        real = EntropicDeconv.derivative_oracle
+        calls = []
+
+        def oracle(J, mu, eps):
+            model = real(J, mu, eps)
+
+            def grad_many(z):
+                calls.append((z is mu.points, z.shape[0]))
+                return model.grad_many(z)
+
+            return dataclasses.replace(model, grad_many=grad_many)
+
+        monkeypatch.setattr(EntropicDeconv, "derivative_oracle", oracle)
+        cfg = ExperimentConfig(experiment="deconv", seed=0, out=str(tmp_path / "d.csv"))
+        _, trace, _ = experiments.run_deconv(cfg)
+        assert len(trace) == 20 and calls
+        assert not any(at_atoms for at_atoms, _ in calls)
+        assert sum(rows for _, rows in calls) == sum(trace.samples) == 4134
 
     @pytest.mark.parametrize("read_only_view", [False, True])
     def test_changeable_points_are_solved_afresh(self, read_only_view):
@@ -934,7 +1029,7 @@ def _witness_for_potentials(v, y, sigma2):
     """EntropicDeconv's witness for the v-potentials given, with no Sinkhorn
     solve: the oracle reads v from its per-cloud solve, replaced here."""
     J = EntropicDeconv(sigma2, ParticleCloud(y))
-    J._solve = lambda points: (None, v)
+    J._solve = lambda points: (None, v, None)
     return J.derivative_oracle(ParticleCloud(y), 1e-9)
 
 
@@ -969,6 +1064,34 @@ class TestDeconvWitnessForm:
         want, got = ref_grad(z), model.grad_many(z)
         terms = np.linalg.norm(z, axis=1) + math.sqrt(ymax2)
         assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-10 * terms)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        m=st.integers(1, 12),
+        dim=st.integers(1, 3),
+        log_sigma2=st.floats(-2.0, 1.0),
+    )
+    def test_atom_gradients_match_the_witness(self, seed, n, m, dim, log_sigma2):
+        """The rows the oracle hands over for a cloud's atoms, x_i - n (P
+        y)_i from the solve's coupling P, match `grad_many` on a writeable
+        copy of the same points to 1e-10 of the terms, as the two witness
+        forms do.  A writeable array gets no rows."""
+        rng = np.random.default_rng(seed)
+        sigma2 = 10.0**log_sigma2
+        data = ParticleCloud(rng.normal(size=(m, dim)) + 0.3)
+        mu = ParticleCloud(rng.normal(size=(n, dim)))
+        J = EntropicDeconv(sigma2, data)
+        model = J.derivative_oracle(mu, 1e-9)
+        points, got = model.atom_gradients
+        assert points is mu.points and not got.flags.writeable
+        z = mu.points.copy()
+        want = model.grad_many(z)
+        ymax2 = float(np.max(np.sum(data.points**2, axis=1)))
+        terms = np.linalg.norm(z, axis=1) + math.sqrt(ymax2)
+        assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-10 * terms)
+        assert J.derivative_oracle(SimpleNamespace(points=z), 1e-9).atom_gradients is None
 
     def test_witness_builds_no_distance_matrix(self, monkeypatch):
         def no_sqdist(a, b):
