@@ -16,7 +16,6 @@ from .dual_solvers import (
     dual_interval,
     mirror_ascent,
     primal_dual_bisection,
-    primal_dual_gap,
     trust_region_step,
 )
 from .frank_wolfe import (
@@ -63,7 +62,6 @@ __all__ = [
     "mean_squared_gradient_norm",
     "mirror_ascent",
     "primal_dual_bisection",
-    "primal_dual_gap",
     "run_frank_wolfe",
     "save_csv",
     "supergradient_hp",

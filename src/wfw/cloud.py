@@ -6,11 +6,12 @@ ever touches measures through this representation.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteIterate, SizeCapExceeded
+from .errors import DimensionMismatch, EmptyCloud, NonFiniteIterate, SizeCapExceeded
 
 #: Hard cap on n*n for the exact transport solve.
 EXACT_OT_CAP = 10**6
@@ -52,10 +53,6 @@ class ParticleCloud:
     def n(self):
         return self.points.shape[0]
 
-    @property
-    def dim(self):
-        return self.points.shape[1]
-
 
 class CloudMemo:
     """fn(points), computed once per cloud: a one-entry memo keyed on array identity.
@@ -87,11 +84,10 @@ class CloudMemo:
         return self._value if points is self._key and not points.flags.writeable else None
 
     def __call__(self, points):
-        if points is self._key and not points.flags.writeable:
-            return self._value
-        value = self._fn(points)
-        if self.keeps(points):
-            self._key, self._value = points, value
+        value = self.get(points)
+        if value is None:
+            value = self._fn(points)
+            self.seed(points, value)
         return value
 
 
@@ -182,6 +178,11 @@ def save_csv(cloud, path):
 
 
 def load_csv(path):
-    """Read a cloud written by save_csv (or any d-column numeric CSV)."""
-    pts = np.loadtxt(path, delimiter=",", ndmin=2)
+    """Read a cloud written by save_csv (or any d-column numeric CSV); a
+    file with no rows is an `EmptyCloud` error that names its path."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        pts = np.loadtxt(path, delimiter=",", ndmin=2)
+    if pts.size == 0:
+        raise EmptyCloud(f"cloud file {path} holds no rows", path=path)
     return ParticleCloud(pts)

@@ -21,7 +21,6 @@ from .cloud import ParticleCloud, mean_squared_gradient
 from .errors import (
     DeltaTooLarge,
     GapNotCertified,
-    InfeasiblePrimal,
     IntervalEmpty,
     LambdaTooSmall,
     RadiusOutOfRange,
@@ -80,8 +79,6 @@ class PowerPenalty:
     Conjugate psi*(lam) = (alpha/(1+alpha)) * max(lam, 0)^((1+alpha)/alpha),
     smooth on any interval bounded away from the origin.
     """
-
-    cost_bound = math.inf  # psi is finite on the whole cost axis
 
     def __init__(self, alpha):
         if not alpha > 0:
@@ -259,18 +256,21 @@ def primal_dual_bisection(f, mu, penalty, eps, root_hint=None):
     Fenchel-Young gap.  It searches (rho, hi], hi the `_slope_crossing` at
     s = -rho stepped past the root by a gap of eps_alg / 2, where h <= 0 by
     rho-semiconvexity alone.  Every point is a prox pass.  The first is at
-    the crossing at s = 0, or at `root_hint` stepped past the root where
-    that point lies in (rho, hi).  The second is a Newton step on r =
+    the crossing at s = 0, or at `root_hint` where that hint, stepped past
+    the root, lies in (rho, hi).  The second is a Newton step on r =
     psi*'^(-1/2) - cbar^(-1/2), which has h's sign, to its `root_estimate`,
     kept above the crossing at s = c, the semiconcavity (which holds only
     where c covers the cloud); later ones take secants on r through its
     last two passes, kept above the last pass with h > 0 (or rho).  Each
     point is stepped past the root as hi is; the midpoint replaces an
     undefined one.  It stops at the first pass with h <= 0 and gap <=
-    eps_alg, and raises at N + 2 passes, N one more than the halvings from
-    (rho, hi] to the width eps_alg / B, B = max(psi* smoothness, 16 m2^2,
-    1e-12), or ulp(hi) if wider.  m2 = E||grad f||^2 reads the step's `gradient_sqnorms`; the
-    certifying pass's report, carrying the search's pass count, is returned.
+    eps_alg, which is feasible: h <= 0 puts cbar <= psi*'(lam) = delta^2 / 2
+    under the indicator (lam > rho >= 0), and a power penalty is finite.
+    It raises at N + 2 passes, N one more than the halvings from (rho, hi]
+    to the width eps_alg / B, B = max(psi* smoothness, 16 m2^2, 1e-12), or
+    ulp(hi) if wider.  m2 = E||grad f||^2 reads the step's
+    `gradient_sqnorms`; the certifying pass's report, carrying the search's
+    pass count, is returned.
 
     Args:
         eps: target primal-dual gap; the internal tolerance is
@@ -286,7 +286,6 @@ def primal_dual_bisection(f, mu, penalty, eps, root_hint=None):
         RadiusOutOfRange: hi or the bisection width is not finite, as
             where psi*' underflows (carries delta, if any, and lam_hat),
             or the prox tolerance underflows to 0 (carries delta and eps).
-        InfeasiblePrimal: the returned pass lies where psi is infinite.
         GapNotCertified: the search reaches its cap or a collapsed bracket.
     """
     if not 0.0 < eps < math.inf:
@@ -316,7 +315,7 @@ def primal_dual_bisection(f, mu, penalty, eps, root_hint=None):
         raise RadiusOutOfRange(msg, delta=delta, lam_hat=lam)
     steps = math.ceil(math.log2(max(hi - rho, width) / width)) + 1
     guess = math.nan if root_hint is None else past_root(root_hint)
-    lam = guess if rho < guess < hi else lam
+    lam = guess if rho < guess < hi else past_root(lam)
     left, right = rho, hi
     last = None
     oracle_calls = 0
@@ -349,16 +348,14 @@ def primal_dual_bisection(f, mu, penalty, eps, root_hint=None):
         if oracle_calls == steps + 2 or not floor < lam < right:
             msg = f"full-batch search ends at lam = {rep.lambda_star}, gap {rep.gap}"
             raise GapNotCertified(msg, lam=rep.lambda_star, gap=rep.gap, eps=eps_alg)
-
-    _check_feasible(penalty, rep)
     return rep
 
 
-def _prox_pass(f, mu, penalty, lam, eps_prox, oracle_calls=1):
+def _prox_pass(f, mu, penalty, lam, eps_prox, oracle_calls):
     """Report of one prox pass at lam: primal and dual values sharing its
     images, and their gap in its Fenchel-Young form psi(cbar) + psi*(lam) -
     lam cbar (primal - dual would cancel the shared mean f(y) into roundoff
-    of either sign).  It carries the given pass count (a lone pass's by default).
+    of either sign).  It carries the given pass count.
 
     The images are made read-only before f sees them, so a witness that
     remembers per-cloud work (`CloudMemo`) keeps it for the cloud adopted
@@ -377,13 +374,6 @@ def _prox_pass(f, mu, penalty, lam, eps_prox, oracle_calls=1):
         images=y,
         cost=cbar,
     )
-
-
-def _check_feasible(penalty, rep):
-    """Raise InfeasiblePrimal when rep's cost lies where psi is infinite."""
-    if not rep.cost <= penalty.cost_bound:
-        msg = f"transported cost {rep.cost} above bound {penalty.cost_bound}"
-        raise InfeasiblePrimal(msg, cost=rep.cost, bound=penalty.cost_bound)
 
 
 def mirror_ascent_envelope(interval, k, c2, d_bound, eps=0.0):
@@ -461,8 +451,8 @@ def trust_region_step(f, mu, delta, eps, root_hint=None):
     """Approximately minimize E_nu[f] over clouds within transport distance delta of mu.
 
     Solves the indicator-penalized dual by `primal_dual_bisection` and moves
-    the atoms to the images of its certifying prox pass, which that search
-    checks lies in the ball; no pass runs after the search.  The radius
+    the atoms to the images of its certifying prox pass, which its h <= 0
+    puts in the ball; no pass runs after the search.  The radius
     is admitted by the solver's own interval check, so the gradient field
     is evaluated over the atoms once per step.  `root_hint` goes to the
     search: a predicted dual root, where a good one saves it its second
@@ -476,8 +466,7 @@ def trust_region_step(f, mu, delta, eps, root_hint=None):
         DeltaTooLarge: delta above the admissible curvature bound
             ||grad f||_{L2(mu)} / (2 L) (up to a 1e-12 relative slack on
             delta^2), or a zero gradient field (admissible 0.0).
-        ValueError, InfeasiblePrimal, GapNotCertified: as
-            `primal_dual_bisection`.
+        ValueError, GapNotCertified: as `primal_dual_bisection`.
     """
     penalty = TrustRegionIndicator(delta)
     try:
@@ -495,14 +484,3 @@ def trust_region_step(f, mu, delta, eps, root_hint=None):
         ) from exc
     return PushforwardSampler(images=rep.images), rep
 
-
-def primal_dual_gap(f, mu, penalty, lam, eps_inner):
-    """Full-batch primal-dual gap at a given lam.
-
-    Raises:
-        InfeasiblePrimal: the transported cost lands where psi is infinite.
-        LambdaTooSmall: lam at or below the semiconvexity (from the prox).
-    """
-    rep = _prox_pass(f, mu, penalty, lam, eps_inner)
-    _check_feasible(penalty, rep)
-    return rep.gap

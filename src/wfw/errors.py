@@ -107,12 +107,6 @@ class RadiusOutOfRange(WfwError):
     delta = lam_hat = eps = None
 
 
-class InfeasiblePrimal(WfwError):
-    """The transported cost lands where the penalty is infinite."""
-
-    cost = bound = None
-
-
 class GapNotCertified(WfwError):
     """The dual search ended without a certified pass: on its bracket
     (rho, hi] it spent its pass cap, or collapsed the bracket, without a
@@ -131,6 +125,12 @@ class WeakDualityViolated(WfwError):
     """
 
     gap = primal = dual = None
+
+
+class EmptyCloud(WfwError):
+    """A cloud CSV holds no rows; carries its `path`."""
+
+    path = None
 
 
 class MissingColumn(WfwError):

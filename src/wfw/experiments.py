@@ -88,17 +88,12 @@ def make_mixture_observations(n, sigma2, rng, dim=2, modes=4, radius=1.2, mode_s
     return obs, latent
 
 
-def _write_rows(path, header, rows):
+def _write_rows(path, rows):
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write("grad_evals,J,val\n")
         for row in rows:
-            fh.write(
-                ",".join(
-                    format(float(v), ".17g") if isinstance(v, float) else str(v)
-                    for v in row
-                )
-                + "\n"
-            )
+            cells = (format(float(v), ".17g") if isinstance(v, float) else str(v) for v in row)
+            fh.write(",".join(cells) + "\n")
 
 
 def _unit_schedule(cfg, smoothness):
@@ -140,14 +135,13 @@ def run_deconv(cfg):
     return mu, trace, J
 
 
-def mmd_gradient_flow(J, mu0, step, grad_budget, val_fn):
+def mmd_gradient_flow(J, mu, step, grad_budget, val_fn):
     """Explicit-Euler particle descent on the witness gradient.
 
-    Moves every atom by -step * witness gradient each iteration until the
-    cumulative gradient-evaluation count reaches grad_budget.  Returns
-    (final cloud, rows) with rows of (grad_evals, objective, val_fn(cloud)).
+    Moves every atom of mu by -step * witness gradient each iteration until
+    the cumulative gradient-evaluation count reaches grad_budget.  Returns
+    the rows (grad_evals, objective, val_fn(cloud)), one per step.
     """
-    mu = mu0
     rows = []
     grad_evals = 0
     while grad_evals < grad_budget:
@@ -156,7 +150,7 @@ def mmd_gradient_flow(J, mu0, step, grad_budget, val_fn):
         grad_evals += mu.n
         mu = ParticleCloud(mu.points - step * g)
         rows.append((grad_evals, J.value(mu), val_fn(mu)))
-    return mu, rows
+    return rows
 
 
 def run_mmd_flow(cfg):
@@ -167,7 +161,8 @@ def run_mmd_flow(cfg):
     baseline are both traced by cumulative gradient evaluations, with a
     validation column measured against a held-out teacher batch.  Writes
     cfg.out (outer loop) and cfg.baseline_out (baseline); returns a dict of
-    both row lists and final clouds.
+    both row lists, the trace, the clouds and the two functionals (teachers
+    as their `target`s).
     """
     rng = np.random.default_rng(cfg.seed)
     n, d = cfg.particles, cfg.dim
@@ -187,14 +182,11 @@ def run_mmd_flow(cfg):
             " of the feature table"
         )
 
-    teacher = ParticleCloud(rng.standard_normal((n, d)))
-    held_out = ParticleCloud(rng.standard_normal((n, d)))
-    student0 = ParticleCloud(rng.standard_normal((n, d)) + cfg.shift / math.sqrt(d))
+    J = MMDSquared(kernel, ParticleCloud(rng.standard_normal((n, d))))  # the teacher
+    J_val = MMDSquared(kernel, ParticleCloud(rng.standard_normal((n, d))))  # held out
     # The uniform offset puts the student a W2 distance of about cfg.shift
     # from the teacher, which the outer loop then has to transport back.
-
-    J = MMDSquared(kernel, teacher)
-    J_val = MMDSquared(kernel, held_out)
+    student0 = ParticleCloud(rng.standard_normal((n, d)) + cfg.shift / math.sqrt(d))
     fw_cfg = _unit_schedule(cfg, smoothness)
     step = cfg.baseline_step
     if step is None:
@@ -207,32 +199,23 @@ def run_mmd_flow(cfg):
     fw_rows = []
 
     def record(i, cloud):
-        fw_rows.append((0, J.value(cloud), J_val.value(cloud)))
+        fw_rows.append((J.value(cloud), J_val.value(cloud)))
 
     mu, trace = run_frank_wolfe(J, student0, fw_cfg, on_iterate=record)
     cumulative = np.cumsum(trace.samples)
-    fw_rows = [
-        (int(c), obj, val)
-        for c, (_, obj, val) in zip(cumulative, fw_rows)
-    ]
-    header = ("grad_evals", "J", "val")
-    _write_rows(cfg.out, header, fw_rows)
+    fw_rows = [(int(c), *row) for c, row in zip(cumulative, fw_rows)]
+    _write_rows(cfg.out, fw_rows)
 
     budget = int(cumulative[-1]) if len(cumulative) else n * cfg.k_max
-    base_mu, base_rows = mmd_gradient_flow(
-        J, student0, step, budget, val_fn=J_val.value
-    )
-    _write_rows(cfg.baseline_out, header, base_rows)
+    base_rows = mmd_gradient_flow(J, student0, step, budget, J_val.value)
+    _write_rows(cfg.baseline_out, base_rows)
 
     return {
         "fw_rows": fw_rows,
         "baseline_rows": base_rows,
         "fw_cloud": mu,
-        "baseline_cloud": base_mu,
         "trace": trace,
         "student0": student0,
-        "teacher": teacher,
-        "held_out": held_out,
         "objective": J,
         "validation": J_val,
     }

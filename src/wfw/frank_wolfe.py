@@ -88,11 +88,22 @@ class FWConfig:
         if not smoothness >= 0.0:
             raise ValueError(f"smoothness must be nonnegative, got {smoothness}")
         alpha_star = (1.0 + alpha) / alpha
-        r = 0.5 * tau * eps**theta
+        try:  # the stopping threshold; a float power that overflows raises
+            r = 0.5 * tau * eps**theta
+        except OverflowError:
+            r = math.inf
+        if not (0.0 < r / (4.0 * alpha_star) and r < math.inf):  # eps_tilde > 0
+            raise ValueError(f"tau = {tau}, eps = {eps}, theta = {theta} put r at {r}")
+        try:
+            beta3 = (1.0 - alpha / 2.0) ** (1.0 / alpha) * big_t ** (-1.0 / alpha)
+        except OverflowError:
+            beta3 = math.inf
+        if not 0.0 < beta3 < math.inf:
+            raise ValueError(f"big_t = {big_t}, alpha = {alpha} put beta3 at {beta3}")
         return cls(
             beta1=min(delta1, delta2),
             beta2=alpha / (4.0 * smoothness) if smoothness else math.inf,
-            beta3=(1.0 - alpha / 2.0) ** (1.0 / alpha) * big_t ** (-1.0 / alpha),
+            beta3=beta3,
             r=r,
             eps_hat=r / (2.0 * alpha_star),
             eps_tilde=r / (4.0 * alpha_star),

@@ -240,12 +240,12 @@ def _sinkhorn_newton(v, c, cost, s2, target):
     return v, c, steps
 
 
-def _sinkhorn_potentials(x, y, sigma2, tol, v0=None):
+def _entropic_solve(x, y, sigma2, tol, v0=None):
     """Entropic transport potentials between uniform clouds, as (u, v,
-    marginal_error, iterations), gauged to mean(u) == mean(v).
+    marginal_error, iterations, P), gauged to mean(u) == mean(v).
 
-    u is the exact u-update of v, so the coupling they define has row sums
-    1/n and total mass 1.  The error, <= tol, is the L1 column-marginal
+    u is the exact u-update of v, so the coupling P they define has row
+    sums 1/n and total mass 1.  The error, <= tol, is P's L1 column-marginal
     error; `iterations` counts sweeps plus Newton steps.  From v0 (or 0),
     (a) up to 100 plain sweeps run to 1e-2, then (b) up to 50 Newton steps
     to tol.  If either stalls, (c) both rerun from 0 over an eps ladder
@@ -258,12 +258,6 @@ def _sinkhorn_potentials(x, y, sigma2, tol, v0=None):
             above tol.
         NonFiniteDual: an iterate left the finite range.
     """
-    return _entropic_solve(x, y, sigma2, tol, v0)[:4]
-
-
-def _entropic_solve(x, y, sigma2, tol, v0=None):
-    """`_sinkhorn_potentials`, plus the coupling P of the returned
-    potentials (row sums 1/n) as a fifth entry."""
     cost = 0.5 * sqdist_matrix(x, y)
     iterations = 0
 

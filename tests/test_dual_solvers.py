@@ -18,14 +18,12 @@ from wfw.dual_solvers import (
     mirror_ascent,
     mirror_ascent_envelope,
     primal_dual_bisection,
-    primal_dual_gap,
     root_estimate,
     trust_region_step,
 )
 from wfw.errors import (
     DeltaTooLarge,
     GapNotCertified,
-    InfeasiblePrimal,
     IntervalEmpty,
     LambdaTooSmall,
     NonFiniteIterate,
@@ -323,7 +321,7 @@ class TestBisection:
     ):
         """Linear and quadratic witnesses have cbar = K / (rho' + lam)^2, so
         under the indicator r = psi*'^(-1/2) - cbar^(-1/2) is affine in lam
-        with slope -sqrt(2 / m2): the pass at lam_hat and one Newton step on
+        with slope -sqrt(2 / m2): the first pass and one Newton step on
         that a-priori slope, past the root, certify."""
         f, mu, pen, _ = _solver_instance(case, seed, n, d, frac, 10.0**log_scale)
         eps = 10.0**log_eps
@@ -331,6 +329,29 @@ class TestBisection:
         eps_alg, _, _ = _plain_bisection_budget(f, mu, pen, eps)
         assert rep.oracle_calls <= 2
         assert 0.0 <= rep.gap <= eps_alg
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 8),
+        st.integers(1, 3),
+        st.floats(0.05, 5.0),
+        st.floats(-6.0, -1.0),
+        _LOG_SCALES,
+    )
+    def test_linear_field_certifies_at_its_first_pass(
+        self, seed, n, d, frac, log_eps, log_scale
+    ):
+        """Under the indicator a linear field's root is lam_hat = |a| /
+        delta itself.  The unhinted first pass sits at lam_hat stepped past
+        the root, where h < 0 by more than the rounding of cbar, so it
+        certifies alone, also for fields weaker than the radius (frac > 1)."""
+        case = ("linear", "indicator")
+        f, mu, pen, _ = _solver_instance(case, seed, n, d, frac, 10.0**log_scale)
+        eps = 10.0**log_eps
+        rep = primal_dual_bisection(f, mu, pen, eps)
+        assert rep.oracle_calls == 1
+        assert 0.0 <= rep.gap <= eps / 5.0  # eps_alg = eps / (4 + rho + 1)
 
     def test_double_well_step_stops_on_its_certificate(self):
         """The 12-atom double-well step certifies within 6 passes; plain
@@ -356,13 +377,14 @@ class TestBisection:
         bracket (rho, lam_hat + rho + step] to the a-priori width: 3 on the
         "width" case's tiny field, whose width exceeds the bracket, and 31
         on the "passes" case.  A cost falling like exp(-40 lam) hides every
-        certificate and puts the root at 2, below lam_hat - L.  The Newton
-        step from lam_hat lands far below zero; it is clamped above
-        lam_hat - L before its step past the root, so the second pass sits
-        one step above that end (no division by psi*'(lam) = 0).  Later
-        passes leave that end for the root, all above rho = 0, and the
-        search raises GapNotCertified at its cap instead of returning a
-        report."""
+        certificate and puts the root at 2, below lam_hat - L.  The first
+        pass sits at lam_hat stepped past the root, which with rho = 0 is
+        the bracket's right end.  The Newton step from there lands far
+        below zero; it is clamped above lam_hat - L before its step past
+        the root, so the second pass sits one step above that end (no
+        division by psi*'(lam) = 0).  Later passes leave that end for the
+        root, all above rho = 0, and the search raises GapNotCertified at
+        its cap instead of returning a report."""
 
         def crawling(f, mu, pen, lam, eps_prox, *counts):
             cbar = pen.psi_star_deriv(lam) * math.exp(-40.0 * (lam - 2.0))
@@ -385,7 +407,7 @@ class TestBisection:
         width = max(width, math.ulp(hi))
         assert math.ceil(math.log2(max(hi, width) / width)) + 3 == cap
         assert len(passes) == cap
-        assert passes[0][0] == lam_hat
+        assert passes[0][0] == pytest.approx(hi, rel=1e-12)
         assert passes[1][0] == pytest.approx(lo + step, rel=1e-12)
         assert all(0.0 < lam <= hi for lam, _, _ in passes)
         assert passes[2][0] < lo
@@ -415,17 +437,22 @@ class TestBisection:
         |a| / delta = 0.625 below rho + 1 = 1, the left end of
         `dual_interval`.  The bracket (rho, lam_hat + rho] (rho = 0), its
         right end stepped past the root, holds it: the first pass, at
-        lam_hat = lam_hat - L (L = 0), lands on the root and certifies."""
+        lam_hat = lam_hat - L (L = 0) stepped past the root by eps_alg / (2
+        delta^2), is that right end and certifies, its cost |a|^2 / (2
+        lam^2) within 0.05% of the radius's delta^2 / 2 = 0.32."""
         mu = ParticleCloud(np.random.default_rng(3).normal(size=(5, 2)))
         a = np.array([0.3, -0.4])
         f = linear(a)
         rep = primal_dual_bisection(f, mu, TrustRegionIndicator(0.8), 1e-3)
-        assert rep.lambda_star == pytest.approx(0.625, rel=1e-3)
         m2 = float(np.mean(np.sum(f.grad_many(mu.points) ** 2, axis=1)))
-        assert rep.lambda_star == math.sqrt(m2) / 0.8
+        eps_alg = 1e-3 / 5.0  # eps / (4 + rho + 1)
+        lam = math.sqrt(m2) / 0.8 + eps_alg / (2.0 * 0.8**2)
+        assert rep.lambda_star == pytest.approx(lam, rel=1e-12)
+        assert rep.lambda_star == pytest.approx(0.625, rel=1e-3)
         assert rep.oracle_calls == 1
-        assert 0.0 <= rep.gap <= 1e-3 / 5.0  # eps_alg = eps / (4 + rho + 1)
-        assert rep.cost == pytest.approx(0.32)  # the whole radius, delta^2 / 2
+        assert 0.0 <= rep.gap <= eps_alg
+        assert rep.cost == pytest.approx(0.25 / (2.0 * lam**2), rel=1e-12)
+        assert 0.32 * (1.0 - 5e-4) <= rep.cost <= 0.32
 
     @settings(max_examples=60, deadline=None)
     @given(*_INSTANCES)
@@ -442,7 +469,7 @@ class TestBisection:
         _, slope_l = g_value_and_grad_fullbatch(f, mu, l, _PROX_EPS)
         assert slope_l <= 0.5 * m2 + _PROX_EPS
         eps_prox = 1e-3 / (4.0 + l) / (2.0 * max(u - l, 1.0))
-        rep = dual_solvers._prox_pass(f, mu, pen, _right_end(f, mu, pen, 1e-3), eps_prox)
+        rep = dual_solvers._prox_pass(f, mu, pen, _right_end(f, mu, pen, 1e-3), eps_prox, 1)
         assert rep.cost <= pen.psi_star_deriv(rep.lambda_star)
 
     @settings(max_examples=60, deadline=None)
@@ -488,8 +515,8 @@ class TestBisection:
     ):
         """A hint anywhere in (rho, hi) moves only the first pass: the
         search still returns a pass with h <= 0, a gap within eps_alg and a
-        feasible cost, or raises a typed error (a hint near rho can ask a
-        prox row for more steps than `moreau.BUDGET_CAP`)."""
+        finite primal value, or raises a typed error (a hint near rho can
+        ask a prox row for more steps than `moreau.BUDGET_CAP`)."""
         f, mu, pen, _ = _solver_instance(case, seed, n, d, frac)
         eps, rho = 10.0**log_eps, f.semiconvexity
         hint = rho + t * (_right_end(f, mu, pen, eps) - rho)
@@ -499,7 +526,7 @@ class TestBisection:
             return
         assert rep.cost <= pen.psi_star_deriv(rep.lambda_star)
         assert rep.gap <= eps / (5.0 + rho)
-        dual_solvers._check_feasible(pen, rep)
+        assert math.isfinite(rep.primal_value)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -534,6 +561,7 @@ class TestBisection:
 
     @settings(max_examples=40, deadline=None)
     @given(*_INSTANCES[1:], st.floats(-6.0, -2.0), _LOG_SCALES)
+    @example(0, 2, 1, 0.125, -2.0, -2.0)
     def test_root_estimate_of_a_quadratic_certifies_in_one_pass(
         self, seed, n, d, frac, log_eps, log_scale
     ):
@@ -541,7 +569,11 @@ class TestBisection:
         -sqrt(2 / m2), so the root its certifying pass estimates is the
         root, and a search hinted with it certifies at its first pass.  As
         a ratio to lam_hat the estimate is lam delta / sqrt(m2) + 1 - delta
-        / sqrt(2 cbar)."""
+        / sqrt(2 cbar).  Both forms sum terms of the size of lam / lam_hat,
+        which a coarse eps over a tiny field puts far above 1 (9,622 at seed
+        0, n = 2, d = 1, frac = 0.125, eps = 1e-2, scale 1e-2, where the first
+        pass, stepped past the root by eps_alg / (2 delta^2), certifies), so
+        they agree to the rounding of that size."""
         case = ("quadratic", "indicator")
         f, mu, pen, m2 = _solver_instance(case, seed, n, d, frac, 10.0**log_scale)
         eps = 10.0**log_eps
@@ -549,7 +581,8 @@ class TestBisection:
         est = root_estimate(pen, m2, rep.lambda_star, rep.cost)
         lam_hat = math.sqrt(m2) / pen.delta
         ratio = rep.lambda_star / lam_hat + 1.0 - pen.delta / math.sqrt(2.0 * rep.cost)
-        assert est / lam_hat == pytest.approx(ratio, rel=1e-12)
+        size = max(rep.lambda_star / lam_hat, 1.0)
+        assert est / lam_hat == pytest.approx(ratio, rel=1e-12, abs=1e-12 * size)
         again = primal_dual_bisection(f, mu, pen, eps, root_hint=est)
         assert again.oracle_calls == 1
         assert 0.0 <= again.gap <= eps / 5.0
@@ -751,14 +784,18 @@ class TestTrustRegion:
 
     def test_field_weaker_than_the_radius_certifies_its_root(self):
         """|a| = 1e-3 under delta = 0.25 puts the root |a| / delta = 0.004
-        within 1 of rho = 0.  The prox budget counts each row's distance
-        |a| / lam to its prox there, so the pass at the root certifies with
-        the whole radius used."""
+        within 1 of rho = 0.  The first pass sits at the root stepped past
+        it by eps_alg / (2 delta^2) = 1.6 eps, 0.004016 at eps = 1e-5:
+        still below lam = 1, where the prox budget reads min(lam - rho, 1)
+        and counts each row's distance |a| / lam to its prox.  That pass
+        certifies, with all but 0.8% of the radius used."""
         mu = ParticleCloud(np.random.default_rng(0).normal(size=(5, 2)))
-        _, rep = trust_region_step(linear([1e-3, 0.0]), mu, 0.25, 0.5)
-        assert rep.lambda_star == pytest.approx(0.004, rel=1e-12)
-        assert 0.0 <= rep.gap <= 0.5 / 5.0
-        assert rep.cost == pytest.approx(0.5 * 0.25**2, rel=1e-12)
+        _, rep = trust_region_step(linear([1e-3, 0.0]), mu, 0.25, 1e-5)
+        assert rep.lambda_star == pytest.approx(0.004 + 1.6e-5, rel=1e-12)
+        assert rep.oracle_calls == 1
+        assert 0.0 <= rep.gap <= 1e-5 / 5.0
+        assert rep.cost == pytest.approx(0.5 * (1e-3 / rep.lambda_star) ** 2, rel=1e-12)
+        assert 0.992 * 0.5 * 0.25**2 <= rep.cost <= 0.5 * 0.25**2
 
     def test_moved_cloud_is_within_radius_and_descends(self):
         rng = np.random.default_rng(9)
@@ -954,7 +991,8 @@ class TestTrustRegion:
     def test_diverging_prox_raises_a_typed_error(self):
         """A double-well cloud at scale 3, outside the region its smoothness
         bound covers, at the admissible radius sqrt(m2) / (2 L): the first
-        pass, at lam_hat = 2 L = 22, diverges, and the step raises
+        pass, at lam_hat = 2 L = 22 stepped past the root by 5.9e-4,
+        diverges, and the step raises
         NonFiniteIterate with its context, not a numpy overflow warning (an
         error under this suite)."""
         rng = np.random.default_rng(2)
@@ -966,26 +1004,28 @@ class TestTrustRegion:
         m2 = float(np.mean(np.sum(f.grad_many(mu.points) ** 2, axis=1)))
         with pytest.raises(NonFiniteIterate) as info:
             trust_region_step(f, mu, math.sqrt(m2) / 22.0, 0.5)
-        assert info.value.lam == pytest.approx(22.0)
+        assert info.value.lam == pytest.approx(22.00059, rel=1e-6)
         assert info.value.step >= 1
         assert 1 <= info.value.active <= n
 
 
 class TestPrimalDualGap:
+    """The Fenchel-Young gap of one prox pass at a given lam."""
+
     def test_nonnegative_on_grid(self):
         rng = np.random.default_rng(14)
         pts = rng.normal(size=(8, 2)) * 3.0
         mu = ParticleCloud(pts)
         pen = PowerPenalty(1.0)
         for lam in (1.2, 2.0, 4.0):
-            gap = primal_dual_gap(quadratic(), mu, pen, lam, 1e-10)
-            assert gap >= 0.0
+            rep = dual_solvers._prox_pass(quadratic(), mu, pen, lam, 1e-10, 1)
+            assert rep.gap >= 0.0
 
     def test_nonnegative_at_the_linear_closed_form(self):
         """At lam* = |a| / delta of gate 4's linear instances the cost lands on
         delta^2/2 up to roundoff, on either side.  psi and psi* are an exact
-        conjugate pair, so each instance either certifies a gap >= 0 or
-        reports its cost outside the ball; none may read below zero."""
+        conjugate pair, so each instance's gap is either finite and >= 0 or,
+        with its cost outside the ball, inf; none may read below zero."""
         outcomes = {"gap": 0, "infeasible": 0}
         for inst in range(50):
             rng = np.random.default_rng(inst)
@@ -995,13 +1035,12 @@ class TestPrimalDualGap:
             a *= (0.8 + 1.2 * float(rng.uniform())) / float(np.linalg.norm(a))
             na = float(np.linalg.norm(a))
             pen = TrustRegionIndicator((0.1 + 0.4 * float(rng.uniform())) * na)
-            try:
-                gap = primal_dual_gap(linear(a), mu, pen, na / pen.delta, 1e-3)
-            except InfeasiblePrimal as exc:
-                assert exc.cost > exc.bound
+            rep = dual_solvers._prox_pass(linear(a), mu, pen, na / pen.delta, 1e-3, 1)
+            if rep.gap == math.inf:
+                assert rep.cost > pen.cost_bound
                 outcomes["infeasible"] += 1
             else:
-                assert gap >= 0.0, inst
+                assert rep.gap >= 0.0, inst
                 outcomes["gap"] += 1
         # not vacuous: 30 gaps and 20 infeasible on x86-64 with numpy 2.4
         assert min(outcomes.values()) >= 10
@@ -1009,4 +1048,4 @@ class TestPrimalDualGap:
     def test_rejects_lambda_below_semiconvexity(self):
         mu = ParticleCloud(np.ones((3, 2)))
         with pytest.raises(LambdaTooSmall):
-            primal_dual_gap(double_well(), mu, PowerPenalty(1.0), 0.5, 1e-8)
+            dual_solvers._prox_pass(double_well(), mu, PowerPenalty(1.0), 0.5, 1e-8, 1)

@@ -23,7 +23,7 @@ from wfw.functionals import (
     MMDSquared,
     PotentialInteraction,
     RandomFeatureKernel,
-    _sinkhorn_potentials,
+    _entropic_solve,
 )
 from wfw.moreau import SmoothObjective
 from wfw.registry import OBJECTIVES, make_objective, make_pair, quadratic
@@ -460,7 +460,7 @@ class TestMMDFeatureSpace:
 
 def _data_potential(mu, data, sigma2):
     """v, the data-side potential of the entropic transport from mu to data."""
-    return _sinkhorn_potentials(mu.points, data.points, sigma2, 1e-9)[1]
+    return _entropic_solve(mu.points, data.points, sigma2, 1e-9)[1]
 
 
 class TestSinkhorn:
@@ -563,7 +563,7 @@ class TestSinkhornSweep:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, dim))
         y = rng.normal(size=(m, dim)) + 0.5
-        u, v, err, _ = _sinkhorn_potentials(x, y, sigma2, tol)
+        u, v, err, _, _ = _entropic_solve(x, y, sigma2, tol)
         assert err <= tol
         assert _marginal_errors(x, y, sigma2, u, v)[1] <= 2.0 * tol
         mass = float(np.sum(_coupling(x, y, sigma2, u, v)))
@@ -600,7 +600,7 @@ class TestSinkhornStalls:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 2))
         y = rng.normal(size=(2, 2)) + 0.5
-        u, v, err, _ = _sinkhorn_potentials(x, y, 0.1, 1e-9)
+        u, v, err, _, _ = _entropic_solve(x, y, 0.1, 1e-9)
         assert err <= 1e-9
         assert max(_marginal_errors(x, y, 0.1, u, v)) <= 2e-9
 
@@ -619,7 +619,7 @@ class TestSinkhornStalls:
         x, y, sigma2 = _three_d_draw(208)
         assert x.shape == (8, 3) and y.shape == (8, 3)
         with pytest.raises(SinkhornNotConverged) as info:
-            _sinkhorn_potentials(x, y, sigma2, 1e-9)
+            _entropic_solve(x, y, sigma2, 1e-9)
         assert 1e-9 < info.value.marginal_error <= 1e-2
         assert info.value.iterations == 92
 
@@ -634,16 +634,16 @@ class TestSinkhornStalls:
         from the first v."""
         if family == "3-d":
             x, y, sigma2 = _three_d_draw(seed)
-            assert _sinkhorn_potentials(x, y, sigma2, 1e-9)[2] <= 1e-9
+            assert _entropic_solve(x, y, sigma2, 1e-9)[2] <= 1e-9
             return
         rng = np.random.default_rng(seed)
         n, m = rng.integers(1, 9), rng.integers(1, 9)
         scale, sigma2 = 10 ** rng.uniform(-0.5, 0.5), 10 ** rng.uniform(-2, 0)
         x = scale * rng.normal(size=(n, 2))
         y = scale * (rng.normal(size=(m, 2)) + 0.3)
-        _, v, _, _ = _sinkhorn_potentials(x, y, sigma2, 1e-9)
+        _, v, _, _, _ = _entropic_solve(x, y, sigma2, 1e-9)
         moved = x + 0.1 * scale * rng.normal(size=x.shape)
-        assert _sinkhorn_potentials(moved, y, sigma2, 1e-9, v)[2] <= 1e-9
+        assert _entropic_solve(moved, y, sigma2, 1e-9, v)[2] <= 1e-9
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -666,7 +666,7 @@ class TestSinkhornStalls:
         scale, sigma2 = 10.0**log_scale, 10.0**log_sigma2
         x = scale * rng.normal(size=(n, 2))
         y = scale * (rng.normal(size=(m, 2)) + 0.3)
-        u, v, err, _ = _sinkhorn_potentials(x, y, sigma2, 1e-9)
+        u, v, err, _, _ = _entropic_solve(x, y, sigma2, 1e-9)
         assert err <= 1e-9
         assert max(_marginal_errors(x, y, sigma2, u, v)) <= 2e-9
 
@@ -785,9 +785,9 @@ class TestEntropicDeconv:
         monkeypatch.setattr(functionals, "_sinkhorn_sweeps", spy)
         rng = np.random.default_rng(seed)
         x, y = rng.normal(size=(50, 2)), rng.normal(size=(50, 2))
-        _, v, _, _ = _sinkhorn_potentials(x, y, sigma2, 1e-9)
+        _, v, _, _, _ = _entropic_solve(x, y, sigma2, 1e-9)
         sweeps.clear()
-        _, _, err, iterations = _sinkhorn_potentials(x, y, sigma2, 1e-9, v)
+        _, _, err, iterations, _ = _entropic_solve(x, y, sigma2, 1e-9, v)
         assert sweeps == [0]
         assert iterations <= 1 and err <= 1e-9
 

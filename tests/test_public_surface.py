@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 
 import wfw
-from wfw import cloud, errors, frank_wolfe, functionals, moreau, registry
+from wfw import cloud, dual_solvers, errors, frank_wolfe, functionals, moreau, registry
 
 # Deleted with their tests: no gate, CLI command, experiment runner or
 # benchmark reached them.  The pair-potential class and its builders went
 # when pair terms became even `SmoothObjective`s of x - y; the one-row prox
 # and its result type went beside `agd_prox_batch`, which takes one row;
 # the Gram kernels went when MMD kept only its feature-space arithmetic; the
-# transport plan class went with the LP for clouds of unequal size.
+# transport plan class went with the LP for clouds of unequal size; the
+# free-lam gap oracle and its infeasibility error went because the search
+# returns only passes with h <= 0, which lie inside the ball.
 _DELETED = (
     "geodesic_point",
     "make_kernel",
@@ -32,6 +34,8 @@ _DELETED = (
     "GaussianKernel",
     "InverseMultiquadricKernel",
     "TransportPlan",
+    "primal_dual_gap",
+    "InfeasiblePrimal",
 )
 
 
@@ -41,7 +45,7 @@ def test_all_resolves_once_and_deleted_names_are_gone():
     for name in _DELETED:
         with pytest.raises(ImportError):
             exec(f"from wfw import {name}", {})
-        for module in (cloud, frank_wolfe, functionals, moreau, registry):
+        for module in (cloud, dual_solvers, errors, frank_wolfe, functionals, moreau, registry):
             assert not hasattr(module, name)
 
 
@@ -88,9 +92,9 @@ _CONTEXT = {
     errors.IntervalEmpty: (),
     errors.DeltaTooLarge: ("admissible",),
     errors.RadiusOutOfRange: ("delta", "lam_hat", "eps"),
-    errors.InfeasiblePrimal: ("cost", "bound"),
     errors.GapNotCertified: ("lam", "gap", "eps"),
     errors.WeakDualityViolated: ("gap", "primal", "dual"),
+    errors.EmptyCloud: ("path",),
     errors.MissingColumn: (),
 }
 
