@@ -148,6 +148,7 @@ def cmd_trust_region(args):
     print(f"dual={report.dual_value:.17g}")
     print(f"primal={report.primal_value:.17g}")
     print(f"gap={report.gap:.17g}")
+    print(f"radius_share={report.cost / (0.5 * args.delta**2):.17g}")
     print(f"oracle_calls={report.oracle_calls}")
     if args.out is not None:
         save_csv(sampler.target_cloud(), args.out)

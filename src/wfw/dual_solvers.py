@@ -268,9 +268,12 @@ def primal_dual_bisection(f, mu, penalty, eps, root_hint=None):
     under the indicator (lam > rho >= 0), and a power penalty is finite.
     It raises at N + 2 passes, N one more than the halvings from (rho, hi]
     to the width eps_alg / B, B = max(psi* smoothness, 16 m2^2, 1e-12), or
-    ulp(hi) if wider.  m2 = E||grad f||^2 reads the step's
-    `gradient_sqnorms`; the certifying pass's report, carrying the search's
-    pass count, is returned.
+    ulp(hi) if wider; m2 = E||grad f||^2 reads `gradient_sqnorms`.  A pass
+    at lam solves its rows to eps_prox = eps_alg / max(lam, 1): a row's cost
+    is within eps_prox / 2 of its prox's, so the pass reads its gap within
+    eps_alg / 2, the margin stepping past the root leaves, and its certified
+    d <= sqrt(eps_prox) / 2 bounds the dual slack of y for prox(x) by
+    (lam - rho) d^2 / 2 <= eps_alg / 8: the true gap is <= (9/8) eps_alg.
 
     Args:
         eps: target primal-dual gap; the internal tolerance is
@@ -285,7 +288,7 @@ def primal_dual_bisection(f, mu, penalty, eps, root_hint=None):
         RegularizationTooWeak, IntervalEmpty: as `dual_interval`.
         RadiusOutOfRange: hi or the bisection width is not finite, as
             where psi*' underflows (carries delta, if any, and lam_hat),
-            or the prox tolerance underflows to 0 (carries delta and eps).
+            or eps_alg / max(hi, 1) underflows to 0 (carries delta and eps).
         GapNotCertified: the search reaches its cap or a collapsed bracket.
     """
     if not 0.0 < eps < math.inf:
@@ -295,11 +298,7 @@ def primal_dual_bisection(f, mu, penalty, eps, root_hint=None):
     reg = penalty.psi_star_deriv(rho + 1.0)
     l, u = _dual_interval(f, m2, penalty, c=m2 / reg if reg > 0 else None)
     eps_alg = eps / (4.0 + l)
-    eps_prox = eps_alg / (2.0 * max(u - l, 1.0))
     delta = getattr(penalty, "delta", None)
-    if not eps_prox > 0.0:  # a tiny eps over a bracket as wide as 1 / delta
-        msg = f"prox tolerance underflows to 0 at delta = {delta}, eps = {eps} on ({l}, {u})"
-        raise RadiusOutOfRange(msg, delta=delta, eps=eps)
 
     def past_root(lam):  # gap <= eps_alg / 2: |cbar'| <= 2 cbar / (lam - rho)
         den = 4.0 * lam * penalty.psi_star_deriv(lam)  # 0 where psi*' underflows
@@ -313,6 +312,9 @@ def primal_dual_bisection(f, mu, penalty, eps, root_hint=None):
     if not (hi < math.inf and width < math.inf):  # psi*' underflows past lam_hat
         msg = f"dual bracket (rho, {hi}] at delta = {delta}, lam_hat = {lam} is not finite"
         raise RadiusOutOfRange(msg, delta=delta, lam_hat=lam)
+    if not eps_alg / max(hi, 1.0) > 0.0:  # a tiny eps over a bracket as wide as 1 / delta
+        msg = f"prox tolerance underflows to 0 at delta = {delta}, eps = {eps} on ({rho}, {hi}]"
+        raise RadiusOutOfRange(msg, delta=delta, eps=eps)
     steps = math.ceil(math.log2(max(hi - rho, width) / width)) + 1
     guess = math.nan if root_hint is None else past_root(root_hint)
     lam = guess if rho < guess < hi else past_root(lam)
@@ -321,7 +323,7 @@ def primal_dual_bisection(f, mu, penalty, eps, root_hint=None):
     oracle_calls = 0
     while True:
         oracle_calls += 1
-        rep = _prox_pass(f, mu, penalty, lam, eps_prox, oracle_calls)
+        rep = _prox_pass(f, mu, penalty, lam, eps_alg / max(lam, 1.0), oracle_calls)
         h, r = rep.cost - penalty.psi_star_deriv(lam), _secular(penalty, lam, rep.cost)
         if h <= 0.0 and rep.gap <= eps_alg:
             break
@@ -329,10 +331,8 @@ def primal_dual_bisection(f, mu, penalty, eps, root_hint=None):
             left = lam
         else:
             right = lam
-        # left, the last pass with h > 0 (else rho), bounds the root
-        # below; the crossing at s = c does only where c covers the cloud,
-        # and only the Newton step, on its a-priori slope, is kept above
-        # it, so only a second pass computes it.
+        # left (else rho) bounds the root below; only the Newton step is
+        # also kept above the crossing at s = c, so only a second pass computes it.
         floor = left
         if last is None:
             floor = max(_slope_crossing(penalty, m2, f.semiconcavity, u), left)

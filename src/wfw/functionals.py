@@ -90,10 +90,6 @@ class RandomFeatureKernel:
         m.setflags(write=False)
         return m
 
-    def feature_grad(self, z, w):
-        """Rows: grad_z of phi(z) . w, for a weight vector w of length B."""
-        return ((1.0 - self.features(z) ** 2) * w) @ self.table
-
 
 class MMDSquared:
     """Squared maximum mean discrepancy to a fixed target cloud, under a
@@ -106,10 +102,12 @@ class MMDSquared:
 
     k(x, y) = phi(x) . phi(y) / B is linear in feature space, so both are
     computed there: value(mu) is ||mean phi(x) - mean phi(y)||^2 / B and
-    the witness is phi(z) . w with w = (2/B) (mean phi(x) - mean phi(y)).
-    That costs one feature map and one mean embedding per cloud, shared by
-    every functional on the same kernel, and no Gram matrix; the target's
-    mean embedding is computed once, here.
+    the witness is phi(z) . w with w = (2/B) (mean phi(x) - mean phi(y)),
+    whose gradient ((1 - phi(z)^2) * w) T is formed as w T - phi(z)^2
+    (diag(w) T), both products of w and T taken once per oracle.  That
+    costs one feature map and one mean embedding per cloud, shared by every
+    functional on the same kernel, and no Gram matrix; the target's mean
+    embedding is computed once, here.
 
     The witness's smoothness and semiconvexity are both the curvature
     bound at its own weights, _TANH_CURV * sum_b |w_b| ||t_b||^2: its
@@ -132,9 +130,10 @@ class MMDSquared:
         kernel = self.kernel
         w = (2.0 / kernel.table.shape[0]) * self._embedding_gap(mu.points)
         curv = _TANH_CURV * float(np.abs(w) @ kernel.row_sqnorms)
+        wt, tw = w @ kernel.table, w[:, None] * kernel.table
         return SmoothObjective(
             eval_many=lambda z: kernel.features(z) @ w,
-            grad_many=lambda z: kernel.feature_grad(z, w),
+            grad_many=lambda z: wt - kernel.features(z) ** 2 @ tw,
             smoothness=curv,
             semiconvexity=curv,
         )

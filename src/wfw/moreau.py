@@ -30,7 +30,7 @@ K_CAP = 10**6
 #: Cap on a prox row's step budget.  The budget grows like sqrt((lam + c) /
 #: (lam - rho)), so a lam just above rho asks for more steps than can run
 #: (1e16 at lam = 1e-28 on a softplus); the test suite and the benchmark
-#: workloads stay below 3,400.
+#: workloads peak at 3,326.
 BUDGET_CAP = 10**6
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from wfw.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_OK, main
 from wfw.cloud import ParticleCloud, load_csv, mean_squared_gradient_norm, save_csv
+from wfw.dual_solvers import trust_region_step
 from wfw.errors import EmptyCloud, MissingColumn
 from wfw.functionals import PotentialInteraction
 from wfw.experiments import (
@@ -409,6 +410,29 @@ class TestTrustRegionCommand:
         assert 0.0 <= float(fields["gap"]) <= 1e-3 + 1e-9
         assert int(fields["oracle_calls"]) >= 1
         assert load_csv(moved).n == 10
+
+    @pytest.mark.parametrize("eps", ["1e-2", "1e-8"])
+    def test_reports_the_share_of_the_radius_the_step_used(self, tmp_path, capsys, eps):
+        """radius_share, printed after gap, is the step's cost over delta^2 /
+        2, in [0, 1 + 1e-12] since the certificate puts the step in the
+        ball.  Two atoms at scale 1e-2 under delta = 0.125 of the admissible
+        radius: at eps = 1e-8 the step uses 98% of the radius, at eps = 1e-2
+        a certified step that is stepped far past the root uses 1e-8."""
+        pts = 1e-2 * np.random.default_rng(0).normal(size=(2, 1))
+        save_csv(ParticleCloud(pts), tmp_path / "cloud.csv")
+        delta = 0.125 * float(np.sqrt(np.mean(pts**2))) / 2.0
+        code = main(
+            ["trust-region", "--cloud", str(tmp_path / "cloud.csv"), "--delta", repr(delta)]
+            + ["--eps", eps]
+        )
+        assert code == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        keys = [line.split("=", 1)[0] for line in lines]
+        assert keys[keys.index("gap") + 1] == "radius_share"
+        share = float(lines[keys.index("radius_share")].split("=", 1)[1])
+        _, rep = trust_region_step(quadratic(), ParticleCloud(pts), delta, float(eps))
+        assert share == rep.cost / (0.5 * delta**2)
+        assert 0.0 <= share <= 1.0 + 1e-12
 
     @pytest.mark.parametrize(
         "atoms, flags, named",

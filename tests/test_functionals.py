@@ -44,7 +44,8 @@ def _gram(kernel, a, b):
 def _mean_grad(kernel, a, z):
     """Rows: (1/|a|) sum_i grad_z k(a_i, z_row), the feature gradient
     against the mean of phi(a) / B."""
-    return kernel.feature_grad(z, kernel.features(a).mean(axis=0)) / kernel.table.shape[0]
+    w = kernel.features(a).mean(axis=0)
+    return ((1.0 - kernel.features(z) ** 2) * w) @ kernel.table / kernel.table.shape[0]
 
 
 def _k(kernel, x, y):
@@ -275,6 +276,39 @@ class TestMMDFeatureSpace:
         np.testing.assert_allclose(
             model.grad_many(z), ref_grad(z), rtol=1e-12, atol=1e-14 * grad_scale
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        clouds=_clouds,
+        features=st.integers(1, 48),
+        log_scale=st.floats(-2.0, 2.0),
+        rows=st.integers(1, 6),
+    )
+    @example(clouds=(0, 5, 4, 2), features=16, log_scale=2.0, rows=6)
+    def test_witness_gradient_matches_its_elementwise_form(
+        self, clouds, features, log_scale, rows
+    ):
+        """grad_many(z) = w T - phi(z)^2 (diag(w) T) differs from the form
+        ((1 - phi(z)^2) * w) T by at most (3B + 8) eps sum_b |w_b| ||t_b||
+        in every entry, B the features and eps the float64 epsilon: each
+        form rounds its B-term sums within (2B + 4) eps of that sum.  Table
+        scales up to 100 saturate tanh to +-1, where 1 - phi^2 is exactly
+        0 and the new form cancels w T against itself; the example does."""
+        seed, n, m, d = clouds
+        rng = np.random.default_rng(seed)
+        table = 10.0**log_scale * rng.standard_normal((features, d))
+        kernel = RandomFeatureKernel(table)
+        x, y = rng.normal(size=(n, d)), rng.normal(size=(m, d)) + 0.5
+        z = 2.0 * rng.normal(size=(rows, d))
+        model = MMDSquared(kernel, ParticleCloud(y)).derivative_oracle(ParticleCloud(x), 1e-9)
+        w = (2.0 / features) * (kernel.features(x).mean(axis=0) - kernel.features(y).mean(axis=0))
+        old = ((1.0 - kernel.features(z) ** 2) * w) @ table
+        bound = (3 * features + 8) * np.finfo(float).eps * float(
+            np.abs(w) @ np.linalg.norm(table, axis=1)
+        )
+        assert np.all(np.abs(model.grad_many(z) - old) <= bound)
+        if (clouds, features, log_scale, rows) == ((0, 5, 4, 2), 16, 2.0, 6):
+            assert np.any(np.abs(kernel.features(z)) == 1.0)
 
     def test_random_feature_oracle_builds_no_gram(self):
         """The kernel has no Gram form: value and witness go through the
@@ -899,7 +933,7 @@ class TestEntropicDeconv:
         _, trace, _ = experiments.run_deconv(cfg)
         assert len(trace) == 20 and calls
         assert not any(at_atoms for at_atoms, _ in calls)
-        assert sum(rows for _, rows in calls) == sum(trace.samples) == 4134
+        assert sum(rows for _, rows in calls) == sum(trace.samples) == 3509
 
     @pytest.mark.parametrize("read_only_view", [False, True])
     def test_changeable_points_are_solved_afresh(self, read_only_view):
