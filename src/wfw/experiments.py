@@ -21,6 +21,9 @@ from .svg import line_chart
 
 _EXPERIMENTS = ("deconv", "mmd-flow")
 
+# The types an `ExperimentConfig` field of each annotation admits.
+_ADMITS = {int: int, float: (int, float), str: str}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -45,6 +48,13 @@ class ExperimentConfig:
     snapshot_prefix: str = "cloud"
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue
+            # an int is a float here, but a bool (an int to Python) is neither
+            if isinstance(value, bool) or not isinstance(value, _ADMITS[f.type]):
+                raise ValueError(f"{f.name} must be {f.type.__name__}, got {value!r}")
         if self.experiment not in _EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.seed is None:

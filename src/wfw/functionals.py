@@ -11,8 +11,9 @@ import math
 import numpy as np
 
 from .cloud import CloudMemo, row_sqnorm, sqdist_matrix
-from .errors import NonFiniteDual, SinkhornNotConverged, SizeCapExceeded
+from .errors import NonFiniteDual, SinkhornNotConverged, SizeCapExceeded, WfwError
 from .moreau import SmoothObjective
+from .registry import RadialQuartic
 
 # Peak of |tanh''|, slightly rounded up: 4 / (3 * sqrt(3)).
 _TANH_CURV = 0.7699
@@ -410,27 +411,51 @@ def _check_size(what, rows, cols):
         )
 
 
-def _pairwise(fn, z, atoms):
-    """fn at every difference z_i - x_j, as a (rows, atoms) or (rows, atoms, d)
-    array: the one pair broadcast, built once and handed to fn's batch form
-    as (rows * atoms, d) rows."""
-    diff = z[:, None, :] - atoms[None, :, :]
-    out = fn(diff.reshape(-1, diff.shape[2]))
-    return out.reshape(diff.shape[:2] + out.shape[1:])
+def _pair_means(w, x):
+    """Batch forms of z -> mean_j W(z - x_j) and its gradient for the
+    `RadialQuartic` W, from the atoms' moments: with u = z - m, y = x - m,
+    S = mean y y^T, t = mean |y|^2 y and k = mean |y|^4, the mean is a + b
+    (|u|^2 + tr S) + c (|u|^4 + 2 |u|^2 tr S + 4 u^T S u - 4 u . t + k) and
+    its gradient 2b u + 4c ((|u|^2 + tr S) u + 2 S u - t), O(d^2) a row.
+    The atoms' mean m is held as a float plus r, the mean of x - m, so the
+    cancellation stays at the cloud's spread wherever the cloud sits."""
+    a, b, c = w.a, w.b, w.c
+    m = x.mean(axis=0)
+    r = (x - m).mean(axis=0)
+    y = x - m - r
+    y2 = row_sqnorm(y)
+    s, t = (y.T @ y) / x.shape[0], (y2 @ y) / x.shape[0]
+    tr, k = float(np.mean(y2)), float(np.mean(y2 * y2))
+
+    def eval_many(z):
+        u = z - m - r
+        u2, usu = row_sqnorm(u), np.add.reduce((u @ s) * u, axis=1)
+        return a + b * (u2 + tr) + c * (u2 * (u2 + 2.0 * tr) + 4.0 * (usu - u @ t) + k)
+
+    def grad_many(z):
+        u = z - m - r
+        return 2.0 * b * u + 4.0 * c * ((row_sqnorm(u) + tr)[:, None] * u + 2.0 * (u @ s) - t)
+
+    return eval_many, grad_many
 
 
 class PotentialInteraction:
     """Potential-plus-interaction energy.
 
-    value(mu) = (1/n) sum_i v(x_i) + (1/n^2) sum_ij W(x_i - x_j), with v and
-    the pair term W both `SmoothObjective`s.  W must be even, W(-x) = W(x):
-    then the witness phi(z) = v(z) + (2/n) sum_j W(z - x_j) is the exact
-    first variation (eps is ignored and repeated oracle calls are
-    identical), and each of its three curvature constants is v's plus
-    twice W's.  Every pair term goes through `_pairwise`.
+    value(mu) = (1/n) sum_i v(x_i) + (1/n^2) sum_ij W(x_i - x_j), v a
+    `SmoothObjective` and W a `registry.RadialQuartic` (`make_pair`) or None.
+    W is even, so the witness phi(z) = v(z) + (2/n) sum_j W(z - x_j) is the
+    exact first variation (eps is ignored and repeated oracle calls are
+    identical), and each of its three curvature constants is v's plus twice
+    W's.  Both pair sums are `_pair_means` over the cloud, value's at z = x_i.
+
+    Raises:
+        WfwError: w is neither None nor a `RadialQuartic`.
     """
 
     def __init__(self, v, w=None):
+        if not (w is None or isinstance(w, RadialQuartic)):
+            raise WfwError(f"a pair term must be a RadialQuartic row, got {type(w).__name__}")
         self.v = v
         self.w = w
 
@@ -438,21 +463,17 @@ class PotentialInteraction:
         x = mu.points
         total = float(np.add.reduce(self.v.eval_many(x)) / mu.n)
         if self.w is not None:
-            total += float(np.mean(_pairwise(self.w.eval_many, x, x)))
+            total += float(np.mean(_pair_means(self.w, x)[0](x)))
         return total
 
     def derivative_oracle(self, mu, eps):
         v, w = self.v, self.w
         if w is None:
             return v
-        atoms = mu.points
-
-        def witness(v_form, w_form):
-            return lambda z: v_form(z) + 2.0 * np.mean(_pairwise(w_form, z, atoms), axis=1)
-
+        pair_eval, pair_grad = _pair_means(w, mu.points)
         return SmoothObjective(
-            eval_many=witness(v.eval_many, w.eval_many),
-            grad_many=witness(v.grad_many, w.grad_many),
+            eval_many=lambda z: v.eval_many(z) + 2.0 * pair_eval(z),
+            grad_many=lambda z: v.grad_many(z) + 2.0 * pair_grad(z),
             smoothness=v.smoothness + 2.0 * w.smoothness,
             semiconvexity=v.semiconvexity + 2.0 * w.semiconvexity,
             semiconcavity=v.semiconcavity + 2.0 * w.semiconcavity,

@@ -217,6 +217,27 @@ class TestBadInputs:
 
 
     @pytest.mark.parametrize(
+        "entry, says",
+        [
+            ({"particles": 2.5}, "particles must be int, got 2.5"),
+            ({"k_max": 2.5}, "k_max must be int, got 2.5"),
+            ({"seed": "x"}, "seed must be int, got 'x'"),
+            ({"sigma2": "x"}, "sigma2 must be float, got 'x'"),
+            ({"particles": True}, "particles must be int, got True"),
+        ],
+        ids=["particles-float", "k-max-float", "seed-string", "sigma2-string", "particles-bool"],
+    )
+    def test_mistyped_config_value_is_named(self, entry, says, tmp_path, capsys):
+        """A config value of the wrong type is refused with its key, not met
+        as a raw TypeError inside the run; an int still counts as a float."""
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg.write_text(json.dumps({"seed": 0, "k_max": 1, "sigma2": 1, **entry}))
+        code = main(["deconv", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {says}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [["trust-region", "--delta", "0.1", "--cloud"], ["fw", "--seed", "0", "--init"]],
         ids=["trust-region", "fw"],

@@ -24,7 +24,7 @@ from wfw.cloud import (
 )
 from wfw.errors import DimensionMismatch, NonFiniteIterate, SizeCapExceeded
 from wfw.functionals import EntropicDeconv
-from wfw.registry import double_well, linear, quadratic
+from wfw.registry import linear, make_objective, quadratic
 
 
 def test_import_loads_no_scipy():
@@ -178,10 +178,10 @@ class TestGradientNorm:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             cloud = ParticleCloud(rng.normal(size=(int(rng.integers(1, 30)), 3)))
-            grads = double_well().grad_many(cloud.points)
+            grads = make_objective("double-well").grad_many(cloud.points)
             want = float(np.sqrt(np.mean(np.sum(grads**2, axis=1))))
-            assert mean_squared_gradient_norm(cloud, double_well()) == want
-            assert math.sqrt(mean_squared_gradient(cloud, double_well())) == want
+            assert mean_squared_gradient_norm(cloud, make_objective("double-well")) == want
+            assert math.sqrt(mean_squared_gradient(cloud, make_objective("double-well"))) == want
 
     @pytest.mark.parametrize(
         "field, scale", [("double-well", 1e103), ("double-well", 1e160), ("deconv", 1e160)]
@@ -194,7 +194,7 @@ class TestGradientNorm:
             J = EntropicDeconv(0.25, ParticleCloud(rng.normal(size=(6, 2))))
             g = J.derivative_oracle(ParticleCloud(rng.normal(size=(5, 2))), 1e-9)
         else:
-            g = double_well()
+            g = make_objective("double-well")
         cloud = ParticleCloud([[0.5, 0.0], [scale, 0.0]])
         for norm in (mean_squared_gradient, mean_squared_gradient_norm):
             with pytest.raises(NonFiniteIterate) as info:

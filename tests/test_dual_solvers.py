@@ -35,7 +35,7 @@ from wfw.errors import (
 )
 from wfw.frank_wolfe import counted_model
 from wfw.moreau import SmoothObjective, g_value_and_grad_fullbatch
-from wfw.registry import double_well, linear, quadratic, zero
+from wfw.registry import linear, make_objective, quadratic
 
 
 def _plain_bisection_budget(f, mu, pen, eps):
@@ -109,7 +109,7 @@ def _solver_instance(case, seed, n, d, frac, scale=None):
     a = rng.normal(size=d)
     a *= rng.uniform(1.5, 3.0) / np.linalg.norm(a)  # h(l) > 0 for each penalty
     a *= 1.0 if scale is None else scale
-    f = {"quadratic": quadratic(), "double-well": double_well(), "linear": linear(a)}[kind]
+    f = linear(a) if kind == "linear" else make_objective(kind)
     if power != "indicator" and kind == "quadratic":  # admissible for m2 >= 8
         pts *= math.sqrt(12.0 / np.mean(np.sum(pts**2, axis=1)))
     m2 = float(np.mean(np.sum(f.grad_many(pts) ** 2, axis=1)))
@@ -400,9 +400,9 @@ class TestBisection:
         bisection to its a-priori width spends 33 (32 oracle calls before its
         certificate pass)."""
         mu = ParticleCloud(np.random.default_rng(15).normal(size=(12, 2)))
-        _, rep = trust_region_step(double_well(), mu, 0.1, 1e-3)
+        _, rep = trust_region_step(make_objective("double-well"), mu, 0.1, 1e-3)
         pen = TrustRegionIndicator(0.1)
-        eps_alg, _, passes = _plain_bisection_budget(double_well(), mu, pen, 1e-3)
+        eps_alg, _, passes = _plain_bisection_budget(make_objective("double-well"), mu, pen, 1e-3)
         assert passes == 33
         assert rep.oracle_calls <= 6
         assert rep.gap <= eps_alg
@@ -465,7 +465,7 @@ class TestBisection:
         leaves it, and the search certifies below it in five passes."""
         passes = _spy_passes(monkeypatch)
         mu = ParticleCloud(np.random.default_rng(3).normal(size=(8, 2)))
-        f, pen = double_well(), TrustRegionIndicator(0.1)
+        f, pen = make_objective("double-well"), TrustRegionIndicator(0.1)
         rep = primal_dual_bisection(f, mu, pen, 1e-6)
         lo = math.sqrt(np.mean(np.sum(f.grad_many(mu.points) ** 2, axis=1))) / 0.1 - 11.0
         assert lo == pytest.approx(162.924, abs=1e-3)
@@ -774,8 +774,9 @@ class TestMirrorAscent:
         the atom count, not a numpy overflow warning."""
         mu = ParticleCloud([[0.5, 0.0], [1e80, 0.0]])
         pen = TrustRegionIndicator(0.1)
+        f = make_objective("double-well")
         with pytest.raises(NonFiniteIterate) as info:
-            mirror_ascent(double_well(), mu, pen, (2.0, 3.0), 5, np.random.default_rng(0))
+            mirror_ascent(f, mu, pen, (2.0, 3.0), 5, np.random.default_rng(0))
         assert info.value.active == 2
 
 
@@ -801,8 +802,7 @@ class TestTrustRegion:
         raises a `WfwError`; a raw error or a RuntimeWarning fails.  At
         delta = 1e-150 and eps = 1e-280 the prox tolerance, eps over a
         bracket of width ~ 1 / delta, underflows to 0."""
-        fields = {"quadratic": quadratic, "double-well": double_well}
-        f = fields[kind]() if kind in fields else linear(a[: atoms.shape[1]])
+        f = make_objective(kind) if kind != "linear" else linear(a[: atoms.shape[1]])
         delta = 10.0**log_delta
         try:
             _, rep = trust_region_step(f, ParticleCloud(atoms), delta, 10.0**log_eps)
@@ -882,7 +882,7 @@ class TestTrustRegion:
     def test_zero_gradient_field_rejected(self):
         mu = ParticleCloud(np.random.default_rng(12).normal(size=(4, 2)))
         with pytest.raises(DeltaTooLarge) as exc:
-            trust_region_step(zero(), mu, 0.1, 1e-3)
+            trust_region_step(make_objective("zero"), mu, 0.1, 1e-3)
         assert exc.value.admissible == 0.0
 
     def test_sampler_images_match_source(self):
@@ -893,7 +893,7 @@ class TestTrustRegion:
         np.testing.assert_array_equal(sampler.target_cloud().points, sampler.images)
 
     @pytest.mark.parametrize(
-        "objective", [linear(np.array([1.0, 0.0])), quadratic(), double_well()]
+        "objective", [linear(np.array([1.0, 0.0])), quadratic(), make_objective("double-well")]
     )
     def test_target_cloud_is_built_on_the_report_images(self, objective):
         """The next cloud holds the certifying pass's images themselves, frozen
@@ -909,7 +909,7 @@ class TestTrustRegion:
         """A step evaluates exactly the gradient rows of its own bisection,
         whose interval check also admits the radius."""
         counter = {"rows": 0}
-        f = counted_model(double_well(), counter)
+        f = counted_model(make_objective("double-well"), counter)
         mu = ParticleCloud(np.random.default_rng(15).normal(size=(12, 2)))
         bisection_rows = []
 
@@ -937,7 +937,7 @@ class TestTrustRegion:
         """W2(mu, moved)^2 / 2 <= delta^2/2 (1 + 1e-6) at a tight and a coarse eps."""
         rng = np.random.default_rng(seed)
         mu = ParticleCloud(0.45 * rng.normal(size=(n, 2)))
-        f = quadratic() if kind == "quadratic" else double_well()
+        f = quadratic() if kind == "quadratic" else make_objective("double-well")
         m2 = float(np.mean(np.sum(f.grad_many(mu.points) ** 2, axis=1)))
         delta = frac * math.sqrt(m2) / (2.0 * f.smoothness)
         sampler, _ = trust_region_step(f, mu, delta, eps)
@@ -956,7 +956,7 @@ class TestTrustRegion:
 
         monkeypatch.setattr(dual_solvers, "mean_squared_gradient", spy)
         counter = {"rows": 0}
-        f = counted_model(double_well(), counter)
+        f = counted_model(make_objective("double-well"), counter)
         mu = ParticleCloud(np.random.default_rng(15).normal(size=(12, 2)))
         trust_region_step(f, mu, 0.1, 1e-3)
         assert calls == [12]
@@ -967,7 +967,7 @@ class TestTrustRegion:
         double-well cloud with a huge coordinate."""
         mu = ParticleCloud([[0.5, 0.0], [scale, 0.0]])
         with pytest.raises(NonFiniteIterate) as info:
-            trust_region_step(double_well(), mu, 0.1, 1e-3)
+            trust_region_step(make_objective("double-well"), mu, 0.1, 1e-3)
         assert info.value.active == 2
 
     def test_huge_mean_squared_gradient_raises_a_typed_error(self):
@@ -977,7 +977,7 @@ class TestTrustRegion:
         ProxNotCertified, not a raw OverflowError."""
         mu = ParticleCloud([[0.5, 0.0], [1e26, 0.0]])
         with pytest.raises(ProxNotCertified) as info:
-            trust_region_step(double_well(), mu, 0.1, 1e-3)
+            trust_region_step(make_objective("double-well"), mu, 0.1, 1e-3)
         assert isinstance(info.value, WfwError)
         assert info.value.active == 1
         assert info.value.lam == pytest.approx(7.0711e78, rel=1e-4)
@@ -998,7 +998,7 @@ class TestTrustRegion:
         monkeypatch.setattr(moreau, "agd_prox_batch", spy)
         mu = ParticleCloud([[0.5, 0.0], [1e20, 0.0]])
         with pytest.raises(ProxNotCertified) as info:
-            trust_region_step(double_well(), mu, 0.1, 0.5)
+            trust_region_step(make_objective("double-well"), mu, 0.1, 0.5)
         assert isinstance(info.value, WfwError)
         assert passes == [info.value.lam]
         assert info.value.lam == pytest.approx(7.0711e60, rel=1e-4)
@@ -1024,7 +1024,7 @@ class TestTrustRegion:
         RadiusOutOfRange with delta and lam_hat before it sizes its
         bisection, not a raw ValueError from ceil(nan)."""
         mu = ParticleCloud([[1.0, 1.0]] * 3)
-        f = quadratic() if kind == "quadratic" else double_well()
+        f = quadratic() if kind == "quadratic" else make_objective("double-well")
         with pytest.raises(RadiusOutOfRange) as info:
             trust_region_step(f, mu, delta, eps)
         assert info.value.delta == delta
@@ -1042,7 +1042,7 @@ class TestTrustRegion:
         rng.uniform(0.2, 0.5)  # keeps the draw of the atoms below
         assert n == 7
         mu = ParticleCloud(3.0 * rng.standard_normal((n, 2)))
-        f = double_well()
+        f = make_objective("double-well")
         m2 = float(np.mean(np.sum(f.grad_many(mu.points) ** 2, axis=1)))
         with pytest.raises(NonFiniteIterate) as info:
             trust_region_step(f, mu, math.sqrt(m2) / 22.0, 0.5)
@@ -1089,5 +1089,6 @@ class TestPrimalDualGap:
 
     def test_rejects_lambda_below_semiconvexity(self):
         mu = ParticleCloud(np.ones((3, 2)))
+        f = make_objective("double-well")
         with pytest.raises(LambdaTooSmall):
-            dual_solvers._prox_pass(double_well(), mu, PowerPenalty(1.0), 0.5, 1e-8, 1)
+            dual_solvers._prox_pass(f, mu, PowerPenalty(1.0), 0.5, 1e-8, 1)

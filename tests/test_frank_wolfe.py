@@ -26,7 +26,7 @@ from wfw.frank_wolfe import (
 )
 from wfw.functionals import EntropicDeconv, PotentialInteraction
 from wfw.moreau import SmoothObjective
-from wfw.registry import double_well, linear, make_objective, make_pair, quadratic
+from wfw.registry import linear, make_objective, make_pair, quadratic
 
 
 def _interaction():
@@ -137,7 +137,7 @@ class TestCountedModel:
             assert s == mean_squared_gradient_norm(mu, quadratic())
 
     def test_wrapper_keeps_the_model_fields(self):
-        f = double_well()
+        f = make_objective("double-well")
         phi = counted_model(f, {"rows": 0})
         assert isinstance(phi, SmoothObjective) and phi.grad_many is not f.grad_many
         kept = [field.name for field in fields(SmoothObjective) if field.name != "grad_many"]

@@ -15,7 +15,7 @@ from scipy.special import logsumexp
 from wfw import experiments, functionals
 from wfw.cloud import ParticleCloud, mean_squared_gradient_norm, sqdist_matrix
 from wfw.dual_solvers import trust_region_step
-from wfw.errors import NonFiniteDual, SinkhornNotConverged, SizeCapExceeded
+from wfw.errors import NonFiniteDual, SinkhornNotConverged, SizeCapExceeded, WfwError
 from wfw.experiments import ExperimentConfig, run_mmd_flow
 from wfw.functionals import (
     SINKHORN_CAP,
@@ -25,8 +25,7 @@ from wfw.functionals import (
     RandomFeatureKernel,
     _entropic_solve,
 )
-from wfw.moreau import SmoothObjective
-from wfw.registry import OBJECTIVES, make_objective, make_pair, quadratic
+from wfw.registry import RADIAL_QUARTICS, make_objective, make_pair, quadratic
 
 
 def _kernel():
@@ -1145,7 +1144,7 @@ class TestPotentialInteraction:
         rng = np.random.default_rng(17)
         pts = rng.normal(size=(5, 2))
         mu = ParticleCloud(pts)
-        J = PotentialInteraction(quadratic(), quadratic())
+        J = PotentialInteraction(quadratic(), make_pair("quadratic"))
         v_term = float(np.mean(0.5 * np.sum(pts**2, axis=1)))
         w_term = 0.0
         for i in range(5):
@@ -1159,7 +1158,7 @@ class TestPotentialInteraction:
         rng = np.random.default_rng(18)
         pts = rng.normal(size=(6, 2))
         mu = ParticleCloud(pts)
-        J = PotentialInteraction(quadratic(), quadratic())
+        J = PotentialInteraction(quadratic(), make_pair("double-well"))
         model = J.derivative_oracle(mu, 1e-9)
         V = rng.normal(size=pts.shape)
         base = J.value(mu)
@@ -1176,29 +1175,39 @@ class TestPotentialInteraction:
         assert J.value(mu) == pytest.approx(1.0)
 
     def test_constants_combine(self):
-        J = PotentialInteraction(quadratic(), quadratic())
+        J = PotentialInteraction(quadratic(), make_pair("double-well"))
         model = J.derivative_oracle(ParticleCloud(np.zeros((2, 2))), 1e-9)
-        assert model.smoothness == pytest.approx(
-            quadratic().smoothness + 2 * quadratic().smoothness
-        )
+        assert model.smoothness == quadratic().smoothness + 2 * make_pair("double-well").smoothness
 
     def test_semiconcavity_sums_as_the_other_constants(self):
         """The witness's Hessian is v's plus (2/n) sum_j W's, so each of its
         three constants is v's plus twice W's, c included."""
-        q = quadratic()
-
-        def loose(smoothness, semiconvexity, semiconcavity):
-            return SmoothObjective(
-                eval_many=q.eval_many,
-                grad_many=q.grad_many,
-                smoothness=smoothness,
-                semiconvexity=semiconvexity,
-                semiconcavity=semiconcavity,
-            )
-
-        J = PotentialInteraction(loose(3.0, 0.5, 1.0), loose(2.0, 0.25, 1.5))
+        v = dataclasses.replace(quadratic(), smoothness=3.0, semiconvexity=0.5, semiconcavity=1.0)
+        w = make_pair("quadratic")._replace(smoothness=2.0, semiconvexity=0.25, semiconcavity=1.5)
+        J = PotentialInteraction(v, w)
         model = J.derivative_oracle(ParticleCloud(np.zeros((2, 2))), 1e-9)
         assert (model.smoothness, model.semiconvexity, model.semiconcavity) == (7.0, 1.0, 4.0)
+
+    def test_a_pair_outside_the_table_is_refused(self):
+        """A `SmoothObjective` pair term, the generic form the closed-form
+        means replaced, is a typed error, not a silently wrong witness."""
+        with pytest.raises(WfwError, match="a pair term must be a RadialQuartic row"):
+            PotentialInteraction(quadratic(), make_objective("double-well"))
+
+    def test_oracle_and_value_hold_no_pair_array(self):
+        """One oracle, its batch forms on all 1,000 atoms and the value stay
+        under 2 MB; a (rows, atoms, d) pair broadcast peaks at 40 MB here."""
+        x = np.random.default_rng(5).uniform(-1.0, 1.0, size=(1000, 2))
+        mu = ParticleCloud(x)
+        J = PotentialInteraction(make_objective("double-well"), make_pair("double-well"))
+        tracemalloc.start()
+        try:
+            model = J.derivative_oracle(mu, 1e-9)
+            model.grad_many(x), model.eval_many(x), J.value(mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, peak
 
 
 def _witness(kind, rng):
@@ -1216,7 +1225,7 @@ def _witness(kind, rng):
 
 
 _WITNESS_KINDS = ["mmd-random-feature", "deconv"] + [
-    f"pair-{name}" for name in sorted(OBJECTIVES)
+    f"pair-{name}" for name in sorted(RADIAL_QUARTICS)
 ]
 
 
@@ -1238,26 +1247,39 @@ class TestBatchContract:
     def test_batch_rows_equal_per_point_forms(self, kind, seed, rows):
         _assert_batch_rows_equal_per_point_forms(kind, seed, rows)
 
-    @pytest.mark.parametrize("name", sorted(OBJECTIVES))
+    @pytest.mark.parametrize("name", sorted(RADIAL_QUARTICS))
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6))
-    def test_pair_witness_and_value_match_per_pair_loop(self, name, seed, rows):
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 6),
+        shift=st.sampled_from([0.0, 10.0, 1e3]),
+    )
+    @example(seed=380, rows=6, shift=1e3)  # 1.1x the bound without the mean's remainder
+    def test_pair_witness_and_value_match_per_pair_loop(self, name, seed, rows, shift):
+        """The closed-form pair means against the loop over pairs through
+        W's own forms, on clouds and query rows moved `shift` off the
+        origin: centring on the cloud's mean keeps the cancellation at its
+        spread, the rounding remainder of the mean included.  At shift 0 v is
+        the double well, so the witness's v + 2 mean_j W and value's mean v +
+        mean W are checked whole; off the origin v is 0, as a double well of
+        ~1e12 there would swamp the pair term the shift is meant to test."""
         rng = np.random.default_rng(seed)
-        v, w = make_objective("double-well"), make_pair(name)
-        x = rng.normal(size=(int(rng.integers(1, 7)), 2))
+        v = make_objective("double-well" if shift == 0.0 else "zero")
+        W = make_objective(name)
+        x = rng.normal(size=(int(rng.integers(1, 7)), 2)) + shift
         mu = ParticleCloud(x)
-        J = PotentialInteraction(v, w)
+        J = PotentialInteraction(v, make_pair(name))
         model = J.derivative_oracle(mu, 1e-9)
-        Z = 1.5 * rng.normal(size=(rows, 2))
+        Z = 1.5 * rng.normal(size=(rows, 2)) + shift
         values, grads = model.eval_many(Z), model.grad_many(Z)
         n = x.shape[0]
         for i, z in enumerate(Z):
-            ref_val = v.eval(z) + 2.0 * sum(w.eval(z - a) for a in x) / n
-            ref_grad = v.grad(z) + 2.0 * sum(w.grad(z - a) for a in x) / n
+            ref_val = v.eval(z) + 2.0 * sum(W.eval(z - a) for a in x) / n
+            ref_grad = v.grad(z) + 2.0 * sum(W.grad(z - a) for a in x) / n
             assert values[i] == pytest.approx(ref_val, rel=1e-12, abs=1e-12)
             np.testing.assert_allclose(grads[i], ref_grad, rtol=1e-12, atol=1e-12)
         ref_value = float(np.mean(v.eval_many(x))) + sum(
-            w.eval(a - b) for a in x for b in x
+            W.eval(a - b) for a in x for b in x
         ) / n**2
         assert J.value(mu) == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
 
@@ -1280,18 +1302,15 @@ class TestRegistry:
         ):
             make_pair("nope")
 
-    @pytest.mark.parametrize("name", sorted(OBJECTIVES))
+    @pytest.mark.parametrize("name", sorted(RADIAL_QUARTICS))
     def test_pair_terms_are_even(self, name):
-        """W(-x) = W(x) and grad W(-x) = -grad W(x): the witness
-        v + (2/n) sum_j W(. - x_j) is the first variation only for an even W."""
-        w = make_pair(name)
+        """W(-x) = W(x) and grad W(-x) = -grad W(x) for each row's W: the
+        witness v + (2/n) sum_j W(. - x_j) is the first variation only for an
+        even W."""
+        w = make_objective(name)
         x = 1.5 * np.random.default_rng(23).normal(size=(40, 3))
-        np.testing.assert_allclose(
-            w.eval_many(-x), w.eval_many(x), rtol=1e-12, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            w.grad_many(-x), -w.grad_many(x), rtol=1e-12, atol=1e-12
-        )
+        np.testing.assert_allclose(w.eval_many(-x), w.eval_many(x), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(w.grad_many(-x), -w.grad_many(x), rtol=1e-12, atol=1e-12)
 
     def test_double_well_constants_cover_unit_ball(self):
         """Hessian of 0.25(|x|^2-1)^2 lies in [-rho, L] for |x| <= 2."""

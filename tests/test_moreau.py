@@ -26,7 +26,7 @@ from wfw.moreau import (
     hp_sample_count,
     supergradient_hp,
 )
-from wfw.registry import double_well, linear, quadratic
+from wfw.registry import linear, make_objective, quadratic
 
 
 def _prox_row(f, x, lam, eps):
@@ -125,7 +125,7 @@ def _witness(kind, rng):
     if kind == "double-well":
         x[2] = 0.0
         x[5] = [1.0, 0.0]  # both stationary: budget 0
-        return double_well(), x, 3.5
+        return make_objective("double-well"), x, 3.5
     if kind == "linear":
         return linear([0.3, -1.2]), x, 2.0
     if kind == "deconv":
@@ -218,7 +218,7 @@ class TestCompactedLoop:
         budget and certifies at step 1; the two far rows then step past 8.
         The least budget of the rows still active is taken again when a row
         leaves, so the pass returns them, as the masked loop does."""
-        f, lam, eps = double_well(), 2.0, 1e-6
+        f, lam, eps = make_objective("double-well"), 2.0, 1e-6
         x = np.array([[1.0 + 2e-8, 0.0], [1.4, -0.3], [0.3, 0.5]])
         kappa = math.sqrt((lam + f.semiconcavity) / (lam - f.semiconvexity))
         assert math.ceil(4.0 * kappa * math.log(12.0 * kappa * 4e-8 / eps)) == 8
@@ -245,7 +245,7 @@ class TestCompactedLoop:
         loop raises its own typed error, with no numpy warning first."""
         x = np.array([[0.1, 0.2], [40.0, -30.0], [0.5, 0.0]])
         with pytest.raises(NonFiniteIterate) as info:
-            agd_prox_batch(double_well(), x, 2.0, 1e-6)
+            agd_prox_batch(make_objective("double-well"), x, 2.0, 1e-6)
         err = info.value
         assert err.lam == 2.0
         assert err.step >= 1
@@ -312,7 +312,7 @@ class TestCertificate:
         if kind == "linear":
             f = linear(rng.normal(size=d))
         else:
-            f = quadratic() if kind == "quadratic" else double_well()
+            f = quadratic() if kind == "quadratic" else make_objective("double-well")
         lam, eps = f.semiconvexity + 10**log_gap, 10**log_eps
         for model, x in ((counted_model(f, {"rows": 0}), mu.points), (f, mu.points.copy())):
             try:
@@ -325,8 +325,9 @@ class TestCertificate:
         """A double-well center at (-1.10, 5.43), far outside the ball
         ||x|| <= 2 that L = 11 covers, neither diverges nor certifies under
         restart: after its 105-step budget it raises with its context."""
+        f = make_objective("double-well")
         with pytest.raises(ProxNotCertified) as info:
-            agd_prox_batch(double_well(), np.array([[-1.10, 5.43]]), 8.879, 2.16e-4)
+            agd_prox_batch(f, np.array([[-1.10, 5.43]]), 8.879, 2.16e-4)
         err = info.value
         assert (err.lam, err.step, err.active) == (8.879, 105, 1)
 
@@ -335,7 +336,7 @@ class TestCertificate:
         than its rounding unit, so no iterate certifies: ProxNotCertified,
         not a silently returned row."""
         with pytest.raises(ProxNotCertified) as info:
-            agd_prox_batch(double_well(), np.array([[1e20, 0.0]]), 1.2207e56, 0.5)
+            agd_prox_batch(make_objective("double-well"), np.array([[1e20, 0.0]]), 1.2207e56, 0.5)
         err = info.value
         assert err.lam == 1.2207e56
         assert err.step >= 1
@@ -350,8 +351,9 @@ class TestCertificate:
         1 nor never."""
         budget = math.ceil(4.0 * (math.log(12.0) + math.log(1e60) + 300.0 * math.log(10.0)))
         assert budget == 3326
+        f = make_objective("double-well")
         with pytest.raises(ProxNotCertified) as info:
-            agd_prox_batch(double_well(), np.array([[1e20, 0.0]]), 1.2207e56, 1e-300)
+            agd_prox_batch(f, np.array([[1e20, 0.0]]), 1.2207e56, 1e-300)
         err = info.value
         assert (err.lam, err.step, err.active) == (1.2207e56, budget, 1)
 
@@ -454,23 +456,23 @@ class TestProxClosedForms:
         """The budget takes log eps: eps = 0 or NaN would give a row no
         finite budget, or none at all, so it is rejected up front."""
         with pytest.raises(ValueError, match="eps must be positive"):
-            _prox_row(double_well(), np.array([1.4, -0.3]), 3.0, eps)
+            _prox_row(make_objective("double-well"), np.array([1.4, -0.3]), 3.0, eps)
 
     def test_lambda_at_or_below_semiconvexity_rejected(self):
-        f = double_well()
+        f = make_objective("double-well")
         with pytest.raises(LambdaTooSmall):
             _prox_row(f, np.ones(2), f.semiconvexity, 1e-6)
 
     def test_grad_eval_accounting(self):
         """One gradient per step, plus the one at the center."""
         calls = []
-        f = _recorded(double_well(), calls)
+        f = _recorded(make_objective("double-well"), calls)
         _, _, iters, grad_evals = _prox_row(f, np.array([1.4, -0.3]), 6.0, 1e-12)
         assert iters > 1
         assert grad_evals == iters + 1 == len(calls)
 
     def test_batch_matches_row_loop(self):
-        f = double_well()
+        f = make_objective("double-well")
         rng = np.random.default_rng(2)
         X = rng.normal(size=(6, 2)) * 0.8
         lam = f.semiconvexity + 2.0
@@ -483,7 +485,7 @@ class TestProxClosedForms:
 
     def test_double_well_stationarity(self):
         """Returned point satisfies the prox first-order condition."""
-        f = double_well()
+        f = make_objective("double-well")
         x = np.array([1.4, -0.3])
         lam = 6.0
         y, _, _, _ = _prox_row(f, x, lam, 1e-12)
@@ -528,7 +530,7 @@ class TestEnvelopeDerivative:
 
     def test_derivative_umin_bound(self):
         """theta = |y*-x|^2/2 is at most 2 |grad f(x)|^2 / (lam - rho)^2."""
-        f = double_well()
+        f = make_objective("double-well")
         rng = np.random.default_rng(6)
         mu = ParticleCloud(rng.normal(size=(8, 2)))
         for lam in (f.semiconvexity + 1.0, f.semiconvexity + 4.0):
@@ -608,8 +610,9 @@ class TestSupergradientSampling:
 
     def test_lambda_too_small(self):
         mu = ParticleCloud(np.ones((3, 1)))
+        f = make_objective("double-well")
         with pytest.raises(LambdaTooSmall):
-            supergradient_hp(double_well(), mu, 0.5, 0.1, 0.1, np.random.default_rng(0))
+            supergradient_hp(f, mu, 0.5, 0.1, 0.1, np.random.default_rng(0))
 
     def test_given_fourth_moment_skips_the_gradient_pass(self):
         mu = ParticleCloud(np.random.default_rng(12).normal(size=(8, 2)) * 0.5)

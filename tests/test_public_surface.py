@@ -18,7 +18,11 @@ from wfw import cloud, dual_solvers, errors, frank_wolfe, functionals, moreau, r
 # the Gram kernels went when MMD kept only its feature-space arithmetic; the
 # transport plan class went with the LP for clouds of unequal size; the
 # free-lam gap oracle and its infeasibility error went because the search
-# returns only passes with h <= 0, which lie inside the ball.
+# returns only passes with h <= 0, which lie inside the ball.  The pair
+# broadcast went, with the per-name builders and their table, when every
+# named potential became a row of radial quartics whose pair means are
+# closed-form polynomials in the cloud's moments: the (rows, atoms, d)
+# differences cost O(rows n d) memory that no cap bounded.
 _DELETED = (
     "geodesic_point",
     "make_kernel",
@@ -36,6 +40,10 @@ _DELETED = (
     "TransportPlan",
     "primal_dual_gap",
     "InfeasiblePrimal",
+    "_pairwise",
+    "OBJECTIVES",
+    "double_well",
+    "zero",
 )
 
 
