@@ -249,35 +249,37 @@ def root_estimate(penalty, m2, lam, cbar):
     return lam - _secular(penalty, lam, cbar) / -math.sqrt(2.0 / m2)
 
 
+def pass_tolerance(eps, lam):
+    """Row tolerance (3/2) eps / max(lam, 1) of the search's pass at lam."""
+    return 1.5 * eps / max(lam, 1.0)
+
+
 def primal_dual_bisection(f, mu, penalty, eps, root_hint=None):
     """Bracketing search on the dual with a primal certificate at the returned point.
 
-    Returns a full prox pass with h(lam) = g'(lam) - psi*'(lam) <= 0 and its
-    Fenchel-Young gap.  It searches (rho, hi], hi the `_slope_crossing` at
-    s = -rho stepped past the root by a gap of eps_alg / 2, where h <= 0 by
-    rho-semiconvexity alone.  Every point is a prox pass.  The first is at
-    the crossing at s = 0, or at `root_hint` where that hint, stepped past
-    the root, lies in (rho, hi).  The second is a Newton step on r =
-    psi*'^(-1/2) - cbar^(-1/2), which has h's sign, to its `root_estimate`,
-    kept above the crossing at s = c, the semiconcavity (which holds only
-    where c covers the cloud); later ones take secants on r through its
-    last two passes, kept above the last pass with h > 0 (or rho).  Each
-    point is stepped past the root as hi is; the midpoint replaces an
-    undefined one.  It stops at the first pass with h <= 0 and gap <=
-    eps_alg, which is feasible: h <= 0 puts cbar <= psi*'(lam) = delta^2 / 2
-    under the indicator (lam > rho >= 0), and a power penalty is finite.
-    It raises at N + 2 passes, N one more than the halvings from (rho, hi]
-    to the width eps_alg / B, B = max(psi* smoothness, 16 m2^2, 1e-12), or
-    ulp(hi) if wider; m2 = E||grad f||^2 reads `gradient_sqnorms`.  A pass
-    at lam solves its rows to eps_prox = eps_alg / max(lam, 1): a row's cost
-    is within eps_prox / 2 of its prox's, so the pass reads its gap within
-    eps_alg / 2, the margin stepping past the root leaves, and its certified
-    d <= sqrt(eps_prox) / 2 bounds the dual slack of y for prox(x) by
-    (lam - rho) d^2 / 2 <= eps_alg / 8: the true gap is <= (9/8) eps_alg.
+    Returns a full prox pass with h(lam) = g'(lam) - psi*'(lam) <= 0, which
+    is feasible (cbar <= delta^2 / 2 under the indicator), and a true gap
+    within eps.  It searches (rho, hi], hi the `_slope_crossing` at s =
+    -rho, where h <= 0 by rho-semiconvexity alone.  The first pass is at
+    the crossing at s = 0, or at `root_hint` where it lies in (rho, hi);
+    the second at a Newton step on r = psi*'^(-1/2) - cbar^(-1/2), which
+    has h's sign, to its `root_estimate`, kept above the crossing at s = c
+    (the semiconcavity, which holds only where c covers the cloud); later
+    ones at secants on r through the last two passes, kept above the last
+    pass with h > 0 (or rho).  Each point, hi and the hint included, is
+    stepped past the root by a gap of at most eps / 16; the midpoint
+    replaces an undefined one.  It raises at N + 2 passes, N one more than
+    the halvings from (rho, hi] to the width (eps / 8) / B, B = max(psi*
+    smoothness, 16 m2^2, 1e-12), or ulp(hi) if wider; m2 = E||grad f||^2.
+
+    A pass at lam solves its rows to `pass_tolerance`, so it misreads its
+    gap by at most 3 eps / 4 and, past the root, reads at most 13 eps / 16,
+    where the search stops.  Its rows' certified d <= sqrt(tolerance) / 2
+    add at most (lam - rho) d^2 / 2 <= 3 eps / 16 of dual slack: the true
+    gap is at most eps.
 
     Args:
-        eps: target primal-dual gap; the internal tolerance is
-            eps_alg = eps/(4 + l), l = rho + 1.
+        eps: target primal-dual gap of the returned pass.
         root_hint: predicted root for the first pass.  None, or a hint
             stepped past the root to no point of (rho, hi) (nan, inf,
             <= rho, >= hi), leaves that pass at the crossing, and so every
@@ -288,7 +290,7 @@ def primal_dual_bisection(f, mu, penalty, eps, root_hint=None):
         RegularizationTooWeak, IntervalEmpty: as `dual_interval`.
         RadiusOutOfRange: hi or the bisection width is not finite, as
             where psi*' underflows (carries delta, if any, and lam_hat),
-            or eps_alg / max(hi, 1) underflows to 0 (carries delta and eps).
+            or the pass tolerance at hi underflows to 0 (carries delta and eps).
         GapNotCertified: the search reaches its cap or a collapsed bracket.
     """
     if not 0.0 < eps < math.inf:
@@ -297,22 +299,22 @@ def primal_dual_bisection(f, mu, penalty, eps, root_hint=None):
     rho = f.semiconvexity
     reg = penalty.psi_star_deriv(rho + 1.0)
     l, u = _dual_interval(f, m2, penalty, c=m2 / reg if reg > 0 else None)
-    eps_alg = eps / (4.0 + l)
+    step_gap, stop = eps / 8.0, 13.0 / 16.0 * eps  # the split of eps above
     delta = getattr(penalty, "delta", None)
 
-    def past_root(lam):  # gap <= eps_alg / 2: |cbar'| <= 2 cbar / (lam - rho)
+    def past_root(lam):  # gap <= step_gap / 2: |cbar'| <= 2 cbar / (lam - rho)
         den = 4.0 * lam * penalty.psi_star_deriv(lam)  # 0 where psi*' underflows
-        return lam + eps_alg * (lam - rho) / den if den > 0.0 else math.inf
+        return lam + step_gap * (lam - rho) / den if den > 0.0 else math.inf
 
     lam, hi = (_slope_crossing(penalty, m2, s, u) for s in (0.0, -rho))
     hi = past_root(hi)
     # No bracket shrinks below ulp(hi), and 16 m2^2 may be inf: floor the width there.
     b = max(penalty.smoothness_on(l, u), 16.0 * m2 * m2, 1e-12)
-    width = max(eps_alg / b, math.ulp(hi))
+    width = max(step_gap / b, math.ulp(hi))
     if not (hi < math.inf and width < math.inf):  # psi*' underflows past lam_hat
         msg = f"dual bracket (rho, {hi}] at delta = {delta}, lam_hat = {lam} is not finite"
         raise RadiusOutOfRange(msg, delta=delta, lam_hat=lam)
-    if not eps_alg / max(hi, 1.0) > 0.0:  # a tiny eps over a bracket as wide as 1 / delta
+    if not pass_tolerance(eps, hi) > 0.0:  # a tiny eps over a bracket as wide as 1 / delta
         msg = f"prox tolerance underflows to 0 at delta = {delta}, eps = {eps} on ({rho}, {hi}]"
         raise RadiusOutOfRange(msg, delta=delta, eps=eps)
     steps = math.ceil(math.log2(max(hi - rho, width) / width)) + 1
@@ -323,9 +325,9 @@ def primal_dual_bisection(f, mu, penalty, eps, root_hint=None):
     oracle_calls = 0
     while True:
         oracle_calls += 1
-        rep = _prox_pass(f, mu, penalty, lam, eps_alg / max(lam, 1.0), oracle_calls)
+        rep = _prox_pass(f, mu, penalty, lam, pass_tolerance(eps, lam), oracle_calls)
         h, r = rep.cost - penalty.psi_star_deriv(lam), _secular(penalty, lam, rep.cost)
-        if h <= 0.0 and rep.gap <= eps_alg:
+        if h <= 0.0 and rep.gap <= stop:
             break
         if h > 0.0:
             left = lam
@@ -347,7 +349,7 @@ def primal_dual_bisection(f, mu, penalty, eps, root_hint=None):
         lam = lam if floor < lam < right else 0.5 * (floor + right)
         if oracle_calls == steps + 2 or not floor < lam < right:
             msg = f"full-batch search ends at lam = {rep.lambda_star}, gap {rep.gap}"
-            raise GapNotCertified(msg, lam=rep.lambda_star, gap=rep.gap, eps=eps_alg)
+            raise GapNotCertified(msg, lam=rep.lambda_star, gap=rep.gap, eps=stop)
     return rep
 
 
@@ -450,10 +452,10 @@ def mirror_ascent(
 def trust_region_step(f, mu, delta, eps, root_hint=None):
     """Approximately minimize E_nu[f] over clouds within transport distance delta of mu.
 
-    Solves the indicator-penalized dual by `primal_dual_bisection` and moves
-    the atoms to the images of its certifying prox pass, which its h <= 0
-    puts in the ball; no pass runs after the search.  The radius
-    is admitted by the solver's own interval check, so the gradient field
+    Solves the indicator-penalized dual by `primal_dual_bisection` to a
+    true gap within eps and moves the atoms to the images of its certifying
+    prox pass, which its h <= 0 puts in the ball; no pass runs after it.
+    The radius is admitted by the solver's own interval check, so the gradient field
     is evaluated over the atoms once per step.  `root_hint` goes to the
     search: a predicted dual root, where a good one saves it its second
     pass.

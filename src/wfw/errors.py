@@ -100,8 +100,8 @@ class DeltaTooLarge(WfwError):
 class RadiusOutOfRange(WfwError):
     """A trust-region radius past the float range of its dual: delta^2 / 2
     overflows, psi*' underflows so that the dual bracket has no finite
-    right end, or the bracket is so wide that the prox tolerance, eps over
-    its width, underflows to 0.  Carries `delta` and, from the bracket,
+    right end, or the bracket is so wide that the pass tolerance at its
+    right end underflows to 0.  Carries `delta` and, from the bracket,
     `lam_hat`, or, from the tolerance, `eps`."""
 
     delta = lam_hat = eps = None
@@ -110,8 +110,8 @@ class RadiusOutOfRange(WfwError):
 class GapNotCertified(WfwError):
     """The dual search ended without a certified pass: on its bracket
     (rho, hi] it spent its pass cap, or collapsed the bracket, without a
-    pass with h <= 0 and a gap within its tolerance.  Carries the last
-    pass's `lam`, Fenchel-Young `gap` and the tolerance `eps`.
+    pass with h <= 0 and a read gap within its stop threshold.  Carries the
+    last pass's `lam`, Fenchel-Young `gap` and that threshold as `eps`.
     """
 
     lam = gap = eps = None

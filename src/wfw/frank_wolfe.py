@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .cloud import CloudMemo, mean_squared_gradient_norm
-from .dual_solvers import TrustRegionIndicator, root_estimate, trust_region_step
+from .dual_solvers import TrustRegionIndicator, pass_tolerance, root_estimate, trust_region_step
 from .errors import DeltaTooLarge
 from .moreau import SmoothObjective
 
@@ -74,7 +74,8 @@ class FWConfig:
             eps: target objective accuracy.
 
         A zero smoothness (a constant witness gradient) leaves the
-        gradient-scaled cap off: beta2 = inf.
+        gradient-scaled cap off: beta2 = inf.  Inputs are refused whose step
+        at s = r, the smallest a run takes, the dual cannot solve.
         """
         # Checked before any division; each check is false for NaN.
         if not 0.0 < alpha <= 1.0:
@@ -100,7 +101,7 @@ class FWConfig:
             beta3 = math.inf
         if not 0.0 < beta3 < math.inf:
             raise ValueError(f"big_t = {big_t}, alpha = {alpha} put beta3 at {beta3}")
-        return cls(
+        cfg = cls(
             beta1=min(delta1, delta2),
             beta2=alpha / (4.0 * smoothness) if smoothness else math.inf,
             beta3=beta3,
@@ -111,6 +112,26 @@ class FWConfig:
             alpha=alpha,
             seed=seed,
         )
+        # Steps run at s > r, radius and tolerance growing in s: at s = r the dual needs a
+        # finite bracket (delta^2/2 > 0) and tightest pass (lam <= r/delta + L) tolerance > 0.
+        delta = cfg.radius(r)
+        zeta = delta * cfg.eps_tilde
+        if not (0.5 * delta * delta > 0.0 and pass_tolerance(zeta, r / delta + smoothness) > 0.0):
+            inputs = dict(positive, theta=theta, alpha=alpha)
+            given = ", ".join(f"{k} = {v}" for k, v in inputs.items())
+            raise ValueError(f"{given} leave the dual no step at s = r = {r} (radius {delta})")
+        return cfg
+
+    def radius(self, s):
+        """Step radius min(beta1, beta2 s, beta3 s^(1/alpha)) at witness-gradient
+        norm s: 0 at s = 0, without forming beta2 s = inf * 0, and without the
+        beta3 term where s^(1/alpha) overflows."""
+        if not s:
+            return 0.0
+        try:
+            return min(self.beta1, self.beta2 * s, self.beta3 * s ** (1.0 / self.alpha))
+        except OverflowError:
+            return min(self.beta1, self.beta2 * s)
 
 
 _COLUMNS = ("iter", "J", "s", "delta", "zeta", "samples", "wall_ms")
@@ -223,10 +244,7 @@ def run_frank_wolfe(J, mu0, cfg, on_iterate=None):
         model = counted_model(J.derivative_oracle(mu, cfg.eps_hat), counter)
         s = estimate_gradient_norm(model, mu)
         obj = J.value(mu)
-        # s = 0 gives delta = 0 without forming beta2 * s = inf * 0.
-        delta = (
-            min(cfg.beta1, cfg.beta2 * s, cfg.beta3 * s ** (1.0 / cfg.alpha)) if s else 0.0
-        )
+        delta = cfg.radius(s)
         zeta = delta * cfg.eps_tilde
         converged = s <= cfg.r
 

@@ -29,8 +29,8 @@ K_CAP = 10**6
 
 #: Cap on a prox row's step budget.  The budget grows like sqrt((lam + c) /
 #: (lam - rho)), so a lam just above rho asks for more steps than can run
-#: (1e16 at lam = 1e-28 on a softplus); the test suite and the benchmark
-#: workloads peak at 3,326.
+#: (1e16 at lam = 1e-28 on a softplus).  The test suite peaks at 3,326 (about
+#: 3,030 but for a row built to spend that), the benchmark workloads at 101.
 BUDGET_CAP = 10**6
 
 

@@ -432,14 +432,14 @@ def test_kernel_matching_reduces_validation_discrepancy(kernel_matching_run):
 def test_kernel_matching_work_counts(kernel_matching_run):
     """Each witness's own curvature bound sizes its prox rows, while the
     schedule keeps the kernel's global bound, and each prox pass at lam
-    runs to eps_alg / max(lam, 1): 143 steps, 40,075 witness-gradient
-    rows (the trace's samples) and, on those rows' budget, 401 Euler
-    baseline steps."""
+    runs to (3/2) eps / max(lam, 1), eps the step's own tolerance: 143
+    steps, 32,917 witness-gradient rows (the trace's samples) and, on
+    those rows' budget, 330 Euler baseline steps."""
     result = kernel_matching_run["result"]
     trace = result["trace"]
     assert (len(trace), trace.status) == (143, "converged")
-    assert sum(trace.samples) == 40075
-    assert len(result["baseline_rows"]) == 401
+    assert sum(trace.samples) == 32917
+    assert len(result["baseline_rows"]) == 330
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +483,11 @@ def test_deconvolution_witness_rows_per_seed(deconvolution_runs):
     faster Sinkhorn solve moves the potentials only within its tolerance
     and no prox work.  The prox steps are sized by the witness's upward
     curvature c = 1, not by L = max(1, rho), and each pass at lam runs to
-    eps_alg / max(lam, 1).  The gradient at the cloud's
+    (3/2) eps / max(lam, 1).  The gradient at the cloud's
     own atoms comes from each solve's coupling and is not counted: 20
     steps of 50 atoms, 1,000 rows a run below the witness's count."""
     assert deconvolution_runs["rows"] == [
-        3509, 3618, 3571, 3574, 3338, 3577, 3575, 3596, 3608, 3488
+        2762, 2843, 2904, 2913, 2624, 2715, 2876, 2709, 2891, 2638
     ]
 
 

@@ -119,6 +119,10 @@ _BAD_INPUTS = {
         "big_t = 1e-300",
     ),
     "fw-eps-inf": (["fw", "--seed", "0", "--eps", "inf"], EXIT_ERROR, "eps = inf"),
+    # Finite and in range, but the run's smallest step, at s = r, has a radius
+    # whose delta^2 / 2 underflows, which leaves the dual no finite bracket.
+    "big-t-underflow": (["fw", "--seed", "0", "--big-t", "1e300"], EXIT_ERROR, "big_t = 1e+300"),
+    "tau-underflow": (["fw", "--seed", "0", "--tau", "1e-300"], EXIT_ERROR, "tau = 1e-300"),
     "theta-underflow": (["fw", "--seed", "0", "--theta", "1e300"], EXIT_ERROR, "theta = 1e+300"),
     "theta-overflow": (["fw", "--seed", "0", "--theta=-1e300"], EXIT_ERROR, "theta = -1e+300"),
     "fw-eps-nan": (
@@ -393,7 +397,7 @@ class TestFinalObjective:
         J = PotentialInteraction(quadratic())
         mu = load_csv(final)
         assert s == mean_squared_gradient_norm(mu, J.derivative_oracle(mu, 1.0))
-        assert s == 0.39702941179547935
+        assert s == 0.397029410440499
         assert s != read_trace(tmp_path / "t.csv")["s"][-1]
 
     def test_deconv_prints_objective_of_final_cloud(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from wfw.cloud import (
     wasserstein2_exact,
 )
 from wfw.dual_solvers import TrustRegionIndicator, root_estimate, trust_region_step
+from wfw.errors import RadiusOutOfRange
 from wfw.experiments import ExperimentConfig, read_trace, run_deconv
 from wfw.frank_wolfe import (
     FWConfig,
@@ -106,6 +108,36 @@ class TestFWConfig:
         )
         args[arg] = math.nan
         with pytest.raises(ValueError, match=rf"^{arg} must .*nan"):
+            FWConfig.from_schedule(**args)
+
+    @pytest.mark.parametrize("arg, value", [("big_t", 1e300), ("tau", 1e-300), ("tau", 1.0)])
+    def test_from_schedule_refuses_the_steps_the_search_refuses(self, arg, value):
+        """A run steps only while s > r, so its smallest radius and tolerance
+        are the schedule's at s = r.  from_schedule refuses an input exactly
+        where the search's own checks refuse that step on a quadratic cloud
+        of gradient norm r (L = 1): for a huge big_t (no finite bracket) and
+        a tiny tau (no tolerance above 0), by name, and not at the unit
+        schedule, whose step certifies."""
+        args = dict(
+            tau=1.0, theta=1.0, big_t=1.0, alpha=1.0, delta1=0.5, delta2=0.5,
+            smoothness=1.0, eps=1e-2,
+        )
+        args[arg] = value
+        r = 0.5 * args["tau"] * args["eps"]
+        delta = min(0.5, 0.25 * r, 0.5 / args["big_t"] * r)  # beta2 = 1/4, beta3 = 1/(2T)
+        zeta = delta * r / 8.0  # eps_tilde = r / (4 alpha*), alpha* = 2
+        pts = np.random.default_rng(0).normal(size=(4, 2))
+        mu = ParticleCloud(pts * (r / math.sqrt(np.mean(np.sum(pts**2, axis=1)))))
+        try:
+            _, rep = trust_region_step(quadratic(), mu, delta, zeta)
+        except (RadiusOutOfRange, ValueError):  # eps must be positive
+            rep = None
+        assert (rep is None) == (value != 1.0)
+        if rep is not None:
+            assert rep.gap <= zeta
+            assert FWConfig.from_schedule(**args).eps_tilde == r / 8.0
+            return
+        with pytest.raises(ValueError, match=re.escape(f"{arg} = {value!r}")):
             FWConfig.from_schedule(**args)
 
 
@@ -317,6 +349,19 @@ class TestRunFrankWolfe:
         )
         return run_frank_wolfe(_interaction(), _uniform_cloud(50, 2, seed=42), cfg)[1]
 
+    def test_radius_drops_the_holder_term_past_the_float_range(self):
+        """At alpha = 0.001 the term beta3 s^(1/alpha) overflows once s passes
+        about 2.03; the radius is then min(beta1, beta2 s), and the loop
+        steps where it once raised a raw OverflowError."""
+        cfg = FWConfig(
+            beta1=0.1, beta2=0.25, beta3=0.5, r=1e-3, eps_hat=1e-4, eps_tilde=1e-4,
+            k_max=1, alpha=0.001,
+        )
+        assert (cfg.radius(3.0), cfg.radius(0.0)) == (0.1, 0.0)
+        mu = ParticleCloud(3.0 * _uniform_cloud().points)
+        _, trace = run_frank_wolfe(_interaction(), mu, cfg)
+        assert trace.s[0] > 2.03 and list(trace.delta) == [0.1]
+
     def test_gate_8_steps_after_the_second_make_one_pass(self):
         """On the gate-8 config a step reads n = 50 witness rows for s and
         n per prox pass.  The first step passes twice; from the third on,
@@ -358,9 +403,9 @@ class TestRunFrankWolfe:
         lines = (tmp_path / "trace.csv").read_text().splitlines()
         cells = "".join(line.rsplit(",", 1)[0] + "\n" for line in lines).encode()
         assert hashlib.sha256(cells).hexdigest() == (
-            "5b865bdaf3f898429a8c12cf52f2989071ea30b354232418e34a86816bb09183"
+            "f10bab0169ffcfe50551a85c1e4827d8eb8a02a5cac8dba7b44cd401c7d85e91"
         )
-        assert trace.final_objective == 0.013802145488181159
+        assert trace.final_objective == 0.0137903022005499
         assert sum(trace.samples) == 11050
 
     def test_hint_extrapolates_the_root_ratios_of_the_last_two_steps(self, monkeypatch):

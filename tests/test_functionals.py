@@ -932,7 +932,7 @@ class TestEntropicDeconv:
         _, trace, _ = experiments.run_deconv(cfg)
         assert len(trace) == 20 and calls
         assert not any(at_atoms for at_atoms, _ in calls)
-        assert sum(rows for _, rows in calls) == sum(trace.samples) == 3509
+        assert sum(rows for _, rows in calls) == sum(trace.samples) == 2762
 
     @pytest.mark.parametrize("read_only_view", [False, True])
     def test_changeable_points_are_solved_afresh(self, read_only_view):
