@@ -46,7 +46,7 @@ class TrustRegionIndicator:
 
     Raises:
         ValueError: delta is not positive.
-        RadiusOutOfRange: delta^2 / 2 overflows.
+        RadiusOutOfRange: delta^2 / 2 overflows, or underflows to 0.
     """
 
     def __init__(self, delta):
@@ -58,6 +58,9 @@ class TrustRegionIndicator:
         except OverflowError:
             msg = f"delta = {self.delta}: delta^2 / 2 overflows"
             raise RadiusOutOfRange(msg, delta=self.delta) from None
+        if not self.cost_bound:
+            msg = f"delta = {self.delta}: delta^2 / 2 underflows to 0"
+            raise RadiusOutOfRange(msg, delta=self.delta)
 
     def psi(self, x):
         return 0.0 if x <= self.cost_bound else math.inf
@@ -306,8 +309,8 @@ def primal_dual_bisection(f, mu, penalty, eps, root_hint=None):
         den = 4.0 * lam * penalty.psi_star_deriv(lam)  # 0 where psi*' underflows
         return lam + step_gap * (lam - rho) / den if den > 0.0 else math.inf
 
-    lam, hi = (_slope_crossing(penalty, m2, s, u) for s in (0.0, -rho))
-    hi = past_root(hi)
+    lam = _slope_crossing(penalty, m2, 0.0, u)
+    hi = past_root(_slope_crossing(penalty, m2, -rho, u))
     # No bracket shrinks below ulp(hi), and 16 m2^2 may be inf: floor the width there.
     b = max(penalty.smoothness_on(l, u), 16.0 * m2 * m2, 1e-12)
     width = max(step_gap / b, math.ulp(hi))
@@ -326,9 +329,10 @@ def primal_dual_bisection(f, mu, penalty, eps, root_hint=None):
     while True:
         oracle_calls += 1
         rep = _prox_pass(f, mu, penalty, lam, pass_tolerance(eps, lam), oracle_calls)
-        h, r = rep.cost - penalty.psi_star_deriv(lam), _secular(penalty, lam, rep.cost)
+        h = rep.cost - penalty.psi_star_deriv(lam)
         if h <= 0.0 and rep.gap <= stop:
             break
+        r = _secular(penalty, lam, rep.cost)
         if h > 0.0:
             left = lam
         else:
@@ -468,7 +472,9 @@ def trust_region_step(f, mu, delta, eps, root_hint=None):
         DeltaTooLarge: delta above the admissible curvature bound
             ||grad f||_{L2(mu)} / (2 L) (up to a 1e-12 relative slack on
             delta^2), or a zero gradient field (admissible 0.0).
-        ValueError, GapNotCertified: as `primal_dual_bisection`.
+        ValueError, RadiusOutOfRange, GapNotCertified: as `primal_dual_bisection`
+            (or, for RadiusOutOfRange, as `TrustRegionIndicator`).
+        IntervalEmpty: a nonzero field's dual interval rounds to a point.
     """
     penalty = TrustRegionIndicator(delta)
     try:
@@ -480,6 +486,8 @@ def trust_region_step(f, mu, delta, eps, root_hint=None):
         ) from exc
     except IntervalEmpty as exc:
         # With L = 0 a zero field matches the penalty with width m2/reg = 0.
+        if mean_squared_gradient(mu, f):
+            raise
         raise DeltaTooLarge(
             "gradient field vanishes on the cloud; no descent direction",
             admissible=0.0,

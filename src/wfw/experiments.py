@@ -101,9 +101,8 @@ def make_mixture_observations(n, sigma2, rng, dim=2, modes=4, radius=1.2, mode_s
 def _write_rows(path, rows):
     with open(path, "w") as fh:
         fh.write("grad_evals,J,val\n")
-        for row in rows:
-            cells = (format(float(v), ".17g") if isinstance(v, float) else str(v) for v in row)
-            fh.write(",".join(cells) + "\n")
+        for grad_evals, objective, val in rows:
+            fh.write(f"{grad_evals},{objective:.17g},{val:.17g}\n")
 
 
 def _unit_schedule(cfg, smoothness):

@@ -14,6 +14,7 @@ import math
 import time
 from array import array
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 from .cloud import CloudMemo, mean_squared_gradient_norm
@@ -135,7 +136,8 @@ class FWConfig:
 
 
 _COLUMNS = ("iter", "J", "s", "delta", "zeta", "samples", "wall_ms")
-_FIELDS = ("iters", "objective", "s", "delta", "zeta", "samples", "wall_ms")
+#: FWTrace -> its seven columns, in CSV order.
+_columns = attrgetter("iters", "objective", "s", "delta", "zeta", "samples", "wall_ms")
 
 
 def _column(typecode):
@@ -166,12 +168,9 @@ class FWTrace:
     status: str = "budget-exhausted"
     final_objective: Optional[float] = None
 
-    def _columns(self):
-        return [getattr(self, name) for name in _FIELDS]
-
     def append(self, i, objective, s, delta, zeta, samples, wall_ms):
         row = (i, objective, s, delta, zeta, samples, wall_ms)
-        for column, value in zip(self._columns(), row):
+        for column, value in zip(_columns(self), row):
             column.append(value)
 
     def __len__(self):
@@ -180,7 +179,7 @@ class FWTrace:
     def to_csv(self, path):
         with open(path, "w") as fh:
             fh.write(",".join(_COLUMNS) + "\n")
-            for i, j, s, d, z, m, w in zip(*self._columns()):
+            for i, j, s, d, z, m, w in zip(*_columns(self)):
                 fh.write(f"{i},{j:.17g},{s:.17g},{d:.17g},{z:.17g},{m},{w:.3f}\n")
 
 
@@ -189,7 +188,7 @@ def counted_model(model, counter):
     in counter["rows"]; a cloud's own atoms are evaluated once (`CloudMemo`),
     shared read-only.  The model's `atom_gradients` seed that memo, so the
     rows they hold are neither evaluated nor counted.  The wrapper is a
-    `SmoothObjective` with every other field of the model."""
+    `SmoothObjective` with every other field of the model, copied, not re-checked."""
 
     def grad_many(x):
         counter["rows"] += x.shape[0]
@@ -201,7 +200,9 @@ def counted_model(model, counter):
     memo = CloudMemo(grad_many)
     if model.atom_gradients is not None:
         memo.seed(*model.atom_gradients)
-    return SmoothObjective(**{**vars(model), "grad_many": memo})
+    wrapped = object.__new__(SmoothObjective)
+    vars(wrapped).update(vars(model), grad_many=memo)
+    return wrapped
 
 
 def estimate_gradient_norm(phi, mu):

@@ -87,7 +87,8 @@ class RandomFeatureKernel:
         return phi
 
     def _mean(self, x):
-        m = self.features(x).mean(axis=0)
+        phi = self.features(x)
+        m = np.add.reduce(phi, axis=0) / phi.shape[0]  # ndarray.mean's ufuncs, unwrapped
         m.setflags(write=False)
         return m
 

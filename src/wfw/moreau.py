@@ -122,13 +122,18 @@ def agd_prox_batch(f, x, lam, eps):
     must itself certify.  No row may be given more than `BUDGET_CAP` steps.
 
     The loop runs on the active rows alone, in their original order; all
-    of them have run the same count.  A row is written back when it leaves,
-    and the working set shrinks only on steps where some row leaves, so
-    each witness call sees the rows, order and shape that a masked loop
-    over the full batch would pass it.  Arrays handed to the witness are
-    never written to, since a witness may return its argument.  theta is
-    the certificate's (1/2)||y - x||^2 as a row leaves (0 if it never
-    steps); budgets read ||grad f(x_i)||^2 from `gradient_sqnorms`.
+    of them have run the same count.  The working set shrinks only on
+    steps where some row leaves, so each witness call sees the rows, order
+    and shape that a masked loop over the full batch would pass it.  Its
+    index set, `iters`, `theta` and the output buffer are built once rows
+    leave at different steps: at step 0 where some row has budget 0, else
+    at the first step some rows leave and others stay.  Rows that all
+    leave at one step (a quadratic's, at step 1) return as the working
+    set.  Arrays handed to the witness are never written to, since a
+    witness may return its argument.  theta is the certificate's (1/2)||y
+    - x||^2 as a row leaves (0 if it never steps); budgets read ||grad
+    f(x_i)||^2 from `gradient_sqnorms`, whose mean, where finite, spares
+    the check that each row is.
 
     Returns:
         (y, theta, iters, grad_evals) with shapes ((n,d), (n,), (n,), (n,)).
@@ -158,38 +163,42 @@ def agd_prox_batch(f, x, lam, eps):
     kappa = math.sqrt(l_smooth / mu_sc)
     step = 1.0 / l_smooth
     momentum = (kappa - 1.0) / (kappa + 1.0)
-    iters, theta = np.zeros(n, dtype=np.int64), np.zeros(n)
     d_tol = 0.5 * math.sqrt(eps)
 
     # A diverging solve surfaces as NonFiniteIterate, not as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g0 = f.grad_many(x)
-        gnorm0 = np.sqrt(gradient_sqnorms(g0)[0])
-        if n and not math.isfinite(gnorm0.max()):  # max keeps a NaN
+        sq0, m2 = gradient_sqnorms(g0)
+        gnorm0 = np.sqrt(sq0)
+        # Every row is finite where their mean is; else the row max (it keeps a NaN) decides.
+        if not math.isfinite(m2) and n and not math.isfinite(np.maximum.reduce(gnorm0)):
             _fail(lam, 0, n, NonFiniteIterate, "prox center gradient left the finite range")
 
         # A sum of finite logs (log 0 = -inf gives budget 0), so no overflow.
         log_c = math.log(12.0 * kappa) - math.log(min(mu_sc, 1.0)) - math.log(eps)
-        budget = np.ceil(4.0 * kappa * (np.log(gnorm0) + log_c))
-        stepping = budget > 0
-        idx = stepping.nonzero()[0]  # np.flatnonzero adds a Python call per pass
-        if idx.size < n:
+        ba = np.log(gnorm0)  # becomes ceil(4 kappa (log ||g0|| + log_c)), in place
+        np.ceil(np.multiply(np.add(ba, log_c, out=ba), 4.0 * kappa, out=ba), out=ba)
+        xa, active, idx = x, n, None  # idx: built once rows leave at different steps
+        b_min = np.minimum.reduce(ba, initial=np.inf)  # changes only when rows leave
+        if not (n and b_min > 0):  # rows with budget 0 leave at step 0, at their centers
+            stepping = ba > 0
+            idx = stepping.nonzero()[0]  # np.flatnonzero adds a Python call per pass
+            active = idx.size
             # A center certifies iff d = ||g0|| / (lam - rho) <= d_tol; budget 0
             # gives d <= eps / 12, within d_tol unless eps > 36.
             missed = np.count_nonzero(gnorm0[~stepping] / mu_sc > d_tol)
             if missed:
-                _fail(lam, 0, idx.size + missed)
-            y = x.copy()  # rows with budget 0 stay at x
-            xa, ba, g0 = x[idx], budget[idx], g0[idx]
-        else:
-            y, xa, ba = np.empty_like(x), x, budget
-        if ba.max(initial=0.0) > BUDGET_CAP:
-            _fail(lam, 0, idx.size, what=f"a prox row's budget exceeds {BUDGET_CAP} steps")
+                _fail(lam, 0, active + missed)
+            y, theta, iters = x.copy(), np.zeros(n), np.zeros(n, dtype=np.int64)
+            xa, ba, g0 = x[idx], ba[idx], g0[idx]
+            b_min = np.minimum.reduce(ba, initial=np.inf)
+        if np.maximum.reduce(ba, initial=0.0) > BUDGET_CAP:
+            _fail(lam, 0, active, what=f"a prox row's budget exceeds {BUDGET_CAP} steps")
 
-        # Working set: row indices, centers, momentum points, iterates, budgets.
+        # Working set: centers, momentum points, iterates, budgets (and idx).
         ya = za = xa - step * g0
-        k, b_min = 0, ba.min(initial=np.inf)  # b_min changes only when rows leave
-        while idx.size:
+        k = 0
+        while active:
             k += 1
             diff = ya - xa
             resid = f.grad_many(ya) + lam * diff
@@ -197,15 +206,17 @@ def agd_prox_batch(f, x, lam, eps):
             sq = row_sqnorm(diff)
             bound = d * (np.sqrt(sq) + 0.5 * d)
             # Finite only if ya and its gradients are.
-            if not math.isfinite(bound.max()):
-                _fail(lam, k, idx.size, NonFiniteIterate, "prox iterate left the finite range")
+            if not math.isfinite(np.maximum.reduce(bound)):
+                _fail(lam, k, active, NonFiniteIterate, "prox iterate left the finite range")
             certified = (bound <= 0.5 * eps) & (d <= d_tol)
             done = np.count_nonzero(certified)
-            if done == idx.size == n:  # all n rows leave at once: no scatter
-                y, theta = ya, 0.5 * sq
-                iters.fill(k)
-                break
-            if done == idx.size:
+            if done and idx is None:
+                if done == n:  # all n rows leave at once: the working set is the result
+                    iters = np.full(n, k, dtype=np.int64)
+                    return ya, 0.5 * sq, iters, iters + 1
+                idx, y, theta = np.arange(n), np.empty_like(x), np.empty(n)
+                iters = np.empty(n, dtype=np.int64)
+            if done == active:
                 y[idx], theta[idx], iters[idx] = ya, 0.5 * sq, k
                 break
             if done:
@@ -213,9 +224,9 @@ def agd_prox_batch(f, x, lam, eps):
                 y[out], theta[out], iters[out] = ya[certified], 0.5 * sq[certified], k
                 keep = ~certified
                 idx, xa, ya, za, ba = idx[keep], xa[keep], ya[keep], za[keep], ba[keep]
-                resid, b_min = resid[keep], ba.min()
+                resid, b_min, active = resid[keep], np.minimum.reduce(ba), active - done
             if b_min <= k:
-                _fail(lam, k, idx.size)
+                _fail(lam, k, active)
 
             z_new = ya - step * resid
             dz = z_new - za

@@ -463,16 +463,18 @@ class TestTrustRegionCommand:
         "atoms, flags, named",
         [
             (1, ["--delta", "1e300", "--eps", "0.1"], "delta = 1e+300"),
-            (3, ["--delta", "1e-300", "--eps", "1e-300"], "lam_hat = 1.41"),
+            (3, ["--delta", "1e-300", "--eps", "1e-300"], "delta = 1e-300: delta^2 / 2 underflows"),
+            (3, ["--delta", "1e-160", "--eps", "1e-10"], "lam_hat = 1.41"),
             (
                 3,
-                ["--objective", "double-well", "--delta", "1e-200", "--eps", "1e-10"],
+                ["--objective", "double-well", "--delta", "1e-160", "--eps", "1e-10"],
                 "lam_hat = 1.41",
             ),
             (3, ["--delta", "1e-150", "--eps", "1e-280"], "delta = 1e-150, eps = 1e-280"),
         ],
         ids=[
             "square-overflows",
+            "square-underflows",
             "slope-underflows",
             "double-well-slope-underflows",
             "prox-tolerance-underflows",
@@ -482,9 +484,10 @@ class TestTrustRegionCommand:
         self, tmp_path, capsys, atoms, flags, named
     ):
         """One atom at the origin with delta = 1e300 (delta^2 overflows), or
-        three at (1, 1) with delta^2 / 2 underflowing, or with a tolerance
-        that underflows to 0 over the dual bracket of width ~ 1 / delta:
-        exit 1 with the typed error's message, not a traceback or a raw
+        three at (1, 1) with delta^2 / 2 underflowing to 0, or subnormal
+        (the bracket's right end overflows), or with a tolerance that
+        underflows to 0 over the dual bracket of width ~ 1 / delta: exit 1
+        with the typed error's message, not a traceback or a raw
         ValueError."""
         cloud = tmp_path / "cloud.csv"
         save_csv(ParticleCloud([[0.0, 0.0]] if atoms == 1 else [[1.0, 1.0]] * 3), cloud)

@@ -898,6 +898,28 @@ class TestTrustRegion:
             trust_region_step(make_objective("zero"), mu, 0.1, 1e-3)
         assert exc.value.admissible == 0.0
 
+    @pytest.mark.parametrize("delta", [1e-170, 2.5e-303])
+    def test_radius_whose_square_underflows_is_named_on_a_flat_field(self, delta):
+        """delta^2 / 2 underflows to 0: the indicator refuses the radius, as
+        it refuses one whose square overflows, on an L = 0 field as on the
+        quadratic.  Past the indicator, psi*' = 0 would leave the flat
+        field's interval the width sqrt(16 L^2) = 0, read as a vanishing
+        field."""
+        mu = ParticleCloud(np.random.default_rng(0).normal(size=(4, 2)))
+        for f in (linear([5e-3, 0.0]), quadratic()):
+            with pytest.raises(RadiusOutOfRange) as info:
+                trust_region_step(f, mu, delta, 1e-6)
+            assert (info.value.delta, info.value.lam_hat) == (delta, None)
+            assert "underflows" in str(info.value)
+
+    def test_nonzero_field_on_a_collapsed_interval_is_not_called_vanishing(self):
+        """m2 = 1e-40 on an L = 0 field puts u = 1 + 2e-20 at l = 1: the
+        interval is empty, but the field is not zero, so IntervalEmpty
+        propagates and no DeltaTooLarge says the field vanishes."""
+        mu = ParticleCloud(np.random.default_rng(0).normal(size=(4, 2)))
+        with pytest.raises(IntervalEmpty):
+            trust_region_step(linear([1e-20, 0.0]), mu, 1.0, 1e-6)
+
     def test_sampler_images_match_source(self):
         rng = np.random.default_rng(13)
         mu = ParticleCloud(rng.normal(size=(9, 2)))
@@ -1028,14 +1050,15 @@ class TestTrustRegion:
         assert info.value.step >= 1
 
     @pytest.mark.parametrize(
-        "kind, delta, eps", [("quadratic", 1e-300, 1e-300), ("double-well", 1e-200, 1e-10)]
+        "kind, delta, eps", [("quadratic", 1e-160, 1e-10), ("double-well", 1e-160, 1e-10)]
     )
     def test_slope_underflowing_on_the_bracket_raises_a_typed_error(self, kind, delta, eps):
         """Three atoms at (1, 1), where both fields are (1, 1): m2 = 2 and
-        psi*' = delta^2 / 2 underflows to 0, so the bracket's right end,
-        stepped past lam_hat = sqrt(2) / delta, is inf.  The search raises
-        RadiusOutOfRange with delta and lam_hat before it sizes its
-        bisection, not a raw ValueError from ceil(nan)."""
+        psi*' = delta^2 / 2 = 5e-321 is subnormal, so the bracket's right
+        end, stepped past lam_hat = sqrt(2) / delta by eps / 8 over 4 lam
+        psi*', is inf.  The search raises RadiusOutOfRange with delta and
+        lam_hat before it sizes its bisection, not a raw ValueError from
+        ceil(nan)."""
         mu = ParticleCloud([[1.0, 1.0]] * 3)
         f = quadratic() if kind == "quadratic" else make_objective("double-well")
         with pytest.raises(RadiusOutOfRange) as info:

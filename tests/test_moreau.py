@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wfw.cloud import ParticleCloud, row_sqnorm
@@ -47,12 +47,15 @@ def _iteration_ceiling(f, x, lam, eps):
 def _masked_prox_batch(f, x, lam, eps):
     """Reference: the prox loop over the full batch with an active mask.
 
-    Every step re-gathers the active rows by index and scatters them back.
-    `agd_prox_batch` keeps a compacted working set instead and must match
-    this bit for bit.  Step 1 is the gradient step from the center; each
-    later step certifies its momentum point or steps from it, restarting
-    the momentum where the gradient points along the step.  The prox
-    objective's curvature lies in [lam - rho, lam + c].
+    Every step gathers the active rows by index, hands them to the witness
+    and scatters them back; budgets, certificates and errors are those the
+    `agd_prox_batch` docstring states.  `agd_prox_batch` keeps a compacted
+    working set instead, and builds its index set and output buffers only
+    once rows leave at different steps, so it must match this bit for bit:
+    the same arrays, the same witness calls and the same error with the
+    same lam, step and active rows.  Step 1 is the gradient step from the
+    center; each later step certifies its momentum point or steps from it,
+    restarting the momentum where the gradient points along the step.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -61,40 +64,47 @@ def _masked_prox_batch(f, x, lam, eps):
     kappa = math.sqrt(l_smooth / mu_sc)
     step = 1.0 / l_smooth
     momentum = (kappa - 1.0) / (kappa + 1.0)
-    g0 = f.grad_many(x)
-    gnorm0 = np.sqrt(np.sum(g0**2, axis=1))
-    budget = np.zeros(n, dtype=np.int64)
-    pos = gnorm0 > 0
-    if np.any(pos):
-        raw = 4.0 * kappa * np.log(12.0 * kappa * gnorm0[pos] / (min(mu_sc, 1.0) * eps))
-        budget[pos] = np.maximum(np.ceil(raw), 0.0).astype(np.int64)
-    assert np.all(gnorm0[budget == 0] / mu_sc <= 0.5 * math.sqrt(eps))
-    y = x - step * g0
-    z = y.copy()
-    out = x.copy()
-    iters = np.zeros(n, dtype=np.int64)
-    active = budget > 0
     d_tol = 0.5 * math.sqrt(eps)
-    k = 0
-    while np.any(active):
-        idx = np.nonzero(active)[0]
-        k += 1
-        resid = f.grad_many(y[idx]) + lam * (y[idx] - x[idx])
-        assert np.all(np.isfinite(resid))
-        d = np.sqrt(np.sum(resid**2, axis=1)) / mu_sc
-        dist = np.sqrt(np.sum((y[idx] - x[idx]) ** 2, axis=1))
-        certified = (d * (dist + 0.5 * d) <= 0.5 * eps) & (d <= d_tol)
-        out[idx[certified]] = y[idx[certified]]
-        iters[idx[certified]] = k
-        active[idx[certified]] = False
-        assert np.all(budget[active] > k)
-        go = ~certified
-        idx, resid = idx[go], resid[go]
-        z_new = y[idx] - step * resid
-        restart = np.sum(resid * (z_new - z[idx]), axis=1) > 0
-        y[idx] = z_new + np.where(restart, 0.0, momentum)[:, None] * (z_new - z[idx])
-        z[idx] = z_new
-    theta = 0.5 * np.sum((out - x) ** 2, axis=1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g0 = f.grad_many(x)
+        gnorm0 = np.sqrt(row_sqnorm(g0))
+        if not np.all(np.isfinite(gnorm0)):
+            raise NonFiniteIterate("center", lam=lam, step=0, active=n)
+        log_c = math.log(12.0 * kappa) - math.log(min(mu_sc, 1.0)) - math.log(eps)
+        budget = np.ceil(4.0 * kappa * (np.log(gnorm0) + log_c))
+        active = budget > 0
+        missed = np.count_nonzero(~active & (gnorm0 / mu_sc > d_tol))
+        if missed:
+            raise ProxNotCertified("center", lam=lam, step=0, active=active.sum() + missed)
+        if np.any(budget[active] > BUDGET_CAP):
+            raise ProxNotCertified("cap", lam=lam, step=0, active=active.sum())
+        y = x - step * g0
+        z = y.copy()
+        out, theta, iters = x.copy(), np.zeros(n), np.zeros(n, dtype=np.int64)
+        k = 0
+        while np.any(active):
+            idx = np.nonzero(active)[0]
+            k += 1
+            diff = y[idx] - x[idx]
+            resid = f.grad_many(y[idx]) + lam * diff
+            d = np.sqrt(row_sqnorm(resid)) / mu_sc
+            sq = row_sqnorm(diff)
+            bound = d * (np.sqrt(sq) + 0.5 * d)
+            if not np.all(np.isfinite(bound)):
+                raise NonFiniteIterate("iterate", lam=lam, step=k, active=idx.size)
+            certified = (bound <= 0.5 * eps) & (d <= d_tol)
+            out[idx[certified]] = y[idx[certified]]
+            theta[idx[certified]] = 0.5 * sq[certified]
+            iters[idx[certified]] = k
+            active[idx[certified]] = False
+            if np.any(budget[active] <= k):
+                raise ProxNotCertified("spent", lam=lam, step=k, active=active.sum())
+            go = ~certified
+            idx, resid = idx[go], resid[go]
+            z_new = y[idx] - step * resid
+            restart = np.add.reduce(resid * (z_new - z[idx]), axis=1) > 0
+            y[idx] = z_new + np.where(restart, 0.0, momentum)[:, None] * (z_new - z[idx])
+            z[idx] = z_new
     return out, theta, iters, iters + 1
 
 
@@ -149,6 +159,69 @@ _PASS_DRAWS = (
     st.floats(-1.0, 1.5),
     st.floats(-12.0, -1.0),
 )
+
+
+def _path_case(path, rng):
+    """(witness, centers, lam, eps) of a batch that takes `path` through
+    `agd_prox_batch` (`TestCompactedLoop.test_each_path_is_reached` pins
+    which), with drawn centers, weights and tolerances."""
+    x = rng.normal(size=(int(rng.integers(1, 12)), 2)) * rng.uniform(0.05, 1.5, size=(1, 1))
+    eps = 10 ** rng.uniform(-12.0, -2.0)
+    if path == "step-1":  # the quadratic's first step is its prox: all rows leave at once
+        return quadratic(), x, 10 ** rng.uniform(-1.0, 2.0), eps
+    if path == "staggered":  # double-well rows certify at different steps
+        x = np.vstack([x, [[1.6, -0.4], [0.2, 0.1]]])
+        x /= np.maximum(1.0, np.linalg.norm(x, axis=1, keepdims=True) / 1.9)
+        return make_objective("double-well"), x, 1.0 + 10 ** rng.uniform(0.0, 1.0), eps
+    if path == "budget-0":  # zero gradients beside rows that step
+        x[rng.integers(0, x.shape[0])] = 0.0
+        x = np.vstack([x, [[0.0, 0.0]]])
+        return quadratic(), x, 10 ** rng.uniform(-1.0, 2.0), eps
+    if path == "zero":
+        return make_objective("zero"), x, 10 ** rng.uniform(-1.0, 2.0), eps
+    if path == "flat":  # a linear field whose gradient rows are all zero
+        return linear([0.0, 0.0]), x, 10 ** rng.uniform(-1.0, 2.0), eps
+    if path == "empty":  # a linear field on a batch with no rows
+        return linear(rng.normal(size=2)), np.zeros((0, 2)), 10 ** rng.uniform(-1.0, 2.0), eps
+    if path == "center-missed":  # at eps = 100 a center with budget 0 need not certify:
+        # at lam = 1 the quadratic's budget is 0 for ||x|| <= 5.89, d_tol = 5
+        x = rng.normal(size=(int(rng.integers(1, 12)), 2))
+        x *= rng.uniform(0.0, 12.0, size=(x.shape[0], 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+        return quadratic(), np.vstack([x, [[5.5, 0.0]]]), 1.0, 100.0
+    if path == "over-cap":  # lam - rho in [1e-10, 1e-8]: budgets of 1.0e6 to 1.9e7 steps
+        return quadratic(), x, 10 ** rng.uniform(-10.0, -8.0), 10 ** rng.uniform(-3.0, -1.0)
+    if path == "non-finite":  # a row far out diverges, or its center gradient overflows
+        x = np.vstack([x, [[40.0, -30.0]] if rng.random() < 0.5 else [[1e160, 0.0]]])
+        return make_objective("double-well"), x[rng.permutation(x.shape[0])], 2.0, eps
+    # "spent": the center (-1.10, 5.43), outside the ball ||x|| <= 2 where
+    # L = 11 holds, spends its 105 steps while the rows beside it certify.
+    x = np.vstack([0.3 * x, [[-1.10, 5.43]]])
+    return make_objective("double-well"), x[rng.permutation(x.shape[0])], 8.879, 2.16e-4
+
+
+_PATHS = [
+    "step-1",
+    "staggered",
+    "budget-0",
+    "zero",
+    "flat",
+    "empty",
+    "center-missed",
+    "over-cap",
+    "non-finite",
+    "spent",
+]
+
+
+def _prox_outcome(prox, f, x, lam, eps):
+    """(result, witness calls): the four arrays, or the error's type, lam,
+    step and active rows."""
+    calls = []
+    try:
+        result = prox(_recorded(f, calls), x, lam, eps)
+    except WfwError as err:
+        result = (type(err), err.lam, err.step, err.active)
+    return result, calls
 
 
 class TestCompactedLoop:
@@ -212,6 +285,64 @@ class TestCompactedLoop:
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
         assert got_calls == want_calls
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(_PATHS), st.integers(0, 2**32 - 1))
+    @example("step-1", 0)
+    @example("staggered", 0)
+    @example("budget-0", 0)
+    @example("zero", 0)
+    @example("flat", 0)
+    @example("empty", 0)
+    @example("center-missed", 0)
+    @example("over-cap", 0)
+    @example("non-finite", 0)
+    @example("non-finite", 1)
+    @example("spent", 0)
+    def test_every_path_matches_the_masked_loop(self, path, seed):
+        """On draws through every path of the pass (all rows leaving at
+        step 1, rows leaving at different steps, budget-0 rows beside
+        stepping ones or alone, no rows, a budget-0 center that does not
+        certify, a budget over the cap, a row that leaves the finite range,
+        a spent budget), it returns what the masked loop returns, bit for bit,
+        hands the witness the same rows in the same shapes, or raises the
+        same error with the same lam, step and active rows."""
+        f, x, lam, eps = _path_case(path, np.random.default_rng(seed))
+        got, got_calls = _prox_outcome(agd_prox_batch, f, x, lam, eps)
+        want, want_calls = _prox_outcome(_masked_prox_batch, f, x, lam, eps)
+        assert got_calls == want_calls
+        if isinstance(want[0], type):
+            assert got == want
+        else:
+            for a, b in zip(got, want, strict=True):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("path", _PATHS)
+    def test_each_path_is_reached(self, path):
+        """`_path_case` at seed 0 takes each path it is named for."""
+        f, x, lam, eps = _path_case(path, np.random.default_rng(0))
+        if path == "non-finite":
+            with pytest.raises(NonFiniteIterate):
+                agd_prox_batch(f, x, lam, eps)
+            return
+        if path in ("center-missed", "over-cap", "spent"):
+            with pytest.raises(ProxNotCertified) as info:
+                agd_prox_batch(f, x, lam, eps)
+            assert (info.value.step == 0) == (path != "spent")
+            assert ("budget exceeds" in str(info.value)) == (path == "over-cap")
+            return
+        y, _, iters, _ = agd_prox_batch(f, x, lam, eps)
+        steps = set(iters.tolist())
+        expected = {
+            "step-1": lambda: steps == {1},
+            "staggered": lambda: 0 not in steps and len(steps) > 1,
+            "budget-0": lambda: 0 in steps and len(steps) > 1,
+            "zero": lambda: steps == {0} and y.tobytes() == x.tobytes(),
+            "flat": lambda: steps == {0} and y.tobytes() == x.tobytes(),
+            "empty": lambda: y.shape == (0, 2) and not steps,
+        }
+        assert expected[path]()
 
     def test_rows_outlast_the_budget_of_a_row_that_left(self):
         """A double-well center 2e-8 off the unit circle gets an 8-step
