@@ -27,13 +27,7 @@ from .errors import (
     RegularizationTooWeak,
     WeakDualityViolated,
 )
-from .moreau import (
-    agd_prox_batch,
-    g_value_and_grad_fullbatch,
-    gradient_fourth_moment,
-    hp_sample_count,
-    supergradient_hp,
-)
+from .moreau import agd_prox_batch, g_value_and_grad_fullbatch, gradient_fourth_moment
 
 
 class TrustRegionIndicator:
@@ -199,17 +193,6 @@ def _dual_interval(f, m2, penalty, c=None):
     if not u > l:
         raise IntervalEmpty(f"dual interval ({l}, {u}) is empty")
     return l, u
-
-
-def _slope(f, mu, lam, eps, eps_prox, delta, rng, m4):
-    """`mirror_ascent`'s estimate of g'(lam): sampled at accuracy eps and
-    confidence delta given the cloud's gradient fourth moment m4 (computed
-    once per run) while its count K is below the n atoms, else one exact
-    full-batch prox pass at accuracy eps_prox."""
-    k = None if m4 is None else hp_sample_count(f, mu, lam, eps, delta, m4=m4)
-    if k is not None and k < mu.n:
-        return supergradient_hp(f, mu, lam, eps, delta, rng, m4=m4)
-    return g_value_and_grad_fullbatch(f, mu, lam, eps_prox)[1]
 
 
 def _slope_crossing(penalty, m2, s, u):
@@ -388,31 +371,23 @@ def mirror_ascent_envelope(interval, k, c2, d_bound, eps=0.0):
     return (u - l) * (math.sqrt(2.0 * (c2 + d_bound**2) / k) + eps)
 
 
-def mirror_ascent(
-    f,
-    mu,
-    penalty,
-    interval,
-    k,
-    rng,
-    oracle=None,
-    c2=None,
-    stochastic=False,
-    eps_oracle=1e-2,
-    delta_prob=0.1,
-):
+def mirror_ascent(f, mu, penalty, interval, k, *, oracle=None, c2=None):
     """Projected supergradient ascent on the dual with a fixed step.
 
     Runs k steps from the left endpoint with step (u-l)/sqrt(2k(C^2+D^2)),
     where C^2 bounds the oracle's second moment and D the penalty slope at
     the right endpoint, and returns the iterate average (whose expected
     suboptimality obeys `mirror_ascent_envelope`).  It steps along
-    est - psi*'(lam), a supergradient also at psi*'s kink at 0, where the
-    projection onto l >= 0 absorbs it.  The full-batch oracle solves each
-    prox to accuracy 1e-9.
+    oracle(lam) - psi*'(lam), a supergradient also at psi*'s kink at 0,
+    where the projection onto l >= 0 absorbs it.
 
     Args:
-        oracle: optional lam -> supergradient-estimate override.
+        oracle: lam -> estimate of g'(lam); by default one exact full-batch
+            pass that solves each prox to accuracy 1e-9.  A sampled slope
+            is the caller's to compose: `lambda lam: supergradient_hp(f,
+            mu, lam, eps, delta / k, rng, m4=m4)`, m4 the cloud's
+            `gradient_fourth_moment`, holds all k steps within eps at once
+            with probability 1 - delta.
         c2: optional second-moment bound; derived from the cloud's plug-in
             fourth moment when omitted.
 
@@ -432,12 +407,13 @@ def mirror_ascent(
         raise LambdaTooSmall(
             f"left end l = {l} must exceed semiconvexity {f.semiconvexity}"
         )
-    m4 = None
-    if c2 is None or (stochastic and oracle is None):
-        m4 = gradient_fourth_moment(f, mu)
     if c2 is None:
-        c2 = 256.0 * m4 / (l - f.semiconvexity) ** 4
-    sampled_m4 = m4 if stochastic else None
+        c2 = 256.0 * gradient_fourth_moment(f, mu) / (l - f.semiconvexity) ** 4
+    if oracle is None:
+
+        def oracle(lam):
+            return g_value_and_grad_fullbatch(f, mu, lam, 1e-9)[1]
+
     d_bound = penalty.psi_star_deriv(u)
     step = (u - l) / math.sqrt(2.0 * k * (c2 + d_bound**2))
 
@@ -445,10 +421,7 @@ def mirror_ascent(
     lams = np.empty(k)
     for i in range(k):
         lams[i] = lam
-        if oracle is not None:
-            est = float(oracle(lam))
-        else:
-            est = _slope(f, mu, lam, eps_oracle, 1e-9, delta_prob / k, rng, sampled_m4)
+        est = float(oracle(lam))
         lam = min(max(lam + step * (est - penalty.psi_star_deriv(lam)), l), u)
     return float(np.mean(lams)), {"lambda": lams}
 

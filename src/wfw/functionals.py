@@ -175,7 +175,7 @@ def _sinkhorn_sweeps(v, cost, s2, target):
         v, sweeps = _soft_c_transform(c[0], cost.T, s2)[0], sweeps + 1
 
 
-def _sinkhorn_newton(v, c, cost, s2, target):
+def _sinkhorn_newton(v, c, cost, top, s2, target):
     """Newton steps on the semi-dual in v, from v and its coupling c until
     the column-marginal error is <= target (Sinkhorn-Newton; Brauer,
     Clason, Lorenz & Wirth, arXiv:1710.06635).
@@ -196,12 +196,12 @@ def _sinkhorn_newton(v, c, cost, s2, target):
     keeps the loose solves of a far start cheap.  Whichever comes first
     ends it: the first keeps a close start from solving past its target.
     The step backtracks on the marginal error and never moves a
-    potential by more than 2 max(max cost, s2).  Returns (v, its coupling,
-    steps); an error above target means it stalled: no halving of the step
-    lowered the error, or 50 steps were spent.
+    potential by more than 2 max(top, s2), top the largest cost.  Returns
+    (v, its coupling, steps); an error above target means it stalled: no
+    halving of the step lowered the error, or 50 steps were spent.
     """
     n, m = cost.shape
-    reach = 2.0 * max(float(cost.max()), s2)
+    reach = 2.0 * max(top, s2)
     _, p, b, err = c
     steps = 0
     while err > target and steps < 50:
@@ -257,21 +257,21 @@ def _entropic_solve(x, y, sigma2, tol, v0=None):
     Raises:
         SinkhornNotConverged: the ladder's last stage, at sigma2, stalled
             above tol.
-        NonFiniteDual: an iterate left the finite range.
+        NonFiniteDual: a squared distance or an iterate left the finite range.
     """
-    cost = 0.5 * sqdist_matrix(x, y)
+    cost, top = _half_sqdist(x, y, f"a solve on {x.shape[0]} atoms")
     iterations = 0
 
     def stage(v, s2, target):
         nonlocal iterations
         v, c, sweeps = _sinkhorn_sweeps(v, cost, s2, max(target, 1e-2))
-        v, c, steps = _sinkhorn_newton(v, c, cost, s2, target)
+        v, c, steps = _sinkhorn_newton(v, c, cost, top, s2, target)
         iterations += sweeps + steps
         return v, c
 
     v, c = stage(np.zeros(y.shape[0]) if v0 is None else v0, sigma2, tol)
     if c[3] > tol:
-        v, s2 = np.zeros(y.shape[0]), max(float(cost.max()), sigma2)
+        v, s2 = np.zeros(y.shape[0]), max(top, sigma2)
         while s2 > sigma2:
             v, _ = stage(v, s2, 1e-3)
             s2 /= 4.0
@@ -321,6 +321,7 @@ class EntropicDeconv:
         SizeCapExceeded: m * m (the data's diameter pass, here) or n * m (a
             solve on n atoms) exceeds `SINKHORN_CAP`, before the array is
             allocated.
+        NonFiniteDual: a squared distance of either pass overflows.
     """
 
     def __init__(self, sigma2, data, tol=1e-9):
@@ -339,7 +340,7 @@ class EntropicDeconv:
         # Softmax weights always sit on the data atoms, so the weighted
         # covariance never exceeds (diam/2)^2 in any direction: a global
         # semiconvexity bound for the witness.
-        diam2 = float(np.max(sqdist_matrix(data.points, data.points)))
+        diam2 = 2.0 * _half_sqdist(data.points, data.points, "the data's diameter")[1]
         self._rho = max(0.0, diam2 / (4.0 * self.sigma2) - 1.0)
 
     def _sinkhorn(self, points):
@@ -400,6 +401,19 @@ class EntropicDeconv:
             semiconcavity=1.0,
             atom_gradients=None if grads is None else (mu.points, grads),
         )
+
+
+def _half_sqdist(x, y, what):
+    """(cost, top): the half squared distances between the rows of x and y
+    and their largest entry; NonFiniteDual naming `what` where one
+    overflows, before numpy warns of it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = sqdist_matrix(x, y)
+    cost *= 0.5
+    top = float(cost.max())
+    if not math.isfinite(top):
+        raise NonFiniteDual(f"squared distances in {what} overflow to {2.0 * top}")
+    return cost, top
 
 
 def _check_size(what, rows, cols):

@@ -19,8 +19,6 @@ def _fmt(x):
 
 
 def _ticks(lo, hi, count=5):
-    if hi <= lo:
-        hi = lo + 1.0
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
 
@@ -48,10 +46,12 @@ def line_chart(series, title="", xlabel="", ylabel="", log_y=False):
         yhi = max(p[1] for p in pts)
     else:
         xlo, xhi, ylo, yhi = 0.0, 1.0, 0.0, 1.0
+    # A flat range widens upward by 1, or by one ulp where |lo| >= 2^53
+    # absorbs the 1: either way hi > lo, so no scale divides by zero.
     if xhi <= xlo:
-        xhi = xlo + 1.0
+        xhi = max(xlo + 1.0, math.nextafter(xlo, math.inf))
     if yhi <= ylo:
-        yhi = ylo + 1.0
+        yhi = max(ylo + 1.0, math.nextafter(ylo, math.inf))
 
     pw = _W - _ML - _MR
     ph = _H - _MT - _MB

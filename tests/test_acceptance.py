@@ -31,6 +31,7 @@ from wfw.functionals import PotentialInteraction
 from wfw.moreau import (
     agd_prox_batch,
     g_value_and_grad_fullbatch,
+    gradient_fourth_moment,
     hp_sample_count,
     supergradient_hp,
 )
@@ -176,6 +177,20 @@ def _feasible_primal_minimum(m2, penalty):
     return best
 
 
+def _sampled_slope(f, mu, eps, delta, k, rng, calls):
+    """Mirror ascent's sampled oracle over k steps: `supergradient_hp` at
+    confidence delta / k, so every step's slope is within eps at once with
+    probability 1 - delta, on one fourth-moment pass.  Appends each queried
+    lam to `calls`."""
+    m4 = gradient_fourth_moment(f, mu)
+
+    def oracle(lam):
+        calls.append(lam)
+        return supergradient_hp(f, mu, lam, eps, delta / k, rng, m4=m4)
+
+    return oracle
+
+
 def test_every_dual_value_respects_weak_duality():
     start = time.perf_counter()
     f = quadratic()
@@ -199,9 +214,7 @@ def test_every_dual_value_respects_weak_duality():
             rep = primal_dual_bisection(f, mu, pen, 1e-4)
             assert rep.dual_value <= p_min + 1e-6
             iv = dual_interval(f, mu, pen, c=8.0)
-            lam_bar, _ = mirror_ascent(
-                f, mu, pen, iv, 100, np.random.default_rng(inst * 7 + 2)
-            )
+            lam_bar, _ = mirror_ascent(f, mu, pen, iv, 100)
             gval, _ = g_value_and_grad_fullbatch(f, mu, lam_bar, 1e-10)
             assert gval - pen.psi_star(lam_bar) <= p_min + 1e-6
 
@@ -215,17 +228,12 @@ def test_every_dual_value_respects_weak_duality():
         rep = primal_dual_bisection(f, mu, pen, 0.5)
         assert rep.dual_value <= p_min + 1e-6
         iv = dual_interval(f, mu, pen, c=8.0)
+        calls, rng = [], np.random.default_rng(inst * 7 + 4)
         lam_bar, _ = mirror_ascent(
-            f,
-            mu,
-            pen,
-            iv,
-            100,
-            np.random.default_rng(inst * 7 + 4),
-            stochastic=True,
-            eps_oracle=0.5,
-            delta_prob=0.3,
+            f, mu, pen, iv, 100, oracle=_sampled_slope(f, mu, 0.5, 0.3, 100, rng, calls)
         )
+        # every step sampled, and the samples moved the average off the exact one
+        assert len(calls) == 100 and lam_bar != mirror_ascent(f, mu, pen, iv, 100)[0]
         gval, _ = g_value_and_grad_fullbatch(f, mu, lam_bar, 1e-10)
         assert gval - pen.psi_star(lam_bar) <= p_min + 1e-6
     assert time.perf_counter() - start < 30.0
@@ -283,19 +291,12 @@ def test_mirror_ascent_obeys_its_envelope():
     start = time.perf_counter()
     for k in (100, 1000, 10000):
         lam_bar, _ = mirror_ascent(
-            None,
-            None,
-            _SquareConjugate(),
-            (0.0, 2.0),
-            k,
-            np.random.default_rng(6),
-            oracle=lambda lam: 2.0,
-            c2=4.0,
+            None, None, _SquareConjugate(), (0.0, 2.0), k, oracle=lambda lam: 2.0, c2=4.0
         )
         subopt = 1.0 - (2.0 * lam_bar - lam_bar**2)
         assert 0.0 <= subopt <= mirror_ascent_envelope((0.0, 2.0), k, 4.0, 4.0, 0.0)
 
-    # stochastic leg: linear objective, trust-region dual, interior maximizer
+    # sampled leg: linear objective, trust-region dual, interior maximizer
     rng = np.random.default_rng(9)
     pts = 0.5 * rng.standard_normal((12, 3))
     mu = ParticleCloud(pts)
@@ -314,17 +315,11 @@ def test_mirror_ascent_obeys_its_envelope():
     c2 = 256.0 * na**4
     d_bound = pen.psi_star_deriv(iv[1])
     for k in (100, 1000, 10000):
+        calls, rng = [], np.random.default_rng(100 + k)
         lam_bar, _ = mirror_ascent(
-            f,
-            mu,
-            pen,
-            iv,
-            k,
-            np.random.default_rng(100 + k),
-            stochastic=True,
-            eps_oracle=eps_oracle,
-            delta_prob=0.1,
+            f, mu, pen, iv, k, oracle=_sampled_slope(f, mu, eps_oracle, 0.1, k, rng, calls)
         )
+        assert len(calls) == k
         subopt = h(na / 0.07) - h(lam_bar)
         env = mirror_ascent_envelope(iv, k, c2, d_bound, eps_oracle / max(iv[0], 1.0))
         assert -1e-9 <= subopt <= env

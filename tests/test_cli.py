@@ -628,6 +628,16 @@ class TestPlotCommand:
         assert '<polyline points="64.00,36.00 342.00,260.00 620.00,372.00"' in svg
         assert ">tr</text>" in svg  # legend label is the basename
 
+    def test_flat_range_widens_past_an_absorbed_unit(self, tmp_path):
+        """A one-row trace has flat axes.  At J = 1e17, 1e17 + 1 rounds back
+        to 1e17, so the y range widens by one ulp there and the chart still
+        renders, its lone vertex at the bottom left."""
+        tr = self._trace(tmp_path, rows=((1, 1e17),))
+        out = tmp_path / "c.svg"
+        assert main(["plot", str(tr), "--out", str(out)]) == EXIT_OK
+        ET.parse(out)
+        assert '<polyline points="64.00,372.00"' in out.read_text()
+
     def test_missing_column_is_an_error(self, tmp_path, capsys):
         tr = self._trace(tmp_path)
         code = main(["plot", str(tr), "--out", str(tmp_path / "c.svg"), "--y", "zeta"])
@@ -685,6 +695,11 @@ class TestLineChart:
         svg = line_chart([("a<b", [0, 1], [1, 2])], title="J & s")
         texts = [el.text for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
         assert "J & s" in texts and "a<b" in texts
+
+    def test_flat_range_widens_by_one(self):
+        """x = 0 and y = 3 alone span [0, 1] and [3, 4]."""
+        svg = line_chart([("a", [0], [3.0])])
+        assert all(f">{t}<" in svg for t in ("0", "1", "3", "3.25", "4"))
 
     def test_log_ticks_label_the_raw_scale(self):
         svg = line_chart([("a", [0, 1], [1.0, 100.0])], log_y=True)

@@ -298,7 +298,7 @@ class TestBisection:
         rep = primal_dual_bisection(quadratic(), mu, pen, 1e-3)
         assert len(calls["agd_prox_batch"]) == rep.oracle_calls
         assert calls["g_value_and_grad_fullbatch"] == []
-        mirror_ascent(quadratic(), mu, pen, dual_interval(quadratic(), mu, pen), 7, None)
+        mirror_ascent(quadratic(), mu, pen, dual_interval(quadratic(), mu, pen), 7)
         assert len(calls["g_value_and_grad_fullbatch"]) == 7
 
     @settings(max_examples=60, deadline=None)
@@ -676,45 +676,6 @@ class TestBisection:
         assert passes[:2] == [2, 3]
 
 
-class TestSampledSlope:
-    """The sampled oracle's fourth moment depends on (f, mu) only, so a
-    mirror-ascent run computes it once, however many sampled slopes it asks
-    for."""
-
-    def _spy(self, monkeypatch):
-        calls = []
-        moment = dual_solvers.gradient_fourth_moment
-
-        def spy(f, mu):
-            calls.append(mu.n)
-            return moment(f, mu)
-
-        monkeypatch.setattr(dual_solvers, "gradient_fourth_moment", spy)
-        return calls
-
-    def test_mirror_ascent_shares_it_with_its_step_size(self, monkeypatch):
-        calls = self._spy(monkeypatch)
-        mu = ParticleCloud(0.5 * np.random.default_rng(9).standard_normal((12, 3)))
-        f = linear(np.array([0.08, -0.04, 0.03]))
-        counter = {"rows": 0}
-        mirror_ascent(
-            counted_model(f, counter),
-            mu,
-            TrustRegionIndicator(0.07),
-            (0.5, 3.0),
-            20,
-            np.random.default_rng(1),
-            stochastic=True,
-            eps_oracle=0.05,
-        )
-        assert calls == [12]
-        # one 12-row moment pass; every step's sample count K exceeds the 12
-        # atoms, so each step is one exact full-batch pass instead, whose
-        # first gradient is the cloud's memoized one: 12 rows per step, for
-        # the certificate's gradient at the one certified iterate
-        assert counter["rows"] == 12 + 20 * 12
-
-
 class TestMirrorAscent:
     @pytest.mark.parametrize(
         "interval, k, error",
@@ -724,7 +685,7 @@ class TestMirrorAscent:
     def test_rejects_bad_arguments(self, interval, k, error):
         mu = ParticleCloud(np.ones((3, 2)))
         with pytest.raises(error):
-            mirror_ascent(quadratic(), mu, TrustRegionIndicator(0.5), interval, k, None)
+            mirror_ascent(quadratic(), mu, TrustRegionIndicator(0.5), interval, k)
 
     @pytest.mark.parametrize("l", [0.0, -0.5])
     def test_left_end_at_or_below_semiconvexity_is_named(self, l):
@@ -732,17 +693,12 @@ class TestMirrorAscent:
         zero: LambdaTooSmall naming l and rho comes first."""
         mu = ParticleCloud(np.random.default_rng(0).normal(size=(5, 2)))
         with pytest.raises(LambdaTooSmall, match=f"l = {l} .* semiconvexity 0.0"):
-            mirror_ascent(
-                quadratic(), mu, TrustRegionIndicator(0.4), (l, 3.0), 5,
-                np.random.default_rng(0),
-            )
+            mirror_ascent(quadratic(), mu, TrustRegionIndicator(0.4), (l, 3.0), 5)
 
     def test_single_step_returns_left_endpoint(self):
         mu = ParticleCloud(np.ones((3, 2)) * 2.0)
         pen = TrustRegionIndicator(0.5)
-        lam_bar, hist = mirror_ascent(
-            quadratic(), mu, pen, (1.0, 5.0), 1, np.random.default_rng(0)
-        )
+        lam_bar, hist = mirror_ascent(quadratic(), mu, pen, (1.0, 5.0), 1)
         assert lam_bar == pytest.approx(1.0)
         np.testing.assert_allclose(hist["lambda"], [1.0])
 
@@ -750,12 +706,31 @@ class TestMirrorAscent:
         rng = np.random.default_rng(5)
         mu = ParticleCloud(rng.normal(size=(8, 2)) * 2.0)
         pen = TrustRegionIndicator(0.4)
-        lam_bar, hist = mirror_ascent(
-            quadratic(), mu, pen, (1.0, 6.0), 300, np.random.default_rng(1)
-        )
+        lam_bar, hist = mirror_ascent(quadratic(), mu, pen, (1.0, 6.0), 300)
         lams = np.array(hist["lambda"])
         assert np.all((lams >= 1.0) & (lams <= 6.0))
         assert 1.0 <= lam_bar <= 6.0
+
+    def test_one_moment_pass_sets_c2_and_each_step_reads_12_rows(self, monkeypatch):
+        """C^2 comes from one fourth-moment pass over the 12 atoms, and each
+        of the 20 default slopes is one exact full-batch pass."""
+        calls = []
+        moment = dual_solvers.gradient_fourth_moment
+
+        def spy(f, mu):
+            calls.append(mu.n)
+            return moment(f, mu)
+
+        monkeypatch.setattr(dual_solvers, "gradient_fourth_moment", spy)
+        mu = ParticleCloud(0.5 * np.random.default_rng(9).standard_normal((12, 3)))
+        f = linear(np.array([0.08, -0.04, 0.03]))
+        counter = {"rows": 0}
+        mirror_ascent(counted_model(f, counter), mu, TrustRegionIndicator(0.07), (0.5, 3.0), 20)
+        assert calls == [12]
+        # one 12-row moment pass; each step's pass starts from the cloud's
+        # memoized gradients, so it reads 12 rows, for the certificate's
+        # gradient at the one certified iterate
+        assert counter["rows"] == 12 + 20 * 12
 
     def test_envelope_formula(self):
         env = mirror_ascent_envelope((1.0, 3.0), 50, 4.0, 2.0, 0.1)
@@ -774,8 +749,7 @@ class TestMirrorAscent:
         pen = SquareConjugate()
         for k in (100, 1000):
             lam_bar, _ = mirror_ascent(
-                None, None, pen, (0.0, 2.0), k, np.random.default_rng(6),
-                oracle=lambda lam: 2.0, c2=4.0,
+                None, None, pen, (0.0, 2.0), k, oracle=lambda lam: 2.0, c2=4.0
             )
             subopt = 1.0 - (2 * lam_bar - lam_bar**2)
             env = mirror_ascent_envelope((0.0, 2.0), k, 4.0, 4.0, 0.0)
@@ -789,7 +763,7 @@ class TestMirrorAscent:
         pen = TrustRegionIndicator(0.1)
         f = make_objective("double-well")
         with pytest.raises(NonFiniteIterate) as info:
-            mirror_ascent(f, mu, pen, (2.0, 3.0), 5, np.random.default_rng(0))
+            mirror_ascent(f, mu, pen, (2.0, 3.0), 5)
         assert info.value.active == 2
 
 

@@ -742,6 +742,26 @@ class TestSinkhornCap:
         assert J.marginal_error_log == []
 
 
+class TestSquaredDistanceOverflow:
+    """A squared distance past the float range is refused, by name, before
+    numpy warns of it: under the data's diameter it would read NaN and set
+    the curvature bound rho to 0."""
+
+    def test_data_atom_at_1e160_is_refused(self):
+        data = ParticleCloud([[0.0, 0.0], [1e160, 0.0]])
+        with pytest.raises(NonFiniteDual, match="the data's diameter overflow to nan"):
+            EntropicDeconv(0.25, data)
+
+    @pytest.mark.parametrize("call", ["value", "derivative_oracle"])
+    def test_cloud_atom_at_1e160_is_refused(self, call):
+        J = EntropicDeconv(0.25, ParticleCloud(np.random.default_rng(3).normal(size=(5, 2))))
+        mu = ParticleCloud([[0.0, 0.0], [1e160, 0.0]])
+        solve = J.value if call == "value" else lambda mu: J.derivative_oracle(mu, 1e-9)
+        with pytest.raises(NonFiniteDual, match="a solve on 2 atoms overflow to inf"):
+            solve(mu)
+        assert J.marginal_error_log == []
+
+
 def _agreement_bound(J, mu):
     """How far apart two solves that each meet J.tol may put J.value(mu).
 

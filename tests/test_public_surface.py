@@ -70,6 +70,23 @@ def test_trust_region_search_takes_no_sampling_arguments():
     }
 
 
+def test_mirror_ascent_takes_one_slope_oracle():
+    """Each step's slope is oracle(lam): a sampled slope is composed by the
+    caller, so the generator is gone and a stale positional one is refused."""
+    assert str(inspect.signature(wfw.mirror_ascent)) == (
+        "(f, mu, penalty, interval, k, *, oracle=None, c2=None)"
+    )
+    with pytest.raises(TypeError, match="positional"):
+        wfw.mirror_ascent(
+            registry.quadratic(),
+            wfw.ParticleCloud(np.ones((3, 2))),
+            wfw.TrustRegionIndicator(0.5),
+            (1.0, 2.0),
+            5,
+            np.random.default_rng(0),
+        )
+
+
 def test_exact_transport_takes_two_clouds():
     """Equal-size clouds only, capped at EXACT_OT_CAP: no cap argument."""
     assert str(inspect.signature(wfw.wasserstein2_exact)) == "(a, b)"
@@ -150,7 +167,6 @@ def _smooth(smoothness, semiconvexity):
                 wfw.TrustRegionIndicator(0.5),
                 (math.nan, math.nan),
                 5,
-                None,
             ),
             errors.IntervalEmpty,
         ),
